@@ -26,6 +26,7 @@ from .errors import (
     GapSandwichError,
     InvalidParams,
     ParseError,
+    ShapeMismatch,
 )
 from .manifest import RunManifest, manifest_path_for
 from .rng import derive_key
@@ -85,6 +86,10 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge parsed flags (None = not given) with config file and defaults."""
     config = _read_config(args.config) if getattr(args, "config", None) else {}
@@ -96,7 +101,13 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = flag_val
         elif text is not None:
             if isinstance(default, bool):
-                resolved[key] = text.lower() in ("1", "true", "yes", "on")
+                word = text.lower()
+                if word not in _TRUE_WORDS + _FALSE_WORDS:
+                    raise ParseError(
+                        f"config key {key!r} is not a boolean: {text!r}; expected "
+                        f"one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)}"
+                    )
+                resolved[key] = word in _TRUE_WORDS
             elif isinstance(default, int):
                 try:
                     resolved[key] = int(text)
@@ -435,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidParams) as exc:
+    except (ParseError, InvalidParams, ShapeMismatch) as exc:
         _diag(f"error: {exc}")
         return 2
     except CheckpointError as exc:

@@ -18,34 +18,11 @@ from .errors import InvalidParams, ParseError
 from .rng import generator
 
 
-def _marsaglia_tsang(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
-    """Standard Gamma(a, 1) draws for a >= 1 via squeeze-free Marsaglia-Tsang."""
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n, dtype=float)
-    todo = np.arange(n)
-    while todo.size:
-        x = rng.standard_normal(todo.size)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(todo.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = (v > 0.0) & (
-                np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v)
-            )
-        out[todo[accept]] = d * v[accept]
-        todo = todo[~accept]
-    return out
-
-
 def standard_gamma(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
-    """Gamma(a, 1) sampler; shapes below 1 use the boosting transform
-    Gamma(a) = Gamma(a+1) * U^(1/a), which stays accurate as a -> 0."""
+    """Gamma(a, 1) draws from numpy's native sampler, for any shape a > 0."""
     if a <= 0.0:
         raise InvalidParams(f"gamma shape must be positive, got {a}")
-    if a < 1.0:
-        boost = rng.random(n) ** (1.0 / a)
-        return _marsaglia_tsang(rng, a + 1.0, n) * boost
-    return _marsaglia_tsang(rng, a, n)
+    return rng.standard_gamma(a, n)
 
 
 @dataclass(frozen=True)

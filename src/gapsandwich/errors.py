@@ -13,6 +13,10 @@ class NonPositiveSample(GapSandwichError):
     """A linear-domain sample was zero, negative, or non-finite."""
 
 
+class ShapeMismatch(GapSandwichError):
+    """Paired sample vectors are not one-dimensional or differ in length."""
+
+
 class LengthNotDivisible(GapSandwichError):
     """Raw sample length is not a multiple of the averaging count k."""
 

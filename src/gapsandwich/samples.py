@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulate import logsumexp
-from .errors import EmptySamples, InvalidK, LengthNotDivisible, NonPositiveSample
+from .errors import (
+    EmptySamples,
+    InvalidK,
+    LengthNotDivisible,
+    NonPositiveSample,
+    ShapeMismatch,
+)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -42,9 +48,9 @@ class PairedSamples:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or ys.ndim != 1:
-            raise NonPositiveSample("samples must be one-dimensional vectors")
+            raise ShapeMismatch("samples must be one-dimensional vectors")
         if xs.size != ys.size:
-            raise NonPositiveSample(
+            raise ShapeMismatch(
                 f"xs and ys lengths differ: {xs.size} vs {ys.size}"
             )
         if xs.size == 0:

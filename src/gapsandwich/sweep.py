@@ -1,8 +1,10 @@
 """Orchestration: paired sampling, k-sweeps, replications, CSV output.
 
-Every (k, replication) cell draws 2*n_pairs*k fresh values from its own
-derived stream, so results are bit-identical for a given config regardless
-of thread count or execution order.
+Every (k, replication) cell derives its own seed and draws its 2*n_pairs*k
+fresh values in fixed chunks of about CHUNK_DRAWS raw draws; chunk j uses the
+stream derive_key(cell_seed, j) and is reduced to pairs at once, so a cell
+holds O(n_pairs) memory whatever k is.  Results are bit-identical for a given
+config regardless of thread count or execution order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .rng import derive_key
 from .samples import PairedSamples, paired_from_halves
 
 THREADS_ENV = "GAPSANDWICH_THREADS"
+
+# Raw draws per chunk of a cell.  Part of the stream scheme: changing it
+# changes every sweep result for a given seed.
+CHUNK_DRAWS = 1 << 20
 
 CSV_HEADER = (
     "dataset,model,k,replication,n_pairs,seed,lower_mean,lower_stderr,"
@@ -158,12 +164,20 @@ def resolve_threads(threads: int | None = None) -> int:
 
 def _run_cell(source: SampleSource, cfg: SweepConfig, k: int, rep: int) -> SweepRow:
     seed = derive_key(cfg.base_seed, rep, k)
-    try:
-        raw = source.draw(2 * cfg.n_pairs * k, seed)
-    except Exception as exc:  # noqa: BLE001 - contract: wrap source errors
-        raise SourceFailure(f"source {source.name!r} failed: {exc}") from exc
-    pairs = paired_from_halves(np.asarray(raw, dtype=float), k,
-                               log_domain=source.log_domain)
+    per_chunk = max(1, CHUNK_DRAWS // (2 * k))
+    xs, ys = [], []
+    for j, start in enumerate(range(0, cfg.n_pairs, per_chunk)):
+        m = min(per_chunk, cfg.n_pairs - start)
+        try:
+            raw = source.draw(2 * m * k, derive_key(seed, j))
+        except Exception as exc:  # noqa: BLE001 - contract: wrap source errors
+            raise SourceFailure(f"source {source.name!r} failed: {exc}") from exc
+        chunk = paired_from_halves(np.asarray(raw, dtype=float), k,
+                                   log_domain=source.log_domain)
+        xs.append(chunk.xs)
+        ys.append(chunk.ys)
+    pairs = PairedSamples(np.concatenate(xs), np.concatenate(ys), k=k,
+                          log_domain=source.log_domain)
     c, working = apply_c_policy(pairs, cfg.c_policy)
     return SweepRow(k=k, replication=rep, seed=seed, report=sandwich(working, c))
 

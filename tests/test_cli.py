@@ -6,6 +6,7 @@ import pytest
 
 from gapsandwich.cli import main
 from gapsandwich.rng import derive_key
+from gapsandwich.samples import PairedSamples
 from gapsandwich.sweep import CSV_HEADER
 from gapsandwich.vae import ToyVae, load_model
 
@@ -76,6 +77,41 @@ class TestAnalyticCommand:
                     "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "replicas" in capsys.readouterr().err
+
+    def test_config_booleans_accept_both_spellings(self, tmp_path):
+        out = tmp_path / "o.csv"
+        for word, written in (("Yes", True), ("on", True), ("OFF", False),
+                              ("0", False)):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"emit_gnuplot={word}\n")
+            script = tmp_path / "o.csv.gnuplot"
+            script.unlink(missing_ok=True)
+            code = run(["analytic", "--dist", "constant:c=1", "--k", "1",
+                        "--n", "100", "--replications", "1", "--config", str(cfg),
+                        "--out", str(out)])
+            assert code == 0
+            assert script.exists() is written
+
+    def test_unrecognised_config_boolean_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("emit_gnuplot=ture\n")
+        code = run(["analytic", "--dist", "constant:c=1", "--k", "1", "--n", "100",
+                    "--replications", "1", "--config", str(cfg),
+                    "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "emit_gnuplot" in err and "ture" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_shape_mismatch_exits_2(self, tmp_path, monkeypatch, capsys):
+        def mismatched(source, cfg):
+            return PairedSamples(np.ones(3), np.ones(2))
+
+        monkeypatch.setattr("gapsandwich.cli.run_sweep", mismatched)
+        code = run(["analytic", "--dist", "constant:c=1", "--k", "1",
+                    "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "lengths differ" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -112,7 +112,7 @@ class TestSampling:
         assert abs(xs.mean() - 2.0) <= 4.0 * se
 
     def test_gamma_small_shape_moments(self):
-        # Boosted path: mean a*theta, variance a*theta^2 for a < 1.
+        # Shape below 1: mean a*theta, variance a*theta^2.
         a, theta = 0.5, 2.0
         xs = sample(Gamma(a, theta), N, 9)
         assert (xs > 0.0).all()

@@ -10,6 +10,7 @@ from gapsandwich.errors import (
     InvalidK,
     LengthNotDivisible,
     NonPositiveSample,
+    ShapeMismatch,
 )
 from gapsandwich.samples import PairedSamples, k_sample_pairs, paired_from_halves
 
@@ -18,8 +19,12 @@ positive_vals = st.floats(min_value=1e-3, max_value=1e3)
 
 class TestPairedSamples:
     def test_lengths_must_match(self):
-        with pytest.raises(NonPositiveSample):
+        with pytest.raises(ShapeMismatch):
             PairedSamples(np.array([1.0, 2.0]), np.array([1.0]))
+
+    def test_vectors_must_be_one_dimensional(self):
+        with pytest.raises(ShapeMismatch, match="one-dimensional"):
+            PairedSamples(np.ones((2, 2)), np.ones((2, 2)))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySamples):

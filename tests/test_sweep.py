@@ -1,13 +1,17 @@
 import csv
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from gapsandwich.bounds import optimal_c
-from gapsandwich.distributions import Constant, Gamma, LogNormal, sample
+from gapsandwich.bounds import optimal_c, sandwich
+from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError, SourceFailure
-from gapsandwich.samples import paired_from_halves
+from gapsandwich.rng import derive_key
+from gapsandwich.samples import PairedSamples, paired_from_halves
 from gapsandwich.sweep import (
+    CHUNK_DRAWS,
     CSV_HEADER,
     CPolicy,
     SampleSource,
@@ -117,6 +121,66 @@ class TestRunSweep:
         cfg = SweepConfig(k_values=(1,), n_pairs=10, replications=1, base_seed=6)
         with pytest.raises(SourceFailure, match="backend down"):
             run_sweep(SampleSource("broken", broken), cfg)
+
+
+class TestChunkedCells:
+    """Each cell draws chunks of CHUNK_DRAWS // (2k) pairs, chunk j from the
+    stream derive_key(cell_seed, j); the last chunk is short."""
+
+    K = 64
+    PER_CHUNK = CHUNK_DRAWS // (2 * K)
+
+    def test_pairs_are_the_concatenated_chunks(self):
+        n_pairs = 2 * self.PER_CHUNK + 37
+        cfg = SweepConfig(k_values=(self.K,), n_pairs=n_pairs, replications=1,
+                          base_seed=11, c_policy=CPolicy("zero"))
+        source = dist_source(LogNormal(0.0, 1.0))
+        row = run_sweep(source, cfg, threads=1).rows[0]
+        assert row.seed == derive_key(11, 0, self.K)
+        chunks = [
+            paired_from_halves(source.draw(2 * m * self.K, derive_key(row.seed, j)),
+                               self.K)
+            for j, m in enumerate((self.PER_CHUNK, self.PER_CHUNK, 37))
+        ]
+        expected = PairedSamples(np.concatenate([c.xs for c in chunks]),
+                                 np.concatenate([c.ys for c in chunks]), k=self.K)
+        assert row.report == sandwich(expected, 0.0)
+        assert row.report.n == n_pairs
+
+    def test_multi_chunk_sweep_is_identical_across_threads(self):
+        cfg = SweepConfig(k_values=(16, self.K), n_pairs=self.PER_CHUNK + 1000,
+                          replications=2, base_seed=12)
+        source = dist_source(Gamma(2.0, 1.0))
+        assert run_sweep(source, cfg, threads=1) == run_sweep(source, cfg, threads=2)
+
+    def test_failure_in_a_later_chunk_is_wrapped(self):
+        calls = []
+
+        def fails_second(n, seed):
+            calls.append(seed)
+            if len(calls) == 2:
+                raise RuntimeError("chunk two lost")
+            return np.ones(n)
+
+        cfg = SweepConfig(k_values=(self.K,), n_pairs=self.PER_CHUNK + 1,
+                          replications=1, base_seed=13)
+        with pytest.raises(SourceFailure, match="chunk two lost"):
+            run_sweep(SampleSource("flaky", fails_second), cfg, threads=1)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("spec", ["lognormal:m=0,sigma=1", "gamma:a=2,theta=1"])
+    def test_cell_memory_is_bounded(self, spec):
+        # 2 * 10^5 * 64 raw draws would take 102 MB if held at once.
+        cfg = SweepConfig(k_values=(64,), n_pairs=100_000, replications=1,
+                          base_seed=14)
+        source = dist_source(parse_dist(spec))
+        tracemalloc.start()
+        try:
+            run_sweep(source, cfg, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestSweepCsv:
