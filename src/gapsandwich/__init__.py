@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .accumulate import EXP_SATURATION, RunningMoments, log_mean_exp, logsumexp
+from .accumulate import EXP_SATURATION, log_mean_exp, logsumexp
 from .bounds import (
     BoundReport,
     Estimate,
@@ -60,8 +60,8 @@ from .vae import (
 __all__ = [
     "AnalyticDist", "BoundReport", "CNet", "CPolicy", "Constant", "Estimate",
     "EvalRecord", "EvalResult", "EXP_SATURATION", "Gamma", "Laplace",
-    "LogNormal", "Objective", "PairedSamples", "RunningMoments",
-    "SampleSource", "SweepConfig", "SweepResult", "ToyVae", "UniformPos",
+    "LogNormal", "Objective", "PairedSamples", "SampleSource",
+    "SweepConfig", "SweepResult", "ToyVae", "UniformPos",
     "dist_source", "elbo", "evaluate", "gap_upper_first_order",
     "improved_upper", "iw_elbo", "jensen_lower", "k_averaged_law",
     "k_sample_pairs", "laplace_loglik", "load_cnet", "load_model",

@@ -1,15 +1,13 @@
 """Numerically stable accumulation primitives.
 
 All per-pair bound arithmetic runs in log domain, so the core primitives are
-a max-shifted log-sum-exp and its two-way merge, plus a mergeable streaming
-mean/variance.  Merges are associativity-tolerant: chunking the same data
-differently changes results by at most ~1e-9 relative.
+a max-shifted log-sum-exp and log-mean-exp, plus an overflow-safe sample
+mean and standard error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +35,6 @@ def log_mean_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | fl
     return logsumexp(values, axis=axis) - math.log(n)
 
 
-def lse_merge(a: float, b: float) -> float:
-    """Combine two log-sum partial results: log(exp(a) + exp(b))."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and standard error (n-1 variance, std/sqrt(n)).
 
@@ -69,51 +57,3 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     var_scaled = float(np.sum((scaled - mean_scaled) ** 2)) / (n - 1)
     stderr = scale * math.sqrt(var_scaled) / math.sqrt(n)
     return mean, stderr
-
-
-@dataclass
-class RunningMoments:
-    """Streaming count/mean/M2 with a parallel (Chan) merge.
-
-    Chunks may be accumulated independently and merged in any grouping; the
-    merged moments agree with a single pass to well under 1e-9 relative.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def update(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return
-        other = RunningMoments(
-            count=int(values.size),
-            mean=float(values.mean()),
-            m2=float(np.sum((values - values.mean()) ** 2)),
-        )
-        self.merge(other)
-
-    def merge(self, other: "RunningMoments") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
-            return
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        self.m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / n
-        self.mean = self.mean + delta * other.count / n
-        self.count = n
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return math.inf
-        return self.m2 / (self.count - 1)
-
-    @property
-    def stderr(self) -> float:
-        if self.count < 2:
-            return math.inf
-        return math.sqrt(self.variance / self.count)

@@ -39,6 +39,9 @@ CNET_PARAM_COUNT = 13
 DEFAULT_DECODER_VAR = 0.3
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Datapoints per block in _ratio_estimates; fixes the order of its draws.
+RATIO_CHUNK = 2048
+
 CHECKPOINT_MAGIC = b"GSVAE001"
 CHECKPOINT_VERSION = 1
 
@@ -135,32 +138,29 @@ class Objective:
 # Forward passes (vectorized over any leading batch shape)
 # ---------------------------------------------------------------------------
 
+def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hidden ReLU activations of a scalar-input layer, shape x.shape + w.shape."""
+    return np.maximum(x[..., None] * w + b, 0.0)
+
+
 def _encode(params: np.ndarray, x: np.ndarray):
-    """Returns pre-activations a, hidden h, posterior mean mu and log-std t."""
-    w1, b1 = params[0:4], params[4:8]
-    wmu, bmu = params[8:12], params[12]
-    wls, bls = params[13:17], params[17]
-    a = x[..., None] * w1 + b1
-    h = np.maximum(a, 0.0)
-    mu = h @ wmu + bmu
-    t = h @ wls + bls
-    return a, h, mu, t
+    """Returns hidden h, posterior mean mu and log-std t."""
+    h = _relu_layer(x, params[0:4], params[4:8])
+    mu = h @ params[8:12] + params[12]
+    t = h @ params[13:17] + params[17]
+    return h, mu, t
 
 
 def _decode(params: np.ndarray, z: np.ndarray):
-    """Returns pre-activations ad, hidden hd, and the decoded mean."""
-    dw1, db1 = params[18:22], params[22:26]
-    dw2, db2 = params[26:30], params[30]
-    ad = z[..., None] * dw1 + db1
-    hd = np.maximum(ad, 0.0)
-    return ad, hd, hd @ dw2 + db2
+    """Returns hidden hd and the decoded mean."""
+    hd = _relu_layer(z, params[18:22], params[22:26])
+    return hd, hd @ params[26:30] + params[30]
 
 
 def _cnet_forward(params: np.ndarray, x: np.ndarray):
-    w1, b1, w2, b2 = params[0:4], params[4:8], params[8:12], params[12]
-    a = x[..., None] * w1 + b1
-    h = np.maximum(a, 0.0)
-    return h @ w2 + b2, (a, h)
+    """Returns C(x) and the hidden h."""
+    h = _relu_layer(x, params[0:4], params[4:8])
+    return h @ params[8:12] + params[12], h
 
 
 def _gaussian_logpdf(x, mean, var):
@@ -175,8 +175,8 @@ def log_r(model: ToyVae, x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    _, _, mu, t = _encode(model.params, x)
-    m = _decode(model.params, z)[2]
+    _, mu, t = _encode(model.params, x)
+    m = _decode(model.params, z)[1]
     recon = _gaussian_logpdf(x, m, model.decoder_var)
     prior = -0.5 * _LOG_2PI - 0.5 * z * z
     log_q = -0.5 * _LOG_2PI - t - (z - mu) ** 2 / (2.0 * np.exp(2.0 * t))
@@ -188,21 +188,24 @@ def _log_r_reparam(params, decoder_var, x, eps):
     """log R at z = mu + exp(t) * eps, with the posterior term simplified to
     t + eps^2/2; exact as a function of (mu, t, eps).
 
-    x has shape (B,), eps (B, K); returns (logR, z, caches).
+    x has shape (B,) and eps (B, ...); x, mu, t and sigma broadcast over the
+    trailing sample axes of eps.  Returns (logR, z, caches), logR and z
+    shaped like eps, caches = (h, mu, t, sigma, hd, resid) for the gradient.
     """
-    a, h, mu, t = _encode(params, x)
+    h, mu, t = _encode(params, x)
     sg = np.exp(t)
-    z = mu[:, None] + sg[:, None] * eps
-    ad, hd, m = _decode(params, z)
-    resid = x[:, None] - m
+    trailing = (slice(None),) + (None,) * (eps.ndim - 1)
+    z = mu[trailing] + sg[trailing] * eps
+    hd, m = _decode(params, z)
+    resid = x[trailing] - m
     logR = (
         -0.5 * (_LOG_2PI + math.log(decoder_var))
         - resid**2 / (2.0 * decoder_var)
         - 0.5 * z * z
-        + t[:, None]
+        + t[trailing]
         + 0.5 * eps * eps
     )
-    return logR, z, (a, h, mu, t, sg, ad, hd, resid)
+    return logR, z, (h, mu, t, sg, hd, resid)
 
 
 def elbo(model: ToyVae, x: float, n_mc: int, seed: int) -> float:
@@ -242,7 +245,7 @@ def iw_objective_and_grad(
     xs = np.asarray(xs, dtype=float)
     eps = np.asarray(eps, dtype=float)
     B, K = eps.shape
-    logR, z, (a, h, mu, t, sg, ad, hd, resid) = _log_r_reparam(
+    logR, z, (h, mu, t, sg, hd, resid) = _log_r_reparam(
         params, decoder_var, xs, eps
     )
 
@@ -259,7 +262,7 @@ def iw_objective_and_grad(
     # Decoder path.
     g_m = g_logR * resid / decoder_var
     dw2 = params[26:30]
-    g_ad = (g_m[..., None] * dw2) * (ad > 0.0)
+    g_ad = (g_m[..., None] * dw2) * (hd > 0.0)
     grad = np.zeros(VAE_PARAM_COUNT)
     grad[26:30] = np.einsum("bk,bkh->h", g_m, hd)
     grad[30] = g_m.sum()
@@ -275,7 +278,7 @@ def iw_objective_and_grad(
     grad[12] = g_mu.sum()
     grad[13:17] = g_t @ h
     grad[17] = g_t.sum()
-    g_a = (g_mu[:, None] * wmu + g_t[:, None] * wls) * (a > 0.0)
+    g_a = (g_mu[:, None] * wmu + g_t[:, None] * wls) * (h > 0.0)
     grad[0:4] = xs @ g_a
     grad[4:8] = g_a.sum(axis=0)
     return value, grad
@@ -292,7 +295,7 @@ def cnet_objective_and_grad(
     """
     xs = np.asarray(xs, dtype=float)
     r_hat = np.asarray(r_hat, dtype=float)
-    c, (a, h) = _cnet_forward(cparams, xs)
+    c, h = _cnet_forward(cparams, xs)
     log_r_hat = np.log(r_hat)
     expterm = np.exp(np.minimum(-c + log_r_hat, EXP_SATURATION))
     value = float(np.mean(c - 1.0 + expterm))
@@ -300,7 +303,7 @@ def cnet_objective_and_grad(
     grad = np.zeros(CNET_PARAM_COUNT)
     grad[8:12] = g_c @ h
     grad[12] = g_c.sum()
-    g_a = (g_c[:, None] * cparams[8:12]) * (a > 0.0)
+    g_a = (g_c[:, None] * cparams[8:12]) * (h > 0.0)
     grad[0:4] = xs @ g_a
     grad[4:8] = g_a.sum(axis=0)
     return value, grad
@@ -377,29 +380,18 @@ def _ratio_estimates(
     k: int,
     n_pairs: int,
     rng: np.random.Generator,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """Per-datapoint MC estimate of E[mean_k R(x, z~) / mean_k R(x, z)],
     averaging n_pairs independent (z, z~) tuple ratios."""
     out = np.empty(xs.size)
-    for start in range(0, xs.size, chunk):
-        xb = xs[start:start + chunk]
+    for start in range(0, xs.size, RATIO_CHUNK):
+        xb = xs[start:start + RATIO_CHUNK]
         eps = rng.standard_normal((xb.size, n_pairs, 2, k))
-        _, _, mu, t = _encode(model.params, xb)
-        sg = np.exp(t)
-        z = mu[:, None, None, None] + sg[:, None, None, None] * eps
-        ad, hd, m = _decode(model.params, z)
-        logR = (
-            -0.5 * (_LOG_2PI + math.log(model.decoder_var))
-            - (xb[:, None, None, None] - m) ** 2 / (2.0 * model.decoder_var)
-            - 0.5 * z * z
-            + t[:, None, None, None]
-            + 0.5 * eps * eps
-        )
+        logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
         lse = np.asarray(logsumexp(logR, axis=3))
         delta = lse[:, :, 1] - lse[:, :, 0]
         ratios = np.exp(np.minimum(delta, EXP_SATURATION))
-        out[start:start + chunk] = ratios.mean(axis=1)
+        out[start:start + RATIO_CHUNK] = ratios.mean(axis=1)
     return out
 
 
@@ -493,17 +485,7 @@ def evaluate(
     for i in range(n):
         eps[i] = generator(seed, i).standard_normal((2, k))
 
-    _, _, mu, t = _encode(model.params, data)
-    sg = np.exp(t)
-    z = mu[:, None, None] + sg[:, None, None] * eps
-    _, _, m = _decode(model.params, z)
-    logR = (
-        -0.5 * (_LOG_2PI + math.log(model.decoder_var))
-        - (data[:, None, None] - m) ** 2 / (2.0 * model.decoder_var)
-        - 0.5 * z * z
-        + t[:, None, None]
-        + 0.5 * eps * eps
-    )
+    logR, _, _ = _log_r_reparam(model.params, model.decoder_var, data, eps)
     lse = np.asarray(logsumexp(logR, axis=2))
     s_vals = lse[:, 0] - math.log(k)
     delta = lse[:, 1] - lse[:, 0]

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, vae
-from .accumulate import RunningMoments, log_mean_exp, lse_merge
+from .accumulate import log_mean_exp
 from .distributions import (
     Constant,
     Gamma,
@@ -27,7 +27,7 @@ from .distributions import (
 )
 from .rng import derive_key, generator
 from .samples import paired_from_halves
-from .sweep import CPolicy, SweepConfig, dist_source, run_sweep
+from .sweep import CHUNK_DRAWS, CPolicy, SweepConfig, dist_source, run_sweep
 
 VERIFY_CSV_HEADER = "property,passed,slack"
 
@@ -238,32 +238,6 @@ def check_tangent_minimality(seed: int, n: int) -> PropertyResult:
     return PropertyResult("tangent-minimality", ok, 0.0 if ok else -1.0)
 
 
-def check_merge_tolerance(seed: int, n: int) -> PropertyResult:
-    """Chunked mean/variance and log-sum merges agree with single passes
-    to 1e-9 relative."""
-    rng = generator(derive_key(seed, 12))
-    values = rng.standard_normal(n) * 5.0 + 1.0
-    whole = RunningMoments()
-    whole.update(values)
-    errs = []
-    for parts in (3, 7, 17):
-        merged = RunningMoments()
-        for chunk in np.array_split(values, parts):
-            piece = RunningMoments()
-            piece.update(chunk)
-            merged.merge(piece)
-        errs.append(abs(merged.mean - whole.mean) / max(1.0, abs(whole.mean)))
-        errs.append(abs(merged.variance - whole.variance) / max(1.0, whole.variance))
-        lse_parts = [log_mean_exp(c) + math.log(c.size) for c in np.array_split(values, parts)]
-        total = lse_parts[0]
-        for part in lse_parts[1:]:
-            total = lse_merge(total, part)
-        errs.append(abs(total - (log_mean_exp(values) + math.log(n)))
-                    / max(1.0, abs(total)))
-    slack = 1e-9 - max(errs)
-    return PropertyResult("merge-associativity", slack >= 0.0, slack)
-
-
 def check_sweep_shrinking(seed: int, n: int) -> PropertyResult:
     """Aggregate sandwich width on bounded support shrinks with k."""
     cfg = SweepConfig(
@@ -281,18 +255,29 @@ def check_sweep_shrinking(seed: int, n: int) -> PropertyResult:
 
 
 def check_sweep_reproducibility(seed: int, n: int) -> PropertyResult:
-    """run_sweep is bit-identical across thread counts."""
-    cfg = SweepConfig(
-        k_values=(1, 4), n_pairs=max(n // 100, 50), replications=4,
-        base_seed=derive_key(seed, 14), c_policy=CPolicy("pilot-optimal"),
-    )
-    source = dist_source(Gamma(2.0, 1.0))
-    a = run_sweep(source, cfg, threads=1)
-    b = run_sweep(source, cfg, threads=8)
-    ok = all(
-        ra.report == rb.report and ra.seed == rb.seed
-        for ra, rb in zip(a.rows, b.rows)
-    )
+    """run_sweep is bit-identical across thread counts, also for cells whose
+    pairs span more than one chunk."""
+    n_pairs = max(n // 100, 50)
+    cases = [
+        (Gamma(2.0, 1.0), SweepConfig(
+            k_values=(1, 4), n_pairs=n_pairs, replications=4,
+            base_seed=derive_key(seed, 14), c_policy=CPolicy("pilot-optimal"),
+        )),
+        # One chunk holds about half of this cell's pairs.
+        (UniformPos(0.5, 1.5), SweepConfig(
+            k_values=(CHUNK_DRAWS // n_pairs,), n_pairs=n_pairs, replications=2,
+            base_seed=derive_key(seed, 14, 1), c_policy=CPolicy("pilot-optimal"),
+        )),
+    ]
+    ok = True
+    for dist, cfg in cases:
+        source = dist_source(dist)
+        a = run_sweep(source, cfg, threads=1)
+        b = run_sweep(source, cfg, threads=8)
+        ok = ok and all(
+            ra.report == rb.report and ra.seed == rb.seed
+            for ra, rb in zip(a.rows, b.rows)
+        )
     return PropertyResult("sweep-reproducibility", ok, 0.0 if ok else -1.0)
 
 
@@ -362,7 +347,7 @@ def check_reparam_moments(seed: int, n: int) -> PropertyResult:
     rng = generator(derive_key(seed, 18, 1))
     margins = []
     for x in (-0.4, 0.0, 0.7):
-        _, _, mu, t = vae._encode(model.params, np.asarray(x, dtype=float))
+        _, mu, t = vae._encode(model.params, np.asarray(x, dtype=float))
         sg = math.exp(float(t))
         z = float(mu) + sg * rng.standard_normal(n)
         se_mean = z.std(ddof=1) / math.sqrt(n)
@@ -401,7 +386,6 @@ ALL_CHECKS: list[Callable[[int, int], PropertyResult]] = [
     check_sampler_determinism,
     check_k_averaged_law,
     check_tangent_minimality,
-    check_merge_tolerance,
     check_sweep_shrinking,
     check_sweep_reproducibility,
     check_midpoint_centering,

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapsandwich.accumulate import (
-    RunningMoments,
-    log_mean_exp,
-    logsumexp,
-    lse_merge,
-    mean_stderr,
-)
+from gapsandwich.accumulate import log_mean_exp, logsumexp, mean_stderr
 
 finite_lists = st.lists(
     st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=200
@@ -45,18 +39,6 @@ class TestLogSumExp:
         assert log_mean_exp(np.full(n, c)) == pytest.approx(c, abs=1e-12)
 
 
-class TestLseMerge:
-    @given(finite_lists, st.integers(2, 9))
-    def test_chunked_merge_matches_whole(self, values, parts):
-        values = np.array(values)
-        whole = logsumexp(values)
-        partials = [logsumexp(c) for c in np.array_split(values, parts) if c.size]
-        merged = partials[0]
-        for p in partials[1:]:
-            merged = lse_merge(merged, p)
-        assert merged == pytest.approx(whole, rel=1e-9, abs=1e-12)
-
-
 class TestMeanStderr:
     def test_single_sample_reports_infinite_stderr(self):
         mean, stderr = mean_stderr(np.array([2.5]))
@@ -74,39 +56,3 @@ class TestMeanStderr:
         mean, stderr = mean_stderr(values)
         assert math.isfinite(mean)
         assert math.isfinite(stderr)
-
-
-class TestRunningMoments:
-    """Chunked accumulation must agree with a single pass to 1e-9 relative."""
-
-    @given(
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=4, max_size=300),
-        st.integers(2, 11),
-    )
-    def test_merge_is_chunking_tolerant(self, values, parts):
-        values = np.array(values)
-        whole = RunningMoments()
-        whole.update(values)
-        merged = RunningMoments()
-        for chunk in np.array_split(values, parts):
-            piece = RunningMoments()
-            piece.update(chunk)
-            merged.merge(piece)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-9)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-9, abs=1e-9)
-
-    def test_against_numpy(self):
-        rng = np.random.default_rng(0)
-        values = rng.standard_normal(1000) * 7.0 + 2.0
-        acc = RunningMoments()
-        acc.update(values)
-        assert acc.mean == pytest.approx(values.mean(), rel=1e-12)
-        assert acc.variance == pytest.approx(values.var(ddof=1), rel=1e-12)
-
-    def test_degenerate_counts(self):
-        acc = RunningMoments()
-        assert acc.variance == math.inf
-        acc.update(np.array([1.0]))
-        assert acc.mean == 1.0
-        assert acc.stderr == math.inf

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gapsandwich import verify
 from gapsandwich.bounds import optimal_c, sandwich
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError, SourceFailure
@@ -167,6 +168,21 @@ class TestChunkedCells:
         with pytest.raises(SourceFailure, match="chunk two lost"):
             run_sweep(SampleSource("flaky", fails_second), cfg, threads=1)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_verify_compares_threads_across_a_chunk_boundary(self, n, monkeypatch):
+        configs = []
+
+        def recording_run_sweep(source, cfg, threads=None):
+            configs.append(cfg)
+            return run_sweep(source, cfg, threads=threads)
+
+        monkeypatch.setattr(verify, "run_sweep", recording_run_sweep)
+        assert verify.check_sweep_reproducibility(7, n).passed
+        assert any(
+            cfg.n_pairs > max(1, CHUNK_DRAWS // (2 * k))
+            for cfg in configs for k in cfg.k_values
+        )
 
     @pytest.mark.parametrize("spec", ["lognormal:m=0,sigma=1", "gamma:a=2,theta=1"])
     def test_cell_memory_is_bounded(self, spec):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from gapsandwich.distributions import Laplace, sample
 from gapsandwich.errors import CheckpointError, DivergenceDetected, InvalidParams
@@ -12,6 +13,7 @@ from gapsandwich.vae import (
     CNet,
     Objective,
     ToyVae,
+    _log_r_reparam,
     cnet_objective_and_grad,
     elbo,
     evaluate,
@@ -76,6 +78,42 @@ class TestLogR:
         model = zero_model()
         out = log_r(model, 0.5, np.array([0.0, 1.0, 2.0]))
         assert out.shape == (3,)
+
+
+def posterior(model, x):
+    """Encoder mean and stddev at x, written out from the parameter layout."""
+    p = model.params
+    h = np.maximum(np.multiply.outer(x, p[0:4]) + p[4:8], 0.0)
+    return h @ p[8:12] + p[12], np.exp(h @ p[13:17] + p[17])
+
+
+class TestLogRKernel:
+    """_log_r_reparam against the general-z log_r, over any eps rank."""
+
+    model = ToyVae.init(61)
+    xs = sample(Laplace(0.0, 0.3), 5, 62)
+
+    @pytest.mark.parametrize("trailing", [(7,), (3, 7), (3, 2, 7)])
+    def test_matches_log_r_at_reparameterised_z(self, trailing):
+        eps = generator(63).standard_normal((self.xs.size, *trailing))
+        logR, _, _ = _log_r_reparam(self.model.params, self.model.decoder_var,
+                                    self.xs, eps)
+        expand = (slice(None),) + (None,) * len(trailing)
+        mu, sigma = posterior(self.model, self.xs)
+        z = mu[expand] + sigma[expand] * eps
+        reference = log_r(self.model, self.xs[expand], z)
+        assert logR.shape == eps.shape
+        np.testing.assert_allclose(logR, reference, rtol=0.0, atol=1e-10)
+
+    def test_rank4_block_is_bitwise_the_rank2_call(self):
+        eps = generator(64).standard_normal((self.xs.size, 3, 2, 7))
+        params, var = self.model.params, self.model.decoder_var
+        whole, _, _ = _log_r_reparam(params, var, self.xs, eps)
+        for pair in range(3):
+            for side in range(2):
+                block = np.ascontiguousarray(eps[:, pair, side, :])
+                alone, _, _ = _log_r_reparam(params, var, self.xs, block)
+                np.testing.assert_array_equal(whole[:, pair, side, :], alone)
 
 
 class TestElboAndIwElbo:
@@ -260,6 +298,27 @@ class TestEvaluate:
         data = np.linspace(-1.0, 1.0, 8)
         res = evaluate(model, cnet, data, k=1, seed=35)
         np.testing.assert_allclose([rec.c for rec in res.records], cnet(data))
+
+    def test_records_match_per_datapoint_reference(self):
+        model = ToyVae.init(36)
+        cnet = CNet.init(37)
+        data = sample(Laplace(0.0, 0.2), 40, 38)
+        k, seed = 8, 39
+        res = evaluate(model, cnet, data, k=k, seed=seed)
+        primal = []
+        for i, (x, rec) in enumerate(zip(data, res.records)):
+            mu, sigma = posterior(model, x)
+            eps = generator(seed, i).standard_normal((2, k))
+            lr = log_r(model, x, mu + sigma * eps)
+            s = scipy_logsumexp(lr[0]) - math.log(k)
+            c = float(cnet(np.array([x]))[0])
+            S = s + c - 1.0 + math.exp(-c + scipy_logsumexp(lr[1])
+                                       - scipy_logsumexp(lr[0]))
+            assert rec.x == x
+            assert rec.s == pytest.approx(s, rel=0.0, abs=1e-10)
+            assert rec.S == pytest.approx(S, rel=0.0, abs=1e-10)
+            primal.append(lr[0])
+        assert res.elbo == pytest.approx(float(np.mean(primal)), rel=0.0, abs=1e-10)
 
 
 class TestCheckpoints:
