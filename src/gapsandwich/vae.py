@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteParams,
     ParseError,
 )
-from .rng import generator
+from .rng import generator, streams
 
 HIDDEN = 4
 VAE_PARAM_COUNT = 31
@@ -39,8 +39,10 @@ CNET_PARAM_COUNT = 13
 DEFAULT_DECODER_VAR = 0.3
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Datapoints per block in _ratio_estimates; fixes the order of its draws.
-RATIO_CHUNK = 2048
+# Log-ratios per block in _ratio_estimates and evaluate: a block holds
+# max(1, BLOCK_RATIOS // draws per datapoint) datapoints, so its hidden
+# activations stay cache-sized.  Results do not depend on it.
+BLOCK_RATIOS = 1 << 15
 
 CHECKPOINT_MAGIC = b"GSVAE001"
 CHECKPOINT_VERSION = 1
@@ -139,8 +141,18 @@ class Objective:
 # ---------------------------------------------------------------------------
 
 def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hidden ReLU activations of a scalar-input layer, shape x.shape + w.shape."""
-    return np.maximum(x[..., None] * w + b, 0.0)
+    """Hidden ReLU activations of a scalar-input layer, shape x.shape + w.shape.
+
+    Computed unit-major, so numpy's inner loop runs over x rather than over
+    the 4 units, and written into a C-ordered result: the values, and the
+    bits of every later reduction over the unit axis, equal those of
+    np.maximum(x[..., None] * w + b, 0.0).
+    """
+    h = np.multiply.outer(w, x.ravel())
+    h += b[:, None]
+    out = np.empty(x.shape + w.shape)
+    np.maximum(h, 0.0, out=out.reshape(-1, w.size).T)
+    return out
 
 
 def _encode(params: np.ndarray, x: np.ndarray):
@@ -382,16 +394,23 @@ def _ratio_estimates(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-datapoint MC estimate of E[mean_k R(x, z~) / mean_k R(x, z)],
-    averaging n_pairs independent (z, z~) tuple ratios."""
+    averaging n_pairs independent (z, z~) tuple ratios.
+
+    Datapoints go through in blocks of max(1, BLOCK_RATIOS // (2 k n_pairs)),
+    each block drawing its eps from rng in order.  numpy fills normals in C
+    order, so the draws, and the result, do not depend on the block size.
+    Memory is O(BLOCK_RATIOS) for the activations plus O(n) for the result.
+    """
+    block = max(1, BLOCK_RATIOS // (n_pairs * 2 * k))
     out = np.empty(xs.size)
-    for start in range(0, xs.size, RATIO_CHUNK):
-        xb = xs[start:start + RATIO_CHUNK]
+    for start in range(0, xs.size, block):
+        xb = xs[start:start + block]
         eps = rng.standard_normal((xb.size, n_pairs, 2, k))
         logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
         lse = np.asarray(logsumexp(logR, axis=3))
         delta = lse[:, :, 1] - lse[:, :, 0]
         ratios = np.exp(np.minimum(delta, EXP_SATURATION))
-        out[start:start + RATIO_CHUNK] = ratios.mean(axis=1)
+        out[start:start + block] = ratios.mean(axis=1)
     return out
 
 
@@ -474,6 +493,10 @@ def evaluate(
     Datapoint i uses the derived stream (seed, i), so any chunking or
     parallel split of the data reproduces identical records.  The returned
     elbo is the mean log R over the same primal draws.
+
+    Datapoints go through in blocks of max(1, BLOCK_RATIOS // 2k).  Memory
+    is O(BLOCK_RATIOS) for the activations plus the (n, 2, k) log-ratios
+    kept for the elbo, so O(block k + n k) in all.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -481,12 +504,18 @@ def evaluate(
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
     n = data.size
-    eps = np.empty((n, 2, k))
-    for i in range(n):
-        eps[i] = generator(seed, i).standard_normal((2, k))
-
-    logR, _, _ = _log_r_reparam(model.params, model.decoder_var, data, eps)
-    lse = np.asarray(logsumexp(logR, axis=2))
+    block = max(1, BLOCK_RATIOS // (2 * k))
+    logR = np.empty((n, 2, k))
+    lse = np.empty((n, 2))
+    draws = streams(seed, range(n))
+    for start in range(0, n, block):
+        xb = data[start:start + block]
+        eps = np.empty((xb.size, 2, k))
+        for row in eps:
+            next(draws).standard_normal(out=row)
+        block_logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
+        logR[start:start + block] = block_logR
+        lse[start:start + block] = logsumexp(block_logR, axis=2)
     s_vals = lse[:, 0] - math.log(k)
     delta = lse[:, 1] - lse[:, 0]
     c_vals = c_source(data) if isinstance(c_source, CNet) else np.full(n, float(c_source))

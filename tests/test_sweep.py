@@ -115,6 +115,26 @@ class TestRunSweep:
         assert len(result.rows) == 15
         assert len(result.aggregates) == 3
 
+    @pytest.mark.parametrize("n_pairs", [2, 3])
+    def test_pilot_on_minimal_cells_bounds_one_pair(self, n_pairs):
+        cfg = SweepConfig(k_values=(1, 4), n_pairs=n_pairs, replications=2,
+                          base_seed=9)
+        result = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg)
+        for row in result.rows:
+            rep = row.report
+            assert rep.n == 1
+            assert math.isfinite(rep.lower_mean) and math.isfinite(rep.upper_mean)
+            assert rep.lower_stderr == rep.upper_stderr == math.inf
+        assert "inf" in sweep_csv_lines(result, "d", "m")[1].split(",")
+
+    @pytest.mark.parametrize("policy, bounded", [("zero", 16), ("pilot-optimal", 1)])
+    def test_k_equal_to_n_pairs(self, policy, bounded):
+        cfg = SweepConfig(k_values=(1, 16), n_pairs=16, replications=1, base_seed=10,
+                          c_policy=CPolicy.parse(policy))
+        rep = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg).rows[-1].report
+        assert rep.n == bounded
+        assert math.isfinite(rep.lower_mean) and math.isfinite(rep.upper_mean)
+
     def test_source_failure_is_wrapped(self):
         def broken(n, seed):
             raise RuntimeError("backend down")
@@ -217,6 +237,20 @@ class TestSweepCsv:
         assert fields[1] == "analytic"
         assert float(fields[11]) == 0.5  # c_used column
         assert fields[13] == "0"  # saturated_pairs
+
+    def test_labels_with_quotes_commas_and_newlines_round_trip(self, tmp_path):
+        cfg = SweepConfig(k_values=(1, 2), n_pairs=20, replications=1, base_seed=15)
+        result = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg)
+        dataset, model = 'say "hi", twice', 'line one\nline, "two"'
+        path = tmp_path / "labels.csv"
+        write_sweep_csv(str(path), result, dataset=dataset, model=model)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert ",".join(rows[0]) == CSV_HEADER
+        assert len(rows) == 3
+        for fields in rows[1:]:
+            assert fields[:2] == [dataset, model]
+            assert len(fields) == len(rows[0])
 
     def test_float_fields_round_trip(self):
         cfg = SweepConfig(k_values=(1,), n_pairs=100, replications=1, base_seed=8)

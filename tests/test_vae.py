@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from gapsandwich.distributions import Laplace, sample
 from gapsandwich.errors import CheckpointError, DivergenceDetected, InvalidParams
+from gapsandwich import vae
 from gapsandwich.rng import generator
 from gapsandwich.vae import (
     CNET_PARAM_COUNT,
@@ -14,6 +16,8 @@ from gapsandwich.vae import (
     Objective,
     ToyVae,
     _log_r_reparam,
+    _ratio_estimates,
+    _relu_layer,
     cnet_objective_and_grad,
     elbo,
     evaluate,
@@ -114,6 +118,60 @@ class TestLogRKernel:
                 block = np.ascontiguousarray(eps[:, pair, side, :])
                 alone, _, _ = _log_r_reparam(params, var, self.xs, block)
                 np.testing.assert_array_equal(whole[:, pair, side, :], alone)
+
+
+class TestReluLayer:
+    @pytest.mark.parametrize("shape", [(9,), (5, 3), (4, 2, 3), (3, 2, 2, 5)])
+    def test_bitwise_the_broadcast_layer(self, shape):
+        rng = generator(65)
+        x = rng.standard_normal(shape)
+        w, b = rng.standard_normal(4), rng.standard_normal(4)
+        h = _relu_layer(x, w, b)
+        np.testing.assert_array_equal(h, np.maximum(x[..., None] * w + b, 0.0))
+        assert h.flags.c_contiguous
+
+
+def peak_traced_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlocks:
+    """Results do not depend on BLOCK_RATIOS, and memory is bounded by it."""
+
+    model = ToyVae.init(66)
+    cnet = CNet.init(67)
+    xs = sample(Laplace(0.0, 0.3), 23, 68)
+
+    @pytest.mark.parametrize("blocks", [0, 7, 23])
+    def test_ratio_estimates_do_not_depend_on_the_block(self, monkeypatch, blocks):
+        # 12 draws per datapoint; 0 datapoints per block clamps to 1.
+        reference = _ratio_estimates(self.model, self.xs, 3, 2, generator(69))
+        monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 12)
+        got = _ratio_estimates(self.model, self.xs, 3, 2, generator(69))
+        np.testing.assert_array_equal(got, reference)
+
+    @pytest.mark.parametrize("blocks", [0, 7, 23])
+    def test_evaluate_does_not_depend_on_the_block(self, monkeypatch, blocks):
+        # 8 draws per datapoint; 0 datapoints per block clamps to 1.
+        reference = evaluate(self.model, self.cnet, self.xs, k=4, seed=70)
+        monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 8)
+        assert evaluate(self.model, self.cnet, self.xs, k=4, seed=70) == reference
+
+    def test_evaluate_memory_is_bounded(self):
+        data = sample(Laplace(0.0, 0.2), 10_000, 71)
+        peak = peak_traced_mb(lambda: evaluate(self.model, self.cnet, data, 64, 72))
+        assert peak < 24.0
+
+    def test_ratio_estimates_memory_is_bounded(self):
+        data = sample(Laplace(0.0, 0.2), 2000, 73)
+        peak = peak_traced_mb(
+            lambda: _ratio_estimates(self.model, data, 64, 4, generator(74)))
+        assert peak < 16.0
 
 
 class TestElboAndIwElbo:
