@@ -45,9 +45,7 @@ from .vae import (
     EvalResult,
     Objective,
     ToyVae,
-    elbo,
     evaluate,
-    iw_elbo,
     load_cnet,
     load_model,
     log_r,
@@ -62,8 +60,8 @@ __all__ = [
     "EvalRecord", "EvalResult", "EXP_SATURATION", "Gamma", "Laplace",
     "LogNormal", "Objective", "PairedSamples", "SampleSource",
     "SweepConfig", "SweepResult", "ToyVae", "UniformPos",
-    "dist_source", "elbo", "evaluate", "gap_upper_first_order",
-    "improved_upper", "iw_elbo", "jensen_lower", "k_averaged_law",
+    "dist_source", "evaluate", "gap_upper_first_order",
+    "improved_upper", "jensen_lower", "k_averaged_law",
     "k_sample_pairs", "laplace_loglik", "load_cnet", "load_model",
     "log_mean_exp", "log_r", "log_ratio_mean", "logsumexp",
     "midpoint_evidence", "optimal_c", "optimal_h_check", "optimal_upper",

@@ -7,9 +7,9 @@ Given pairs (X_i, Y_i) of independent draws with the same positive law
 
 with the classical first-order bound recovered at C = 0 and the tightest
 member at C* = log E[Y/X].  The midpoint estimator E log X + C*/2 is exact
-when X is log-normal.  All per-pair arithmetic runs on (log y - log x) with
-exponents saturated at EXP_SATURATION so heavy-tailed ratios cannot produce
-infinities in reports.
+when X is log-normal.  Every estimator reads the pairs' stored lx = log x
+and d = log y - log x; exponents are saturated at EXP_SATURATION so
+heavy-tailed ratios cannot produce infinities in reports.
 """
 
 from __future__ import annotations
@@ -55,12 +55,8 @@ class BoundReport:
 
 def jensen_lower(s: PairedSamples) -> Estimate:
     """Mean and stderr of log X_i: the Jensen lower bound on log E X."""
-    mean, stderr = mean_stderr(s.log_xs())
+    mean, stderr = mean_stderr(s.lx)
     return Estimate(mean, stderr)
-
-
-def _log_ratios(s: PairedSamples) -> np.ndarray:
-    return s.log_ys() - s.log_xs()
 
 
 def _saturated_exp(exponents: np.ndarray) -> tuple[np.ndarray, int]:
@@ -72,9 +68,9 @@ def gap_upper_first_order(s: PairedSamples) -> Estimate:
     """Mean and stderr of Y_i/X_i - 1, the first-order gap bound.
 
     Adding this to jensen_lower gives a valid upper-bound estimate of
-    log E X.  Ratios are exp(log y - log x), saturated and counted.
+    log E X.  Ratios are exp(d), saturated and counted.
     """
-    ratios, saturated = _saturated_exp(_log_ratios(s))
+    ratios, saturated = _saturated_exp(s.d)
     mean, stderr = mean_stderr(ratios - 1.0)
     return Estimate(mean, stderr, saturated)
 
@@ -83,12 +79,12 @@ def improved_upper(s: PairedSamples, c: float) -> Estimate:
     """Mean and stderr of log X_i - 1 + C + exp(-C) * Y_i/X_i.
 
     A valid upper bound on log E X for every finite C; the per-pair
-    exponential is computed as exp(-C + log y - log x) for stability.
+    exponential is computed as exp(d - C) for stability.
     """
     if not math.isfinite(c):
         raise ValueError(f"C must be finite, got {c!r}")
-    scaled, saturated = _saturated_exp(_log_ratios(s) - c)
-    terms = s.log_xs() - 1.0 + c + scaled
+    scaled, saturated = _saturated_exp(s.d - c)
+    terms = s.lx - 1.0 + c + scaled
     mean, stderr = mean_stderr(terms)
     return Estimate(mean, stderr, saturated)
 
@@ -96,16 +92,15 @@ def improved_upper(s: PairedSamples, c: float) -> Estimate:
 def log_ratio_mean(s: PairedSamples) -> Estimate:
     """log of the sample mean of Y_i/X_i, with a delta-method stderr.
 
-    The mean is log-sum-exp of (log y - log x) minus log n, so it stays
-    finite even when individual ratios overflow.  stderr is
-    se(mean ratio)/mean ratio, evaluated entirely in log domain.
+    The mean is log-sum-exp of d minus log n, so it stays finite even when
+    individual ratios overflow.  stderr is se(mean ratio)/mean ratio,
+    evaluated entirely in log domain.
     """
-    d = _log_ratios(s)
     n = s.n
-    log_mean = log_mean_exp(d)
+    log_mean = log_mean_exp(s.d)
     if n == 1:
         return Estimate(log_mean, math.inf)
-    log_mean_sq = log_mean_exp(2.0 * d)
+    log_mean_sq = log_mean_exp(2.0 * s.d)
     # log Var = log(E r^2 - (E r)^2); the subtraction cancels to zero for
     # (near-)constant ratios, which is genuinely zero spread.
     ratio_sq = math.exp(min(2.0 * log_mean - log_mean_sq, 0.0))

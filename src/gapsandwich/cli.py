@@ -331,9 +331,12 @@ def _c_source(spec: str) -> vae.CNet | float:
     head = head.strip().lower()
     if head == "fixed":
         try:
-            return float(tail)
+            value = float(tail)
         except ValueError:
             raise ParseError(f"key 'c' fixed value is not a decimal: {tail!r}")
+        if not math.isfinite(value):
+            raise ParseError(f"key 'c' fixed value must be finite: {tail!r}")
+        return value
     if head == "cnet":
         if not tail:
             raise ParseError("key 'c' cnet form needs a path, e.g. cnet:cnet.ckpt")
@@ -366,8 +369,8 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
         sweep_path = opts["out"] + ".ksweep.csv"
         lines = [EVAL_SWEEP_HEADER]
         for k in _parse_k_list(opts["k_sweep"]):
-            res_k = vae.evaluate(model, c_source, data, k,
-                                 derive_key(opts["seed"], 8, k))
+            res_k = result if k == opts["k"] else vae.evaluate(
+                model, c_source, data, k, derive_key(opts["seed"], 8, k))
             lines.append(",".join([
                 str(k), str(opts["n"]), repr(res_k.lower), repr(res_k.lower_stderr),
                 repr(res_k.upper), repr(res_k.upper_stderr), repr(res_k.elbo),

@@ -10,7 +10,7 @@ class EmptySamples(GapSandwichError):
 
 
 class NonPositiveSample(GapSandwichError):
-    """A linear-domain sample was zero, negative, or non-finite."""
+    """A sample was zero, negative, or non-finite."""
 
 
 class ShapeMismatch(GapSandwichError):

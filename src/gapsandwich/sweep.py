@@ -53,6 +53,8 @@ class CPolicy:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ParseError(f"unknown c-policy kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ParseError(f"c-policy value must be finite, got {self.value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "CPolicy":
@@ -109,11 +111,10 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SampleSource:
-    """A named sampler of positive values; log_domain marks log-space output."""
+    """A named sampler of positive values."""
 
     name: str
     draw: Callable[[int, int], np.ndarray]
-    log_domain: bool = False
 
 
 def dist_source(d: AnalyticDist) -> SampleSource:
@@ -162,23 +163,28 @@ def resolve_threads(threads: int | None = None) -> int:
     return max(1, threads)
 
 
-def _run_cell(source: SampleSource, cfg: SweepConfig, k: int, rep: int) -> SweepRow:
-    seed = derive_key(cfg.base_seed, rep, k)
+def _cell_pairs(source: SampleSource, seed: int, k: int, n_pairs: int) -> PairedSamples:
+    """One cell's pairs; chunk j is drawn from derive_key(seed, j).  Kept
+    apart from _run_cell so the per-chunk vectors are freed before the
+    bounds run."""
     per_chunk = max(1, CHUNK_DRAWS // (2 * k))
-    xs, ys = [], []
-    for j, start in enumerate(range(0, cfg.n_pairs, per_chunk)):
-        m = min(per_chunk, cfg.n_pairs - start)
+    lx, d = [], []
+    for j, start in enumerate(range(0, n_pairs, per_chunk)):
+        m = min(per_chunk, n_pairs - start)
         try:
             raw = source.draw(2 * m * k, derive_key(seed, j))
         except Exception as exc:  # noqa: BLE001 - contract: wrap source errors
             raise SourceFailure(f"source {source.name!r} failed: {exc}") from exc
-        chunk = paired_from_halves(np.asarray(raw, dtype=float), k,
-                                   log_domain=source.log_domain)
-        xs.append(chunk.xs)
-        ys.append(chunk.ys)
-    pairs = PairedSamples(np.concatenate(xs), np.concatenate(ys), k=k,
-                          log_domain=source.log_domain)
-    c, working = apply_c_policy(pairs, cfg.c_policy)
+        chunk = paired_from_halves(np.asarray(raw, dtype=float), k)
+        lx.append(chunk.lx)
+        d.append(chunk.d)
+    return PairedSamples(np.concatenate(lx), np.concatenate(d), k=k)
+
+
+def _run_cell(source: SampleSource, cfg: SweepConfig, k: int, rep: int) -> SweepRow:
+    seed = derive_key(cfg.base_seed, rep, k)
+    c, working = apply_c_policy(_cell_pairs(source, seed, k, cfg.n_pairs),
+                                cfg.c_policy)
     return SweepRow(k=k, replication=rep, seed=seed, report=sandwich(working, c))
 
 

@@ -220,23 +220,6 @@ def _log_r_reparam(params, decoder_var, x, eps):
     return logR, z, (h, mu, t, sg, hd, resid)
 
 
-def elbo(model: ToyVae, x: float, n_mc: int, seed: int) -> float:
-    """Monte Carlo ELBO at one datapoint: mean of log R over z ~ q(.|x)."""
-    return iw_elbo(model, x, 1, n_mc, seed)
-
-
-def iw_elbo(model: ToyVae, x: float, k: int, n_outer: int, seed: int) -> float:
-    """Importance-weighted bound: mean over outer draws of
-    log((1/k) sum_j R(x, z_j))."""
-    if k < 1 or n_outer < 1:
-        raise InvalidParams(f"need k >= 1 and n_outer >= 1, got {k}, {n_outer}")
-    eps = generator(seed).standard_normal((n_outer, k))
-    xs = np.full(n_outer, float(x))
-    logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xs, eps)
-    per_outer = np.asarray(logsumexp(logR, axis=1)) - math.log(k)
-    return float(per_outer.mean())
-
-
 # ---------------------------------------------------------------------------
 # Objective values and hand-derived gradients
 # ---------------------------------------------------------------------------
@@ -488,7 +471,7 @@ def evaluate(
 ) -> EvalResult:
     """Per datapoint draw two independent k-tuples from q(.|x) and compute
     the lower estimate s = log mean R and the upper estimate
-    S = s + C - 1 + exp(-C) * (sum R~ / sum R).
+    S = s + C - 1 + exp(-C) * (sum R~ / sum R).  A float C must be finite.
 
     Datapoint i uses the derived stream (seed, i), so any chunking or
     parallel split of the data reproduces identical records.  The returned
@@ -503,6 +486,8 @@ def evaluate(
         raise InvalidParams("evaluation data is empty")
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
+    if not isinstance(c_source, CNet) and not math.isfinite(c_source):
+        raise InvalidParams(f"C must be finite, got {c_source!r}")
     n = data.size
     block = max(1, BLOCK_RATIOS // (2 * k))
     logR = np.empty((n, 2, k))

@@ -20,7 +20,7 @@ from gapsandwich.bounds import (
 )
 from gapsandwich.distributions import Gamma, LogNormal, sample
 from gapsandwich.errors import EmptyGrid
-from gapsandwich.samples import PairedSamples, paired_from_halves
+from gapsandwich.samples import PairedSamples, k_sample_pairs, paired_from_halves
 
 N = 100_000
 
@@ -41,7 +41,7 @@ def gamma_mean_log_by_quadrature(a, theta):
 
 class TestJensenLower:
     def test_constant_samples(self):
-        s = PairedSamples(np.full(3, math.e), np.full(3, math.e))
+        s = k_sample_pairs(np.full(3, math.e), np.full(3, math.e), 1)
         est = jensen_lower(s)
         assert est.mean == pytest.approx(1.0, abs=1e-12)
         assert est.stderr == 0.0
@@ -59,13 +59,13 @@ class TestJensenLower:
         assert abs(est.mean - exact) <= 3.0 * est.stderr
 
     def test_single_pair_has_infinite_stderr(self):
-        s = PairedSamples(np.array([2.0]), np.array([3.0]))
+        s = k_sample_pairs(np.array([2.0]), np.array([3.0]), 1)
         assert jensen_lower(s).stderr == math.inf
 
 
 class TestGapUpperFirstOrder:
     def test_constant_samples_have_zero_gap(self):
-        s = PairedSamples(np.full(4, 2.0), np.full(4, 2.0))
+        s = k_sample_pairs(np.full(4, 2.0), np.full(4, 2.0), 1)
         est = gap_upper_first_order(s)
         assert est.mean == pytest.approx(0.0, abs=1e-15)
         assert est.saturated == 0
@@ -81,8 +81,7 @@ class TestGapUpperFirstOrder:
         assert abs(est.mean - (math.e - 1.0)) <= 3.0 * est.stderr
 
     def test_saturation_is_counted_and_finite(self):
-        s = PairedSamples(np.array([0.0, 0.0]), np.array([800.0, 0.0]),
-                          log_domain=True)
+        s = PairedSamples(np.array([0.0, 0.0]), np.array([800.0, 0.0]))
         est = gap_upper_first_order(s)
         assert est.saturated == 1
         assert math.isfinite(est.mean)
@@ -96,7 +95,7 @@ class TestImprovedUpper:
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
     def test_constant_at_c_zero_is_log_c(self):
-        s = PairedSamples(np.full(5, 3.0), np.full(5, 3.0))
+        s = k_sample_pairs(np.full(5, 3.0), np.full(5, 3.0), 1)
         assert improved_upper(s, 0.0).mean == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_lognormal_at_c_one(self):
@@ -106,7 +105,7 @@ class TestImprovedUpper:
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
     def test_rejects_non_finite_c(self):
-        s = PairedSamples(np.ones(2), np.ones(2))
+        s = k_sample_pairs(np.ones(2), np.ones(2), 1)
         with pytest.raises(ValueError):
             improved_upper(s, math.inf)
 
@@ -120,7 +119,7 @@ class TestImprovedUpper:
 
 class TestOptimalC:
     def test_constant_samples_give_zero(self):
-        s = PairedSamples(np.full(4, 5.0), np.full(4, 5.0))
+        s = k_sample_pairs(np.full(4, 5.0), np.full(4, 5.0), 1)
         assert optimal_c(s) == pytest.approx(0.0, abs=1e-12)
 
     def test_lognormal_gives_sigma_squared(self):
@@ -143,7 +142,7 @@ class TestOptimalC:
 
 class TestOptimalUpperAndMidpoint:
     def test_constant_is_tight(self):
-        s = PairedSamples(np.full(4, 3.0), np.full(4, 3.0))
+        s = k_sample_pairs(np.full(4, 3.0), np.full(4, 3.0), 1)
         assert optimal_upper(s) == pytest.approx(math.log(3.0), abs=1e-12)
         assert midpoint_evidence(s) == pytest.approx(math.log(3.0), abs=1e-12)
 
@@ -175,7 +174,7 @@ class TestOptimalUpperAndMidpoint:
 
 class TestSandwich:
     def test_constant_one_gives_all_zero(self):
-        s = PairedSamples(np.ones(8), np.ones(8))
+        s = k_sample_pairs(np.ones(8), np.ones(8), 1)
         rep = sandwich(s, 0.0)
         assert rep.lower_mean == rep.upper_mean == rep.midpoint == 0.0
         assert rep.ratio_mean == pytest.approx(1.0)
@@ -208,8 +207,9 @@ class TestSandwich:
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_equivariance(self, lam):
-        s = pairs_for(Gamma(2.0, 1.0), 500, seed=26)
-        scaled = s.scaled(lam)
+        raw = sample(Gamma(2.0, 1.0), 1000, 26)
+        s = paired_from_halves(raw, 1)
+        scaled = paired_from_halves(raw * lam, 1)
         shift = math.log(lam)
         assert jensen_lower(scaled).mean == pytest.approx(
             jensen_lower(s).mean + shift, abs=1e-9)
@@ -222,6 +222,37 @@ class TestSandwich:
         assert optimal_c(scaled) == pytest.approx(optimal_c(s), abs=1e-9)
         assert gap_upper_first_order(scaled).mean == pytest.approx(
             gap_upper_first_order(s).mean, abs=1e-9)
+
+
+@st.composite
+def heavy_tailed_pairs(draw):
+    """Pairs whose d spans more than 1400 nats with both signs, so ratios
+    saturate on one side and underflow on the other."""
+    n = draw(st.integers(2, 40))
+    lx = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    d = draw(st.lists(st.floats(-1000.0, 1000.0), min_size=n, max_size=n))
+    d[0] = draw(st.floats(700.0, 1000.0))
+    d[1] = draw(st.floats(-1000.0, -700.0))
+    return PairedSamples(np.array(lx), np.array(d))
+
+
+class TestHeavyTails:
+    @given(heavy_tailed_pairs(), st.floats(-800.0, 800.0))
+    def test_sandwich_stays_finite_and_counts_saturation(self, s, c):
+        assert s.d.max() - s.d.min() > 1400.0
+        rep = sandwich(s, c)
+        for name in ("lower_mean", "lower_stderr", "upper_mean", "upper_stderr",
+                     "ratio_mean", "c_used", "midpoint"):
+            assert math.isfinite(getattr(rep, name)), name
+        assert rep.saturated_pairs == np.count_nonzero(s.d - c > 700.0)
+
+    @given(heavy_tailed_pairs())
+    def test_first_order_gap_and_ratio_mean_stay_finite(self, s):
+        gap = gap_upper_first_order(s)
+        assert math.isfinite(gap.mean) and math.isfinite(gap.stderr)
+        assert gap.saturated == np.count_nonzero(s.d > 700.0)
+        ratio = log_ratio_mean(s)
+        assert math.isfinite(ratio.mean) and math.isfinite(ratio.stderr)
 
 
 class TestOptimalHCheck:

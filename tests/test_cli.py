@@ -49,6 +49,16 @@ class TestAnalyticCommand:
         assert run(["analytic", "--dist", "constant:c=1", "--c-policy", "best",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_non_finite_fixed_c_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        code = run(["analytic", "--dist", "constant:c=1", "--k", "1", "--n", "100",
+                    "--replications", "1", "--c-policy", f"fixed:{value}",
+                    "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emit_gnuplot_writes_companion(self, tmp_path):
         out = str(tmp_path / "g.csv")
         code = run(["analytic", "--dist", "constant:c=1", "--k", "1", "--n", "100",
@@ -178,6 +188,42 @@ class TestVaePipeline:
         for line in (tmp_path / "e.csv").read_text().splitlines()[1:]:
             _, s, S, _, _ = line.split(",")
             assert float(s) == pytest.approx(float(S), abs=1e-12)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_fixed_c_exits_2(self, tmp_path, capsys, value):
+        from gapsandwich.vae import VAE_PARAM_COUNT, save_model
+
+        ckpt = str(tmp_path / "const.ckpt")
+        save_model(ckpt, ToyVae(np.zeros(VAE_PARAM_COUNT), 0.3))
+        out = tmp_path / "e.csv"
+        code = run(["vae", "eval", "--model", ckpt, "--n", "16", "--k", "1",
+                    "--c", f"fixed:{value}", "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_sweep_reuses_the_k_result(self, tmp_path, monkeypatch):
+        from gapsandwich import vae
+
+        ckpt = str(tmp_path / "v.ckpt")
+        vae.save_model(ckpt, ToyVae.init(5, 0.04))
+        calls = []
+        original = vae.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vae, "evaluate", counting)
+        out = tmp_path / "e.csv"
+        code = run(["vae", "eval", "--model", ckpt, "--n", "100", "--k", "4",
+                    "--k-sweep", "1,4", "--c", "fixed:0", "--seed", "6",
+                    "--out", str(out)])
+        assert code == 0
+        assert calls == [4, 1]
+        summary = out.read_text().splitlines()[-1].split(",")
+        row_k4 = (tmp_path / "e.csv.ksweep.csv").read_text().splitlines()[2]
+        assert row_k4.split(",")[2] == summary[1]  # the same lower bound
 
     def test_missing_checkpoint_exits_4(self, tmp_path):
         assert run(["vae", "eval", "--model", str(tmp_path / "missing.ckpt"),

@@ -163,8 +163,8 @@ class TestChunkedCells:
                                self.K)
             for j, m in enumerate((self.PER_CHUNK, self.PER_CHUNK, 37))
         ]
-        expected = PairedSamples(np.concatenate([c.xs for c in chunks]),
-                                 np.concatenate([c.ys for c in chunks]), k=self.K)
+        expected = PairedSamples(np.concatenate([c.lx for c in chunks]),
+                                 np.concatenate([c.d for c in chunks]), k=self.K)
         assert row.report == sandwich(expected, 0.0)
         assert row.report.n == n_pairs
 

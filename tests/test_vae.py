@@ -19,10 +19,8 @@ from gapsandwich.vae import (
     _ratio_estimates,
     _relu_layer,
     cnet_objective_and_grad,
-    elbo,
     evaluate,
     iw_objective_and_grad,
-    iw_elbo,
     load_cnet,
     load_model,
     log_r,
@@ -174,45 +172,6 @@ class TestBlocks:
         assert peak < 16.0
 
 
-class TestElboAndIwElbo:
-    def test_single_draw_elbo_equals_log_r(self):
-        model = identity_decoder_model()
-        x, seed = 0.3, 99
-        eps = generator(seed).standard_normal((1, 1))
-        z = float(eps[0, 0])  # mu = 0, sigma = 1 for this model
-        assert elbo(model, x, 1, seed) == pytest.approx(
-            log_r(model, x, z), abs=1e-12)
-
-    def test_iw_k1_equals_elbo_on_shared_seed(self):
-        model = identity_decoder_model()
-        assert iw_elbo(model, 0.2, 1, 32, seed=5) == elbo(model, 0.2, 32, seed=5)
-
-    def test_iw_dominates_elbo_on_shared_draws(self):
-        model = identity_decoder_model(log_sigma=0.5)
-        for k, n_outer in ((4, 8), (8, 4)):
-            lo = elbo(model, 0.4, k * n_outer, seed=6)
-            hi = iw_elbo(model, 0.4, k, n_outer, seed=6)
-            assert lo <= hi + 1e-12
-
-    def test_perfect_constant_model_value(self):
-        model = zero_model()
-        expected = -0.5 * math.log(2.0 * math.pi * 0.3)
-        assert elbo(model, 0.0, 16, seed=7) == pytest.approx(expected, abs=1e-12)
-        for k in (1, 2, 8):
-            assert iw_elbo(model, 0.0, k, 4, seed=8) == pytest.approx(
-                expected, abs=1e-12)
-
-    def test_iw_bound_nondecreasing_in_k(self):
-        # Statistical tightening with more importance samples.
-        model = ToyVae.init(55)
-        vals = [iw_elbo(model, 0.3, k, 4096, seed=56) for k in (1, 4, 16)]
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_invalid_counts(self):
-        with pytest.raises(InvalidParams):
-            iw_elbo(zero_model(), 0.0, 0, 1, seed=0)
-
-
 class TestGradients:
     def test_vae_gradient_matches_finite_differences(self):
         rng = generator(123)
@@ -312,12 +271,13 @@ class TestEvaluate:
     def test_perfect_model_collapses_interval(self):
         model = zero_model()
         data = np.zeros(16)
-        res = evaluate(model, 0.0, data, k=1, seed=21)
         expected = -0.5 * math.log(2.0 * math.pi * 0.3)
-        for rec in res.records:
-            assert rec.s == pytest.approx(expected, abs=1e-12)
-            assert rec.S == pytest.approx(rec.s, abs=1e-12)
-        assert res.lower == pytest.approx(res.upper, abs=1e-12)
+        for k in (1, 2, 8):
+            res = evaluate(model, 0.0, data, k=k, seed=21)
+            for rec in res.records:
+                assert rec.s == pytest.approx(expected, abs=1e-12)
+                assert rec.S == pytest.approx(rec.s, abs=1e-12)
+            assert res.lower == pytest.approx(res.upper, abs=1e-12)
 
     def test_repeat_call_is_deterministic(self):
         model = ToyVae.init(22)
@@ -346,9 +306,17 @@ class TestEvaluate:
     def test_upper_tightens_with_k(self):
         model = ToyVae.init(31)
         data = sample(Laplace(0.0, 0.2), 512, 32)
-        widths = [evaluate(model, 0.0, data, k=k, seed=33).width
-                  for k in (1, 4, 16)]
+        results = [evaluate(model, 0.0, data, k=k, seed=33) for k in (1, 4, 16)]
+        widths = [res.width for res in results]
         assert widths[0] > widths[1] > widths[2]
+        # The importance-weighted lower bound tightens with k as well.
+        lowers = [res.lower for res in results]
+        assert lowers[0] < lowers[1] < lowers[2]
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_c_rejected(self, c):
+        with pytest.raises(InvalidParams, match="finite"):
+            evaluate(zero_model(), c, np.zeros(4), k=1, seed=21)
 
     def test_cnet_source_used_per_datapoint(self):
         model = zero_model()
