@@ -172,6 +172,27 @@ class TestBlocks:
         assert peak < 16.0
 
 
+class TestElboAndIwElbo:
+    """The ELBO and IW lower bound as ``evaluate`` reports them."""
+
+    def test_perfect_constant_model_value(self):
+        model = zero_model()
+        expected = -0.5 * math.log(2.0 * math.pi * 0.3)
+        for k in (1, 2, 8):
+            res = evaluate(model, 0.0, np.zeros(4), k=k, seed=8)
+            assert res.elbo == pytest.approx(expected, abs=1e-12)
+            assert res.lower == pytest.approx(expected, abs=1e-12)
+
+    def test_iw_bound_nondecreasing_in_k(self):
+        # Statistical tightening with more importance samples: 4096 outer
+        # draws at one x, one derived stream per copy of the datapoint.
+        model = ToyVae.init(55)
+        data = np.full(4096, 0.3)
+        vals = [evaluate(model, 0.0, data, k=k, seed=56).lower
+                for k in (1, 4, 16)]
+        assert vals[0] < vals[1] < vals[2]
+
+
 class TestGradients:
     def test_vae_gradient_matches_finite_differences(self):
         rng = generator(123)
