@@ -75,16 +75,24 @@ def gap_upper_first_order(s: PairedSamples) -> Estimate:
     return Estimate(mean, stderr, saturated)
 
 
-def improved_upper(s: PairedSamples, c: float) -> Estimate:
-    """Mean and stderr of log X_i - 1 + C + exp(-C) * Y_i/X_i.
+def upper_terms(s: PairedSamples, c: float | np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-pair log X_i - 1 + C_i + exp(-C_i) * Y_i/X_i, computed with
+    exp(d - C_i) for stability, and the count of saturated exponents.
 
-    A valid upper bound on log E X for every finite C; the per-pair
-    exponential is computed as exp(d - C) for stability.
+    c is one finite C or one per pair; for each, the terms' mean is a valid
+    upper bound on log E X.
     """
-    if not math.isfinite(c):
+    c = np.asarray(c, dtype=float)
+    if not np.isfinite(c).all():
         raise ValueError(f"C must be finite, got {c!r}")
     scaled, saturated = _saturated_exp(s.d - c)
-    terms = s.lx - 1.0 + c + scaled
+    return s.lx - 1.0 + c + scaled, saturated
+
+
+def improved_upper(s: PairedSamples, c: float | np.ndarray) -> Estimate:
+    """Mean and stderr of the upper_terms at C: an upper bound on log E X
+    for every finite C."""
+    terms, saturated = upper_terms(s, c)
     mean, stderr = mean_stderr(terms)
     return Estimate(mean, stderr, saturated)
 

@@ -127,11 +127,13 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
-def _parse_k_list(text: str) -> tuple[int, ...]:
+def _parse_k_list(text: str, key: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ParseError(f"key 'k' must be a comma list of integers: {text!r}")
+        raise ParseError(f"key {key!r} must be a comma list of integers: {text!r}")
+    if any(k < 1 for k in ks):
+        raise ParseError(f"key {key!r} values must be >= 1: {text!r}")
     return ks
 
 
@@ -189,7 +191,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     opts = _resolve(args, ANALYTIC_DEFAULTS)
     dist = parse_dist(opts["dist"])
     cfg = SweepConfig(
-        k_values=_parse_k_list(opts["k"]),
+        k_values=_parse_k_list(opts["k"], "k"),
         n_pairs=opts["n"],
         replications=opts["replications"],
         base_seed=opts["seed"],
@@ -356,6 +358,7 @@ def _write_records_csv(path: str, result: vae.EvalResult, k: int) -> None:
 def cmd_vae_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, dict(EVAL_DEFAULTS, model="vae.ckpt"))
+    sweep_ks = _parse_k_list(opts["k_sweep"], "k_sweep") if opts["k_sweep"] else ()
     model = vae.load_model(opts["model"])
     c_source = _c_source(opts["c"])
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 7))
@@ -365,10 +368,10 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
     _write_records_csv(opts["out"], result, opts["k"])
     _pair_manifest(opts["out"], opts, opts["seed"], started)
 
-    if opts["k_sweep"]:
+    if sweep_ks:
         sweep_path = opts["out"] + ".ksweep.csv"
         lines = [EVAL_SWEEP_HEADER]
-        for k in _parse_k_list(opts["k_sweep"]):
+        for k in sweep_ks:
             res_k = result if k == opts["k"] else vae.evaluate(
                 model, c_source, data, k, derive_key(opts["seed"], 8, k))
             lines.append(",".join([

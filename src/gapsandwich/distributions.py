@@ -1,7 +1,7 @@
 """Samplers plus closed-form quantities used to validate the bound estimators.
 
-Each distribution carries its exact mean, log-mean, mean-log and (where a
-closed form exists) log E[Y/X], so Monte Carlo estimates can be checked
+Each distribution carries its exact mean, mean-log and (where a closed
+form exists) log E[Y/X], so Monte Carlo estimates can be checked
 against ground truth.  Sampling is deterministic in (dist, n, seed) and uses
 the package's counter-based streams.
 """
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma
 
 from .errors import InvalidParams, ParseError
 from .rng import generator
@@ -40,12 +40,6 @@ class AnalyticDist:
         return None
 
     @property
-    def log_mean(self) -> float | None:
-        """log E X."""
-        m = self.mean
-        return None if m is None or m <= 0.0 else math.log(m)
-
-    @property
     def mean_log(self) -> float | None:
         """E log X."""
         return None
@@ -53,10 +47,6 @@ class AnalyticDist:
     @property
     def log_ratio_mean(self) -> float | None:
         """log E[Y/X] for an independent copy Y."""
-        return None
-
-    @property
-    def differential_entropy(self) -> float | None:
         return None
 
     def spec_string(self) -> str:
@@ -119,13 +109,6 @@ class Gamma(AnalyticDist):
             return None
         return math.log(self.a / (self.a - 1.0))
 
-    @property
-    def differential_entropy(self):
-        return float(
-            self.a + math.log(self.theta) + gammaln(self.a)
-            + (1.0 - self.a) * digamma(self.a)
-        )
-
     def spec_string(self):
         return f"gamma:a={self.a:g},theta={self.theta:g}"
 
@@ -149,20 +132,12 @@ class LogNormal(AnalyticDist):
         return math.exp(self.m + 0.5 * self.sigma**2)
 
     @property
-    def log_mean(self):
-        return self.m + 0.5 * self.sigma**2
-
-    @property
     def mean_log(self):
         return self.m
 
     @property
     def log_ratio_mean(self):
         return self.sigma**2
-
-    @property
-    def differential_entropy(self):
-        return self.m + 0.5 * math.log(2.0 * math.pi * math.e * self.sigma**2)
 
     def spec_string(self):
         return f"lognormal:m={self.m:g},sigma={self.sigma:g}"
@@ -197,10 +172,6 @@ class UniformPos(AnalyticDist):
         inv_mean = (math.log(self.hi) - math.log(self.lo)) / (self.hi - self.lo)
         return math.log(self.mean * inv_mean)
 
-    @property
-    def differential_entropy(self):
-        return math.log(self.hi - self.lo)
-
     def spec_string(self):
         return f"uniform:lo={self.lo:g},hi={self.hi:g}"
 
@@ -226,14 +197,6 @@ class Laplace(AnalyticDist):
     @property
     def mean(self):
         return self.loc
-
-    @property
-    def log_mean(self):
-        return None
-
-    @property
-    def differential_entropy(self):
-        return 1.0 + math.log(2.0 * self.b)
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

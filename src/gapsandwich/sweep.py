@@ -158,9 +158,11 @@ def resolve_threads(threads: int | None = None) -> int:
             threads = int(raw)
         except ValueError:
             raise ParseError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+    if threads < 0:
+        raise ParseError(f"thread count ({THREADS_ENV}) must be >= 0, got {threads}")
     if threads == 0:
         threads = os.cpu_count() or 1
-    return max(1, threads)
+    return threads
 
 
 def _cell_pairs(source: SampleSource, seed: int, k: int, n_pairs: int) -> PairedSamples:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accumulate import EXP_SATURATION, logsumexp
+from . import bounds
+from .accumulate import EXP_SATURATION, log_mean_exp, logsumexp
 from .errors import (
     CheckpointError,
     DivergenceDetected,
@@ -32,6 +33,7 @@ from .errors import (
     ParseError,
 )
 from .rng import generator, streams
+from .samples import PairedSamples
 
 HIDDEN = 4
 VAE_PARAM_COUNT = 31
@@ -282,17 +284,17 @@ def iw_objective_and_grad(
 def cnet_objective_and_grad(
     cparams: np.ndarray,
     xs: np.ndarray,
-    r_hat: np.ndarray,
+    log_r_hat: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Mean of C(x) - 1 + exp(-C(x)) * r_hat(x) and its CNet gradient.
+    """Mean of C(x) - 1 + exp(log_r_hat(x) - C(x)) and its CNet gradient.
 
-    r_hat is treated as a constant (it does not depend on CNet parameters).
+    log_r_hat, the log of the ratio estimate, is treated as a constant (it
+    does not depend on CNet parameters).
     """
     xs = np.asarray(xs, dtype=float)
-    r_hat = np.asarray(r_hat, dtype=float)
+    log_r_hat = np.asarray(log_r_hat, dtype=float)
     c, h = _cnet_forward(cparams, xs)
-    log_r_hat = np.log(r_hat)
-    expterm = np.exp(np.minimum(-c + log_r_hat, EXP_SATURATION))
+    expterm = np.exp(np.minimum(log_r_hat - c, EXP_SATURATION))
     value = float(np.mean(c - 1.0 + expterm))
     g_c = (1.0 - expterm) / xs.size
     grad = np.zeros(CNET_PARAM_COUNT)
@@ -376,8 +378,9 @@ def _ratio_estimates(
     n_pairs: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-datapoint MC estimate of E[mean_k R(x, z~) / mean_k R(x, z)],
-    averaging n_pairs independent (z, z~) tuple ratios.
+    """Per-datapoint log r_hat(x), where r_hat(x) estimates
+    E[mean_k R(x, z~) / mean_k R(x, z)] over n_pairs independent (z, z~)
+    tuples, as a log-mean-exp so that no ratio under- or overflows.
 
     Datapoints go through in blocks of max(1, BLOCK_RATIOS // (2 k n_pairs)),
     each block drawing its eps from rng in order.  numpy fills normals in C
@@ -391,9 +394,7 @@ def _ratio_estimates(
         eps = rng.standard_normal((xb.size, n_pairs, 2, k))
         logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
         lse = np.asarray(logsumexp(logR, axis=3))
-        delta = lse[:, :, 1] - lse[:, :, 0]
-        ratios = np.exp(np.minimum(delta, EXP_SATURATION))
-        out[start:start + block] = ratios.mean(axis=1)
+        out[start:start + block] = log_mean_exp(lse[:, :, 1] - lse[:, :, 0], axis=1)
     return out
 
 
@@ -420,9 +421,9 @@ def train_cnet(
     rng = generator(seed)
     history: list[float] = []
     for epoch in range(epochs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_hat = _ratio_estimates(model, data, k, n_pairs, rng)
-            value, grad = cnet_objective_and_grad(cparams, data, r_hat)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_r_hat = _ratio_estimates(model, data, k, n_pairs, rng)
+            value, grad = cnet_objective_and_grad(cparams, data, log_r_hat)
         if not math.isfinite(value):
             raise DivergenceDetected(f"non-finite cnet loss at epoch {epoch}")
         if lr != 0.0:
@@ -444,7 +445,6 @@ class EvalRecord:
     S: float
     c: float
     k: int
-    saturated: bool = False
 
 
 @dataclass(frozen=True)
@@ -469,17 +469,18 @@ def evaluate(
     k: int,
     seed: int,
 ) -> EvalResult:
-    """Per datapoint draw two independent k-tuples from q(.|x) and compute
-    the lower estimate s = log mean R and the upper estimate
-    S = s + C - 1 + exp(-C) * (sum R~ / sum R).  A float C must be finite.
+    """Paired lower/upper evidence estimates, one pair per datapoint.
 
-    Datapoint i uses the derived stream (seed, i), so any chunking or
-    parallel split of the data reproduces identical records.  The returned
-    elbo is the mean log R over the same primal draws.
+    Datapoint i draws two independent k-tuples from q(.|x) on the derived
+    stream (seed, i), so any chunking or parallel split of the data
+    reproduces identical records.  Its pair is lx = s = log mean R, the IWAE
+    bound, and d = log sum R~ - log sum R; bounds gives each record's
+    S = s + C - 1 + exp(d - C), the lower and upper means, their stderrs and
+    the saturation count.  A float C must be finite; non-finite log-ratios
+    raise NonPositiveSample.  elbo is the mean log R over the primal draws.
 
-    Datapoints go through in blocks of max(1, BLOCK_RATIOS // 2k).  Memory
-    is O(BLOCK_RATIOS) for the activations plus the (n, 2, k) log-ratios
-    kept for the elbo, so O(block k + n k) in all.
+    Datapoints go through in blocks of max(1, BLOCK_RATIOS // 2k); memory is
+    O(BLOCK_RATIOS + n) whatever k is.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -490,38 +491,34 @@ def evaluate(
         raise InvalidParams(f"C must be finite, got {c_source!r}")
     n = data.size
     block = max(1, BLOCK_RATIOS // (2 * k))
-    logR = np.empty((n, 2, k))
     lse = np.empty((n, 2))
+    primal_sums = np.empty(n)
     draws = streams(seed, range(n))
-    for start in range(0, n, block):
-        xb = data[start:start + block]
-        eps = np.empty((xb.size, 2, k))
-        for row in eps:
-            next(draws).standard_normal(out=row)
-        block_logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
-        logR[start:start + block] = block_logR
-        lse[start:start + block] = logsumexp(block_logR, axis=2)
-    s_vals = lse[:, 0] - math.log(k)
-    delta = lse[:, 1] - lse[:, 0]
+    # Overflow here leaves non-finite pairs, which PairedSamples rejects.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, n, block):
+            xb = data[start:start + block]
+            eps = np.empty((xb.size, 2, k))
+            for row in eps:
+                next(draws).standard_normal(out=row)
+            logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
+            lse[start:start + block] = logsumexp(logR, axis=2)
+            primal_sums[start:start + block] = logR[:, 0, :].sum(axis=1)
+        pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)
     c_vals = c_source(data) if isinstance(c_source, CNet) else np.full(n, float(c_source))
-    exponents = -c_vals + delta
-    saturated_mask = exponents > EXP_SATURATION
-    S_vals = s_vals + c_vals - 1.0 + np.exp(np.minimum(exponents, EXP_SATURATION))
-
-    records = tuple(
-        EvalRecord(float(data[i]), float(s_vals[i]), float(S_vals[i]),
-                   float(c_vals[i]), k, bool(saturated_mask[i]))
-        for i in range(n)
-    )
-    ddof = 1 if n > 1 else 0
+    lower = bounds.jensen_lower(pairs)
+    upper = bounds.improved_upper(pairs, c_vals)
+    S_vals, _ = bounds.upper_terms(pairs, c_vals)
+    records = tuple(EvalRecord(*row, k) for row in zip(
+        data.tolist(), pairs.lx.tolist(), S_vals.tolist(), c_vals.tolist()))
     return EvalResult(
         records=records,
-        lower=float(s_vals.mean()),
-        upper=float(S_vals.mean()),
-        lower_stderr=float(s_vals.std(ddof=ddof) / math.sqrt(n)) if n > 1 else math.inf,
-        upper_stderr=float(S_vals.std(ddof=ddof) / math.sqrt(n)) if n > 1 else math.inf,
-        elbo=float(logR[:, 0, :].mean()),
-        saturated=int(saturated_mask.sum()),
+        lower=lower.mean,
+        upper=upper.mean,
+        lower_stderr=lower.stderr,
+        upper_stderr=upper.stderr,
+        elbo=float(primal_sums.sum() / (n * k)),
+        saturated=upper.saturated,
     )
 
 

@@ -8,7 +8,11 @@ CSV is byte-identical across reruns.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +42,10 @@ class PropertyResult:
     passed: bool
     slack: float
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        # A numpy scalar would reach the CSV as its repr, np.float64(...).
+        object.__setattr__(self, "slack", float(self.slack))
 
 
 def _pairs_for(dist, n: int, k: int, seed: int):
@@ -200,13 +208,26 @@ def check_dist_oracles(seed: int, n: int) -> PropertyResult:
     return PropertyResult("dist-oracle-consistency", slack >= 0.0, slack)
 
 
+def sampler_digests(seed: int, n: int) -> list[str]:
+    """SHA-256 of the draw vector of each determinism-check distribution."""
+    return [
+        hashlib.sha256(sample(dist, n, derive_key(seed, 10)).tobytes()).hexdigest()
+        for dist in (Gamma(0.5, 1.0), LogNormal(0.0, 1.0), UniformPos(0.5, 1.5))
+    ]
+
+
 def check_sampler_determinism(seed: int, n: int) -> PropertyResult:
-    """Identical (dist, n, seed) must yield bit-identical vectors."""
-    ok = True
-    for dist in [Gamma(0.5, 1.0), LogNormal(0.0, 1.0), UniformPos(0.5, 1.5)]:
-        a = sample(dist, n, derive_key(seed, 10))
-        b = sample(dist, n, derive_key(seed, 10))
-        ok = ok and bool(np.array_equal(a, b))
+    """Identical (dist, n, seed) must yield bit-identical vectors, also in a
+    fresh interpreter: this process's draws are compared by SHA-256 with
+    those of a subprocess, so no state of this process can make them agree."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    code = ("from gapsandwich.verify import sampler_digests; "
+            f"print(*sampler_digests({int(seed)}, {int(n)}))")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=False)
+    ok = child.returncode == 0 and child.stdout.split() == sampler_digests(seed, n)
     return PropertyResult("sampler-determinism", ok, 0.0 if ok else -1.0)
 
 
@@ -326,15 +347,15 @@ def check_vae_gradients(seed: int, n: int) -> PropertyResult:
     for _ in range(3):
         cparams = rng.uniform(-0.8, 0.8, vae.CNET_PARAM_COUNT)
         xs = rng.standard_normal(5) * 0.5
-        r_hat = np.exp(rng.standard_normal(5))
-        _, grad = vae.cnet_objective_and_grad(cparams, xs, r_hat)
+        log_r_hat = rng.standard_normal(5)
+        _, grad = vae.cnet_objective_and_grad(cparams, xs, log_r_hat)
         for idx in range(vae.CNET_PARAM_COUNT):
             pp, pm = cparams.copy(), cparams.copy()
             pp[idx] += h
             pm[idx] -= h
             fd = (
-                vae.cnet_objective_and_grad(pp, xs, r_hat)[0]
-                - vae.cnet_objective_and_grad(pm, xs, r_hat)[0]
+                vae.cnet_objective_and_grad(pp, xs, log_r_hat)[0]
+                - vae.cnet_objective_and_grad(pm, xs, log_r_hat)[0]
             ) / (2.0 * h)
             denom = max(1e-8, abs(fd), abs(grad[idx]))
             worst = max(worst, abs(fd - grad[idx]) / denom)

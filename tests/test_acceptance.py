@@ -138,14 +138,14 @@ def test_criterion_6_gradient_oracle():
                       - vae.iw_objective_and_grad(pm, 0.3, xs, eps, kind)[0]) / (2 * h)
                 worst = max(worst, abs(fd - grad[idx]) / max(1e-8, abs(fd), abs(grad[idx])))
         cparams = rng.uniform(-0.8, 0.8, vae.CNET_PARAM_COUNT)
-        r_hat = np.exp(rng.standard_normal(4))
-        _, cgrad = vae.cnet_objective_and_grad(cparams, xs, r_hat)
+        log_r_hat = rng.standard_normal(4)
+        _, cgrad = vae.cnet_objective_and_grad(cparams, xs, log_r_hat)
         for idx in rng.choice(vae.CNET_PARAM_COUNT, size=10, replace=False):
             pp, pm = cparams.copy(), cparams.copy()
             pp[idx] += h
             pm[idx] -= h
-            fd = (vae.cnet_objective_and_grad(pp, xs, r_hat)[0]
-                  - vae.cnet_objective_and_grad(pm, xs, r_hat)[0]) / (2 * h)
+            fd = (vae.cnet_objective_and_grad(pp, xs, log_r_hat)[0]
+                  - vae.cnet_objective_and_grad(pm, xs, log_r_hat)[0]) / (2 * h)
             worst = max(worst, abs(fd - cgrad[idx]) / max(1e-8, abs(fd), abs(cgrad[idx])))
     elapsed = time.monotonic() - start
     assert worst < 1e-4, worst

@@ -17,6 +17,7 @@ from gapsandwich.bounds import (
     optimal_upper,
     sandwich,
     tangent_family_g,
+    upper_terms,
 )
 from gapsandwich.distributions import Gamma, LogNormal, sample
 from gapsandwich.errors import EmptyGrid
@@ -108,6 +109,17 @@ class TestImprovedUpper:
         s = k_sample_pairs(np.ones(2), np.ones(2), 1)
         with pytest.raises(ValueError):
             improved_upper(s, math.inf)
+        with pytest.raises(ValueError):
+            improved_upper(s, np.array([0.0, math.nan]))
+
+    def test_one_c_per_pair(self):
+        s = pairs_for(Gamma(2.0, 1.0), 40, seed=17)
+        cs = np.linspace(-1.0, 1.0, s.n)
+        terms, saturated = upper_terms(s, cs)
+        assert saturated == 0
+        for i in range(s.n):
+            assert terms[i] == upper_terms(s.subset(i, i + 1), cs[i])[0][0]
+        assert improved_upper(s, np.full(s.n, 0.3)) == improved_upper(s, 0.3)
 
     @given(st.integers(0, 2**32 - 1))
     def test_c_zero_identity_holds_for_any_sample(self, seed):

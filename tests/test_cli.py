@@ -4,11 +4,13 @@ import struct
 import numpy as np
 import pytest
 
+from gapsandwich import verify
 from gapsandwich.cli import main
+from gapsandwich.distributions import sample
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples
 from gapsandwich.sweep import CSV_HEADER
-from gapsandwich.vae import ToyVae, load_model
+from gapsandwich.vae import ToyVae, load_model, save_model
 
 
 def run(args):
@@ -57,6 +59,15 @@ class TestAnalyticCommand:
                     "--out", str(out)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_thread_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GAPSANDWICH_THREADS", "-3")
+        out = tmp_path / "x.csv"
+        code = run(["analytic", "--dist", "constant:c=1", "--k", "1,2", "--n", "100",
+                    "--replications", "1", "--out", str(out)])
+        assert code == 2
+        assert "GAPSANDWICH_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
     def test_emit_gnuplot_writes_companion(self, tmp_path):
@@ -133,6 +144,24 @@ class TestVerifyCommand:
         monkeypatch.setenv("GAPSANDWICH_THREADS", "8")
         assert run(["verify", "--quick", "--seed", "7", "--out", b]) == 0
         assert (tmp_path / "v1.csv").read_bytes() == (tmp_path / "v2.csv").read_bytes()
+
+    def test_slacks_are_plain_floats(self, tmp_path):
+        out = tmp_path / "v.csv"
+        run(["verify", "--quick", "--seed", "7", "--out", str(out)])
+        for line in out.read_text().splitlines()[1:]:
+            float(line.split(",")[2])
+
+    def test_sampler_determinism_compares_with_a_fresh_process(self, monkeypatch):
+        assert verify.check_sampler_determinism(7, 1000).passed
+
+        def drifting(dist, n, seed):
+            return sample(dist, n, seed + 1)
+
+        # Deterministic within this process, different from a fresh one.
+        monkeypatch.setattr(verify, "sample", drifting)
+        result = verify.check_sampler_determinism(7, 1000)
+        assert not result.passed
+        assert result.slack == -1.0
 
     def test_one_line_per_property_on_stderr(self, tmp_path, capsys):
         run(["verify", "--quick", "--seed", "7", "--out", str(tmp_path / "v.csv")])
@@ -224,6 +253,30 @@ class TestVaePipeline:
         summary = out.read_text().splitlines()[-1].split(",")
         row_k4 = (tmp_path / "e.csv.ksweep.csv").read_text().splitlines()[2]
         assert row_k4.split(",")[2] == summary[1]  # the same lower bound
+
+    @pytest.mark.parametrize("ks", ["1,0", "1,x"])
+    def test_bad_k_sweep_exits_2_before_writing(self, tmp_path, capsys, ks):
+        ckpt = str(tmp_path / "v.ckpt")
+        save_model(ckpt, ToyVae.init(5, 0.04))
+        out = tmp_path / "e.csv"
+        code = run(["vae", "eval", "--model", ckpt, "--n", "50", "--k", "2",
+                    "--k-sweep", ks, "--c", "fixed:0", "--out", str(out)])
+        assert code == 2
+        assert "k_sweep" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "e.csv.manifest.json").exists()
+
+    def test_non_finite_log_ratios_exit_3_without_csv(self, tmp_path, capsys):
+        model = ToyVae.init(5, 0.04)
+        model.params[17] = 400.0  # encoder log-std bias: z^2 overflows
+        ckpt = str(tmp_path / "v.ckpt")
+        save_model(ckpt, model)
+        out = tmp_path / "e.csv"
+        code = run(["vae", "eval", "--model", ckpt, "--n", "50", "--k", "2",
+                    "--c", "fixed:0", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_4(self, tmp_path):
         assert run(["vae", "eval", "--model", str(tmp_path / "missing.ckpt"),

@@ -14,11 +14,13 @@ from gapsandwich.samples import PairedSamples, paired_from_halves
 from gapsandwich.sweep import (
     CHUNK_DRAWS,
     CSV_HEADER,
+    THREADS_ENV,
     CPolicy,
     SampleSource,
     SweepConfig,
     apply_c_policy,
     dist_source,
+    resolve_threads,
     run_sweep,
     sweep_csv_lines,
     write_sweep_csv,
@@ -217,6 +219,19 @@ class TestChunkedCells:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestResolveThreads:
+    @pytest.mark.parametrize("env, arg", [("-3", None), ("1", -2)])
+    def test_negative_count_is_a_parse_error(self, monkeypatch, env, arg):
+        monkeypatch.setenv(THREADS_ENV, env)
+        with pytest.raises(ParseError, match="-[23]"):
+            resolve_threads(arg)
+
+    def test_zero_means_auto(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "0")
+        assert resolve_threads() >= 1
+        assert resolve_threads(0) == resolve_threads()
 
 
 class TestSweepCsv:

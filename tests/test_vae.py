@@ -6,7 +6,12 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from gapsandwich.distributions import Laplace, sample
-from gapsandwich.errors import CheckpointError, DivergenceDetected, InvalidParams
+from gapsandwich.errors import (
+    CheckpointError,
+    DivergenceDetected,
+    InvalidParams,
+    NonPositiveSample,
+)
 from gapsandwich import vae
 from gapsandwich.rng import generator
 from gapsandwich.vae import (
@@ -165,6 +170,12 @@ class TestBlocks:
         peak = peak_traced_mb(lambda: evaluate(self.model, self.cnet, data, 64, 72))
         assert peak < 24.0
 
+    def test_evaluate_memory_does_not_grow_with_k(self):
+        data = sample(Laplace(0.0, 0.2), 10_000, 71)
+        peaks = [peak_traced_mb(lambda: evaluate(self.model, self.cnet, data, k, 72))
+                 for k in (1, 64)]
+        assert peaks[1] - peaks[0] < 2.0
+
     def test_ratio_estimates_memory_is_bounded(self):
         data = sample(Laplace(0.0, 0.2), 2000, 73)
         peak = peak_traced_mb(
@@ -215,14 +226,14 @@ class TestGradients:
         h = 1e-5
         cparams = rng.uniform(-0.8, 0.8, CNET_PARAM_COUNT)
         xs = rng.standard_normal(5) * 0.5
-        r_hat = np.exp(rng.standard_normal(5))
-        _, grad = cnet_objective_and_grad(cparams, xs, r_hat)
+        log_r_hat = rng.standard_normal(5)
+        _, grad = cnet_objective_and_grad(cparams, xs, log_r_hat)
         for idx in range(CNET_PARAM_COUNT):
             pp, pm = cparams.copy(), cparams.copy()
             pp[idx] += h
             pm[idx] -= h
-            fd = (cnet_objective_and_grad(pp, xs, r_hat)[0]
-                  - cnet_objective_and_grad(pm, xs, r_hat)[0]) / (2 * h)
+            fd = (cnet_objective_and_grad(pp, xs, log_r_hat)[0]
+                  - cnet_objective_and_grad(pm, xs, log_r_hat)[0]) / (2 * h)
             assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
@@ -274,17 +285,33 @@ class TestTrainCNet:
                             epochs=2, lr=0.0, seed=15)
         np.testing.assert_array_equal(result.cnet.params, cnet.params)
 
+    def test_underflowing_ratios_give_a_finite_loss(self):
+        # A near-deterministic decoder far from the data: every ratio of
+        # some datapoints underflows, so r_hat itself is below the smallest
+        # float while its log is finite.
+        model = ToyVae.init(1, decoder_var=1e-6)
+        model.params[26:30] = 5.0
+        result = train_cnet(CNet.init(2), model, np.linspace(-1.0, 1.0, 50), k=4,
+                            n_pairs=2, epochs=1, lr=0.0, seed=5)
+        assert math.isfinite(result.loss_history[0])
+
+    def test_non_finite_log_ratios_are_a_divergence(self):
+        model = ToyVae.init(1)
+        model.params[17] = 400.0  # z^2 overflows: every log-ratio is -inf
+        with pytest.raises(DivergenceDetected, match="epoch 0"):
+            train_cnet(CNet.init(2), model, np.linspace(-1.0, 1.0, 8), k=4,
+                       n_pairs=2, epochs=1, lr=0.1, seed=5)
+
     def test_beats_zero_c_baseline_on_held_out_data(self):
         model = ToyVae.init(16)  # untrained: ratios vary with x
         train_data = sample(Laplace(0.0, 0.2), 256, 17)
         held_out = sample(Laplace(0.0, 0.2), 256, 18)
         result = train_cnet(CNet.init(19), model, train_data, k=4, n_pairs=8,
                             epochs=300, lr=0.3, seed=20)
-        from gapsandwich.vae import _ratio_estimates
-
-        r_hat = _ratio_estimates(model, held_out, 4, 8, generator(21))
-        trained_obj = cnet_objective_and_grad(result.cnet.params, held_out, r_hat)[0]
-        zero_obj = float(np.mean(0.0 - 1.0 + r_hat))
+        log_r_hat = _ratio_estimates(model, held_out, 4, 8, generator(21))
+        trained_obj = cnet_objective_and_grad(result.cnet.params, held_out,
+                                              log_r_hat)[0]
+        zero_obj = float(np.mean(0.0 - 1.0 + np.exp(log_r_hat)))
         assert trained_obj <= zero_obj
 
 
@@ -338,6 +365,13 @@ class TestEvaluate:
     def test_non_finite_float_c_rejected(self, c):
         with pytest.raises(InvalidParams, match="finite"):
             evaluate(zero_model(), c, np.zeros(4), k=1, seed=21)
+
+    def test_non_finite_log_ratios_raise(self):
+        # A huge posterior spread overflows z^2 and every log-ratio is -inf.
+        model = ToyVae.init(25)
+        model.params[17] = 400.0
+        with pytest.raises(NonPositiveSample, match="finite"):
+            evaluate(model, 0.0, np.linspace(-1.0, 1.0, 8), k=4, seed=21)
 
     def test_cnet_source_used_per_datapoint(self):
         model = zero_model()
