@@ -9,7 +9,8 @@ the package's counter-based streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import digamma
@@ -18,19 +19,15 @@ from .errors import InvalidParams, ParseError
 from .rng import generator
 
 
-def standard_gamma(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
-    """Gamma(a, 1) draws from numpy's native sampler, for any shape a > 0."""
-    if a <= 0.0:
-        raise InvalidParams(f"gamma shape must be positive, got {a}")
-    return rng.standard_gamma(a, n)
-
-
 @dataclass(frozen=True)
 class AnalyticDist:
     """Base descriptor: a sampler plus closed-form accessors.
 
-    Accessors return None when no closed form exists for that kind.
+    Accessors return None when no closed form exists for that kind.  kind
+    and the dataclass fields are the spec grammar, `kind:field=val,...`.
     """
+
+    kind: ClassVar[str]
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -50,11 +47,13 @@ class AnalyticDist:
         return None
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        values = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        return f"{self.kind}:{values}"
 
 
 @dataclass(frozen=True)
 class Constant(AnalyticDist):
+    kind = "constant"
     c: float
 
     def __post_init__(self) -> None:
@@ -76,12 +75,10 @@ class Constant(AnalyticDist):
     def log_ratio_mean(self):
         return 0.0
 
-    def spec_string(self):
-        return f"constant:c={self.c:g}"
-
 
 @dataclass(frozen=True)
 class Gamma(AnalyticDist):
+    kind = "gamma"
     a: float
     theta: float
 
@@ -92,7 +89,7 @@ class Gamma(AnalyticDist):
             )
 
     def draw(self, rng, n):
-        return self.theta * standard_gamma(rng, self.a, n)
+        return self.theta * rng.standard_gamma(self.a, n)
 
     @property
     def mean(self):
@@ -109,12 +106,10 @@ class Gamma(AnalyticDist):
             return None
         return math.log(self.a / (self.a - 1.0))
 
-    def spec_string(self):
-        return f"gamma:a={self.a:g},theta={self.theta:g}"
-
 
 @dataclass(frozen=True)
 class LogNormal(AnalyticDist):
+    kind = "lognormal"
     m: float
     sigma: float
 
@@ -139,12 +134,10 @@ class LogNormal(AnalyticDist):
     def log_ratio_mean(self):
         return self.sigma**2
 
-    def spec_string(self):
-        return f"lognormal:m={self.m:g},sigma={self.sigma:g}"
-
 
 @dataclass(frozen=True)
 class UniformPos(AnalyticDist):
+    kind = "uniform"
     lo: float
     hi: float
 
@@ -172,15 +165,13 @@ class UniformPos(AnalyticDist):
         inv_mean = (math.log(self.hi) - math.log(self.lo)) / (self.hi - self.lo)
         return math.log(self.mean * inv_mean)
 
-    def spec_string(self):
-        return f"uniform:lo={self.lo:g},hi={self.hi:g}"
-
 
 @dataclass(frozen=True)
 class Laplace(AnalyticDist):
     """Double-exponential data law; used as a data distribution for the toy
     VAE experiment, not as a positivity-constrained X."""
 
+    kind = "laplace"
     loc: float
     b: float
 
@@ -201,9 +192,6 @@ class Laplace(AnalyticDist):
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return -np.abs(x - self.loc) / self.b - math.log(2.0 * self.b)
-
-    def spec_string(self):
-        return f"laplace:loc={self.loc:g},b={self.b:g}"
 
 
 def sample(d: AnalyticDist, n: int, seed: int) -> np.ndarray:
@@ -236,21 +224,7 @@ def laplace_loglik(loc: float, b: float) -> float:
     return -(1.0 + math.log(2.0 * b))
 
 
-_KIND_KEYS = {
-    "constant": ("c",),
-    "gamma": ("a", "theta"),
-    "lognormal": ("m", "sigma"),
-    "uniform": ("lo", "hi"),
-    "laplace": ("loc", "b"),
-}
-
-_KIND_FACTORY = {
-    "constant": lambda p: Constant(p["c"]),
-    "gamma": lambda p: Gamma(p["a"], p["theta"]),
-    "lognormal": lambda p: LogNormal(p["m"], p["sigma"]),
-    "uniform": lambda p: UniformPos(p["lo"], p["hi"]),
-    "laplace": lambda p: Laplace(p["loc"], p["b"]),
-}
+_KINDS = {cls.kind: cls for cls in (Constant, Gamma, LogNormal, UniformPos, Laplace)}
 
 
 def parse_dist(text: str) -> AnalyticDist:
@@ -261,11 +235,12 @@ def parse_dist(text: str) -> AnalyticDist:
     """
     head, sep, tail = text.strip().partition(":")
     kind = head.strip().lower()
-    if kind not in _KIND_KEYS:
+    if kind not in _KINDS:
         raise ParseError(
-            f"unknown distribution kind {kind!r}; expected one of "
-            f"{sorted(_KIND_KEYS)}"
+            f"unknown distribution kind {kind!r}; expected one of {sorted(_KINDS)}"
         )
+    cls = _KINDS[kind]
+    keys = [f.name for f in fields(cls)]
     if not sep:
         raise ParseError(f"missing parameters for {kind!r}; expected key=val list")
     params: dict[str, float] = {}
@@ -274,7 +249,7 @@ def parse_dist(text: str) -> AnalyticDist:
         key = key.strip()
         if not eq or not key:
             raise ParseError(f"malformed parameter {item!r}; expected key=val")
-        if key not in _KIND_KEYS[kind]:
+        if key not in keys:
             raise ParseError(f"unknown key {key!r} for {kind!r}")
         if key in params:
             raise ParseError(f"duplicate key {key!r}")
@@ -282,7 +257,7 @@ def parse_dist(text: str) -> AnalyticDist:
             params[key] = float(val.strip())
         except ValueError:
             raise ParseError(f"value for key {key!r} is not a decimal: {val!r}")
-    missing = [k for k in _KIND_KEYS[kind] if k not in params]
+    missing = [k for k in keys if k not in params]
     if missing:
         raise ParseError(f"missing key {missing[0]!r} for {kind!r}")
-    return _KIND_FACTORY[kind](params)
+    return cls(**params)

@@ -8,8 +8,6 @@ order or thread count.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -41,20 +39,3 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator for the given seed and stream ids."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *stream)))
 
-
-def streams(seed: int, ids: Iterable[int]) -> Iterator[np.random.Generator]:
-    """For each id in turn, a generator whose draws are generator(seed, id)'s.
-
-    One Philox is re-keyed per id instead of constructed: the key becomes
-    derive_key(seed, id) and the counter, output buffer and held 32-bit
-    half-word go back to their fresh-construction values, so each stream
-    starts exactly where a new generator(seed, id) would.  Every id yields
-    the same Generator object; draw from it before requesting the next id.
-    """
-    bit_gen = np.random.Philox(key=0)
-    gen = np.random.Generator(bit_gen)
-    fresh = bit_gen.state
-    for sid in ids:
-        fresh["state"]["key"] = np.array([derive_key(seed, sid), 0], dtype=np.uint64)
-        bit_gen.state = fresh
-        yield gen

@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteParams,
     ParseError,
 )
-from .rng import generator, streams
+from .rng import generator
 from .samples import PairedSamples
 
 HIDDEN = 4
@@ -158,10 +158,15 @@ def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _encode(params: np.ndarray, x: np.ndarray):
-    """Returns hidden h, posterior mean mu and log-std t."""
+    """Returns hidden h, posterior mean mu and log-std t.
+
+    The heads reduce with einsum rather than @: for a single datapoint @
+    takes numpy's vector-dot path, whose rounding differs from the
+    multi-row one, so a row's mu and t would depend on its batch size.
+    """
     h = _relu_layer(x, params[0:4], params[4:8])
-    mu = h @ params[8:12] + params[12]
-    t = h @ params[13:17] + params[17]
+    mu = np.einsum("...h,h->...", h, params[8:12]) + params[12]
+    t = np.einsum("...h,h->...", h, params[13:17]) + params[17]
     return h, mu, t
 
 
@@ -172,9 +177,9 @@ def _decode(params: np.ndarray, z: np.ndarray):
 
 
 def _cnet_forward(params: np.ndarray, x: np.ndarray):
-    """Returns C(x) and the hidden h."""
+    """Returns C(x) and the hidden h; einsum for the reason given in _encode."""
     h = _relu_layer(x, params[0:4], params[4:8])
-    return h @ params[8:12] + params[12], h
+    return np.einsum("...h,h->...", h, params[8:12]) + params[12], h
 
 
 def _gaussian_logpdf(x, mean, var):
@@ -471,13 +476,15 @@ def evaluate(
 ) -> EvalResult:
     """Paired lower/upper evidence estimates, one pair per datapoint.
 
-    Datapoint i draws two independent k-tuples from q(.|x) on the derived
-    stream (seed, i), so any chunking or parallel split of the data
-    reproduces identical records.  Its pair is lx = s = log mean R, the IWAE
-    bound, and d = log sum R~ - log sum R; bounds gives each record's
-    S = s + C - 1 + exp(d - C), the lower and upper means, their stderrs and
-    the saturation count.  A float C must be finite; non-finite log-ratios
-    raise NonPositiveSample.  elbo is the mean log R over the primal draws.
+    Datapoint i draws two independent k-tuples from q(.|x): the normals at
+    positions [2k i, 2k (i + 1)) of generator(seed), in C order.  The
+    records therefore do not depend on the block size, and data[:m] gives
+    the first m records of data.  Datapoint i's pair is lx = s = log mean R,
+    the IWAE bound, and d = log sum R~ - log sum R; bounds gives each
+    record's S = s + C - 1 + exp(d - C), the lower and upper means, their
+    stderrs and the saturation count.  A float C must be finite; non-finite
+    log-ratios raise NonPositiveSample.  elbo is the mean log R over the
+    primal draws.
 
     Datapoints go through in blocks of max(1, BLOCK_RATIOS // 2k); memory is
     O(BLOCK_RATIOS + n) whatever k is.
@@ -493,14 +500,12 @@ def evaluate(
     block = max(1, BLOCK_RATIOS // (2 * k))
     lse = np.empty((n, 2))
     primal_sums = np.empty(n)
-    draws = streams(seed, range(n))
+    rng = generator(seed)
     # Overflow here leaves non-finite pairs, which PairedSamples rejects.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n, block):
             xb = data[start:start + block]
-            eps = np.empty((xb.size, 2, k))
-            for row in eps:
-                next(draws).standard_normal(out=row)
+            eps = rng.standard_normal((xb.size, 2, k))
             logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
             lse[start:start + block] = logsumexp(logR, axis=2)
             primal_sums[start:start + block] = logR[:, 0, :].sum(axis=1)

@@ -39,13 +39,15 @@ VERIFY_CSV_HEADER = "property,passed,slack"
 @dataclass(frozen=True)
 class PropertyResult:
     name: str
-    passed: bool
     slack: float
-    detail: str = ""
 
     def __post_init__(self) -> None:
         # A numpy scalar would reach the CSV as its repr, np.float64(...).
         object.__setattr__(self, "slack", float(self.slack))
+
+    @property
+    def passed(self) -> bool:
+        return self.slack >= 0.0
 
 
 def _pairs_for(dist, n: int, k: int, seed: int):
@@ -74,7 +76,7 @@ def check_sandwich_order(seed: int, n: int) -> PropertyResult:
             - rep.lower_mean
         )
     slack = _min_slack(margins)
-    return PropertyResult("sandwich-order", slack >= 0.0, slack)
+    return PropertyResult("sandwich-order", slack)
 
 
 def check_c_zero_identity(seed: int, n: int) -> PropertyResult:
@@ -84,7 +86,7 @@ def check_c_zero_identity(seed: int, n: int) -> PropertyResult:
     b = bounds.jensen_lower(s).mean + bounds.gap_upper_first_order(s).mean
     err = abs(a - b) / max(1.0, abs(a), abs(b))
     slack = 1e-12 - err
-    return PropertyResult("c-zero-identity", slack >= 0.0, slack)
+    return PropertyResult("c-zero-identity", slack)
 
 
 def check_optimal_c_stationarity(seed: int, n: int) -> PropertyResult:
@@ -97,7 +99,7 @@ def check_optimal_c_stationarity(seed: int, n: int) -> PropertyResult:
         for dc in (-0.1, 0.1):
             margins.append(bounds.improved_upper(s, c_star + dc).mean - at_star)
     slack = _min_slack(margins)
-    return PropertyResult("optimal-c-stationarity", slack >= 0.0, slack)
+    return PropertyResult("optimal-c-stationarity", slack)
 
 
 def check_k_monotonicity(seed: int, n: int) -> PropertyResult:
@@ -112,7 +114,7 @@ def check_k_monotonicity(seed: int, n: int) -> PropertyResult:
             margins.append(est.mean - prev.mean + 3.0 * (est.stderr + prev.stderr))
         prev = est
     slack = _min_slack(margins)
-    return PropertyResult("k-monotonicity", slack >= 0.0, slack)
+    return PropertyResult("k-monotonicity", slack)
 
 
 def check_gap_shrinkage(seed: int, n: int) -> PropertyResult:
@@ -129,7 +131,7 @@ def check_gap_shrinkage(seed: int, n: int) -> PropertyResult:
     # Limit check: at k=16 the gap must have collapsed well below its k=1 value.
     margins.append(0.2 * ests[1].mean - ests[16].mean)
     slack = _min_slack(margins)
-    return PropertyResult("gap-shrinkage", slack >= 0.0, slack)
+    return PropertyResult("gap-shrinkage", slack)
 
 
 def check_gamma_closed_form(seed: int, n: int) -> PropertyResult:
@@ -141,7 +143,7 @@ def check_gamma_closed_form(seed: int, n: int) -> PropertyResult:
         exact = 1.0 / (k * a - 1.0)
         margins.append(3.0 * est.stderr - abs(est.mean - exact))
     slack = _min_slack(margins)
-    return PropertyResult("gamma-closed-form", slack >= 0.0, slack)
+    return PropertyResult("gamma-closed-form", slack)
 
 
 def check_lognormal_midpoint(seed: int, n: int) -> PropertyResult:
@@ -156,7 +158,7 @@ def check_lognormal_midpoint(seed: int, n: int) -> PropertyResult:
         )
         margins.append(3.0 * se - abs(mid - (m + 0.5 * sg * sg)))
     slack = _min_slack(margins)
-    return PropertyResult("lognormal-midpoint", slack >= 0.0, slack)
+    return PropertyResult("lognormal-midpoint", slack)
 
 
 def check_scale_equivariance(seed: int, n: int) -> PropertyResult:
@@ -179,7 +181,7 @@ def check_scale_equivariance(seed: int, n: int) -> PropertyResult:
             - bounds.gap_upper_first_order(s).mean),
     ]
     slack = tol - max(errs)
-    return PropertyResult("scale-equivariance", slack >= 0.0, slack)
+    return PropertyResult("scale-equivariance", slack)
 
 
 def check_dist_oracles(seed: int, n: int) -> PropertyResult:
@@ -205,7 +207,7 @@ def check_dist_oracles(seed: int, n: int) -> PropertyResult:
             se_log = float(ratio.std(ddof=1)) / math.sqrt(big) / float(ratio.mean())
             margins.append(4.0 * se_log + 1e-12 - abs(est - dist.log_ratio_mean))
     slack = _min_slack(margins)
-    return PropertyResult("dist-oracle-consistency", slack >= 0.0, slack)
+    return PropertyResult("dist-oracle-consistency", slack)
 
 
 def sampler_digests(seed: int, n: int) -> list[str]:
@@ -228,7 +230,7 @@ def check_sampler_determinism(seed: int, n: int) -> PropertyResult:
     child = subprocess.run([sys.executable, "-c", code], env=env,
                            capture_output=True, text=True, check=False)
     ok = child.returncode == 0 and child.stdout.split() == sampler_digests(seed, n)
-    return PropertyResult("sampler-determinism", ok, 0.0 if ok else -1.0)
+    return PropertyResult("sampler-determinism", 0.0 if ok else -1.0)
 
 
 def check_k_averaged_law(seed: int, n: int) -> PropertyResult:
@@ -245,7 +247,7 @@ def check_k_averaged_law(seed: int, n: int) -> PropertyResult:
         se = math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
         margins.append(4.0 * se - abs(float(x.mean() - y.mean())))
     slack = _min_slack(margins)
-    return PropertyResult("k-averaged-law", slack >= 0.0, slack)
+    return PropertyResult("k-averaged-law", slack)
 
 
 def check_tangent_minimality(seed: int, n: int) -> PropertyResult:
@@ -257,7 +259,7 @@ def check_tangent_minimality(seed: int, n: int) -> PropertyResult:
         g = bounds.tangent_family_g(xs, c)
         ok = ok and bounds.optimal_h_check(g, a_grid)
         ok = ok and not bounds.optimal_h_check(g, a_grid, h_scale=0.999)
-    return PropertyResult("tangent-minimality", ok, 0.0 if ok else -1.0)
+    return PropertyResult("tangent-minimality", 0.0 if ok else -1.0)
 
 
 def check_sweep_shrinking(seed: int, n: int) -> PropertyResult:
@@ -273,7 +275,7 @@ def check_sweep_shrinking(seed: int, n: int) -> PropertyResult:
                         + cur.upper_std + cur.lower_std)
         margins.append(prev.width + spread - cur.width)
     slack = _min_slack(margins)
-    return PropertyResult("sweep-shrinking-width", slack >= 0.0, slack)
+    return PropertyResult("sweep-shrinking-width", slack)
 
 
 def check_sweep_reproducibility(seed: int, n: int) -> PropertyResult:
@@ -300,7 +302,7 @@ def check_sweep_reproducibility(seed: int, n: int) -> PropertyResult:
             ra.report == rb.report and ra.seed == rb.seed
             for ra, rb in zip(a.rows, b.rows)
         )
-    return PropertyResult("sweep-reproducibility", ok, 0.0 if ok else -1.0)
+    return PropertyResult("sweep-reproducibility", 0.0 if ok else -1.0)
 
 
 def check_midpoint_centering(seed: int, n: int) -> PropertyResult:
@@ -310,7 +312,7 @@ def check_midpoint_centering(seed: int, n: int) -> PropertyResult:
     rep = bounds.sandwich(s, bounds.optimal_c(s))
     err = abs(rep.midpoint - 0.5 * (rep.lower_mean + rep.upper_mean))
     slack = 1e-9 - err
-    return PropertyResult("midpoint-centering", slack >= 0.0, slack)
+    return PropertyResult("midpoint-centering", slack)
 
 
 def check_constant_degenerate(seed: int, n: int) -> PropertyResult:
@@ -320,7 +322,7 @@ def check_constant_degenerate(seed: int, n: int) -> PropertyResult:
     rep = bounds.sandwich(s, 0.0)
     err = max(abs(rep.lower_mean), abs(rep.upper_mean), abs(rep.midpoint))
     slack = 1e-12 - err
-    return PropertyResult("constant-degenerate", slack >= 0.0, slack)
+    return PropertyResult("constant-degenerate", slack)
 
 
 def check_vae_gradients(seed: int, n: int) -> PropertyResult:
@@ -360,7 +362,7 @@ def check_vae_gradients(seed: int, n: int) -> PropertyResult:
             denom = max(1e-8, abs(fd), abs(grad[idx]))
             worst = max(worst, abs(fd - grad[idx]) / denom)
     slack = 1e-4 - worst
-    return PropertyResult("vae-gradient-oracle", slack >= 0.0, slack)
+    return PropertyResult("vae-gradient-oracle", slack)
 
 
 def check_reparam_moments(seed: int, n: int) -> PropertyResult:
@@ -377,7 +379,7 @@ def check_reparam_moments(seed: int, n: int) -> PropertyResult:
         se_var = z.var(ddof=1) * math.sqrt(2.0 / (n - 1))
         margins.append(4.0 * se_var - abs(float(z.var(ddof=1)) - sg * sg))
     slack = _min_slack(margins)
-    return PropertyResult("vae-reparam-moments", slack >= 0.0, slack)
+    return PropertyResult("vae-reparam-moments", slack)
 
 
 def check_vae_bound_chain(seed: int, n: int) -> PropertyResult:
@@ -392,7 +394,7 @@ def check_vae_bound_chain(seed: int, n: int) -> PropertyResult:
         res.upper + 3.0 * (res.lower_stderr + res.upper_stderr) - res.lower
     )
     slack = _min_slack(margins)
-    return PropertyResult("vae-bound-chain", slack >= 0.0, slack)
+    return PropertyResult("vae-bound-chain", slack)
 
 
 ALL_CHECKS: list[Callable[[int, int], PropertyResult]] = [

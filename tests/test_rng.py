@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from gapsandwich.rng import derive_key, generator, mix64, streams
+from gapsandwich.rng import derive_key, generator, mix64
 
 
 class TestDeriveKey:
@@ -39,25 +38,3 @@ class TestGenerator:
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) < 0.03
 
-
-class TestStreams:
-    @pytest.mark.parametrize("k", [1, 7, 64])
-    def test_matches_fresh_generators(self, k):
-        for i, gen in enumerate(streams(7, range(201))):
-            np.testing.assert_array_equal(
-                gen.standard_normal((2, k)), generator(7, i).standard_normal((2, k)))
-
-    def test_resets_held_word_and_partial_buffer(self):
-        ids = [5, 3, 5]
-        draws = []
-        for gen in streams(11, ids):
-            draws.append(gen.standard_normal(3))
-            # One raw 64-bit word, then an odd count of 32-bit words: the
-            # Philox buffer is part-used and half a word is held over.
-            gen.bit_generator.random_raw(1)
-            gen.integers(0, 2**32, size=3, dtype=np.uint32)
-            state = gen.bit_generator.state
-            assert state["has_uint32"] == 1
-            assert state["buffer_pos"] not in (0, 4)
-        for sid, got in zip(ids, draws):
-            np.testing.assert_array_equal(got, generator(11, sid).standard_normal(3))

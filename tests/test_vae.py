@@ -165,6 +165,45 @@ class TestBlocks:
         monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 8)
         assert evaluate(self.model, self.cnet, self.xs, k=4, seed=70) == reference
 
+    # A second model, C network and data set, on which @ in the encoder
+    # heads rounds a one-datapoint block (numpy's vector-dot path) otherwise
+    # than the same row inside a larger block.
+    second_model = ToyVae.init(100)
+    second_cnet = CNet.init(200)
+    second_xs = sample(Laplace(0.0, 0.3), 23, 300)
+
+    @pytest.mark.parametrize("blocks", [0, 7])
+    def test_ratio_estimates_do_not_depend_on_the_block_second_model(
+            self, monkeypatch, blocks):
+        reference = _ratio_estimates(self.second_model, self.second_xs, 3, 2,
+                                     generator(500))
+        monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 12)
+        got = _ratio_estimates(self.second_model, self.second_xs, 3, 2, generator(500))
+        np.testing.assert_array_equal(got, reference)
+
+    @pytest.mark.parametrize("blocks", [0, 7])
+    def test_evaluate_does_not_depend_on_the_block_second_model(
+            self, monkeypatch, blocks):
+        args = (self.second_model, self.second_cnet, self.second_xs)
+        reference = evaluate(*args, k=4, seed=400)
+        monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 8)
+        assert evaluate(*args, k=4, seed=400) == reference
+
+    @pytest.mark.parametrize("seed", [66, 100])
+    def test_encoder_rows_are_bitwise_the_one_row_call(self, seed):
+        params = ToyVae.init(seed).params
+        _, mu, t = vae._encode(params, self.second_xs)
+        for i, x in enumerate(self.second_xs):
+            _, mu_i, t_i = vae._encode(params, self.second_xs[i:i + 1])
+            assert (mu_i[0], t_i[0]) == (mu[i], t[i]), f"row {i}, x = {x!r}"
+
+    @pytest.mark.parametrize("seed", [67, 200])
+    def test_cnet_rows_are_bitwise_the_one_row_call(self, seed):
+        cnet = CNet.init(seed)
+        c = cnet(self.second_xs)
+        for i, x in enumerate(self.second_xs):
+            assert cnet(self.second_xs[i:i + 1])[0] == c[i], f"row {i}, x = {x!r}"
+
     def test_evaluate_memory_is_bounded(self):
         data = sample(Laplace(0.0, 0.2), 10_000, 71)
         peak = peak_traced_mb(lambda: evaluate(self.model, self.cnet, data, 64, 72))
@@ -196,7 +235,7 @@ class TestElboAndIwElbo:
 
     def test_iw_bound_nondecreasing_in_k(self):
         # Statistical tightening with more importance samples: 4096 outer
-        # draws at one x, one derived stream per copy of the datapoint.
+        # draws at one x, each copy of the datapoint with its own draws.
         model = ToyVae.init(55)
         data = np.full(4096, 0.3)
         vals = [evaluate(model, 0.0, data, k=k, seed=56).lower
@@ -386,10 +425,10 @@ class TestEvaluate:
         data = sample(Laplace(0.0, 0.2), 40, 38)
         k, seed = 8, 39
         res = evaluate(model, cnet, data, k=k, seed=seed)
+        draws = generator(seed).standard_normal((data.size, 2, k))
         primal = []
-        for i, (x, rec) in enumerate(zip(data, res.records)):
+        for x, rec, eps in zip(data, res.records, draws):
             mu, sigma = posterior(model, x)
-            eps = generator(seed, i).standard_normal((2, k))
             lr = log_r(model, x, mu + sigma * eps)
             s = scipy_logsumexp(lr[0]) - math.log(k)
             c = float(cnet(np.array([x]))[0])
@@ -400,6 +439,14 @@ class TestEvaluate:
             assert rec.S == pytest.approx(S, rel=0.0, abs=1e-10)
             primal.append(lr[0])
         assert res.elbo == pytest.approx(float(np.mean(primal)), rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 7, 39])
+    def test_prefix_gives_the_first_records(self, m):
+        model = ToyVae.init(36)
+        cnet = CNet.init(37)
+        data = sample(Laplace(0.0, 0.2), 40, 38)
+        whole = evaluate(model, cnet, data, k=8, seed=39)
+        assert evaluate(model, cnet, data[:m], k=8, seed=39).records == whole.records[:m]
 
 
 class TestCheckpoints:
