@@ -143,43 +143,57 @@ class Objective:
 # ---------------------------------------------------------------------------
 
 def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hidden ReLU activations of a scalar-input layer, shape x.shape + w.shape.
+    """Hidden ReLU activations of a scalar-input layer, unit-major.
 
-    Computed unit-major, so numpy's inner loop runs over x rather than over
-    the 4 units, and written into a C-ordered result: the values, and the
-    bits of every later reduction over the unit axis, equal those of
-    np.maximum(x[..., None] * w + b, 0.0).
+    Returns a C-ordered (w.size, N) array over the N = x.size inputs taken
+    in C order: row j is unit j, bit for bit the transpose of
+    np.maximum(x.reshape(-1, 1) * w + b, 0.0).  With the units on the outer
+    axis, numpy's inner loop runs over the N inputs in every elementwise
+    pass and in every reduction over the units.
     """
     h = np.multiply.outer(w, x.ravel())
     h += b[:, None]
-    out = np.empty(x.shape + w.shape)
-    np.maximum(h, 0.0, out=out.reshape(-1, w.size).T)
-    return out
+    return np.maximum(h, 0.0, out=h)
+
+
+def _sum_units(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """w . h over the unit axis of (units, N) activations h, for a (units,)
+    or a (J, units) w.
+
+    einsum loops over the N columns and adds the units in order,
+    ((w0 h0 + w1 h1) + w2 h2) + w3 h3, so a column's value does not depend
+    on how many columns come with it; @ does not promise that, because BLAS
+    rounds a column by where it falls in its blocks.  A single column would
+    take einsum's vectorised dot, which pairs the units otherwise, so it
+    goes through as two copies of itself.
+    """
+    if h.shape[1] == 1:
+        return np.einsum("...h,hn->...n", w, np.repeat(h, 2, axis=1))[..., :1]
+    return np.einsum("...h,hn->...n", w, h)
 
 
 def _encode(params: np.ndarray, x: np.ndarray):
-    """Returns hidden h, posterior mean mu and log-std t.
-
-    The heads reduce with einsum rather than @: for a single datapoint @
-    takes numpy's vector-dot path, whose rounding differs from the
-    multi-row one, so a row's mu and t would depend on its batch size.
-    """
+    """Returns the (4, N) hidden h, and the posterior mean mu and log-std t
+    shaped like x."""
     h = _relu_layer(x, params[0:4], params[4:8])
-    mu = np.einsum("...h,h->...", h, params[8:12]) + params[12]
-    t = np.einsum("...h,h->...", h, params[13:17]) + params[17]
-    return h, mu, t
+    mu, t = _sum_units(params[8:18].reshape(2, 5)[:, :4], h)
+    mu += params[12]
+    t += params[17]
+    return h, mu.reshape(x.shape), t.reshape(x.shape)
 
 
 def _decode(params: np.ndarray, z: np.ndarray):
-    """Returns hidden hd and the decoded mean."""
+    """Returns the (4, N) hidden hd and the decoded mean shaped like z."""
     hd = _relu_layer(z, params[18:22], params[22:26])
-    return hd, hd @ params[26:30] + params[30]
+    m = _sum_units(params[26:30], hd)
+    m += params[30]
+    return hd, m.reshape(z.shape)
 
 
 def _cnet_forward(params: np.ndarray, x: np.ndarray):
-    """Returns C(x) and the hidden h; einsum for the reason given in _encode."""
+    """Returns C(x) shaped like x and the (4, N) hidden h."""
     h = _relu_layer(x, params[0:4], params[4:8])
-    return np.einsum("...h,h->...", h, params[8:12]) + params[12], h
+    return (_sum_units(params[8:12], h) + params[12]).reshape(x.shape), h
 
 
 def _gaussian_logpdf(x, mean, var):
@@ -210,20 +224,30 @@ def _log_r_reparam(params, decoder_var, x, eps):
     x has shape (B,) and eps (B, ...); x, mu, t and sigma broadcast over the
     trailing sample axes of eps.  Returns (logR, z, caches), logR and z
     shaped like eps, caches = (h, mu, t, sigma, hd, resid) for the gradient.
+    The caches of the hidden activations are unit-major, as _relu_layer
+    returns them: h is (4, B), and hd is (4, N) over the N = eps.size draws
+    in C order.  This is the one log-ratio kernel: training, the C-network
+    ratio estimates and evaluate all call it.
     """
     h, mu, t = _encode(params, x)
     sg = np.exp(t)
     trailing = (slice(None),) + (None,) * (eps.ndim - 1)
-    z = mu[trailing] + sg[trailing] * eps
+    z = sg[trailing] * eps
+    z += mu[trailing]
     hd, m = _decode(params, z)
-    resid = x[trailing] - m
-    logR = (
-        -0.5 * (_LOG_2PI + math.log(decoder_var))
-        - resid**2 / (2.0 * decoder_var)
-        - 0.5 * z * z
-        + t[trailing]
-        + 0.5 * eps * eps
-    )
+    resid = np.subtract(x[trailing], m, out=m)
+    # logR = C - resid^2 / (2 var) - z z / 2 + t + eps eps / 2, left to
+    # right, in two buffers.
+    logR = resid * resid
+    logR /= 2.0 * decoder_var
+    np.subtract(-0.5 * (_LOG_2PI + math.log(decoder_var)), logR, out=logR)
+    half_sq = 0.5 * z
+    half_sq *= z
+    logR -= half_sq
+    logR += t[trailing]
+    np.multiply(0.5, eps, out=half_sq)
+    half_sq *= eps
+    logR += half_sq
     return logR, z, (h, mu, t, sg, hd, resid)
 
 
@@ -242,8 +266,16 @@ def iw_objective_and_grad(
 
     kind "iwae": per datapoint log-mean-exp of the K ratios; the gradient
     weights each sample by its normalized importance weight.  kind "elbo":
-    plain mean of log R; uniform weights.
+    plain mean of log R; every sample weighs the scalar 1/(B K).  Any other
+    kind raises ParseError.
+
+    The backward pass runs on the kernel's unit-major activations, (4, B K)
+    in the decoder and (4, B) in the encoder, so each sum over the draws or
+    the datapoints is one product.  The two encoder heads go through
+    together, their weights as one (2, 4) strided view of params.
     """
+    if kind not in ("elbo", "iwae"):
+        raise ParseError(f"unknown objective kind {kind!r}")
     xs = np.asarray(xs, dtype=float)
     eps = np.asarray(eps, dtype=float)
     B, K = eps.shape
@@ -252,37 +284,39 @@ def iw_objective_and_grad(
     )
 
     if kind == "iwae":
-        shifted = logR - logR.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        w = expd / expd.sum(axis=1, keepdims=True)
-        value = float(np.mean(logsumexp(logR, axis=1) - math.log(K)))
+        lse = logsumexp(logR, axis=1)
+        g_logR = np.exp(logR - lse[:, None]) / B
+        value = float(np.mean(lse - math.log(K)))
     else:
-        w = np.full_like(logR, 1.0 / K)
+        g_logR = 1.0 / (B * K)
         value = float(logR.mean())
 
-    g_logR = w / B
-    # Decoder path.
-    g_m = g_logR * resid / decoder_var
-    dw2 = params[26:30]
-    g_ad = (g_m[..., None] * dw2) * (hd > 0.0)
-    grad = np.zeros(VAE_PARAM_COUNT)
-    grad[26:30] = np.einsum("bk,bkh->h", g_m, hd)
+    grad = np.empty(VAE_PARAM_COUNT)
+    # Decoder path over the B K draws.
+    g_m = (resid * (g_logR / decoder_var)).ravel()
+    grad[26:30] = hd @ g_m
     grad[30] = g_m.sum()
-    grad[18:22] = np.einsum("bkh,bk->h", g_ad, z)
-    grad[22:26] = g_ad.sum(axis=(0, 1))
-    # Latent path: explicit -z^2/2 plus the decoder sensitivity.
-    g_z = g_ad @ params[18:22] - g_logR * z
-    g_mu = g_z.sum(axis=1)
-    g_t = (g_z * eps).sum(axis=1) * sg + g_logR.sum(axis=1)
-    # Encoder heads and trunk.
-    wmu, wls = params[8:12], params[13:17]
-    grad[8:12] = g_mu @ h
-    grad[12] = g_mu.sum()
-    grad[13:17] = g_t @ h
-    grad[17] = g_t.sum()
-    g_a = (g_mu[:, None] * wmu + g_t[:, None] * wls) * (h > 0.0)
-    grad[0:4] = xs @ g_a
-    grad[4:8] = g_a.sum(axis=0)
+    g_ad = np.multiply.outer(params[26:30], g_m)
+    g_ad *= hd > 0.0
+    grad[18:22] = g_ad @ z.ravel()
+    grad[22:26] = g_ad.sum(axis=1)
+    # Latent path: explicit -z^2/2 plus the decoder sensitivity.  G holds
+    # g_mu and g_t per datapoint; the +t term of log R adds each
+    # datapoint's total weight, 1/B, to g_t.
+    g_z = (params[18:22] @ g_ad).reshape(B, K) - g_logR * z
+    G = np.empty((2, B))
+    np.einsum("bk->b", g_z, out=G[0])
+    np.multiply(np.einsum("bk,bk->b", g_z, eps), sg, out=G[1])
+    G[1] += 1.0 / B
+    # Encoder heads, [w_mu, b_mu] and [w_ls, b_ls] as one (2, 5) view.
+    heads, g_heads = params[8:18].reshape(2, 5), grad[8:18].reshape(2, 5)
+    g_heads[:, :4] = G @ h.T
+    g_heads[:, 4] = G.sum(axis=1)
+    # Encoder trunk.
+    g_a = heads[:, :4].T @ G
+    g_a *= h > 0.0
+    grad[0:4] = g_a @ xs
+    grad[4:8] = g_a.sum(axis=1)
     return value, grad
 
 
@@ -302,12 +336,13 @@ def cnet_objective_and_grad(
     expterm = np.exp(np.minimum(log_r_hat - c, EXP_SATURATION))
     value = float(np.mean(c - 1.0 + expterm))
     g_c = (1.0 - expterm) / xs.size
-    grad = np.zeros(CNET_PARAM_COUNT)
-    grad[8:12] = g_c @ h
+    grad = np.empty(CNET_PARAM_COUNT)
+    grad[8:12] = h @ g_c
     grad[12] = g_c.sum()
-    g_a = (g_c[:, None] * cparams[8:12]) * (h > 0.0)
-    grad[0:4] = xs @ g_a
-    grad[4:8] = g_a.sum(axis=0)
+    g_a = np.multiply.outer(cparams[8:12], g_c)
+    g_a *= h > 0.0
+    grad[0:4] = g_a @ xs
+    grad[4:8] = g_a.sum(axis=1)
     return value, grad
 
 
@@ -338,41 +373,46 @@ def train(
 ) -> TrainResult:
     """Plain SGD on the negative objective; sequential over shuffled batches.
 
-    Raises DivergenceDetected the moment the loss or a parameter goes
-    non-finite.  lr = 0 leaves the parameters bit-identical.
+    Each epoch draws a permutation of the data, then all of its eps as one
+    standard_normal((n, K)) block, C order, so batch j takes rows
+    [j batch, (j + 1) batch) of it: the same draws as one call per batch,
+    at O(n K) memory.  Raises DivergenceDetected the moment the loss or a
+    parameter goes non-finite.  lr = 0 leaves the parameters bit-identical.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise InvalidParams("training data is empty")
-    if lr < 0.0 or batch < 1 or epochs < 0:
+    if not (0.0 <= lr < math.inf) or batch < 1 or epochs < 0:
         raise InvalidParams(f"bad training config: epochs={epochs} batch={batch} lr={lr}")
     params = model.params.copy()
     rng = generator(seed)
     history: list[float] = []
     n = data.size
-    for epoch in range(epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch):
-            xs = data[perm[start:start + batch]]
-            eps = rng.standard_normal((xs.size, objective.k))
-            # Overflow here is the divergence signal, detected just below.
-            with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow here is the divergence signal, detected just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            shuffled = data[rng.permutation(n)]
+            eps = rng.standard_normal((n, objective.k))
+            epoch_loss = 0.0
+            for start in range(0, n, batch):
+                xs = shuffled[start:start + batch]
                 value, grad = iw_objective_and_grad(
-                    params, model.decoder_var, xs, eps, objective.kind
+                    params, model.decoder_var, xs, eps[start:start + batch],
+                    objective.kind,
                 )
-            if not math.isfinite(value):
-                raise DivergenceDetected(
-                    f"non-finite loss at epoch {epoch}, batch start {start}"
-                )
-            if lr != 0.0:
-                params = params + lr * grad
-                if not np.isfinite(params).all():
+                if not math.isfinite(value):
                     raise DivergenceDetected(
-                        f"non-finite parameters at epoch {epoch}, batch start {start}"
+                        f"non-finite loss at epoch {epoch}, batch start {start}"
                     )
-            epoch_loss += -value * xs.size
-        history.append(epoch_loss / n)
+                if lr != 0.0:
+                    params = params + lr * grad
+                    if not np.isfinite(params).all():
+                        raise DivergenceDetected(
+                            f"non-finite parameters at epoch {epoch}, "
+                            f"batch start {start}"
+                        )
+                epoch_loss += -value * xs.size
+            history.append(epoch_loss / n)
     return TrainResult(ToyVae(params, model.decoder_var), history)
 
 
@@ -418,7 +458,7 @@ def train_cnet(
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise InvalidParams("cnet training data is empty")
-    if k < 1 or n_pairs < 1 or lr < 0.0 or epochs < 0:
+    if k < 1 or n_pairs < 1 or not (0.0 <= lr < math.inf) or epochs < 0:
         raise InvalidParams(
             f"bad cnet config: k={k} n_pairs={n_pairs} epochs={epochs} lr={lr}"
         )

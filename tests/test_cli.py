@@ -295,6 +295,19 @@ class TestVaePipeline:
                     "--loss-out", str(tmp_path / "l.csv")])
         assert code == 5
 
+    @pytest.mark.parametrize("command,lr", [("train", "nan"), ("train", "inf"),
+                                            ("train-cnet", "nan")])
+    def test_non_finite_lr_exits_2(self, tmp_path, capsys, command, lr):
+        model = str(tmp_path / "v.ckpt")
+        save_model(model, ToyVae.init(5, 0.04))
+        out = tmp_path / "out.ckpt"
+        args = ["vae", command, "--epochs", "2", "--n", "40", "--lr", lr,
+                "--out", str(out), "--loss-out", str(tmp_path / "l.csv")]
+        code = run(args + (["--model", model] if command == "train-cnet" else []))
+        assert code == 2
+        assert f"lr={lr}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_cnet_requires_model(self, tmp_path):
         assert run(["vae", "train-cnet", "--model", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path / "c.ckpt"),

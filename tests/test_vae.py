@@ -11,8 +11,9 @@ from gapsandwich.errors import (
     DivergenceDetected,
     InvalidParams,
     NonPositiveSample,
+    ParseError,
 )
-from gapsandwich import vae
+from gapsandwich import vae, verify
 from gapsandwich.rng import generator
 from gapsandwich.vae import (
     CNET_PARAM_COUNT,
@@ -130,7 +131,8 @@ class TestReluLayer:
         x = rng.standard_normal(shape)
         w, b = rng.standard_normal(4), rng.standard_normal(4)
         h = _relu_layer(x, w, b)
-        np.testing.assert_array_equal(h, np.maximum(x[..., None] * w + b, 0.0))
+        broadcast = np.maximum(x[..., None] * w + b, 0.0)
+        np.testing.assert_array_equal(h, broadcast.reshape(-1, 4).T)
         assert h.flags.c_contiguous
 
 
@@ -260,6 +262,12 @@ class TestGradients:
                       - iw_objective_and_grad(pm, 0.3, xs, eps, kind)[0]) / (2 * h)
                 assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
+    def test_unknown_kind_is_a_parse_error(self):
+        eps = generator(125).standard_normal((4, 5))
+        with pytest.raises(ParseError, match="iwea"):
+            iw_objective_and_grad(ToyVae.init(126).params, 0.3, np.zeros(4), eps,
+                                  "iwea")
+
     def test_cnet_gradient_matches_finite_differences(self):
         rng = generator(124)
         h = 1e-5
@@ -276,7 +284,57 @@ class TestGradients:
             assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
+class TestGradientOracle:
+    """verify's vae-gradient-oracle at the seeds where the finite
+    differences, not the gradients, were at fault: round-off on gradients
+    near 1e-8 at 13 and 45, a step across a ReLU kink at 75."""
+
+    @pytest.mark.parametrize("seed", [13, 45, 75])
+    def test_passes(self, seed):
+        assert verify.check_vae_gradients(seed, 1).passed
+
+    @pytest.mark.parametrize("seed", [13, 45, 75])
+    def test_catches_a_one_percent_gradient_error(self, seed, monkeypatch):
+        exact = vae.iw_objective_and_grad
+
+        def planted(*args):
+            value, grad = exact(*args)
+            return value, grad * 1.01
+
+        monkeypatch.setattr(vae, "iw_objective_and_grad", planted)
+        assert not verify.check_vae_gradients(seed, 1).passed
+
+
 class TestTrain:
+    def test_epoch_draw_is_the_per_batch_draws(self):
+        # Reference: one rng.standard_normal((batch size, K)) per batch.  23
+        # datapoints in batches of 5 leave a last batch of 3, and the second
+        # epoch's permutation follows the first epoch's draws.
+        model = ToyVae.init(3)
+        data = sample(Laplace(0.0, 0.2), 23, 4)
+        objective, lr = Objective("iwae", 3), 0.05
+        result = train(model, data, objective, epochs=2, batch=5, lr=lr, seed=5)
+        params, rng, history = model.params.copy(), generator(5), []
+        for _ in range(2):
+            perm = rng.permutation(data.size)
+            loss = 0.0
+            for start in range(0, data.size, 5):
+                xs = data[perm[start:start + 5]]
+                eps = rng.standard_normal((xs.size, objective.k))
+                value, grad = iw_objective_and_grad(params, model.decoder_var, xs,
+                                                    eps, objective.kind)
+                params = params + lr * grad
+                loss += -value * xs.size
+            history.append(loss / data.size)
+        np.testing.assert_array_equal(result.model.params, params)
+        assert result.loss_history == history
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr_is_an_input_error(self, lr):
+        with pytest.raises(InvalidParams, match="lr="):
+            train(ToyVae.init(3), np.zeros(8), Objective("elbo"), epochs=1,
+                  batch=4, lr=lr, seed=5)
+
     def test_zero_lr_leaves_parameters_bit_identical(self):
         model = ToyVae.init(3)
         data = sample(Laplace(0.0, 0.2), 200, 4)
@@ -323,6 +381,12 @@ class TestTrainCNet:
         result = train_cnet(cnet, model, np.ones(8), k=1, n_pairs=1,
                             epochs=2, lr=0.0, seed=15)
         np.testing.assert_array_equal(result.cnet.params, cnet.params)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr_is_an_input_error(self, lr):
+        with pytest.raises(InvalidParams, match="lr="):
+            train_cnet(CNet.init(14), zero_model(), np.ones(8), k=1, n_pairs=1,
+                       epochs=1, lr=lr, seed=15)
 
     def test_underflowing_ratios_give_a_finite_loss(self):
         # A near-deterministic decoder far from the data: every ratio of
