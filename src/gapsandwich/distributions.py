@@ -29,7 +29,8 @@ class AnalyticDist:
 
     kind: ClassVar[str]
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Overwrite the float64 vector out with out.size i.i.d. draws."""
         raise NotImplementedError
 
     @property
@@ -60,8 +61,8 @@ class Constant(AnalyticDist):
         if not math.isfinite(self.c) or self.c <= 0.0:
             raise InvalidParams(f"constant c must be positive, got {self.c}")
 
-    def draw(self, rng, n):
-        return np.full(n, self.c, dtype=float)
+    def fill(self, rng, out):
+        out.fill(self.c)
 
     @property
     def mean(self):
@@ -88,8 +89,9 @@ class Gamma(AnalyticDist):
                 f"gamma needs a>0 and theta>0, got a={self.a}, theta={self.theta}"
             )
 
-    def draw(self, rng, n):
-        return self.theta * rng.standard_gamma(self.a, n)
+    def fill(self, rng, out):
+        rng.standard_gamma(self.a, out=out)
+        out *= self.theta
 
     @property
     def mean(self):
@@ -119,8 +121,11 @@ class LogNormal(AnalyticDist):
                 f"lognormal needs finite m and sigma>0, got m={self.m}, sigma={self.sigma}"
             )
 
-    def draw(self, rng, n):
-        return np.exp(self.m + self.sigma * rng.standard_normal(n))
+    def fill(self, rng, out):
+        rng.standard_normal(out=out)
+        out *= self.sigma
+        out += self.m
+        np.exp(out, out=out)
 
     @property
     def mean(self):
@@ -147,8 +152,10 @@ class UniformPos(AnalyticDist):
                 f"uniform needs 0 < lo < hi, got lo={self.lo}, hi={self.hi}"
             )
 
-    def draw(self, rng, n):
-        return self.lo + (self.hi - self.lo) * rng.random(n)
+    def fill(self, rng, out):
+        rng.random(out=out)
+        out *= self.hi - self.lo
+        out += self.lo
 
     @property
     def mean(self):
@@ -181,9 +188,17 @@ class Laplace(AnalyticDist):
                 f"laplace needs finite loc and b>0, got loc={self.loc}, b={self.b}"
             )
 
-    def draw(self, rng, n):
-        u = rng.random(n) - 0.5
-        return self.loc - self.b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    def fill(self, rng, out):
+        # loc - (b sign(u)) log1p(-2 |u|), with u = U(0, 1) - 0.5.
+        rng.random(out=out)
+        out -= 0.5
+        scale = np.sign(out)
+        scale *= self.b
+        np.abs(out, out=out)
+        out *= -2.0
+        np.log1p(out, out=out)
+        out *= scale
+        np.subtract(self.loc, out, out=out)
 
     @property
     def mean(self):
@@ -194,11 +209,21 @@ class Laplace(AnalyticDist):
         return -np.abs(x - self.loc) / self.b - math.log(2.0 * self.b)
 
 
-def sample(d: AnalyticDist, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws, bit-identical for fixed (d, n, seed)."""
+def sample(d: AnalyticDist, n: int, seed: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """n i.i.d. draws, bit-identical for fixed (d, n, seed).
+
+    With out, a C-contiguous float64 vector of n elements, the draws are
+    written there and out is returned; otherwise a new array is.
+    """
     if n < 1:
         raise InvalidParams(f"n must be >= 1, got {n}")
-    return d.draw(generator(seed), n)
+    if out is None:
+        out = np.empty(n)
+    elif out.shape != (n,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise InvalidParams(f"out must be a contiguous float64 vector of {n}")
+    d.fill(generator(seed), out)
+    return out
 
 
 def k_averaged_law(d: AnalyticDist, k: int) -> AnalyticDist | None:

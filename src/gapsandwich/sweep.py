@@ -1,16 +1,20 @@
 """Orchestration: paired sampling, k-sweeps, replications, CSV output.
 
-Every (k, replication) cell derives its own seed and draws its 2*n_pairs*k
-fresh values in fixed chunks of about CHUNK_DRAWS raw draws; chunk j uses the
-stream derive_key(cell_seed, j) and is reduced to pairs at once, so a cell
-holds O(n_pairs) memory whatever k is.  Results are bit-identical for a given
-config regardless of thread count or execution order.
+The (k, replication) cells run one after another.  Each cell derives its own
+seed and draws its 2*n_pairs*k fresh values in fixed chunks of about
+CHUNK_DRAWS raw draws; chunk j uses the stream derive_key(cell_seed, j).  A
+cell's chunks are the tasks of one thread pool: each task draws in place into
+a raw buffer that the cell allocated for one worker, and writes its block
+means straight into its own slice of the cell's lx and d vectors.  A cell
+therefore holds O(n_pairs + threads * CHUNK_DRAWS) floats whatever k is, and
+its results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -111,14 +115,17 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SampleSource:
-    """A named sampler of positive values."""
+    """A named sampler of positive values: draw(out, seed) overwrites the
+    contiguous float64 vector out with draws from the stream of seed.  It
+    may be called from several threads at once, each with its own out."""
 
     name: str
-    draw: Callable[[int, int], np.ndarray]
+    draw: Callable[[np.ndarray, int], None]
 
 
 def dist_source(d: AnalyticDist) -> SampleSource:
-    return SampleSource(name=d.spec_string(), draw=lambda n, seed: sample(d, n, seed))
+    return SampleSource(name=d.spec_string(),
+                        draw=lambda out, seed: sample(d, out.size, seed, out))
 
 
 @dataclass(frozen=True)
@@ -151,9 +158,10 @@ class SweepResult:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Thread count: explicit arg wins, then the env var (0 = auto)."""
+    """Thread count: explicit arg wins, then the env var; 0, the default, is
+    auto: the CPUs this process may run on."""
     if threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
+        raw = os.environ.get(THREADS_ENV, "0")
         try:
             threads = int(raw)
         except ValueError:
@@ -161,31 +169,60 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads < 0:
         raise ParseError(f"thread count ({THREADS_ENV}) must be >= 0, got {threads}")
     if threads == 0:
-        threads = os.cpu_count() or 1
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # sched_getaffinity is not on every platform
+            threads = os.cpu_count() or 1
     return threads
 
 
-def _cell_pairs(source: SampleSource, seed: int, k: int, n_pairs: int) -> PairedSamples:
-    """One cell's pairs; chunk j is drawn from derive_key(seed, j).  Kept
-    apart from _run_cell so the per-chunk vectors are freed before the
-    bounds run."""
+def _cell_pairs(source: SampleSource, seed: int, k: int, n_pairs: int,
+                threads: int) -> PairedSamples:
+    """One cell's pairs; chunk j is drawn from derive_key(seed, j).
+
+    The chunks run on min(threads, chunks) workers, inline when that is 1.
+    Each worker gets one raw buffer, allocated here and handed over through
+    a queue, so a pool thread allocates nothing of a chunk's size.  Chunk j
+    writes pairs [j per_chunk, (j + 1) per_chunk) of lx and d.
+    """
     per_chunk = max(1, CHUNK_DRAWS // (2 * k))
-    lx, d = [], []
-    for j, start in enumerate(range(0, n_pairs, per_chunk)):
-        m = min(per_chunk, n_pairs - start)
+    n_chunks = -(-n_pairs // per_chunk)
+    workers = min(threads, n_chunks)
+    lx, d = np.empty(n_pairs), np.empty(n_pairs)
+    buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(2 * min(per_chunk, n_pairs) * k))
+
+    def draw_chunk(j: int) -> None:
+        start = j * per_chunk
+        stop = min(start + per_chunk, n_pairs)
+        buf = buffers.get()
         try:
-            raw = source.draw(2 * m * k, derive_key(seed, j))
-        except Exception as exc:  # noqa: BLE001 - contract: wrap source errors
-            raise SourceFailure(f"source {source.name!r} failed: {exc}") from exc
-        chunk = paired_from_halves(np.asarray(raw, dtype=float), k)
-        lx.append(chunk.lx)
-        d.append(chunk.d)
-    return PairedSamples(np.concatenate(lx), np.concatenate(d), k=k)
+            raw = buf[:2 * (stop - start) * k]
+            try:
+                source.draw(raw, derive_key(seed, j))
+            except Exception as exc:  # noqa: BLE001 - contract: wrap source errors
+                raise SourceFailure(f"source {source.name!r} failed: {exc}") from exc
+            paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
+        finally:
+            buffers.put(buf)
+
+    if workers == 1:
+        for j in range(n_chunks):
+            draw_chunk(j)
+    else:
+        # map raises the first failure in chunk order and cancels the chunks
+        # not yet started; leaving the block joins the workers.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(draw_chunk, range(n_chunks)):
+                pass
+    return PairedSamples(lx, d, k=k)
 
 
-def _run_cell(source: SampleSource, cfg: SweepConfig, k: int, rep: int) -> SweepRow:
+def _run_cell(source: SampleSource, cfg: SweepConfig, k: int, rep: int,
+              threads: int) -> SweepRow:
     seed = derive_key(cfg.base_seed, rep, k)
-    c, working = apply_c_policy(_cell_pairs(source, seed, k, cfg.n_pairs),
+    c, working = apply_c_policy(_cell_pairs(source, seed, k, cfg.n_pairs, threads),
                                 cfg.c_policy)
     return SweepRow(k=k, replication=rep, seed=seed, report=sandwich(working, c))
 
@@ -193,18 +230,16 @@ def _run_cell(source: SampleSource, cfg: SweepConfig, k: int, rep: int) -> Sweep
 def run_sweep(
     source: SampleSource, cfg: SweepConfig, threads: int | None = None
 ) -> SweepResult:
-    """Run every (k, replication) cell and aggregate per k.
+    """Run every (k, replication) cell, one after another, and aggregate
+    per k.
 
-    Deterministic in cfg: cells use derived seeds, and results are placed by
-    index, so any thread count gives the same SweepResult.
+    Deterministic in cfg: cells use derived seeds and chunks derived
+    streams, and each chunk writes its own slice of its cell, so any thread
+    count gives the same SweepResult.
     """
-    cells = [(k, r) for k in cfg.k_values for r in range(cfg.replications)]
     nthreads = resolve_threads(threads)
-    if nthreads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            rows = list(pool.map(lambda kr: _run_cell(source, cfg, *kr), cells))
-    else:
-        rows = [_run_cell(source, cfg, k, r) for k, r in cells]
+    rows = [_run_cell(source, cfg, k, r, nthreads)
+            for k in cfg.k_values for r in range(cfg.replications)]
 
     aggregates = []
     for k in cfg.k_values:

@@ -46,6 +46,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # activations stay cache-sized.  Results do not depend on it.
 BLOCK_RATIOS = 1 << 15
 
+# Most normals train draws in one call: an epoch draws its eps in groups of
+# max(1, TRAIN_DRAW_NORMALS // (batch K)) whole batches.  numpy fills normals
+# in C order, so results do not depend on it.
+TRAIN_DRAW_NORMALS = 1 << 20
+
 CHECKPOINT_MAGIC = b"GSVAE001"
 CHECKPOINT_VERSION = 1
 
@@ -373,11 +378,13 @@ def train(
 ) -> TrainResult:
     """Plain SGD on the negative objective; sequential over shuffled batches.
 
-    Each epoch draws a permutation of the data, then all of its eps as one
-    standard_normal((n, K)) block, C order, so batch j takes rows
-    [j batch, (j + 1) batch) of it: the same draws as one call per batch,
-    at O(n K) memory.  Raises DivergenceDetected the moment the loss or a
-    parameter goes non-finite.  lr = 0 leaves the parameters bit-identical.
+    Each epoch draws a permutation of the data, then its eps in groups of
+    whole batches, one standard_normal((rows, K)) call in C order per group
+    of at most TRAIN_DRAW_NORMALS normals (or of one batch, if a batch has
+    more): the same draws as one call per batch or per epoch, in
+    O(max(batch K, TRAIN_DRAW_NORMALS)) memory.  Raises DivergenceDetected
+    the moment the loss or a parameter goes non-finite.  lr = 0 leaves the
+    parameters bit-identical.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -388,16 +395,19 @@ def train(
     rng = generator(seed)
     history: list[float] = []
     n = data.size
+    group = batch * max(1, TRAIN_DRAW_NORMALS // (batch * objective.k))
     # Overflow here is the divergence signal, detected just below.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             shuffled = data[rng.permutation(n)]
-            eps = rng.standard_normal((n, objective.k))
             epoch_loss = 0.0
             for start in range(0, n, batch):
+                at = start % group
+                if at == 0:
+                    eps = rng.standard_normal((min(group, n - start), objective.k))
                 xs = shuffled[start:start + batch]
                 value, grad = iw_objective_and_grad(
-                    params, model.decoder_var, xs, eps[start:start + batch],
+                    params, model.decoder_var, xs, eps[at:at + batch],
                     objective.kind,
                 )
                 if not math.isfinite(value):

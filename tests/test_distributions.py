@@ -16,6 +16,7 @@ from gapsandwich.distributions import (
     sample,
 )
 from gapsandwich.errors import InvalidParams, ParseError
+from gapsandwich.rng import generator
 
 N = 200_000
 
@@ -87,6 +88,11 @@ class TestLaplaceLoglik:
         assert abs(vals.mean() - laplace_loglik(0.0, 0.2)) <= 4.0 * se
 
 
+def _laplace_reference(uniform):
+    u = uniform - 0.5
+    return 0.1 - 0.2 * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
 class TestSampling:
     def test_constant(self):
         np.testing.assert_array_equal(sample(Constant(3.0), 2, 0), [3.0, 3.0])
@@ -123,6 +129,32 @@ class TestSampling:
     def test_invalid_n(self):
         with pytest.raises(InvalidParams):
             sample(Constant(1.0), 0, 0)
+
+    # The out-of-place draw formulas; fill computes the same operations in
+    # place and must give the same bits.
+    REFERENCE = [
+        (Constant(3.0), lambda rng, n: np.full(n, 3.0)),
+        (Gamma(0.5, 2.0), lambda rng, n: 2.0 * rng.standard_gamma(0.5, n)),
+        (LogNormal(0.3, 1.5),
+         lambda rng, n: np.exp(0.3 + 1.5 * rng.standard_normal(n))),
+        (UniformPos(0.5, 1.5), lambda rng, n: 0.5 + (1.5 - 0.5) * rng.random(n)),
+        (Laplace(0.1, 0.2), lambda rng, n: _laplace_reference(rng.random(n))),
+    ]
+
+    @pytest.mark.parametrize("d, reference", REFERENCE,
+                             ids=[d.kind for d, _ in REFERENCE])
+    def test_fill_is_the_out_of_place_formula(self, d, reference):
+        expected = reference(generator(41), 1001)
+        np.testing.assert_array_equal(sample(d, 1001, 41), expected)
+        buf = np.full(1001, np.nan)
+        assert sample(d, 1001, 41, out=buf) is buf
+        np.testing.assert_array_equal(buf, expected)
+
+    @pytest.mark.parametrize("out", [np.empty(9), np.empty(20)[::2],
+                                     np.empty(10, dtype=np.float32)])
+    def test_out_must_be_a_contiguous_float_vector_of_n(self, out):
+        with pytest.raises(InvalidParams, match="out"):
+            sample(Gamma(2.0, 1.0), 10, 0, out=out)
 
 
 class TestKAveragedLaw:

@@ -1,11 +1,14 @@
 import csv
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gapsandwich import verify
+from gapsandwich import sweep, verify
 from gapsandwich.bounds import optimal_c, sandwich
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError, SourceFailure
@@ -138,7 +141,7 @@ class TestRunSweep:
         assert math.isfinite(rep.lower_mean) and math.isfinite(rep.upper_mean)
 
     def test_source_failure_is_wrapped(self):
-        def broken(n, seed):
+        def broken(out, seed):
             raise RuntimeError("backend down")
 
         cfg = SweepConfig(k_values=(1,), n_pairs=10, replications=1, base_seed=6)
@@ -161,8 +164,8 @@ class TestChunkedCells:
         row = run_sweep(source, cfg, threads=1).rows[0]
         assert row.seed == derive_key(11, 0, self.K)
         chunks = [
-            paired_from_halves(source.draw(2 * m * self.K, derive_key(row.seed, j)),
-                               self.K)
+            paired_from_halves(sample(LogNormal(0.0, 1.0), 2 * m * self.K,
+                                      derive_key(row.seed, j)), self.K)
             for j, m in enumerate((self.PER_CHUNK, self.PER_CHUNK, 37))
         ]
         expected = PairedSamples(np.concatenate([c.lx for c in chunks]),
@@ -179,11 +182,11 @@ class TestChunkedCells:
     def test_failure_in_a_later_chunk_is_wrapped(self):
         calls = []
 
-        def fails_second(n, seed):
+        def fails_second(out, seed):
             calls.append(seed)
             if len(calls) == 2:
                 raise RuntimeError("chunk two lost")
-            return np.ones(n)
+            out[:] = 1.0
 
         cfg = SweepConfig(k_values=(self.K,), n_pairs=self.PER_CHUNK + 1,
                           replications=1, base_seed=13)
@@ -212,13 +215,105 @@ class TestChunkedCells:
         cfg = SweepConfig(k_values=(64,), n_pairs=100_000, replications=1,
                           base_seed=14)
         source = dist_source(parse_dist(spec))
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                run_sweep(source, cfg, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, threads
+
+    @pytest.mark.parametrize("spec", ["gamma:a=2,theta=1", "lognormal:m=0,sigma=1",
+                                      "uniform:lo=0.5,hi=1.5"])
+    def test_cell_is_bitwise_identical_across_threads(self, spec):
+        # Six chunks, the last one short: at 2 and 3 threads the chunks run
+        # out of order and share the workers' buffers.
+        n_pairs = 5 * self.PER_CHUNK + 37
+        source = dist_source(parse_dist(spec))
+        seed = derive_key(16, 0, self.K)
+        ref = sweep._cell_pairs(source, seed, self.K, n_pairs, 1)
+        for threads in (2, 3):
+            pairs = sweep._cell_pairs(source, seed, self.K, n_pairs, threads)
+            assert pairs.lx.tobytes() == ref.lx.tobytes()
+            assert pairs.d.tobytes() == ref.d.tobytes()
+        last = paired_from_halves(sample(parse_dist(spec), 2 * 37 * self.K,
+                                         derive_key(seed, 5)), self.K)
+        assert ref.lx[-37:].tobytes() == last.lx.tobytes()
+
+    def test_first_failing_chunk_is_reported_and_the_pool_is_joined(self):
+        n_pairs = 6 * self.PER_CHUNK
+        cfg = SweepConfig(k_values=(self.K,), n_pairs=n_pairs, replications=1,
+                          base_seed=17)
+        seed = derive_key(17, 0, self.K)
+        chunk_of = {derive_key(seed, j): j for j in range(6)}
+
+        def flaky(out, key):
+            j = chunk_of[key]
+            if j == 2:
+                time.sleep(0.2)  # chunk 4 fails first in time
+                raise RuntimeError("chunk 2 lost")
+            if j == 4:
+                raise RuntimeError("chunk 4 lost")
+            out[:] = 1.0
+
+        before = set(threading.enumerate())
+        with pytest.raises(SourceFailure, match="chunk 2 lost"):
+            run_sweep(SampleSource("flaky", flaky), cfg, threads=2)
+        assert set(threading.enumerate()) <= before
+
+    def test_pairs_are_read_only_views_of_the_cell(self, monkeypatch):
+        written = []
+
+        def recording(raw, k, out=None):
+            written.extend(out)
+            return paired_from_halves(raw, k, out)
+
+        monkeypatch.setattr(sweep, "paired_from_halves", recording)
+        source = dist_source(Gamma(2.0, 1.0))
+        pairs = sweep._cell_pairs(source, 18, self.K, 3 * self.PER_CHUNK, 2)
+        assert len(written) == 6
+        for chunk_vector in written:
+            assert np.shares_memory(chunk_vector, pairs.lx) != np.shares_memory(
+                chunk_vector, pairs.d)
+        _, working = apply_c_policy(pairs, CPolicy("pilot-optimal"))
+        pilot = pairs.subset(0, 64)
+        for part in (pairs, working, pilot):
+            assert np.shares_memory(part.lx, pairs.lx)
+            assert np.shares_memory(part.d, pairs.d)
+            assert not part.lx.flags.writeable and not part.d.flags.writeable
+
+
+class TestWorkers:
+    """A cell runs its chunks on min(threads, chunks) workers, each with one
+    raw buffer; one worker means no pool."""
+
+    def test_workers_are_capped_by_the_chunks(self, monkeypatch):
+        sizes = []
+
+        class Recording(sweep.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sweep, "ThreadPoolExecutor", Recording)
+        per_chunk = CHUNK_DRAWS // (2 * 64)
+        source = dist_source(Gamma(2.0, 1.0))
+        sweep._cell_pairs(source, 19, 64, per_chunk, 8)
+        assert sizes == []
+        sweep._cell_pairs(source, 19, 64, 2 * per_chunk + 1, 8)
+        assert sizes == [3]
+
+    def test_one_chunk_cell_allocates_one_buffer(self):
+        # One raw buffer is CHUNK_DRAWS floats, 8 MB; eight would take 64 MB.
+        source = dist_source(Gamma(2.0, 1.0))
         tracemalloc.start()
         try:
-            run_sweep(source, cfg, threads=1)
+            sweep._cell_pairs(source, 20, 64, CHUNK_DRAWS // (2 * 64), 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert 8 * CHUNK_DRAWS <= peak < 12 * CHUNK_DRAWS
 
 
 class TestResolveThreads:
@@ -232,6 +327,10 @@ class TestResolveThreads:
         monkeypatch.setenv(THREADS_ENV, "0")
         assert resolve_threads() >= 1
         assert resolve_threads(0) == resolve_threads()
+
+    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        assert resolve_threads() == len(os.sched_getaffinity(0))
 
 
 class TestSweepCsv:
