@@ -48,7 +48,6 @@ from .vae import (
     evaluate,
     load_cnet,
     load_model,
-    log_r,
     save_cnet,
     save_model,
     train,
@@ -63,7 +62,7 @@ __all__ = [
     "dist_source", "evaluate", "gap_upper_first_order",
     "improved_upper", "jensen_lower", "k_averaged_law",
     "k_sample_pairs", "laplace_loglik", "load_cnet", "load_model",
-    "log_mean_exp", "log_r", "log_ratio_mean", "logsumexp",
+    "log_mean_exp", "log_ratio_mean", "logsumexp",
     "midpoint_evidence", "optimal_c", "optimal_h_check", "optimal_upper",
     "paired_from_halves", "parse_dist", "run_sweep", "sample", "sandwich",
     "save_cnet", "save_model", "tangent_family_g", "train", "train_cnet",

@@ -347,11 +347,13 @@ def _c_source(spec: str) -> vae.CNet | float:
 
 
 def _write_records_csv(path: str, result: vae.EvalResult, k: int) -> None:
+    # tolist gives Python floats, whose repr is the round-trip decimal.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(EVAL_RECORD_HEADER + "\n")
-        for rec in result.records:
-            fh.write(f"{rec.x!r},{rec.s!r},{rec.S!r},{rec.c!r},{rec.k}\n")
-        mean_c = float(np.mean([rec.c for rec in result.records]))
+        for x, s, S, c in zip(result.x.tolist(), result.s.tolist(),
+                              result.S.tolist(), result.c.tolist()):
+            fh.write(f"{x!r},{s!r},{S!r},{c!r},{result.k}\n")
+        mean_c = float(np.mean(result.c))
         fh.write(f"mean,{result.lower!r},{result.upper!r},{mean_c!r},{k}\n")
 
 

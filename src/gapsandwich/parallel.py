@@ -1,0 +1,80 @@
+"""Keyed chunks on a pool of threads.
+
+Every Monte Carlo pass in the package splits its work into chunks j = 0, 1,
+... whose boundaries and random streams depend on j alone, never on the
+thread count, and each chunk writes its results into its own slice of the
+caller's arrays.  map_chunks runs such chunks on a pool and hands every
+worker one scratch object, so a pass allocates its working buffers once, on
+the calling thread, and its results are bit-identical at any thread count.
+"""
+
+from __future__ import annotations
+
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence, TypeVar
+
+from .errors import ParseError
+
+THREADS_ENV = "GAPSANDWICH_THREADS"
+
+S = TypeVar("S")
+
+
+def resolve_threads(threads: int | None = None) -> int:
+    """Thread count: explicit arg wins, then the env var; 0, the default, is
+    auto: the CPUs this process may run on."""
+    if threads is None:
+        raw = os.environ.get(THREADS_ENV, "0")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ParseError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+    if threads < 0:
+        raise ParseError(f"thread count ({THREADS_ENV}) must be >= 0, got {threads}")
+    if threads == 0:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # sched_getaffinity is not on every platform
+            threads = os.cpu_count() or 1
+    return threads
+
+
+def worker_scratch(make: Callable[[], S], threads: int, n_chunks: int) -> list[S]:
+    """make() once per worker of a map over n_chunks chunks on at most
+    threads threads, called here, on the calling thread."""
+    return [make() for _ in range(min(threads, n_chunks))]
+
+
+def map_chunks(task: Callable[[int, S], None], n_chunks: int,
+               scratch: Sequence[S]) -> None:
+    """Run task(j, s) for every chunk j < n_chunks.
+
+    The chunks run on min(len(scratch), n_chunks) workers, inline when that
+    is 1.  s is one entry of scratch, which a worker holds for the whole
+    task, so no two running tasks share one.  The first failure in chunk
+    order is raised, the chunks not yet started are cancelled, and the pool
+    is joined before this returns or raises.
+    """
+    workers = min(len(scratch), n_chunks)
+    if workers <= 1:
+        for j in range(n_chunks):
+            task(j, scratch[0])
+        return
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    for s in scratch[:workers]:
+        free.put(s)
+
+    def run(j: int) -> None:
+        s = free.get()
+        try:
+            task(j, s)
+        finally:
+            free.put(s)
+
+    # map yields in chunk order and raises the first failure in that order;
+    # leaving the block cancels what has not started and joins the workers.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(run, range(n_chunks)):
+            pass

@@ -3,8 +3,8 @@
 The (k, replication) cells run one after another.  Each cell derives its own
 seed and draws its 2*n_pairs*k fresh values in fixed chunks of about
 CHUNK_DRAWS raw draws; chunk j uses the stream derive_key(cell_seed, j).  A
-cell's chunks are the tasks of one thread pool: each task draws in place into
-a raw buffer that the cell allocated for one worker, and writes its block
+cell's chunks run through parallel.map_chunks: each draws in place into the
+raw buffer that the cell allocated for its worker, and writes its block
 means straight into its own slice of the cell's lx and d vectors.  A cell
 therefore holds O(n_pairs + threads * CHUNK_DRAWS) floats whatever k is, and
 its results are bit-identical at any thread count.
@@ -13,9 +13,6 @@ its results are bit-identical at any thread count.
 from __future__ import annotations
 
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,10 +21,9 @@ import numpy as np
 from .bounds import BoundReport, optimal_c, sandwich
 from .distributions import AnalyticDist, sample
 from .errors import ParseError, SourceFailure
+from .parallel import map_chunks, resolve_threads, worker_scratch
 from .rng import derive_key
 from .samples import PairedSamples, paired_from_halves
-
-THREADS_ENV = "GAPSANDWICH_THREADS"
 
 # Raw draws per chunk of a cell.  Part of the stream scheme: changing it
 # changes every sweep result for a given seed.
@@ -157,65 +153,28 @@ class SweepResult:
     aggregates: tuple[KAggregate, ...]
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Thread count: explicit arg wins, then the env var; 0, the default, is
-    auto: the CPUs this process may run on."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ParseError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if threads < 0:
-        raise ParseError(f"thread count ({THREADS_ENV}) must be >= 0, got {threads}")
-    if threads == 0:
-        try:
-            threads = len(os.sched_getaffinity(0))
-        except AttributeError:  # sched_getaffinity is not on every platform
-            threads = os.cpu_count() or 1
-    return threads
-
-
 def _cell_pairs(source: SampleSource, seed: int, k: int, n_pairs: int,
                 threads: int) -> PairedSamples:
-    """One cell's pairs; chunk j is drawn from derive_key(seed, j).
-
-    The chunks run on min(threads, chunks) workers, inline when that is 1.
-    Each worker gets one raw buffer, allocated here and handed over through
-    a queue, so a pool thread allocates nothing of a chunk's size.  Chunk j
-    writes pairs [j per_chunk, (j + 1) per_chunk) of lx and d.
-    """
+    """One cell's pairs; chunk j is drawn from derive_key(seed, j) into a
+    worker's raw buffer, and writes pairs [j per_chunk, (j + 1) per_chunk)
+    of lx and d."""
     per_chunk = max(1, CHUNK_DRAWS // (2 * k))
     n_chunks = -(-n_pairs // per_chunk)
-    workers = min(threads, n_chunks)
     lx, d = np.empty(n_pairs), np.empty(n_pairs)
-    buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(np.empty(2 * min(per_chunk, n_pairs) * k))
 
-    def draw_chunk(j: int) -> None:
+    def draw_chunk(j: int, buf: np.ndarray) -> None:
         start = j * per_chunk
         stop = min(start + per_chunk, n_pairs)
-        buf = buffers.get()
+        raw = buf[:2 * (stop - start) * k]
         try:
-            raw = buf[:2 * (stop - start) * k]
-            try:
-                source.draw(raw, derive_key(seed, j))
-            except Exception as exc:  # noqa: BLE001 - contract: wrap source errors
-                raise SourceFailure(f"source {source.name!r} failed: {exc}") from exc
-            paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
-        finally:
-            buffers.put(buf)
+            source.draw(raw, derive_key(seed, j))
+        except Exception as exc:  # noqa: BLE001 - contract: wrap source errors
+            raise SourceFailure(f"source {source.name!r} failed: {exc}") from exc
+        paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
 
-    if workers == 1:
-        for j in range(n_chunks):
-            draw_chunk(j)
-    else:
-        # map raises the first failure in chunk order and cancels the chunks
-        # not yet started; leaving the block joins the workers.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(draw_chunk, range(n_chunks)):
-                pass
+    buffers = worker_scratch(lambda: np.empty(2 * min(per_chunk, n_pairs) * k),
+                             threads, n_chunks)
+    map_chunks(draw_chunk, n_chunks, buffers)
     return PairedSamples(lx, d, k=k)
 
 

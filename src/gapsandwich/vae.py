@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteParams,
     ParseError,
 )
+from .parallel import map_chunks, resolve_threads, worker_scratch
 from .rng import generator
 from .samples import PairedSamples
 
@@ -45,6 +46,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # max(1, BLOCK_RATIOS // draws per datapoint) datapoints, so its hidden
 # activations stay cache-sized.  Results do not depend on it.
 BLOCK_RATIOS = 1 << 15
+
+# Datapoints per keyed chunk in _ratio_estimates and evaluate: chunk j holds
+# datapoints [j CHUNK_POINTS, (j + 1) CHUNK_POINTS) and draws from its own
+# stream.  Part of the stream scheme: changing it changes every C-network
+# and evaluate result for a given seed.
+CHUNK_POINTS = 1024
 
 # Most normals train draws in one call: an epoch draws its eps in groups of
 # max(1, TRAIN_DRAW_NORMALS // (batch K)) whole batches.  numpy fills normals
@@ -147,23 +154,25 @@ class Objective:
 # Forward passes (vectorized over any leading batch shape)
 # ---------------------------------------------------------------------------
 
-def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Hidden ReLU activations of a scalar-input layer, unit-major.
 
     Returns a C-ordered (w.size, N) array over the N = x.size inputs taken
-    in C order: row j is unit j, bit for bit the transpose of
-    np.maximum(x.reshape(-1, 1) * w + b, 0.0).  With the units on the outer
-    axis, numpy's inner loop runs over the N inputs in every elementwise
-    pass and in every reduction over the units.
+    in C order, in out if given: row j is unit j, bit for bit the transpose
+    of np.maximum(x.reshape(-1, 1) * w + b, 0.0).  With the units on the
+    outer axis, numpy's inner loop runs over the N inputs in every
+    elementwise pass and in every reduction over the units.
     """
-    h = np.multiply.outer(w, x.ravel())
+    h = np.multiply.outer(w, x.ravel(), out=out)
     h += b[:, None]
     return np.maximum(h, 0.0, out=h)
 
 
-def _sum_units(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _sum_units(w: np.ndarray, h: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """w . h over the unit axis of (units, N) activations h, for a (units,)
-    or a (J, units) w.
+    or a (J, units) w; a given out receives the result when N > 1.
 
     einsum loops over the N columns and adds the units in order,
     ((w0 h0 + w1 h1) + w2 h2) + w3 h3, so a column's value does not depend
@@ -174,7 +183,7 @@ def _sum_units(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     """
     if h.shape[1] == 1:
         return np.einsum("...h,hn->...n", w, np.repeat(h, 2, axis=1))[..., :1]
-    return np.einsum("...h,hn->...n", w, h)
+    return np.einsum("...h,hn->...n", w, h, out=out)
 
 
 def _encode(params: np.ndarray, x: np.ndarray):
@@ -187,10 +196,11 @@ def _encode(params: np.ndarray, x: np.ndarray):
     return h, mu.reshape(x.shape), t.reshape(x.shape)
 
 
-def _decode(params: np.ndarray, z: np.ndarray):
-    """Returns the (4, N) hidden hd and the decoded mean shaped like z."""
-    hd = _relu_layer(z, params[18:22], params[22:26])
-    m = _sum_units(params[26:30], hd)
+def _decode(params: np.ndarray, z: np.ndarray, hd_out=None, m_out=None):
+    """Returns the (4, N) hidden hd and the decoded mean shaped like z, in
+    hd_out and the flat m_out where given."""
+    hd = _relu_layer(z, params[18:22], params[22:26], hd_out)
+    m = _sum_units(params[26:30], hd, m_out)
     m += params[30]
     return hd, m.reshape(z.shape)
 
@@ -201,28 +211,16 @@ def _cnet_forward(params: np.ndarray, x: np.ndarray):
     return (_sum_units(params[8:12], h) + params[12]).reshape(x.shape), h
 
 
-def _gaussian_logpdf(x, mean, var):
-    return -0.5 * (_LOG_2PI + math.log(var)) - (x - mean) ** 2 / (2.0 * var)
+class _Workspace:
+    """One worker's scratch for the log-ratio kernel over up to size draws:
+    eps, z, the (4, size) decoder activations, m, log R and a temporary."""
+
+    def __init__(self, size: int) -> None:
+        self.eps, self.z, self.m, self.logR, self.tmp = np.empty((5, size))
+        self.hd = np.empty(HIDDEN * size)
 
 
-def log_r(model: ToyVae, x, z):
-    """log of the importance ratio p(x|z) p(z) / q(z|x).
-
-    x and z must broadcast against each other (e.g. scalar x with a vector
-    of z draws); scalars in give a scalar out.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    _, mu, t = _encode(model.params, x)
-    m = _decode(model.params, z)[1]
-    recon = _gaussian_logpdf(x, m, model.decoder_var)
-    prior = -0.5 * _LOG_2PI - 0.5 * z * z
-    log_q = -0.5 * _LOG_2PI - t - (z - mu) ** 2 / (2.0 * np.exp(2.0 * t))
-    out = recon + prior - log_q
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _log_r_reparam(params, decoder_var, x, eps):
+def _log_r_reparam(params, decoder_var, x, eps, ws: _Workspace | None = None):
     """log R at z = mu + exp(t) * eps, with the posterior term simplified to
     t + eps^2/2; exact as a function of (mu, t, eps).
 
@@ -233,20 +231,32 @@ def _log_r_reparam(params, decoder_var, x, eps):
     returns them: h is (4, B), and hd is (4, N) over the N = eps.size draws
     in C order.  This is the one log-ratio kernel: training, the C-network
     ratio estimates and evaluate all call it.
+
+    Given a workspace ws over at least eps.size draws, z, hd, m (then
+    resid), logR and the temporary go into its buffers instead of new
+    arrays, with the same operations in the same order, so the values are
+    bitwise the same and the returned arrays are views of ws.
     """
+    n = eps.size
+    if ws is None:
+        z_out = hd_out = m_out = logR_out = tmp_out = None
+    else:
+        z_out, logR_out, tmp_out = (buf[:n].reshape(eps.shape)
+                                    for buf in (ws.z, ws.logR, ws.tmp))
+        hd_out, m_out = ws.hd[:HIDDEN * n].reshape(HIDDEN, n), ws.m[:n]
     h, mu, t = _encode(params, x)
     sg = np.exp(t)
     trailing = (slice(None),) + (None,) * (eps.ndim - 1)
-    z = sg[trailing] * eps
+    z = np.multiply(sg[trailing], eps, out=z_out)
     z += mu[trailing]
-    hd, m = _decode(params, z)
+    hd, m = _decode(params, z, hd_out, m_out)
     resid = np.subtract(x[trailing], m, out=m)
     # logR = C - resid^2 / (2 var) - z z / 2 + t + eps eps / 2, left to
     # right, in two buffers.
-    logR = resid * resid
+    logR = np.multiply(resid, resid, out=logR_out)
     logR /= 2.0 * decoder_var
     np.subtract(-0.5 * (_LOG_2PI + math.log(decoder_var)), logR, out=logR)
-    half_sq = 0.5 * z
+    half_sq = np.multiply(0.5, z, out=tmp_out)
     half_sq *= z
     logR -= half_sq
     logR += t[trailing]
@@ -426,30 +436,73 @@ def train(
     return TrainResult(ToyVae(params, model.decoder_var), history)
 
 
+def _workspaces(draws: int, n: int, threads: int) -> list[_Workspace]:
+    """The workers' workspaces for a pass over n datapoints of draws
+    log-ratios each.  Each holds max(BLOCK_RATIOS, draws) draws, whatever
+    the block, so a pass holds O(threads BLOCK_RATIOS) floats whatever k
+    is."""
+    size = max(BLOCK_RATIOS, draws)
+    return worker_scratch(lambda: _Workspace(size), threads, -(-n // CHUNK_POINTS))
+
+
+def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
+                workspaces: list[_Workspace], step) -> None:
+    """Run step(start, stop, eps, ws) on every block of the datapoints
+    [0, n), with eps of shape (stop - start, *trailing) in the worker's
+    workspace ws.
+
+    Chunk j holds datapoints [j CHUNK_POINTS, (j + 1) CHUNK_POINTS) and
+    fills its blocks' eps in order, in C order, from generator(*stream, j).
+    numpy fills normals in C order, so the draws do not depend on the block
+    size, and a datapoint's draws depend only on its index.  The chunks run
+    through map_chunks, and each step writes only its own datapoints'
+    results.  Floating-point warnings are off: callers check the results.
+    """
+    draws = math.prod(trailing)
+    block = max(1, BLOCK_RATIOS // draws)
+
+    def chunk(j: int, ws: _Workspace) -> None:
+        rng = generator(*stream, j)
+        end = min((j + 1) * CHUNK_POINTS, n)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for start in range(j * CHUNK_POINTS, end, block):
+                stop = min(start + block, end)
+                eps = ws.eps[:(stop - start) * draws].reshape(stop - start, *trailing)
+                rng.standard_normal(out=eps)
+                step(start, stop, eps, ws)
+
+    map_chunks(chunk, -(-n // CHUNK_POINTS), workspaces)
+
+
 def _ratio_estimates(
     model: ToyVae,
     xs: np.ndarray,
     k: int,
     n_pairs: int,
-    rng: np.random.Generator,
+    seed: int,
+    epoch: int,
+    workspaces: list[_Workspace],
 ) -> np.ndarray:
     """Per-datapoint log r_hat(x), where r_hat(x) estimates
     E[mean_k R(x, z~) / mean_k R(x, z)] over n_pairs independent (z, z~)
     tuples, as a log-mean-exp so that no ratio under- or overflows.
 
-    Datapoints go through in blocks of max(1, BLOCK_RATIOS // (2 k n_pairs)),
-    each block drawing its eps from rng in order.  numpy fills normals in C
-    order, so the draws, and the result, do not depend on the block size.
-    Memory is O(BLOCK_RATIOS) for the activations plus O(n) for the result.
+    Datapoint i's (n_pairs, 2, k) normals come from its chunk's stream
+    derive_key(seed, epoch, j) (see _map_blocks), so the result depends on
+    neither the block size nor the thread count, and xs[:m] gives the first
+    m values.  workspaces come from _workspaces(2 k n_pairs, xs.size,
+    threads).  Memory is O(threads BLOCK_RATIOS) for the workspaces plus
+    O(n) for the result.
     """
-    block = max(1, BLOCK_RATIOS // (n_pairs * 2 * k))
     out = np.empty(xs.size)
-    for start in range(0, xs.size, block):
-        xb = xs[start:start + block]
-        eps = rng.standard_normal((xb.size, n_pairs, 2, k))
-        logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
+
+    def step(start: int, stop: int, eps: np.ndarray, ws: _Workspace) -> None:
+        logR, _, _ = _log_r_reparam(model.params, model.decoder_var,
+                                    xs[start:stop], eps, ws)
         lse = np.asarray(logsumexp(logR, axis=3))
-        out[start:start + block] = log_mean_exp(lse[:, :, 1] - lse[:, :, 0], axis=1)
+        out[start:stop] = log_mean_exp(lse[:, :, 1] - lse[:, :, 0], axis=1)
+
+    _map_blocks(xs.size, (n_pairs, 2, k), (seed, epoch), workspaces, step)
     return out
 
 
@@ -464,7 +517,10 @@ def train_cnet(
     seed: int,
 ) -> CNetTrainResult:
     """Full-batch gradient descent on the mean gap bound, with fresh
-    (z, z~) ratio estimates drawn every epoch."""
+    (z, z~) ratio estimates drawn every epoch from the streams
+    derive_key(seed, epoch, j).  The estimates run on resolve_threads()
+    threads, in workspaces allocated once per call, and the result is
+    bit-identical at any thread count."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise InvalidParams("cnet training data is empty")
@@ -473,11 +529,12 @@ def train_cnet(
             f"bad cnet config: k={k} n_pairs={n_pairs} epochs={epochs} lr={lr}"
         )
     cparams = cnet.params.copy()
-    rng = generator(seed)
+    workspaces = _workspaces(n_pairs * 2 * k, data.size, resolve_threads())
     history: list[float] = []
     for epoch in range(epochs):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_r_hat = _ratio_estimates(model, data, k, n_pairs, rng)
+            log_r_hat = _ratio_estimates(model, data, k, n_pairs, seed, epoch,
+                                         workspaces)
             value, grad = cnet_objective_and_grad(cparams, data, log_r_hat)
         if not math.isfinite(value):
             raise DivergenceDetected(f"non-finite cnet loss at epoch {epoch}")
@@ -502,9 +559,16 @@ class EvalRecord:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalResult:
-    records: tuple[EvalRecord, ...]
+    """Per-datapoint vectors x, s (the lower terms), S (the upper terms) and
+    c, the k they were drawn at, and their summary."""
+
+    x: np.ndarray
+    s: np.ndarray
+    S: np.ndarray
+    c: np.ndarray
+    k: int
     lower: float
     upper: float
     lower_stderr: float
@@ -516,6 +580,12 @@ class EvalResult:
     def width(self) -> float:
         return self.upper - self.lower
 
+    @property
+    def records(self) -> tuple[EvalRecord, ...]:
+        """The vectors as one EvalRecord per datapoint, built on access."""
+        return tuple(EvalRecord(*row, self.k) for row in zip(
+            self.x.tolist(), self.s.tolist(), self.S.tolist(), self.c.tolist()))
+
 
 def evaluate(
     model: ToyVae,
@@ -526,18 +596,19 @@ def evaluate(
 ) -> EvalResult:
     """Paired lower/upper evidence estimates, one pair per datapoint.
 
-    Datapoint i draws two independent k-tuples from q(.|x): the normals at
-    positions [2k i, 2k (i + 1)) of generator(seed), in C order.  The
-    records therefore do not depend on the block size, and data[:m] gives
-    the first m records of data.  Datapoint i's pair is lx = s = log mean R,
-    the IWAE bound, and d = log sum R~ - log sum R; bounds gives each
-    record's S = s + C - 1 + exp(d - C), the lower and upper means, their
-    stderrs and the saturation count.  A float C must be finite; non-finite
-    log-ratios raise NonPositiveSample.  elbo is the mean log R over the
-    primal draws.
+    Datapoint i draws two independent k-tuples from q(.|x): its (2, k)
+    normals come from its chunk's stream derive_key(seed, j) (see
+    _map_blocks).  The results therefore depend on neither the block size
+    nor the thread count, and data[:m] gives the first m of them.
+    Datapoint i's pair is lx = s = log mean R, the IWAE bound, and
+    d = log sum R~ - log sum R; bounds gives its S = s + C - 1 + exp(d - C),
+    the lower and upper means, their stderrs and the saturation count.  A
+    float C must be finite; non-finite log-ratios raise NonPositiveSample.
+    elbo is the mean log R over the primal draws.
 
-    Datapoints go through in blocks of max(1, BLOCK_RATIOS // 2k); memory is
-    O(BLOCK_RATIOS + n) whatever k is.
+    The chunks run on resolve_threads() threads, each in a workspace of
+    max(BLOCK_RATIOS, 2k) draws; memory is O(threads BLOCK_RATIOS + n)
+    whatever k is.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -547,27 +618,29 @@ def evaluate(
     if not isinstance(c_source, CNet) and not math.isfinite(c_source):
         raise InvalidParams(f"C must be finite, got {c_source!r}")
     n = data.size
-    block = max(1, BLOCK_RATIOS // (2 * k))
     lse = np.empty((n, 2))
     primal_sums = np.empty(n)
-    rng = generator(seed)
-    # Overflow here leaves non-finite pairs, which PairedSamples rejects.
+
+    def step(start: int, stop: int, eps: np.ndarray, ws: _Workspace) -> None:
+        logR, _, _ = _log_r_reparam(model.params, model.decoder_var,
+                                    data[start:stop], eps, ws)
+        lse[start:stop] = logsumexp(logR, axis=2)
+        primal_sums[start:stop] = logR[:, 0, :].sum(axis=1)
+
+    _map_blocks(n, (2, k), (seed,), _workspaces(2 * k, n, resolve_threads()), step)
+    # Overflow leaves non-finite pairs, which PairedSamples rejects.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, n, block):
-            xb = data[start:start + block]
-            eps = rng.standard_normal((xb.size, 2, k))
-            logR, _, _ = _log_r_reparam(model.params, model.decoder_var, xb, eps)
-            lse[start:start + block] = logsumexp(logR, axis=2)
-            primal_sums[start:start + block] = logR[:, 0, :].sum(axis=1)
         pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)
     c_vals = c_source(data) if isinstance(c_source, CNet) else np.full(n, float(c_source))
     lower = bounds.jensen_lower(pairs)
     upper = bounds.improved_upper(pairs, c_vals)
     S_vals, _ = bounds.upper_terms(pairs, c_vals)
-    records = tuple(EvalRecord(*row, k) for row in zip(
-        data.tolist(), pairs.lx.tolist(), S_vals.tolist(), c_vals.tolist()))
     return EvalResult(
-        records=records,
+        x=data,
+        s=pairs.lx,
+        S=S_vals,
+        c=c_vals,
+        k=k,
         lower=lower.mean,
         upper=upper.mean,
         lower_stderr=lower.stderr,

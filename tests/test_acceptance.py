@@ -44,7 +44,7 @@ def pairs_for(dist, n, seed, k=1):
 
 
 def width_stats(result):
-    widths = np.array([rec.S - rec.s for rec in result.records])
+    widths = result.S - result.s
     return float(widths.mean()), float(widths.std(ddof=1) / math.sqrt(widths.size))
 
 

@@ -194,6 +194,22 @@ class TestVaePipeline:
         assert sweep_lines[0].startswith("k,n,lower")
         assert len(sweep_lines) == 3
 
+    def test_records_csv_rows_are_the_float_reprs(self, tmp_path):
+        # Each row is repr of the Python floats, as the per-record writer
+        # wrote them, and the summary row's C is the mean of the c column.
+        from gapsandwich import cli, vae
+
+        result = vae.evaluate(ToyVae.init(5), vae.CNet.init(6),
+                              np.linspace(-0.5, 0.5, 7), k=3, seed=8)
+        path = tmp_path / "r.csv"
+        cli._write_records_csv(str(path), result, 3)
+        expected = ["x,s,S,c,k"] + [
+            f"{float(x)!r},{float(s)!r},{float(S)!r},{float(c)!r},3"
+            for x, s, S, c in zip(result.x, result.s, result.S, result.c)]
+        mean_c = float(np.mean([float(c) for c in result.c]))
+        expected.append(f"mean,{result.lower!r},{result.upper!r},{mean_c!r},3")
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
     def test_zero_lr_checkpoint_matches_init(self, tmp_path):
         ckpt = str(tmp_path / "v.ckpt")
         code = run(["vae", "train", "--epochs", "2", "--n", "300", "--lr", "0",

@@ -1,0 +1,89 @@
+import sys
+import threading
+import time
+
+import pytest
+
+from gapsandwich import parallel
+from gapsandwich.parallel import map_chunks, worker_scratch
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    sizes = []
+
+    class Recording(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+class TestMapChunks:
+    def test_every_chunk_runs_once(self):
+        seen = []
+        map_chunks(lambda j, s: seen.append(j), 7, [object(), object()])
+        assert sorted(seen) == list(range(7))
+
+    def test_workers_are_capped_by_the_chunks(self, pool_sizes):
+        map_chunks(lambda j, s: None, 3, [[] for _ in range(8)])
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("n_chunks, scratch", [(1, 8), (5, 1), (0, 4)])
+    def test_one_worker_starts_no_pool(self, pool_sizes, n_chunks, scratch):
+        caller = threading.get_ident()
+        ran_on = set()
+        map_chunks(lambda j, s: ran_on.add(threading.get_ident()), n_chunks,
+                   [[] for _ in range(scratch)])
+        assert pool_sizes == []
+        assert ran_on <= {caller}
+
+    def test_first_failure_in_chunk_order_is_raised_and_the_pool_is_joined(self):
+        def task(j, s):
+            if j == 2:
+                time.sleep(0.2)  # chunk 4 fails first in time
+                raise RuntimeError("chunk 2 failed")
+            if j == 4:
+                raise RuntimeError("chunk 4 failed")
+
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            map_chunks(task, 6, [[], []])
+        assert set(threading.enumerate()) <= before
+
+    def test_running_tasks_never_share_a_scratch(self):
+        # More workers than cores and a short switch interval: a scratch
+        # handed to two running tasks at once would be seen busy.
+        busy = {}
+        clash = []
+
+        def task(j, s):
+            if busy.setdefault(id(s), False):
+                clash.append(j)
+            busy[id(s)] = True
+            s.append(j)
+            time.sleep(0)
+            busy[id(s)] = False
+
+        scratch = [[] for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            map_chunks(task, 400, scratch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert clash == []
+        assert sorted(j for s in scratch for j in s) == list(range(400))
+
+
+class TestWorkerScratch:
+    @pytest.mark.parametrize("threads, n_chunks, made", [(8, 3, 3), (2, 40, 2)])
+    def test_one_per_worker_made_on_the_calling_thread(self, threads, n_chunks,
+                                                       made):
+        makers = []
+        scratch = worker_scratch(lambda: makers.append(threading.get_ident()) or [],
+                                 threads, n_chunks)
+        assert len(scratch) == made
+        assert makers == [threading.get_ident()] * made

@@ -8,22 +8,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gapsandwich import sweep, verify
+from gapsandwich import parallel, sweep, verify
 from gapsandwich.bounds import optimal_c, sandwich
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError, SourceFailure
+from gapsandwich.parallel import THREADS_ENV, resolve_threads
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples, paired_from_halves
 from gapsandwich.sweep import (
     CHUNK_DRAWS,
     CSV_HEADER,
-    THREADS_ENV,
     CPolicy,
     SampleSource,
     SweepConfig,
     apply_c_policy,
     dist_source,
-    resolve_threads,
     run_sweep,
     sweep_csv_lines,
     write_sweep_csv,
@@ -291,12 +290,12 @@ class TestWorkers:
     def test_workers_are_capped_by_the_chunks(self, monkeypatch):
         sizes = []
 
-        class Recording(sweep.ThreadPoolExecutor):
+        class Recording(parallel.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(sweep, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
         per_chunk = CHUNK_DRAWS // (2 * 64)
         source = dist_source(Gamma(2.0, 1.0))
         sweep._cell_pairs(source, 19, 64, per_chunk, 8)

@@ -14,22 +14,22 @@ from gapsandwich.errors import (
     ParseError,
 )
 from gapsandwich import vae, verify
+from gapsandwich.parallel import THREADS_ENV, resolve_threads
 from gapsandwich.rng import generator
 from gapsandwich.vae import (
+    CHUNK_POINTS,
     CNET_PARAM_COUNT,
     VAE_PARAM_COUNT,
     CNet,
     Objective,
     ToyVae,
     _log_r_reparam,
-    _ratio_estimates,
     _relu_layer,
     cnet_objective_and_grad,
     evaluate,
     iw_objective_and_grad,
     load_cnet,
     load_model,
-    log_r,
     save_cnet,
     save_model,
     train,
@@ -37,6 +37,41 @@ from gapsandwich.vae import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def log_r(model: ToyVae, x, z):
+    """log of the importance ratio p(x|z) p(z) / q(z|x), from the three
+    densities at a general z: the independent formula the reparameterised
+    kernel is checked against.
+
+    x and z must broadcast against each other (e.g. scalar x with a vector
+    of z draws); scalars in give a scalar out.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    _, mu, t = vae._encode(model.params, x)
+    m = vae._decode(model.params, z)[1]
+    var = model.decoder_var
+    recon = -0.5 * (LOG_2PI + math.log(var)) - (x - m) ** 2 / (2.0 * var)
+    prior = -0.5 * LOG_2PI - 0.5 * z * z
+    log_q = -0.5 * LOG_2PI - t - (z - mu) ** 2 / (2.0 * np.exp(2.0 * t))
+    out = recon + prior - log_q
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def ratio_estimates(model, xs, k, n_pairs, seed, epoch=0, threads=None):
+    """_ratio_estimates in workspaces for resolve_threads(threads) workers."""
+    workspaces = vae._workspaces(n_pairs * 2 * k, xs.size, resolve_threads(threads))
+    return vae._ratio_estimates(model, xs, k, n_pairs, seed, epoch, workspaces)
+
+
+def assert_same_result(a, b):
+    """Two EvalResults hold the same bits."""
+    for name in ("x", "s", "S", "c"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("k", "lower", "upper", "lower_stderr", "upper_stderr", "elbo",
+                 "saturated"):
+        assert getattr(a, name) == getattr(b, name), name
 
 
 def zero_model(decoder_var=0.3):
@@ -124,6 +159,25 @@ class TestLogRKernel:
                 np.testing.assert_array_equal(whole[:, pair, side, :], alone)
 
 
+    @pytest.mark.parametrize("trailing", [(3, 2, 7), (2, 7)])
+    def test_workspace_kernel_is_bitwise_the_allocating_kernel(self, trailing):
+        # The workspace first serves a larger call, so every buffer the
+        # second call reads from it holds stale values.
+        params, var = self.model.params, self.model.decoder_var
+        ws = vae._Workspace(self.xs.size * 3 * 2 * 7)
+        big = generator(66).standard_normal((self.xs.size, 3, 2, 7))
+        _log_r_reparam(params, var, self.xs, big, ws)
+        eps = generator(67).standard_normal((self.xs.size, *trailing))
+        logR, z, caches = _log_r_reparam(params, var, self.xs, eps)
+        ws_logR, ws_z, ws_caches = _log_r_reparam(params, var, self.xs, eps, ws)
+        for a, b in zip((logR, z, *caches), (ws_logR, ws_z, *ws_caches)):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        hd, resid = ws_caches[4:]
+        for out, buf in ((ws_logR, ws.logR), (ws_z, ws.z), (hd, ws.hd), (resid, ws.m)):
+            assert np.shares_memory(out, buf)
+
+
 class TestReluLayer:
     @pytest.mark.parametrize("shape", [(9,), (5, 3), (4, 2, 3), (3, 2, 2, 5)])
     def test_bitwise_the_broadcast_layer(self, shape):
@@ -155,9 +209,9 @@ class TestBlocks:
     @pytest.mark.parametrize("blocks", [0, 7, 23])
     def test_ratio_estimates_do_not_depend_on_the_block(self, monkeypatch, blocks):
         # 12 draws per datapoint; 0 datapoints per block clamps to 1.
-        reference = _ratio_estimates(self.model, self.xs, 3, 2, generator(69))
+        reference = ratio_estimates(self.model, self.xs, 3, 2, 69)
         monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 12)
-        got = _ratio_estimates(self.model, self.xs, 3, 2, generator(69))
+        got = ratio_estimates(self.model, self.xs, 3, 2, 69)
         np.testing.assert_array_equal(got, reference)
 
     @pytest.mark.parametrize("blocks", [0, 7, 23])
@@ -165,7 +219,8 @@ class TestBlocks:
         # 8 draws per datapoint; 0 datapoints per block clamps to 1.
         reference = evaluate(self.model, self.cnet, self.xs, k=4, seed=70)
         monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 8)
-        assert evaluate(self.model, self.cnet, self.xs, k=4, seed=70) == reference
+        assert_same_result(evaluate(self.model, self.cnet, self.xs, k=4, seed=70),
+                           reference)
 
     # A second model, C network and data set, on which @ in the encoder
     # heads rounds a one-datapoint block (numpy's vector-dot path) otherwise
@@ -177,10 +232,9 @@ class TestBlocks:
     @pytest.mark.parametrize("blocks", [0, 7])
     def test_ratio_estimates_do_not_depend_on_the_block_second_model(
             self, monkeypatch, blocks):
-        reference = _ratio_estimates(self.second_model, self.second_xs, 3, 2,
-                                     generator(500))
+        reference = ratio_estimates(self.second_model, self.second_xs, 3, 2, 500)
         monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 12)
-        got = _ratio_estimates(self.second_model, self.second_xs, 3, 2, generator(500))
+        got = ratio_estimates(self.second_model, self.second_xs, 3, 2, 500)
         np.testing.assert_array_equal(got, reference)
 
     @pytest.mark.parametrize("blocks", [0, 7])
@@ -189,7 +243,7 @@ class TestBlocks:
         args = (self.second_model, self.second_cnet, self.second_xs)
         reference = evaluate(*args, k=4, seed=400)
         monkeypatch.setattr(vae, "BLOCK_RATIOS", blocks * 8)
-        assert evaluate(*args, k=4, seed=400) == reference
+        assert_same_result(evaluate(*args, k=4, seed=400), reference)
 
     @pytest.mark.parametrize("seed", [66, 100])
     def test_encoder_rows_are_bitwise_the_one_row_call(self, seed):
@@ -220,8 +274,81 @@ class TestBlocks:
     def test_ratio_estimates_memory_is_bounded(self):
         data = sample(Laplace(0.0, 0.2), 2000, 73)
         peak = peak_traced_mb(
-            lambda: _ratio_estimates(self.model, data, 64, 4, generator(74)))
+            lambda: ratio_estimates(self.model, data, 64, 4, 74))
         assert peak < 16.0
+
+
+class TestKeyedChunks:
+    """_ratio_estimates and evaluate draw chunk j of CHUNK_POINTS datapoints
+    from its own stream, so their bits do not depend on the thread count."""
+
+    model = ToyVae.init(75)
+    cnet = CNet.init(76)
+    # Four chunks, the last one short.
+    xs = sample(Laplace(0.0, 0.3), 3 * CHUNK_POINTS + 17, 77)
+
+    def test_ratio_chunk_draws_from_its_epoch_and_chunk_stream(self):
+        k, n_pairs, seed, epoch = 3, 2, 78, 4
+        got = ratio_estimates(self.model, self.xs, k, n_pairs, seed, epoch)
+        start = 2 * CHUNK_POINTS
+        xb = self.xs[start:start + CHUNK_POINTS]
+        eps = generator(seed, epoch, 2).standard_normal((xb.size, n_pairs, 2, k))
+        logR, _, _ = _log_r_reparam(self.model.params, self.model.decoder_var,
+                                    xb, eps)
+        lse = scipy_logsumexp(logR, axis=3)
+        expected = scipy_logsumexp(lse[:, :, 1] - lse[:, :, 0], axis=1) - math.log(2)
+        np.testing.assert_allclose(got[start:start + CHUNK_POINTS], expected,
+                                   rtol=0.0, atol=1e-12)
+        other = ratio_estimates(self.model, self.xs, k, n_pairs, seed, epoch + 1)
+        assert not np.any(other == got)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_ratio_estimates_are_bitwise_identical_across_threads(self, threads):
+        args = (self.model, self.xs, 3, 2, 79, 1)
+        reference = ratio_estimates(*args, threads=1)
+        assert ratio_estimates(*args, threads=threads).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_evaluate_is_bitwise_identical_across_threads(self, monkeypatch, threads):
+        monkeypatch.setenv(THREADS_ENV, "1")
+        reference = evaluate(self.model, self.cnet, self.xs, k=4, seed=80)
+        monkeypatch.setenv(THREADS_ENV, threads)
+        assert_same_result(evaluate(self.model, self.cnet, self.xs, k=4, seed=80),
+                           reference)
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_train_cnet_is_bitwise_identical_across_threads(self, monkeypatch,
+                                                            threads):
+        def run():
+            return train_cnet(self.cnet, self.model, self.xs, k=2, n_pairs=2,
+                              epochs=3, lr=0.2, seed=81)
+
+        monkeypatch.setenv(THREADS_ENV, "1")
+        reference = run()
+        monkeypatch.setenv(THREADS_ENV, threads)
+        got = run()
+        assert got.cnet.params.tobytes() == reference.cnet.params.tobytes()
+        assert got.loss_history == reference.loss_history
+
+    def test_ratio_estimates_prefix_straddling_a_chunk(self):
+        m = CHUNK_POINTS + 1
+        whole = ratio_estimates(self.model, self.xs, 3, 2, 82)
+        prefix = ratio_estimates(self.model, self.xs[:m], 3, 2, 82)
+        assert prefix.tobytes() == whole[:m].tobytes()
+
+    def test_train_cnet_allocates_its_workspaces_once(self, monkeypatch):
+        made = []
+        workspace = vae._Workspace
+
+        def recording(size):
+            made.append(size)
+            return workspace(size)
+
+        monkeypatch.setenv(THREADS_ENV, "2")
+        monkeypatch.setattr(vae, "_Workspace", recording)
+        train_cnet(self.cnet, self.model, self.xs, k=2, n_pairs=2, epochs=4,
+                   lr=0.2, seed=83)
+        assert made == [vae.BLOCK_RATIOS] * 2
 
 
 class TestElboAndIwElbo:
@@ -303,6 +430,32 @@ class TestGradientOracle:
 
         monkeypatch.setattr(vae, "iw_objective_and_grad", planted)
         assert not verify.check_vae_gradients(seed, 1).passed
+
+    def test_catches_an_error_in_any_one_entry(self, monkeypatch):
+        # 1 % on entry j, or 1e-3 where its gradient is exactly zero (a dead
+        # unit), in every parameter draw: each of the 31 entries is probed.
+        exact = vae.iw_objective_and_grad
+        for j in range(VAE_PARAM_COUNT):
+            def planted(*args, j=j):
+                value, grad = exact(*args)
+                grad = grad.copy()
+                if grad[j] == 0.0:
+                    grad[j] += 1e-3
+                else:
+                    grad[j] *= 1.01
+                return value, grad
+
+            monkeypatch.setattr(vae, "iw_objective_and_grad", planted)
+            assert not verify.check_vae_gradients(13, 1).passed, j
+
+    @pytest.mark.parametrize("seed, kinks", [(13, 0), (92, 1)])
+    def test_a_probe_across_a_kink_is_skipped_and_counted(self, seed, kinks):
+        # At seed 92 one probe's steps cross a ReLU kink; no other probe
+        # takes its place.
+        errors, skipped = verify._gradient_errors(seed)
+        assert skipped == kinks
+        assert len(errors) == 6 * VAE_PARAM_COUNT + 3 * CNET_PARAM_COUNT - kinks
+        assert verify.check_vae_gradients(seed, 1).passed
 
 
 class TestTrain:
@@ -432,7 +585,7 @@ class TestTrainCNet:
         held_out = sample(Laplace(0.0, 0.2), 256, 18)
         result = train_cnet(CNet.init(19), model, train_data, k=4, n_pairs=8,
                             epochs=300, lr=0.3, seed=20)
-        log_r_hat = _ratio_estimates(model, held_out, 4, 8, generator(21))
+        log_r_hat = ratio_estimates(model, held_out, 4, 8, 21)
         trained_obj = cnet_objective_and_grad(result.cnet.params, held_out,
                                               log_r_hat)[0]
         zero_obj = float(np.mean(0.0 - 1.0 + np.exp(log_r_hat)))
@@ -446,9 +599,8 @@ class TestEvaluate:
         expected = -0.5 * math.log(2.0 * math.pi * 0.3)
         for k in (1, 2, 8):
             res = evaluate(model, 0.0, data, k=k, seed=21)
-            for rec in res.records:
-                assert rec.s == pytest.approx(expected, abs=1e-12)
-                assert rec.S == pytest.approx(rec.s, abs=1e-12)
+            np.testing.assert_allclose(res.s, expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(res.S, res.s, rtol=0.0, atol=1e-12)
             assert res.lower == pytest.approx(res.upper, abs=1e-12)
 
     def test_repeat_call_is_deterministic(self):
@@ -456,7 +608,7 @@ class TestEvaluate:
         data = sample(Laplace(0.0, 0.2), 64, 23)
         a = evaluate(model, 0.0, data, k=4, seed=24)
         b = evaluate(model, 0.0, data, k=4, seed=24)
-        assert a.records == b.records
+        assert_same_result(a, b)
 
     def test_untrained_model_sandwich_orders(self):
         model = ToyVae.init(25)
@@ -469,7 +621,7 @@ class TestEvaluate:
         model = ToyVae.init(28)
         data = sample(Laplace(0.0, 0.2), 512, 29)
         first = evaluate(model, 0.0, data, k=4, seed=30)
-        ratios = np.array([rec.S - rec.s + 1.0 for rec in first.records])
+        ratios = first.S - first.s + 1.0
         c_opt = math.log(float(ratios.mean()))
         second = evaluate(model, c_opt, data, k=4, seed=30)
         assert second.upper >= second.lower
@@ -502,15 +654,20 @@ class TestEvaluate:
         cnet = CNet.init(34)
         data = np.linspace(-1.0, 1.0, 8)
         res = evaluate(model, cnet, data, k=1, seed=35)
-        np.testing.assert_allclose([rec.c for rec in res.records], cnet(data))
+        np.testing.assert_allclose(res.c, cnet(data))
 
     def test_records_match_per_datapoint_reference(self):
+        # Two chunks, the second short: datapoint i draws its (2, k) normals
+        # from generator(seed, i // CHUNK_POINTS), in C order over its chunk.
         model = ToyVae.init(36)
         cnet = CNet.init(37)
-        data = sample(Laplace(0.0, 0.2), 40, 38)
+        data = sample(Laplace(0.0, 0.2), CHUNK_POINTS + 40, 38)
         k, seed = 8, 39
         res = evaluate(model, cnet, data, k=k, seed=seed)
-        draws = generator(seed).standard_normal((data.size, 2, k))
+        draws = np.concatenate([
+            generator(seed, 0).standard_normal((CHUNK_POINTS, 2, k)),
+            generator(seed, 1).standard_normal((40, 2, k)),
+        ])
         primal = []
         for x, rec, eps in zip(data, res.records, draws):
             mu, sigma = posterior(model, x)
@@ -525,13 +682,21 @@ class TestEvaluate:
             primal.append(lr[0])
         assert res.elbo == pytest.approx(float(np.mean(primal)), rel=0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("m", [1, 7, 39])
+    @pytest.mark.parametrize("m", [1, 7, 39, CHUNK_POINTS + 1])
     def test_prefix_gives_the_first_records(self, m):
         model = ToyVae.init(36)
         cnet = CNet.init(37)
-        data = sample(Laplace(0.0, 0.2), 40, 38)
+        data = sample(Laplace(0.0, 0.2), CHUNK_POINTS + 40, 38)
         whole = evaluate(model, cnet, data, k=8, seed=39)
         assert evaluate(model, cnet, data[:m], k=8, seed=39).records == whole.records[:m]
+
+    def test_records_are_the_vectors(self):
+        res = evaluate(ToyVae.init(36), CNet.init(37),
+                       sample(Laplace(0.0, 0.2), 9, 38), k=3, seed=39)
+        assert len(res.records) == 9
+        for i, rec in enumerate(res.records):
+            assert (rec.x, rec.s, rec.S, rec.c, rec.k) == (
+                res.x[i], res.s[i], res.S[i], res.c[i], 3)
 
 
 class TestCheckpoints:
