@@ -29,13 +29,11 @@ from .distributions import (
     parse_dist,
     sample,
 )
-from .samples import PairedSamples, k_sample_pairs, paired_from_halves
+from .samples import PairedSamples, paired_from_halves
 from .sweep import (
     CPolicy,
-    SampleSource,
     SweepConfig,
     SweepResult,
-    dist_source,
     run_sweep,
     write_sweep_csv,
 )
@@ -57,11 +55,10 @@ from .vae import (
 __all__ = [
     "AnalyticDist", "BoundReport", "CNet", "CPolicy", "Constant", "Estimate",
     "EvalRecord", "EvalResult", "EXP_SATURATION", "Gamma", "Laplace",
-    "LogNormal", "Objective", "PairedSamples", "SampleSource",
-    "SweepConfig", "SweepResult", "ToyVae", "UniformPos",
-    "dist_source", "evaluate", "gap_upper_first_order",
-    "improved_upper", "jensen_lower", "k_averaged_law",
-    "k_sample_pairs", "laplace_loglik", "load_cnet", "load_model",
+    "LogNormal", "Objective", "PairedSamples", "SweepConfig",
+    "SweepResult", "ToyVae", "UniformPos", "evaluate",
+    "gap_upper_first_order", "improved_upper", "jensen_lower",
+    "k_averaged_law", "laplace_loglik", "load_cnet", "load_model",
     "log_mean_exp", "log_ratio_mean", "logsumexp",
     "midpoint_evidence", "optimal_c", "optimal_h_check", "optimal_upper",
     "paired_from_halves", "parse_dist", "run_sweep", "sample", "sandwich",

@@ -33,7 +33,6 @@ from .rng import derive_key
 from .sweep import (
     CPolicy,
     SweepConfig,
-    dist_source,
     run_sweep,
     write_sweep_csv,
 )
@@ -53,6 +52,8 @@ TRAIN_DEFAULTS = {
     "n": 10000,
     "decoder_var": 0.04,
     "seed": 1234,
+    "out": "vae.ckpt",
+    "loss_out": "vae_loss.csv",
 }
 
 EVAL_RECORD_HEADER = "x,s,S,c,k"
@@ -137,8 +138,8 @@ def _parse_k_list(text: str, key: str) -> tuple[int, ...]:
     return ks
 
 
-def _new_manifest(opts: dict, seed: int, started: float) -> RunManifest:
-    return RunManifest(
+def _pair_manifest(csv_path: str, opts: dict, seed: int, started: float) -> None:
+    manifest = RunManifest(
         command_line=sys.argv[1:],
         config={k: (v if isinstance(v, (int, float, str, bool)) else str(v))
                 for k, v in opts.items()},
@@ -146,10 +147,6 @@ def _new_manifest(opts: dict, seed: int, started: float) -> RunManifest:
         version=__version__,
         wall_time_s=round(time.perf_counter() - started, 6),
     )
-
-
-def _pair_manifest(csv_path: str, opts: dict, seed: int, started: float) -> None:
-    manifest = _new_manifest(opts, seed, started)
     manifest.add_output(csv_path)
     manifest.write(manifest_path_for(csv_path))
 
@@ -197,7 +194,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         base_seed=opts["seed"],
         c_policy=CPolicy.parse(opts["c_policy"]),
     )
-    result = run_sweep(dist_source(dist), cfg)
+    result = run_sweep(dist, cfg)
     for row in result.rows:
         if not (math.isfinite(row.report.lower_mean)
                 and math.isfinite(row.report.upper_mean)):
@@ -262,8 +259,7 @@ def _write_loss_csv(path: str, history: list[float]) -> None:
 
 def cmd_vae_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    defaults = dict(TRAIN_DEFAULTS, out="vae.ckpt", loss_out="vae_loss.csv")
-    opts = _resolve(args, defaults)
+    opts = _resolve(args, TRAIN_DEFAULTS)
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 1))
     model = vae.ToyVae.init(derive_key(opts["seed"], 2), opts["decoder_var"])
     result = vae.train(
@@ -290,14 +286,15 @@ CNET_DEFAULTS = {
     "lr": 0.2,
     "n": 2000,
     "seed": 1234,
+    "model": "vae.ckpt",
+    "out": "cnet.ckpt",
+    "loss_out": "cnet_loss.csv",
 }
 
 
 def cmd_vae_train_cnet(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    defaults = dict(CNET_DEFAULTS, model="vae.ckpt", out="cnet.ckpt",
-                    loss_out="cnet_loss.csv")
-    opts = _resolve(args, defaults)
+    opts = _resolve(args, CNET_DEFAULTS)
     model = vae.load_model(opts["model"])
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 4))
     cnet = vae.CNet.init(derive_key(opts["seed"], 5))
@@ -325,6 +322,7 @@ EVAL_DEFAULTS = {
     "seed": 1234,
     "out": "vae_eval.csv",
     "emit_gnuplot": False,
+    "model": "vae.ckpt",
 }
 
 
@@ -359,7 +357,7 @@ def _write_records_csv(path: str, result: vae.EvalResult, k: int) -> None:
 
 def cmd_vae_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    opts = _resolve(args, dict(EVAL_DEFAULTS, model="vae.ckpt"))
+    opts = _resolve(args, EVAL_DEFAULTS)
     sweep_ks = _parse_k_list(opts["k_sweep"], "k_sweep") if opts["k_sweep"] else ()
     model = vae.load_model(opts["model"])
     c_source = _c_source(opts["c"])
@@ -434,16 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
     vae_subs = vae_parser.add_subparsers(dest="vae_command", required=True)
 
     train = vae_subs.add_parser("train", help="train the VAE")
-    _add_common(train, dict(TRAIN_DEFAULTS, out="vae.ckpt", loss_out="vae_loss.csv"))
+    _add_common(train, TRAIN_DEFAULTS)
     train.set_defaults(func=cmd_vae_train)
 
     train_cnet = vae_subs.add_parser("train-cnet", help="train the C network")
-    _add_common(train_cnet, dict(CNET_DEFAULTS, model="vae.ckpt",
-                                 out="cnet.ckpt", loss_out="cnet_loss.csv"))
+    _add_common(train_cnet, CNET_DEFAULTS)
     train_cnet.set_defaults(func=cmd_vae_train_cnet)
 
     evaluate = vae_subs.add_parser("eval", help="paired lower/upper evaluation")
-    _add_common(evaluate, dict(EVAL_DEFAULTS, model="vae.ckpt"))
+    _add_common(evaluate, EVAL_DEFAULTS)
     evaluate.set_defaults(func=cmd_vae_eval)
 
     return parser

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import digamma
 
 from .errors import InvalidParams, ParseError
 from .rng import generator
@@ -99,6 +98,9 @@ class Gamma(AnalyticDist):
 
     @property
     def mean_log(self):
+        # Imported here: scipy.special adds ~0.3 s and ~20 MB to every import.
+        from scipy.special import digamma
+
         return float(digamma(self.a)) + math.log(self.theta)
 
     @property
@@ -203,10 +205,6 @@ class Laplace(AnalyticDist):
     @property
     def mean(self):
         return self.loc
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return -np.abs(x - self.loc) / self.b - math.log(2.0 * self.b)
 
 
 def sample(d: AnalyticDist, n: int, seed: int,

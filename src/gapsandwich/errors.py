@@ -37,10 +37,6 @@ class ParseError(GapSandwichError):
     """A textual spec (distribution string, policy, config) failed to parse."""
 
 
-class SourceFailure(GapSandwichError):
-    """A sample source raised while drawing."""
-
-
 class NonFiniteParams(GapSandwichError):
     """Model parameters contain NaN or infinity."""
 

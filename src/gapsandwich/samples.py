@@ -3,10 +3,11 @@
 A pair holds one draw X of a positive quantity and one draw Y of an
 independent copy with the same law.  The bound estimators read only log X
 and log(Y/X), so a pair is stored as lx = log x and d = log y - log x.
-k_sample_pairs and paired_from_halves take positive linear draws, average
-blocks of k and take the logs once, into new vectors or into ones the caller
-gives.  PairedSamples holds read-only views, never copies, and scans its
-values with min and max, so no check makes a temporary as large as a vector.
+paired_from_halves takes 2*n*k positive linear draws, averages blocks of k
+in each half and takes the logs once, into new vectors or into ones the
+caller gives.  PairedSamples holds read-only views, never copies, and scans
+its values with min and max, so no check makes a temporary as large as a
+vector.
 """
 
 from __future__ import annotations
@@ -81,51 +82,36 @@ class PairedSamples:
         return part
 
 
-def k_sample_pairs(raw_x: np.ndarray, raw_y: np.ndarray, k: int,
-                   out: tuple[np.ndarray, np.ndarray] | None = None) -> PairedSamples:
-    """Average consecutive non-overlapping blocks of k positive raw draws of
-    X and of Y, and store the logs of the block means as (lx, d).
+def paired_from_halves(raw: np.ndarray, k: int,
+                       out: tuple[np.ndarray, np.ndarray] | None = None) -> PairedSamples:
+    """Split 2*n*k positive raw draws into disjoint halves (X first, Y
+    second), average consecutive non-overlapping blocks of k in each, and
+    store the logs of the block means as (lx, d).  Disjoint halves keep X
+    and Y independent.
 
-    With out, two float64 vectors of raw_x.size // k elements, lx and d are
-    written there and the result views them; nothing as large as the raw
-    draws is allocated either way.
+    With out, two float64 vectors of n elements, lx and d are written there
+    and the result views them; nothing as large as the raw draws is
+    allocated either way.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
-    raw_x = np.asarray(raw_x, dtype=float)
-    raw_y = np.asarray(raw_y, dtype=float)
-    if raw_x.size == 0 or raw_y.size == 0:
-        raise EmptySamples("raw sample vectors are empty")
-    if raw_x.size % k != 0 or raw_y.size % k != 0:
+    raw = np.asarray(raw, dtype=float)
+    if raw.size == 0:
+        raise EmptySamples("raw sample vector is empty")
+    if raw.size % (2 * k) != 0:
         raise LengthNotDivisible(
-            f"lengths ({raw_x.size}, {raw_y.size}) not divisible by k={k}"
+            f"need 2*n*k draws, got {raw.size}, not divisible by 2k={2 * k}"
         )
-    for name, arr in (("raw_x", raw_x), ("raw_y", raw_y)):
-        if not (arr.min() > 0.0 and arr.max() < np.inf):
-            raise NonPositiveSample(f"{name} must be strictly positive and finite")
-    if raw_x.size != raw_y.size:
-        raise ShapeMismatch(
-            f"raw_x and raw_y lengths differ: {raw_x.size} vs {raw_y.size}"
-        )
-    n = raw_x.size // k
+    if not (raw.min() > 0.0 and raw.max() < np.inf):
+        raise NonPositiveSample("raw draws must be strictly positive and finite")
+    n = raw.size // (2 * k)
+    blocks = raw.reshape(2, n, k)
     lx, d = (np.empty(n), np.empty(n)) if out is None else out
     # log(mean x) and log(mean y) - log(mean x), the same operations in
     # place.
-    raw_x.reshape(n, k).mean(axis=1, out=lx)
+    blocks[0].mean(axis=1, out=lx)
     np.log(lx, out=lx)
-    raw_y.reshape(n, k).mean(axis=1, out=d)
+    blocks[1].mean(axis=1, out=d)
     np.log(d, out=d)
     d -= lx
     return PairedSamples(lx, d, k=k)
-
-
-def paired_from_halves(raw: np.ndarray, k: int,
-                       out: tuple[np.ndarray, np.ndarray] | None = None) -> PairedSamples:
-    """Split 2*n*k raw draws into disjoint halves (X first, Y second) and
-    k-average each half, into out if given (see k_sample_pairs).  Disjoint
-    halves keep X and Y independent."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.size % 2 != 0:
-        raise LengthNotDivisible(f"need an even number of draws, got {raw.size}")
-    half = raw.size // 2
-    return k_sample_pairs(raw[:half], raw[half:], k, out)

@@ -1,26 +1,26 @@
 """Orchestration: paired sampling, k-sweeps, replications, CSV output.
 
 The (k, replication) cells run one after another.  Each cell derives its own
-seed and draws its 2*n_pairs*k fresh values in fixed chunks of about
-CHUNK_DRAWS raw draws; chunk j uses the stream derive_key(cell_seed, j).  A
-cell's chunks run through parallel.map_chunks: each draws in place into the
-raw buffer that the cell allocated for its worker, and writes its block
-means straight into its own slice of the cell's lx and d vectors.  A cell
-therefore holds O(n_pairs + threads * CHUNK_DRAWS) floats whatever k is, and
-its results are bit-identical at any thread count.
+seed and samples 2*n_pairs*k fresh draws of the sweep's distribution in
+fixed chunks of about CHUNK_DRAWS draws; chunk j uses the stream
+derive_key(cell_seed, j).  A cell's chunks run through parallel.map_chunks:
+each draws in place into the raw buffer that the cell allocated for its
+worker, and writes its block means straight into its own slice of the
+cell's lx and d vectors.  A cell therefore holds O(n_pairs + threads *
+CHUNK_DRAWS) floats whatever k is, and its results are bit-identical at any
+thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .bounds import BoundReport, optimal_c, sandwich
 from .distributions import AnalyticDist, sample
-from .errors import ParseError, SourceFailure
+from .errors import ParseError
 from .parallel import map_chunks, resolve_threads, worker_scratch
 from .rng import derive_key
 from .samples import PairedSamples, paired_from_halves
@@ -69,11 +69,6 @@ class CPolicy:
                 raise ParseError(f"c-policy key 'fixed' needs a decimal: {tail!r}")
         raise ParseError(f"unknown c-policy {text!r}")
 
-    def spec_string(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed:{self.value:g}"
-        return self.kind
-
 
 def apply_c_policy(s: PairedSamples, policy: CPolicy) -> tuple[float, PairedSamples]:
     """Resolve C for a batch; pilot-optimal spends a prefix on estimating C
@@ -110,21 +105,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SampleSource:
-    """A named sampler of positive values: draw(out, seed) overwrites the
-    contiguous float64 vector out with draws from the stream of seed.  It
-    may be called from several threads at once, each with its own out."""
-
-    name: str
-    draw: Callable[[np.ndarray, int], None]
-
-
-def dist_source(d: AnalyticDist) -> SampleSource:
-    return SampleSource(name=d.spec_string(),
-                        draw=lambda out, seed: sample(d, out.size, seed, out))
-
-
-@dataclass(frozen=True)
 class SweepRow:
     k: int
     replication: int
@@ -153,7 +133,7 @@ class SweepResult:
     aggregates: tuple[KAggregate, ...]
 
 
-def _cell_pairs(source: SampleSource, seed: int, k: int, n_pairs: int,
+def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int,
                 threads: int) -> PairedSamples:
     """One cell's pairs; chunk j is drawn from derive_key(seed, j) into a
     worker's raw buffer, and writes pairs [j per_chunk, (j + 1) per_chunk)
@@ -166,10 +146,7 @@ def _cell_pairs(source: SampleSource, seed: int, k: int, n_pairs: int,
         start = j * per_chunk
         stop = min(start + per_chunk, n_pairs)
         raw = buf[:2 * (stop - start) * k]
-        try:
-            source.draw(raw, derive_key(seed, j))
-        except Exception as exc:  # noqa: BLE001 - contract: wrap source errors
-            raise SourceFailure(f"source {source.name!r} failed: {exc}") from exc
+        sample(dist, raw.size, derive_key(seed, j), raw)
         paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
 
     buffers = worker_scratch(lambda: np.empty(2 * min(per_chunk, n_pairs) * k),
@@ -178,26 +155,26 @@ def _cell_pairs(source: SampleSource, seed: int, k: int, n_pairs: int,
     return PairedSamples(lx, d, k=k)
 
 
-def _run_cell(source: SampleSource, cfg: SweepConfig, k: int, rep: int,
+def _run_cell(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
               threads: int) -> SweepRow:
     seed = derive_key(cfg.base_seed, rep, k)
-    c, working = apply_c_policy(_cell_pairs(source, seed, k, cfg.n_pairs, threads),
+    c, working = apply_c_policy(_cell_pairs(dist, seed, k, cfg.n_pairs, threads),
                                 cfg.c_policy)
     return SweepRow(k=k, replication=rep, seed=seed, report=sandwich(working, c))
 
 
 def run_sweep(
-    source: SampleSource, cfg: SweepConfig, threads: int | None = None
+    dist: AnalyticDist, cfg: SweepConfig, threads: int | None = None
 ) -> SweepResult:
-    """Run every (k, replication) cell, one after another, and aggregate
-    per k.
+    """Run every (k, replication) cell of draws from dist, one after
+    another, and aggregate per k.
 
     Deterministic in cfg: cells use derived seeds and chunks derived
     streams, and each chunk writes its own slice of its cell, so any thread
     count gives the same SweepResult.
     """
     nthreads = resolve_threads(threads)
-    rows = [_run_cell(source, cfg, k, r, nthreads)
+    rows = [_run_cell(dist, cfg, k, r, nthreads)
             for k in cfg.k_values for r in range(cfg.replications)]
 
     aggregates = []

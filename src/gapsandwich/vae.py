@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .accumulate import EXP_SATURATION, log_mean_exp, logsumexp
+from .accumulate import EXP_SATURATION, log_mean_exp, logsumexp, mean_stderr
 from .errors import (
     CheckpointError,
     DivergenceDetected,
@@ -52,11 +52,6 @@ BLOCK_RATIOS = 1 << 15
 # stream.  Part of the stream scheme: changing it changes every C-network
 # and evaluate result for a given seed.
 CHUNK_POINTS = 1024
-
-# Most normals train draws in one call: an epoch draws its eps in groups of
-# max(1, TRAIN_DRAW_NORMALS // (batch K)) whole batches.  numpy fills normals
-# in C order, so results do not depend on it.
-TRAIN_DRAW_NORMALS = 1 << 20
 
 CHECKPOINT_MAGIC = b"GSVAE001"
 CHECKPOINT_VERSION = 1
@@ -145,9 +140,6 @@ class Objective:
             except ValueError:
                 raise ParseError(f"objective key 'iwae' needs an integer: {tail!r}")
         raise ParseError(f"unknown objective {text!r}")
-
-    def spec_string(self) -> str:
-        return "elbo" if self.kind == "elbo" and self.k == 1 else f"{self.kind}:{self.k}"
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +380,11 @@ def train(
 ) -> TrainResult:
     """Plain SGD on the negative objective; sequential over shuffled batches.
 
-    Each epoch draws a permutation of the data, then its eps in groups of
-    whole batches, one standard_normal((rows, K)) call in C order per group
-    of at most TRAIN_DRAW_NORMALS normals (or of one batch, if a batch has
-    more): the same draws as one call per batch or per epoch, in
-    O(max(batch K, TRAIN_DRAW_NORMALS)) memory.  Raises DivergenceDetected
-    the moment the loss or a parameter goes non-finite.  lr = 0 leaves the
-    parameters bit-identical.
+    Each epoch draws a permutation of the data, then each batch its eps, one
+    standard_normal((rows, K)) call per batch, so memory is O(batch K).
+    numpy fills normals in C order, so these are the same draws as one call
+    per epoch.  Raises DivergenceDetected the moment the loss or a parameter
+    goes non-finite.  lr = 0 leaves the parameters bit-identical.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -405,20 +395,16 @@ def train(
     rng = generator(seed)
     history: list[float] = []
     n = data.size
-    group = batch * max(1, TRAIN_DRAW_NORMALS // (batch * objective.k))
     # Overflow here is the divergence signal, detected just below.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             shuffled = data[rng.permutation(n)]
             epoch_loss = 0.0
             for start in range(0, n, batch):
-                at = start % group
-                if at == 0:
-                    eps = rng.standard_normal((min(group, n - start), objective.k))
                 xs = shuffled[start:start + batch]
+                eps = rng.standard_normal((xs.size, objective.k))
                 value, grad = iw_objective_and_grad(
-                    params, model.decoder_var, xs, eps[at:at + batch],
-                    objective.kind,
+                    params, model.decoder_var, xs, eps, objective.kind,
                 )
                 if not math.isfinite(value):
                     raise DivergenceDetected(
@@ -633,8 +619,8 @@ def evaluate(
         pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)
     c_vals = c_source(data) if isinstance(c_source, CNet) else np.full(n, float(c_source))
     lower = bounds.jensen_lower(pairs)
-    upper = bounds.improved_upper(pairs, c_vals)
-    S_vals, _ = bounds.upper_terms(pairs, c_vals)
+    S_vals, saturated = bounds.upper_terms(pairs, c_vals)
+    upper, upper_stderr = mean_stderr(S_vals)
     return EvalResult(
         x=data,
         s=pairs.lx,
@@ -642,11 +628,11 @@ def evaluate(
         c=c_vals,
         k=k,
         lower=lower.mean,
-        upper=upper.mean,
+        upper=upper,
         lower_stderr=lower.stderr,
-        upper_stderr=upper.stderr,
+        upper_stderr=upper_stderr,
         elbo=float(primal_sums.sum() / (n * k)),
-        saturated=upper.saturated,
+        saturated=saturated,
     )
 
 

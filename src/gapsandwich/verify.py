@@ -31,7 +31,7 @@ from .distributions import (
 )
 from .rng import derive_key, generator
 from .samples import paired_from_halves
-from .sweep import CHUNK_DRAWS, CPolicy, SweepConfig, dist_source, run_sweep
+from .sweep import CHUNK_DRAWS, CPolicy, SweepConfig, run_sweep
 
 VERIFY_CSV_HEADER = "property,passed,slack"
 
@@ -268,7 +268,7 @@ def check_sweep_shrinking(seed: int, n: int) -> PropertyResult:
         k_values=(1, 2, 4, 8), n_pairs=max(n // 10, 200), replications=3,
         base_seed=derive_key(seed, 13), c_policy=CPolicy("zero"),
     )
-    result = run_sweep(dist_source(UniformPos(0.5, 1.5)), cfg)
+    result = run_sweep(UniformPos(0.5, 1.5), cfg)
     margins = []
     for prev, cur in zip(result.aggregates, result.aggregates[1:]):
         spread = 3.0 * (prev.upper_std + prev.lower_std
@@ -295,9 +295,8 @@ def check_sweep_reproducibility(seed: int, n: int) -> PropertyResult:
     ]
     ok = True
     for dist, cfg in cases:
-        source = dist_source(dist)
-        a = run_sweep(source, cfg, threads=1)
-        b = run_sweep(source, cfg, threads=8)
+        a = run_sweep(dist, cfg, threads=1)
+        b = run_sweep(dist, cfg, threads=8)
         ok = ok and all(
             ra.report == rb.report and ra.seed == rb.seed
             for ra, rb in zip(a.rows, b.rows)

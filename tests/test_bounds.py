@@ -21,7 +21,7 @@ from gapsandwich.bounds import (
 )
 from gapsandwich.distributions import Gamma, LogNormal, sample
 from gapsandwich.errors import EmptyGrid
-from gapsandwich.samples import PairedSamples, k_sample_pairs, paired_from_halves
+from gapsandwich.samples import PairedSamples, paired_from_halves
 
 N = 100_000
 
@@ -42,7 +42,7 @@ def gamma_mean_log_by_quadrature(a, theta):
 
 class TestJensenLower:
     def test_constant_samples(self):
-        s = k_sample_pairs(np.full(3, math.e), np.full(3, math.e), 1)
+        s = paired_from_halves(np.full(6, math.e), 1)
         est = jensen_lower(s)
         assert est.mean == pytest.approx(1.0, abs=1e-12)
         assert est.stderr == 0.0
@@ -60,13 +60,13 @@ class TestJensenLower:
         assert abs(est.mean - exact) <= 3.0 * est.stderr
 
     def test_single_pair_has_infinite_stderr(self):
-        s = k_sample_pairs(np.array([2.0]), np.array([3.0]), 1)
+        s = paired_from_halves(np.array([2.0, 3.0]), 1)
         assert jensen_lower(s).stderr == math.inf
 
 
 class TestGapUpperFirstOrder:
     def test_constant_samples_have_zero_gap(self):
-        s = k_sample_pairs(np.full(4, 2.0), np.full(4, 2.0), 1)
+        s = paired_from_halves(np.full(8, 2.0), 1)
         est = gap_upper_first_order(s)
         assert est.mean == pytest.approx(0.0, abs=1e-15)
         assert est.saturated == 0
@@ -96,7 +96,7 @@ class TestImprovedUpper:
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
     def test_constant_at_c_zero_is_log_c(self):
-        s = k_sample_pairs(np.full(5, 3.0), np.full(5, 3.0), 1)
+        s = paired_from_halves(np.full(10, 3.0), 1)
         assert improved_upper(s, 0.0).mean == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_lognormal_at_c_one(self):
@@ -106,7 +106,7 @@ class TestImprovedUpper:
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
     def test_rejects_non_finite_c(self):
-        s = k_sample_pairs(np.ones(2), np.ones(2), 1)
+        s = paired_from_halves(np.ones(4), 1)
         with pytest.raises(ValueError):
             improved_upper(s, math.inf)
         with pytest.raises(ValueError):
@@ -131,7 +131,7 @@ class TestImprovedUpper:
 
 class TestOptimalC:
     def test_constant_samples_give_zero(self):
-        s = k_sample_pairs(np.full(4, 5.0), np.full(4, 5.0), 1)
+        s = paired_from_halves(np.full(8, 5.0), 1)
         assert optimal_c(s) == pytest.approx(0.0, abs=1e-12)
 
     def test_lognormal_gives_sigma_squared(self):
@@ -154,7 +154,7 @@ class TestOptimalC:
 
 class TestOptimalUpperAndMidpoint:
     def test_constant_is_tight(self):
-        s = k_sample_pairs(np.full(4, 3.0), np.full(4, 3.0), 1)
+        s = paired_from_halves(np.full(8, 3.0), 1)
         assert optimal_upper(s) == pytest.approx(math.log(3.0), abs=1e-12)
         assert midpoint_evidence(s) == pytest.approx(math.log(3.0), abs=1e-12)
 
@@ -186,7 +186,7 @@ class TestOptimalUpperAndMidpoint:
 
 class TestSandwich:
     def test_constant_one_gives_all_zero(self):
-        s = k_sample_pairs(np.ones(8), np.ones(8), 1)
+        s = paired_from_halves(np.ones(16), 1)
         rep = sandwich(s, 0.0)
         assert rep.lower_mean == rep.upper_mean == rep.midpoint == 0.0
         assert rep.ratio_mean == pytest.approx(1.0)

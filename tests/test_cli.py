@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapsandwich
 from gapsandwich import verify
 from gapsandwich.cli import main
 from gapsandwich.distributions import sample
@@ -125,7 +130,7 @@ class TestAnalyticCommand:
         assert not (tmp_path / "o.csv").exists()
 
     def test_shape_mismatch_exits_2(self, tmp_path, monkeypatch, capsys):
-        def mismatched(source, cfg):
+        def mismatched(dist, cfg):
             return PairedSamples(np.ones(3), np.ones(2))
 
         monkeypatch.setattr("gapsandwich.cli.run_sweep", mismatched)
@@ -328,3 +333,14 @@ class TestVaePipeline:
         assert run(["vae", "train-cnet", "--model", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path / "c.ckpt"),
                     "--loss-out", str(tmp_path / "l.csv")]) == 4
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special adds about 0.3 s and 20 MB to every command's start-up,
+    # and only Gamma.mean_log needs it.
+    src = str(Path(gapsandwich.__file__).resolve().parents[1])
+    probe = "import sys, gapsandwich.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"

@@ -12,7 +12,7 @@ from gapsandwich.errors import (
     NonPositiveSample,
     ShapeMismatch,
 )
-from gapsandwich.samples import PairedSamples, k_sample_pairs, paired_from_halves
+from gapsandwich.samples import PairedSamples, paired_from_halves
 
 positive_vals = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -32,9 +32,9 @@ class TestPairedSamples:
 
     def test_nonpositive_rejected_in_linear_domain(self):
         with pytest.raises(NonPositiveSample):
-            k_sample_pairs(np.array([1.0, -2.0]), np.array([1.0, 1.0]), 1)
+            paired_from_halves(np.array([1.0, -2.0, 1.0, 1.0]), 1)
         with pytest.raises(NonPositiveSample):
-            k_sample_pairs(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 1)
+            paired_from_halves(np.array([1.0, 0.0, 1.0, 1.0]), 1)
 
     def test_log_domain_allows_negatives_but_not_inf(self):
         s = PairedSamples(np.array([-5.0, 3.0]), np.array([0.0, -1.0]))
@@ -56,7 +56,7 @@ class TestPairedSamples:
             s.d[0] = 9.0
 
     def test_log_xs_converts_linear(self):
-        s = k_sample_pairs(np.array([math.e]), np.array([1.0]), 1)
+        s = paired_from_halves(np.array([math.e, 1.0]), 1)
         assert s.lx[0] == pytest.approx(1.0)
         assert s.d[0] == pytest.approx(-1.0)
 
@@ -70,38 +70,34 @@ class TestPairedSamples:
 
 class TestKSamplePairs:
     def test_arithmetic_mean_blocks(self):
-        s = k_sample_pairs(np.array([1.0, 3.0, 2.0, 4.0]),
-                           np.array([2.0, 2.0, 6.0, 2.0]), k=2)
+        s = paired_from_halves(np.array([1.0, 3.0, 2.0, 4.0,
+                                         2.0, 2.0, 6.0, 2.0]), k=2)
         np.testing.assert_allclose(np.exp(s.lx), [2.0, 3.0])
         np.testing.assert_allclose(np.exp(s.lx + s.d), [2.0, 4.0])
         assert s.k == 2
 
     def test_k_one_is_identity(self):
-        s = k_sample_pairs(np.array([5.0]), np.array([7.0]), k=1)
+        s = paired_from_halves(np.array([5.0, 7.0]), k=1)
         np.testing.assert_array_equal(s.lx, [math.log(5.0)])
         np.testing.assert_array_equal(s.d, [math.log(7.0) - math.log(5.0)])
 
     def test_length_not_divisible(self):
         with pytest.raises(LengthNotDivisible):
-            k_sample_pairs(np.ones(5), np.ones(5), k=2)
+            paired_from_halves(np.ones(10), k=2)
 
     def test_invalid_k(self):
         with pytest.raises(InvalidK):
-            k_sample_pairs(np.ones(4), np.ones(4), k=0)
+            paired_from_halves(np.ones(8), k=0)
 
     def test_nonpositive_raw_rejected(self):
         with pytest.raises(NonPositiveSample):
-            k_sample_pairs(np.array([1.0, -1.0]), np.ones(2), k=1)
-
-    def test_raw_lengths_must_match(self):
-        with pytest.raises(ShapeMismatch, match="lengths differ"):
-            k_sample_pairs(np.ones(4), np.ones(2), k=2)
+            paired_from_halves(np.array([1.0, -1.0, 1.0, 1.0]), k=1)
 
     @given(st.lists(st.tuples(positive_vals, positive_vals), min_size=3,
                     max_size=60).filter(lambda v: len(v) % 3 == 0))
     def test_log_and_linear_block_means_agree(self, values):
         raw_x, raw_y = np.array(values).T
-        s = k_sample_pairs(raw_x, raw_y, k=3)
+        s = paired_from_halves(np.concatenate([raw_x, raw_y]), k=3)
         lx = np.log(raw_x.reshape(-1, 3).mean(axis=1))
         np.testing.assert_array_equal(s.lx, lx)
         np.testing.assert_array_equal(

@@ -11,7 +11,7 @@ import pytest
 from gapsandwich import parallel, sweep, verify
 from gapsandwich.bounds import optimal_c, sandwich
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
-from gapsandwich.errors import ParseError, SourceFailure
+from gapsandwich.errors import ParseError
 from gapsandwich.parallel import THREADS_ENV, resolve_threads
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples, paired_from_halves
@@ -19,10 +19,8 @@ from gapsandwich.sweep import (
     CHUNK_DRAWS,
     CSV_HEADER,
     CPolicy,
-    SampleSource,
     SweepConfig,
     apply_c_policy,
-    dist_source,
     run_sweep,
     sweep_csv_lines,
     write_sweep_csv,
@@ -40,10 +38,6 @@ class TestCPolicy:
             CPolicy.parse("optimal")
         with pytest.raises(ParseError):
             CPolicy.parse("fixed:xyz")
-
-    def test_round_trip(self):
-        for text in ("zero", "pilot-optimal", "fixed:0.25"):
-            assert CPolicy.parse(CPolicy.parse(text).spec_string()) == CPolicy.parse(text)
 
 
 class TestApplyCPolicy:
@@ -82,7 +76,7 @@ class TestRunSweep:
     def test_constant_source_gives_zero_bounds(self):
         cfg = SweepConfig(k_values=(1, 2), n_pairs=50, replications=2, base_seed=1,
                           c_policy=CPolicy("zero"))
-        result = run_sweep(dist_source(Constant(1.0)), cfg)
+        result = run_sweep(Constant(1.0), cfg)
         assert len(result.rows) == 4
         for row in result.rows:
             assert row.report.lower_mean == row.report.upper_mean == 0.0
@@ -90,7 +84,7 @@ class TestRunSweep:
     def test_gamma_gaps_match_closed_form_sequence(self):
         cfg = SweepConfig(k_values=(1, 2, 4), n_pairs=100_000, replications=1,
                           base_seed=2, c_policy=CPolicy("zero"))
-        result = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg)
+        result = run_sweep(Gamma(2.0, 1.0), cfg)
         for row, exact in zip(result.rows, (1.0, 1.0 / 3.0, 1.0 / 7.0)):
             width = row.report.upper_mean - row.report.lower_mean
             se = row.report.lower_stderr + row.report.upper_stderr
@@ -99,7 +93,7 @@ class TestRunSweep:
     def test_lognormal_pilot_optimal_bracket(self):
         cfg = SweepConfig(k_values=(1,), n_pairs=100_000, replications=3,
                           base_seed=3, c_policy=CPolicy("pilot-optimal"))
-        result = run_sweep(dist_source(LogNormal(0.0, 1.0)), cfg)
+        result = run_sweep(LogNormal(0.0, 1.0), cfg)
         agg = result.aggregates[0]
         assert agg.lower_mean == pytest.approx(0.0, abs=0.02)
         assert agg.upper_mean == pytest.approx(1.0, abs=0.05)
@@ -108,14 +102,13 @@ class TestRunSweep:
 
     def test_bitwise_reproducible_across_threads(self):
         cfg = SweepConfig(k_values=(1, 4), n_pairs=500, replications=4, base_seed=4)
-        source = dist_source(Gamma(2.0, 1.0))
-        a = run_sweep(source, cfg, threads=1)
-        b = run_sweep(source, cfg, threads=4)
+        a = run_sweep(Gamma(2.0, 1.0), cfg, threads=1)
+        b = run_sweep(Gamma(2.0, 1.0), cfg, threads=4)
         assert a == b
 
     def test_row_count_matches_grid(self):
         cfg = SweepConfig(k_values=(1, 2, 4), n_pairs=50, replications=5, base_seed=5)
-        result = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg)
+        result = run_sweep(Gamma(2.0, 1.0), cfg)
         assert len(result.rows) == 15
         assert len(result.aggregates) == 3
 
@@ -123,7 +116,7 @@ class TestRunSweep:
     def test_pilot_on_minimal_cells_bounds_one_pair(self, n_pairs):
         cfg = SweepConfig(k_values=(1, 4), n_pairs=n_pairs, replications=2,
                           base_seed=9)
-        result = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg)
+        result = run_sweep(Gamma(2.0, 1.0), cfg)
         for row in result.rows:
             rep = row.report
             assert rep.n == 1
@@ -135,17 +128,19 @@ class TestRunSweep:
     def test_k_equal_to_n_pairs(self, policy, bounded):
         cfg = SweepConfig(k_values=(1, 16), n_pairs=16, replications=1, base_seed=10,
                           c_policy=CPolicy.parse(policy))
-        rep = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg).rows[-1].report
+        rep = run_sweep(Gamma(2.0, 1.0), cfg).rows[-1].report
         assert rep.n == bounded
         assert math.isfinite(rep.lower_mean) and math.isfinite(rep.upper_mean)
 
-    def test_source_failure_is_wrapped(self):
-        def broken(out, seed):
+    def test_source_failure_is_wrapped(self, monkeypatch):
+        # A sampler's error reaches the caller as it was raised.
+        def broken(d, n, seed, out):
             raise RuntimeError("backend down")
 
+        monkeypatch.setattr(sweep, "sample", broken)
         cfg = SweepConfig(k_values=(1,), n_pairs=10, replications=1, base_seed=6)
-        with pytest.raises(SourceFailure, match="backend down"):
-            run_sweep(SampleSource("broken", broken), cfg)
+        with pytest.raises(RuntimeError, match="backend down"):
+            run_sweep(Gamma(2.0, 1.0), cfg)
 
 
 class TestChunkedCells:
@@ -159,8 +154,7 @@ class TestChunkedCells:
         n_pairs = 2 * self.PER_CHUNK + 37
         cfg = SweepConfig(k_values=(self.K,), n_pairs=n_pairs, replications=1,
                           base_seed=11, c_policy=CPolicy("zero"))
-        source = dist_source(LogNormal(0.0, 1.0))
-        row = run_sweep(source, cfg, threads=1).rows[0]
+        row = run_sweep(LogNormal(0.0, 1.0), cfg, threads=1).rows[0]
         assert row.seed == derive_key(11, 0, self.K)
         chunks = [
             paired_from_halves(sample(LogNormal(0.0, 1.0), 2 * m * self.K,
@@ -175,31 +169,32 @@ class TestChunkedCells:
     def test_multi_chunk_sweep_is_identical_across_threads(self):
         cfg = SweepConfig(k_values=(16, self.K), n_pairs=self.PER_CHUNK + 1000,
                           replications=2, base_seed=12)
-        source = dist_source(Gamma(2.0, 1.0))
-        assert run_sweep(source, cfg, threads=1) == run_sweep(source, cfg, threads=2)
+        dist = Gamma(2.0, 1.0)
+        assert run_sweep(dist, cfg, threads=1) == run_sweep(dist, cfg, threads=2)
 
-    def test_failure_in_a_later_chunk_is_wrapped(self):
+    def test_failure_in_a_later_chunk_is_wrapped(self, monkeypatch):
         calls = []
 
-        def fails_second(out, seed):
+        def fails_second(d, n, seed, out):
             calls.append(seed)
             if len(calls) == 2:
                 raise RuntimeError("chunk two lost")
             out[:] = 1.0
 
+        monkeypatch.setattr(sweep, "sample", fails_second)
         cfg = SweepConfig(k_values=(self.K,), n_pairs=self.PER_CHUNK + 1,
                           replications=1, base_seed=13)
-        with pytest.raises(SourceFailure, match="chunk two lost"):
-            run_sweep(SampleSource("flaky", fails_second), cfg, threads=1)
+        with pytest.raises(RuntimeError, match="chunk two lost"):
+            run_sweep(Gamma(2.0, 1.0), cfg, threads=1)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_verify_compares_threads_across_a_chunk_boundary(self, n, monkeypatch):
         configs = []
 
-        def recording_run_sweep(source, cfg, threads=None):
+        def recording_run_sweep(dist, cfg, threads=None):
             configs.append(cfg)
-            return run_sweep(source, cfg, threads=threads)
+            return run_sweep(dist, cfg, threads=threads)
 
         monkeypatch.setattr(verify, "run_sweep", recording_run_sweep)
         assert verify.check_sweep_reproducibility(7, n).passed
@@ -213,11 +208,11 @@ class TestChunkedCells:
         # 2 * 10^5 * 64 raw draws would take 102 MB if held at once.
         cfg = SweepConfig(k_values=(64,), n_pairs=100_000, replications=1,
                           base_seed=14)
-        source = dist_source(parse_dist(spec))
+        dist = parse_dist(spec)
         for threads in (1, 2):
             tracemalloc.start()
             try:
-                run_sweep(source, cfg, threads=threads)
+                run_sweep(dist, cfg, threads=threads)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -229,25 +224,25 @@ class TestChunkedCells:
         # Six chunks, the last one short: at 2 and 3 threads the chunks run
         # out of order and share the workers' buffers.
         n_pairs = 5 * self.PER_CHUNK + 37
-        source = dist_source(parse_dist(spec))
+        dist = parse_dist(spec)
         seed = derive_key(16, 0, self.K)
-        ref = sweep._cell_pairs(source, seed, self.K, n_pairs, 1)
+        ref = sweep._cell_pairs(dist, seed, self.K, n_pairs, 1)
         for threads in (2, 3):
-            pairs = sweep._cell_pairs(source, seed, self.K, n_pairs, threads)
+            pairs = sweep._cell_pairs(dist, seed, self.K, n_pairs, threads)
             assert pairs.lx.tobytes() == ref.lx.tobytes()
             assert pairs.d.tobytes() == ref.d.tobytes()
-        last = paired_from_halves(sample(parse_dist(spec), 2 * 37 * self.K,
+        last = paired_from_halves(sample(dist, 2 * 37 * self.K,
                                          derive_key(seed, 5)), self.K)
         assert ref.lx[-37:].tobytes() == last.lx.tobytes()
 
-    def test_first_failing_chunk_is_reported_and_the_pool_is_joined(self):
+    def test_first_failing_chunk_is_reported_and_the_pool_is_joined(self, monkeypatch):
         n_pairs = 6 * self.PER_CHUNK
         cfg = SweepConfig(k_values=(self.K,), n_pairs=n_pairs, replications=1,
                           base_seed=17)
         seed = derive_key(17, 0, self.K)
         chunk_of = {derive_key(seed, j): j for j in range(6)}
 
-        def flaky(out, key):
+        def flaky(d, n, key, out):
             j = chunk_of[key]
             if j == 2:
                 time.sleep(0.2)  # chunk 4 fails first in time
@@ -256,9 +251,10 @@ class TestChunkedCells:
                 raise RuntimeError("chunk 4 lost")
             out[:] = 1.0
 
+        monkeypatch.setattr(sweep, "sample", flaky)
         before = set(threading.enumerate())
-        with pytest.raises(SourceFailure, match="chunk 2 lost"):
-            run_sweep(SampleSource("flaky", flaky), cfg, threads=2)
+        with pytest.raises(RuntimeError, match="chunk 2 lost"):
+            run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
         assert set(threading.enumerate()) <= before
 
     def test_pairs_are_read_only_views_of_the_cell(self, monkeypatch):
@@ -269,8 +265,7 @@ class TestChunkedCells:
             return paired_from_halves(raw, k, out)
 
         monkeypatch.setattr(sweep, "paired_from_halves", recording)
-        source = dist_source(Gamma(2.0, 1.0))
-        pairs = sweep._cell_pairs(source, 18, self.K, 3 * self.PER_CHUNK, 2)
+        pairs = sweep._cell_pairs(Gamma(2.0, 1.0), 18, self.K, 3 * self.PER_CHUNK, 2)
         assert len(written) == 6
         for chunk_vector in written:
             assert np.shares_memory(chunk_vector, pairs.lx) != np.shares_memory(
@@ -297,18 +292,17 @@ class TestWorkers:
 
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
         per_chunk = CHUNK_DRAWS // (2 * 64)
-        source = dist_source(Gamma(2.0, 1.0))
-        sweep._cell_pairs(source, 19, 64, per_chunk, 8)
+        dist = Gamma(2.0, 1.0)
+        sweep._cell_pairs(dist, 19, 64, per_chunk, 8)
         assert sizes == []
-        sweep._cell_pairs(source, 19, 64, 2 * per_chunk + 1, 8)
+        sweep._cell_pairs(dist, 19, 64, 2 * per_chunk + 1, 8)
         assert sizes == [3]
 
     def test_one_chunk_cell_allocates_one_buffer(self):
         # One raw buffer is CHUNK_DRAWS floats, 8 MB; eight would take 64 MB.
-        source = dist_source(Gamma(2.0, 1.0))
         tracemalloc.start()
         try:
-            sweep._cell_pairs(source, 20, 64, CHUNK_DRAWS // (2 * 64), 8)
+            sweep._cell_pairs(Gamma(2.0, 1.0), 20, 64, CHUNK_DRAWS // (2 * 64), 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -336,7 +330,7 @@ class TestSweepCsv:
     def test_header_and_shape(self, tmp_path):
         cfg = SweepConfig(k_values=(1,), n_pairs=100, replications=2, base_seed=7,
                           c_policy=CPolicy("fixed", 0.5))
-        result = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg)
+        result = run_sweep(Gamma(2.0, 1.0), cfg)
         path = tmp_path / "out.csv"
         write_sweep_csv(str(path), result, dataset="gamma:a=2,theta=1",
                         model="analytic")
@@ -353,7 +347,7 @@ class TestSweepCsv:
 
     def test_labels_with_quotes_commas_and_newlines_round_trip(self, tmp_path):
         cfg = SweepConfig(k_values=(1, 2), n_pairs=20, replications=1, base_seed=15)
-        result = run_sweep(dist_source(Gamma(2.0, 1.0)), cfg)
+        result = run_sweep(Gamma(2.0, 1.0), cfg)
         dataset, model = 'say "hi", twice', 'line one\nline, "two"'
         path = tmp_path / "labels.csv"
         write_sweep_csv(str(path), result, dataset=dataset, model=model)
@@ -367,7 +361,7 @@ class TestSweepCsv:
 
     def test_float_fields_round_trip(self):
         cfg = SweepConfig(k_values=(1,), n_pairs=100, replications=1, base_seed=8)
-        result = run_sweep(dist_source(LogNormal(0.0, 1.0)), cfg)
+        result = run_sweep(LogNormal(0.0, 1.0), cfg)
         line = sweep_csv_lines(result, "d", "m")[1]
         fields = line.split(",")
         assert float(fields[6]) == result.rows[0].report.lower_mean

@@ -482,19 +482,6 @@ class TestTrain:
         np.testing.assert_array_equal(result.model.params, params)
         assert result.loss_history == history
 
-    @pytest.mark.parametrize("limit", [1, 30])
-    def test_grouped_epoch_draw_is_the_one_call_draw(self, monkeypatch, limit):
-        # 23 datapoints, batches of 5, K = 3: groups of one batch at limit 1,
-        # of two batches (10, 10, 3 rows) at limit 30.
-        model = ToyVae.init(3)
-        data = sample(Laplace(0.0, 0.2), 23, 4)
-        args = (model, data, Objective("iwae", 3))
-        one_call = train(*args, epochs=2, batch=5, lr=0.05, seed=5)
-        monkeypatch.setattr(vae, "TRAIN_DRAW_NORMALS", limit)
-        grouped = train(*args, epochs=2, batch=5, lr=0.05, seed=5)
-        np.testing.assert_array_equal(grouped.model.params, one_call.model.params)
-        assert grouped.loss_history == one_call.loss_history
-
     def test_epoch_draw_memory_is_bounded(self):
         # The whole epoch's eps, 10^5 x 64 normals, would take 51 MB.
         data = sample(Laplace(0.0, 0.2), 100_000, 8)
