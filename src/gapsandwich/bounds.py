@@ -122,7 +122,7 @@ def log_ratio_mean(s: PairedSamples) -> Estimate:
 
 def optimal_c(s: PairedSamples) -> float:
     """The bound-minimizing C: log of the sample mean of Y/X."""
-    return log_ratio_mean(s).mean
+    return log_mean_exp(s.d)
 
 
 def optimal_upper(s: PairedSamples) -> float:
@@ -143,17 +143,17 @@ def sandwich(s: PairedSamples, c: float) -> BoundReport:
     """Assemble the full lower/upper report at a given C."""
     lower = jensen_lower(s)
     upper = improved_upper(s, c)
-    ratio = log_ratio_mean(s)
+    log_ratio = log_mean_exp(s.d)
     return BoundReport(
         lower_mean=lower.mean,
         lower_stderr=lower.stderr,
         upper_mean=upper.mean,
         upper_stderr=upper.stderr,
-        ratio_mean=math.exp(min(ratio.mean, EXP_SATURATION)),
+        ratio_mean=math.exp(min(log_ratio, EXP_SATURATION)),
         c_used=c,
         n=s.n,
         k=s.k,
-        midpoint=lower.mean + 0.5 * ratio.mean,
+        midpoint=lower.mean + 0.5 * log_ratio,
         saturated_pairs=upper.saturated,
     )
 

@@ -3,19 +3,19 @@
 Each distribution carries its exact mean, mean-log and (where a closed
 form exists) log E[Y/X], so Monte Carlo estimates can be checked
 against ground truth.  Sampling is deterministic in (dist, n, seed) and uses
-the package's counter-based streams.
+the package's keyed streams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .errors import InvalidParams, ParseError
-from .rng import generator
+from .rng import generator, philox
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,11 @@ class Laplace(AnalyticDist):
 
 
 def sample(d: AnalyticDist, n: int, seed: int,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """n i.i.d. draws, bit-identical for fixed (d, n, seed).
+           out: np.ndarray | None = None, *,
+           bit_generator: Callable[[int], np.random.BitGenerator] = philox
+           ) -> np.ndarray:
+    """n i.i.d. draws from generator(seed, bit_generator=bit_generator),
+    bit-identical for fixed (d, n, seed, bit_generator).
 
     With out, a C-contiguous float64 vector of n elements, the draws are
     written there and out is returned; otherwise a new array is.
@@ -220,7 +223,7 @@ def sample(d: AnalyticDist, n: int, seed: int,
         out = np.empty(n)
     elif out.shape != (n,) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise InvalidParams(f"out must be a contiguous float64 vector of {n}")
-    d.fill(generator(seed), out)
+    d.fill(generator(seed, bit_generator=bit_generator), out)
     return out
 
 

@@ -1,12 +1,16 @@
 """Deterministic, splittable random streams.
 
 Every stochastic routine in the package takes a 64-bit seed plus integer
-stream ids and derives an independent counter-based generator from them.
-Results therefore depend only on (seed, stream ids), never on execution
-order or thread count.
+stream ids and hashes them with derive_key into the key of its own
+generator.  Results therefore depend only on (seed, stream ids), never on
+execution order or thread count.  The generator is counter-based Philox
+unless the caller names another bit generator; the analytic sweep's chunks
+name SFC64 (see sweep).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +39,17 @@ def derive_key(seed: int, *stream: int) -> int:
     return key
 
 
-def generator(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based generator for the given seed and stream ids."""
-    return np.random.Generator(np.random.Philox(key=derive_key(seed, *stream)))
+def philox(key: int) -> np.random.BitGenerator:
+    """Counter-based Philox4x64 keyed directly by a 64-bit key."""
+    return np.random.Philox(key=key)
+
+
+def generator(
+    seed: int,
+    *stream: int,
+    bit_generator: Callable[[int], np.random.BitGenerator] = philox,
+) -> np.random.Generator:
+    """Generator for the given seed and stream ids: bit_generator called on
+    derive_key(seed, *stream)."""
+    return np.random.Generator(bit_generator(derive_key(seed, *stream)))
 

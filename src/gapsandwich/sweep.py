@@ -2,13 +2,15 @@
 
 The (k, replication) cells run one after another.  Each cell derives its own
 seed and samples 2*n_pairs*k fresh draws of the sweep's distribution in
-fixed chunks of about CHUNK_DRAWS draws; chunk j uses the stream
-derive_key(cell_seed, j).  A cell's chunks run through parallel.map_chunks:
-each draws in place into the raw buffer that the cell allocated for its
-worker, and writes its block means straight into its own slice of the
-cell's lx and d vectors.  A cell therefore holds O(n_pairs + threads *
-CHUNK_DRAWS) floats whatever k is, and its results are bit-identical at any
-thread count.
+fixed chunks of about CHUNK_DRAWS draws; chunk j draws from an SFC64
+stream, chunk_bit_generator, under the key derive_key(cell_seed, j).
+SFC64 draws faster than the package's default Philox, and the sampler is
+most of a sweep's time; the keys come from the package's one derivation
+scheme.  A cell's chunks run through parallel.map_chunks: each draws in
+place into the raw buffer that the cell allocated for its worker, and
+writes its block means straight into its own slice of the cell's lx and d
+vectors.  A cell therefore holds O(n_pairs + threads * CHUNK_DRAWS) floats
+whatever k is, and its results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -25,9 +27,20 @@ from .parallel import map_chunks, resolve_threads, worker_scratch
 from .rng import derive_key
 from .samples import PairedSamples, paired_from_halves
 
-# Raw draws per chunk of a cell.  Part of the stream scheme: changing it
-# changes every sweep result for a given seed.
+# Raw draws per chunk of a cell.  Part of the stream scheme, with
+# chunk_bit_generator: changing either changes every sweep result for a
+# given seed.
 CHUNK_DRAWS = 1 << 20
+
+
+def chunk_bit_generator(key: int) -> np.random.BitGenerator:
+    """SFC64 seeded with key, the bit generator of every chunk's stream.
+
+    A function rather than the class itself, so that importing the module
+    leaves numpy.random unloaded until a cell draws.
+    """
+    return np.random.SFC64(key)
+
 
 CSV_HEADER = (
     "dataset,model,k,replication,n_pairs,seed,lower_mean,lower_stderr,"
@@ -135,9 +148,9 @@ class SweepResult:
 
 def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int,
                 threads: int) -> PairedSamples:
-    """One cell's pairs; chunk j is drawn from derive_key(seed, j) into a
-    worker's raw buffer, and writes pairs [j per_chunk, (j + 1) per_chunk)
-    of lx and d."""
+    """One cell's pairs; chunk j is drawn from the chunk_bit_generator stream
+    under derive_key(seed, j) into a worker's raw buffer, and writes pairs
+    [j per_chunk, (j + 1) per_chunk) of lx and d."""
     per_chunk = max(1, CHUNK_DRAWS // (2 * k))
     n_chunks = -(-n_pairs // per_chunk)
     lx, d = np.empty(n_pairs), np.empty(n_pairs)
@@ -146,7 +159,8 @@ def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int,
         start = j * per_chunk
         stop = min(start + per_chunk, n_pairs)
         raw = buf[:2 * (stop - start) * k]
-        sample(dist, raw.size, derive_key(seed, j), raw)
+        sample(dist, raw.size, derive_key(seed, j), raw,
+               bit_generator=chunk_bit_generator)
         paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
 
     buffers = worker_scratch(lambda: np.empty(2 * min(per_chunk, n_pairs) * k),

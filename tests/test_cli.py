@@ -335,12 +335,23 @@ class TestVaePipeline:
                     "--loss-out", str(tmp_path / "l.csv")]) == 4
 
 
-def test_importing_the_cli_leaves_scipy_special_unloaded():
-    # scipy.special adds about 0.3 s and 20 MB to every command's start-up,
-    # and only Gamma.mean_log needs it.
+def loaded_by_importing_the_cli(module: str) -> bool:
     src = str(Path(gapsandwich.__file__).resolve().parents[1])
-    probe = "import sys, gapsandwich.cli; print('scipy.special' in sys.modules)"
+    probe = f"import sys, gapsandwich.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special adds about 0.3 s and 20 MB to every command's start-up,
+    # and only Gamma.mean_log needs it.
+    assert not loaded_by_importing_the_cli("scipy.special")
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random adds about 2.5 MB at import; loading it there, before any
+    # command draws, raised the peak RSS of the case study, which never
+    # runs a sweep, by about 0.4 MB.
+    assert not loaded_by_importing_the_cli("numpy.random")

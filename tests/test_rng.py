@@ -38,3 +38,15 @@ class TestGenerator:
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) < 0.03
 
+    def test_default_is_philox_keyed_by_derive_key(self):
+        ours = generator(7, 3, 5)
+        ref = np.random.Generator(np.random.Philox(key=derive_key(7, 3, 5)))
+        raw = ours.bit_generator.random_raw(64)
+        assert raw.tobytes() == ref.bit_generator.random_raw(64).tobytes()
+        assert ours.standard_normal(64).tobytes() == ref.standard_normal(64).tobytes()
+
+    def test_named_bit_generator_is_seeded_with_the_key(self):
+        ours = generator(7, 3, bit_generator=np.random.SFC64)
+        ref = np.random.Generator(np.random.SFC64(derive_key(7, 3)))
+        draws = ours.standard_gamma(2.0, 64)
+        assert draws.tobytes() == ref.standard_gamma(2.0, 64).tobytes()

@@ -134,7 +134,7 @@ class TestRunSweep:
 
     def test_source_failure_is_wrapped(self, monkeypatch):
         # A sampler's error reaches the caller as it was raised.
-        def broken(d, n, seed, out):
+        def broken(d, n, seed, out, *, bit_generator):
             raise RuntimeError("backend down")
 
         monkeypatch.setattr(sweep, "sample", broken)
@@ -145,7 +145,7 @@ class TestRunSweep:
 
 class TestChunkedCells:
     """Each cell draws chunks of CHUNK_DRAWS // (2k) pairs, chunk j from the
-    stream derive_key(cell_seed, j); the last chunk is short."""
+    SFC64 stream under derive_key(cell_seed, j); the last chunk is short."""
 
     K = 64
     PER_CHUNK = CHUNK_DRAWS // (2 * K)
@@ -158,13 +158,32 @@ class TestChunkedCells:
         assert row.seed == derive_key(11, 0, self.K)
         chunks = [
             paired_from_halves(sample(LogNormal(0.0, 1.0), 2 * m * self.K,
-                                      derive_key(row.seed, j)), self.K)
+                                      derive_key(row.seed, j),
+                                      bit_generator=np.random.SFC64), self.K)
             for j, m in enumerate((self.PER_CHUNK, self.PER_CHUNK, 37))
         ]
         expected = PairedSamples(np.concatenate([c.lx for c in chunks]),
                                  np.concatenate([c.d for c in chunks]), k=self.K)
         assert row.report == sandwich(expected, 0.0)
         assert row.report.n == n_pairs
+
+    def test_chunk_j_draws_from_sfc64_under_the_chunk_key(self):
+        # The stream scheme built from numpy alone: the chunk calls
+        # sample(..., derive_key(cell_seed, j)), and sample's generator
+        # seeds SFC64 with derive_key of that key.
+        seed = derive_key(21, 0, self.K)
+        sizes = (self.PER_CHUNK, 37)
+        pairs = sweep._cell_pairs(Gamma(2.0, 1.0), seed, self.K, sum(sizes), 1)
+        draws = [
+            np.random.Generator(np.random.SFC64(derive_key(derive_key(seed, j))))
+            .standard_gamma(2.0, 2 * m * self.K)
+            for j, m in enumerate(sizes)
+        ]
+        for start, m, raw in zip((0, self.PER_CHUNK), sizes, draws):
+            blocks = raw.reshape(2, m, self.K).mean(axis=2)
+            lx, ly = np.log(blocks)
+            assert pairs.lx[start:start + m].tobytes() == lx.tobytes()
+            assert pairs.d[start:start + m].tobytes() == (ly - lx).tobytes()
 
     def test_multi_chunk_sweep_is_identical_across_threads(self):
         cfg = SweepConfig(k_values=(16, self.K), n_pairs=self.PER_CHUNK + 1000,
@@ -175,7 +194,7 @@ class TestChunkedCells:
     def test_failure_in_a_later_chunk_is_wrapped(self, monkeypatch):
         calls = []
 
-        def fails_second(d, n, seed, out):
+        def fails_second(d, n, seed, out, *, bit_generator):
             calls.append(seed)
             if len(calls) == 2:
                 raise RuntimeError("chunk two lost")
@@ -231,8 +250,8 @@ class TestChunkedCells:
             pairs = sweep._cell_pairs(dist, seed, self.K, n_pairs, threads)
             assert pairs.lx.tobytes() == ref.lx.tobytes()
             assert pairs.d.tobytes() == ref.d.tobytes()
-        last = paired_from_halves(sample(dist, 2 * 37 * self.K,
-                                         derive_key(seed, 5)), self.K)
+        last = paired_from_halves(sample(dist, 2 * 37 * self.K, derive_key(seed, 5),
+                                         bit_generator=np.random.SFC64), self.K)
         assert ref.lx[-37:].tobytes() == last.lx.tobytes()
 
     def test_first_failing_chunk_is_reported_and_the_pool_is_joined(self, monkeypatch):
@@ -242,7 +261,7 @@ class TestChunkedCells:
         seed = derive_key(17, 0, self.K)
         chunk_of = {derive_key(seed, j): j for j in range(6)}
 
-        def flaky(d, n, key, out):
+        def flaky(d, n, key, out, *, bit_generator):
             j = chunk_of[key]
             if j == 2:
                 time.sleep(0.2)  # chunk 4 fails first in time
