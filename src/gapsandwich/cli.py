@@ -81,7 +81,10 @@ def _read_config(path: str) -> dict[str, str]:
                     raise ParseError(
                         f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
                     )
-                out[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key in out:
+                    raise ParseError(f"{path}:{lineno}: duplicate config key {key!r}")
+                out[key] = val.strip()
     except OSError as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from exc
     return out
@@ -344,7 +347,7 @@ def _c_source(spec: str) -> vae.CNet | float:
     raise ParseError(f"key 'c' must be fixed:<v> or cnet:<path>, got {spec!r}")
 
 
-def _write_records_csv(path: str, result: vae.EvalResult, k: int) -> None:
+def _write_records_csv(path: str, result: vae.EvalResult) -> None:
     # tolist gives Python floats, whose repr is the round-trip decimal.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(EVAL_RECORD_HEADER + "\n")
@@ -352,7 +355,7 @@ def _write_records_csv(path: str, result: vae.EvalResult, k: int) -> None:
                               result.S.tolist(), result.c.tolist()):
             fh.write(f"{x!r},{s!r},{S!r},{c!r},{result.k}\n")
         mean_c = float(np.mean(result.c))
-        fh.write(f"mean,{result.lower!r},{result.upper!r},{mean_c!r},{k}\n")
+        fh.write(f"mean,{result.lower!r},{result.upper!r},{mean_c!r},{result.k}\n")
 
 
 def cmd_vae_eval(args: argparse.Namespace) -> int:
@@ -365,7 +368,7 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
 
     result = vae.evaluate(model, c_source, data, opts["k"],
                           derive_key(opts["seed"], 8, opts["k"]))
-    _write_records_csv(opts["out"], result, opts["k"])
+    _write_records_csv(opts["out"], result)
     _pair_manifest(opts["out"], opts, opts["seed"], started)
 
     if sweep_ks:

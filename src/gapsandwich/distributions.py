@@ -24,9 +24,24 @@ class AnalyticDist:
 
     Accessors return None when no closed form exists for that kind.  kind
     and the dataclass fields are the spec grammar, `kind:field=val,...`.
+    Every field must be finite; each kind checks its own domain after that,
+    in check_domain.
     """
 
     kind: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvalidParams(
+                    f"{self.kind} parameter {f.name} must be finite, "
+                    f"got {getattr(self, f.name)}"
+                )
+        self.check_domain()
+
+    def check_domain(self) -> None:
+        """Raise InvalidParams if the finite fields are outside the kind's
+        domain."""
 
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Overwrite the float64 vector out with out.size i.i.d. draws."""
@@ -56,8 +71,8 @@ class Constant(AnalyticDist):
     kind = "constant"
     c: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.c) or self.c <= 0.0:
+    def check_domain(self) -> None:
+        if self.c <= 0.0:
             raise InvalidParams(f"constant c must be positive, got {self.c}")
 
     def fill(self, rng, out):
@@ -82,7 +97,7 @@ class Gamma(AnalyticDist):
     a: float
     theta: float
 
-    def __post_init__(self) -> None:
+    def check_domain(self) -> None:
         if self.a <= 0.0 or self.theta <= 0.0:
             raise InvalidParams(
                 f"gamma needs a>0 and theta>0, got a={self.a}, theta={self.theta}"
@@ -117,10 +132,10 @@ class LogNormal(AnalyticDist):
     m: float
     sigma: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.m) or self.sigma <= 0.0:
+    def check_domain(self) -> None:
+        if self.sigma <= 0.0:
             raise InvalidParams(
-                f"lognormal needs finite m and sigma>0, got m={self.m}, sigma={self.sigma}"
+                f"lognormal needs sigma>0, got m={self.m}, sigma={self.sigma}"
             )
 
     def fill(self, rng, out):
@@ -148,7 +163,7 @@ class UniformPos(AnalyticDist):
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
+    def check_domain(self) -> None:
         if self.lo <= 0.0 or self.hi <= self.lo:
             raise InvalidParams(
                 f"uniform needs 0 < lo < hi, got lo={self.lo}, hi={self.hi}"
@@ -184,10 +199,10 @@ class Laplace(AnalyticDist):
     loc: float
     b: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.loc) or self.b <= 0.0:
+    def check_domain(self) -> None:
+        if self.b <= 0.0:
             raise InvalidParams(
-                f"laplace needs finite loc and b>0, got loc={self.loc}, b={self.b}"
+                f"laplace needs b>0, got loc={self.loc}, b={self.b}"
             )
 
     def fill(self, rng, out):

@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import BoundReport, optimal_c, sandwich
 from .distributions import AnalyticDist, sample
 from .errors import ParseError
-from .parallel import map_chunks, resolve_threads, worker_scratch
+from .parallel import map_chunks, resolve_threads
 from .rng import derive_key
 from .samples import PairedSamples, paired_from_halves
 
@@ -163,9 +163,8 @@ def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int,
                bit_generator=chunk_bit_generator)
         paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
 
-    buffers = worker_scratch(lambda: np.empty(2 * min(per_chunk, n_pairs) * k),
-                             threads, n_chunks)
-    map_chunks(draw_chunk, n_chunks, buffers)
+    map_chunks(draw_chunk, n_chunks,
+               lambda: np.empty(2 * min(per_chunk, n_pairs) * k), threads)
     return PairedSamples(lx, d, k=k)
 
 

@@ -4,8 +4,9 @@ Encoder and decoder are single-hidden-layer MLPs (4 ReLU units each side);
 the encoder outputs the posterior mean and log-stddev, the decoder outputs
 the observation mean with a fixed variance.  Importance ratios
 R(x, z) = p(x|z) p(z) / q(z|x) drive the ELBO / IW-ELBO objectives and the
-paired lower/upper evidence estimates, and a second tiny MLP maps each
-datapoint to its bound parameter C.
+paired lower/upper evidence estimates, and the C network, the decoder's
+network with its own 13 parameters, maps each datapoint to its bound
+parameter C.
 
 All parameters live in flat float64 vectors; the declared order (also the
 checkpoint payload order) is:
@@ -32,7 +33,7 @@ from .errors import (
     NonFiniteParams,
     ParseError,
 )
-from .parallel import map_chunks, resolve_threads, worker_scratch
+from .parallel import map_chunks, resolve_threads
 from .rng import generator
 from .samples import PairedSamples
 
@@ -101,8 +102,7 @@ class CNet:
         return cls(generator(seed).uniform(-0.5, 0.5, CNET_PARAM_COUNT))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        c, _ = _cnet_forward(self.params, np.asarray(x, dtype=float))
-        return c
+        return _mlp(self.params, np.asarray(x, dtype=float))[1]
 
 
 @dataclass(frozen=True)
@@ -188,19 +188,36 @@ def _encode(params: np.ndarray, x: np.ndarray):
     return h, mu.reshape(x.shape), t.reshape(x.shape)
 
 
-def _decode(params: np.ndarray, z: np.ndarray, hd_out=None, m_out=None):
-    """Returns the (4, N) hidden hd and the decoded mean shaped like z, in
-    hd_out and the flat m_out where given."""
-    hd = _relu_layer(z, params[18:22], params[22:26], hd_out)
-    m = _sum_units(params[26:30], hd, m_out)
-    m += params[30]
-    return hd, m.reshape(z.shape)
+def _mlp(p: np.ndarray, x: np.ndarray, h_out=None, y_out=None):
+    """The 1 -> 4 ReLU -> 1 network with the 13 parameters p = w1[4], b1[4],
+    w2[4], b2: the decoder on params[18:31] and the C network.  Returns the
+    (4, N) hidden h and the output shaped like x, in h_out and the flat
+    y_out where given."""
+    h = _relu_layer(x, p[0:4], p[4:8], h_out)
+    y = _sum_units(p[8:12], h, y_out)
+    y += p[12]
+    return h, y.reshape(x.shape)
 
 
-def _cnet_forward(params: np.ndarray, x: np.ndarray):
-    """Returns C(x) shaped like x and the (4, N) hidden h."""
-    h = _relu_layer(x, params[0:4], params[4:8])
-    return (_sum_units(params[8:12], h) + params[12]).reshape(x.shape), h
+def _trunk_backward(g_a: np.ndarray, h: np.ndarray, x: np.ndarray,
+                    grad: np.ndarray) -> np.ndarray:
+    """Backward through the hidden layer h = _relu_layer(x, p[0:4], p[4:8])
+    from the (4, N) gradient g_a at h: masks g_a in place to the
+    pre-activations, writes p[0:8]'s gradient into grad[0:8], returns g_a."""
+    g_a *= h > 0.0
+    grad[0:4] = g_a @ x
+    grad[4:8] = g_a.sum(axis=1)
+    return g_a
+
+
+def _mlp_backward(p: np.ndarray, h: np.ndarray, x: np.ndarray,
+                  g_y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Backward pass of _mlp(p, x) with hidden h, for the gradient g_y at
+    its flat output: writes the 13 parameter gradients into grad and returns
+    the (4, N) gradient at the pre-activations."""
+    grad[8:12] = h @ g_y
+    grad[12] = g_y.sum()
+    return _trunk_backward(np.multiply.outer(p[8:12], g_y), h, x, grad)
 
 
 class _Workspace:
@@ -224,24 +241,23 @@ def _log_r_reparam(params, decoder_var, x, eps, ws: _Workspace | None = None):
     in C order.  This is the one log-ratio kernel: training, the C-network
     ratio estimates and evaluate all call it.
 
-    Given a workspace ws over at least eps.size draws, z, hd, m (then
-    resid), logR and the temporary go into its buffers instead of new
-    arrays, with the same operations in the same order, so the values are
-    bitwise the same and the returned arrays are views of ws.
+    z, hd, m (then resid), logR and a temporary go into the buffers of the
+    workspace ws, over at least eps.size draws, or of a new
+    _Workspace(eps.size) when ws is None; the returned arrays are views of
+    it.
     """
     n = eps.size
     if ws is None:
-        z_out = hd_out = m_out = logR_out = tmp_out = None
-    else:
-        z_out, logR_out, tmp_out = (buf[:n].reshape(eps.shape)
-                                    for buf in (ws.z, ws.logR, ws.tmp))
-        hd_out, m_out = ws.hd[:HIDDEN * n].reshape(HIDDEN, n), ws.m[:n]
+        ws = _Workspace(n)
+    z_out, logR_out, tmp_out = (buf[:n].reshape(eps.shape)
+                                for buf in (ws.z, ws.logR, ws.tmp))
     h, mu, t = _encode(params, x)
     sg = np.exp(t)
     trailing = (slice(None),) + (None,) * (eps.ndim - 1)
     z = np.multiply(sg[trailing], eps, out=z_out)
     z += mu[trailing]
-    hd, m = _decode(params, z, hd_out, m_out)
+    hd, m = _mlp(params[18:31], z, ws.hd[:HIDDEN * n].reshape(HIDDEN, n),
+                 ws.m[:n])
     resid = np.subtract(x[trailing], m, out=m)
     # logR = C - resid^2 / (2 var) - z z / 2 + t + eps eps / 2, left to
     # right, in two buffers.
@@ -301,12 +317,7 @@ def iw_objective_and_grad(
     grad = np.empty(VAE_PARAM_COUNT)
     # Decoder path over the B K draws.
     g_m = (resid * (g_logR / decoder_var)).ravel()
-    grad[26:30] = hd @ g_m
-    grad[30] = g_m.sum()
-    g_ad = np.multiply.outer(params[26:30], g_m)
-    g_ad *= hd > 0.0
-    grad[18:22] = g_ad @ z.ravel()
-    grad[22:26] = g_ad.sum(axis=1)
+    g_ad = _mlp_backward(params[18:31], hd, z.ravel(), g_m, grad[18:31])
     # Latent path: explicit -z^2/2 plus the decoder sensitivity.  G holds
     # g_mu and g_t per datapoint; the +t term of log R adds each
     # datapoint's total weight, 1/B, to g_t.
@@ -320,10 +331,7 @@ def iw_objective_and_grad(
     g_heads[:, :4] = G @ h.T
     g_heads[:, 4] = G.sum(axis=1)
     # Encoder trunk.
-    g_a = heads[:, :4].T @ G
-    g_a *= h > 0.0
-    grad[0:4] = g_a @ xs
-    grad[4:8] = g_a.sum(axis=1)
+    _trunk_backward(heads[:, :4].T @ G, h, xs, grad)
     return value, grad
 
 
@@ -339,17 +347,12 @@ def cnet_objective_and_grad(
     """
     xs = np.asarray(xs, dtype=float)
     log_r_hat = np.asarray(log_r_hat, dtype=float)
-    c, h = _cnet_forward(cparams, xs)
+    h, c = _mlp(cparams, xs)
     expterm = np.exp(np.minimum(log_r_hat - c, EXP_SATURATION))
     value = float(np.mean(c - 1.0 + expterm))
     g_c = (1.0 - expterm) / xs.size
     grad = np.empty(CNET_PARAM_COUNT)
-    grad[8:12] = h @ g_c
-    grad[12] = g_c.sum()
-    g_a = np.multiply.outer(cparams[8:12], g_c)
-    g_a *= h > 0.0
-    grad[0:4] = g_a @ xs
-    grad[4:8] = g_a.sum(axis=1)
+    _mlp_backward(cparams, h, xs, g_c, grad)
     return value, grad
 
 
@@ -422,17 +425,8 @@ def train(
     return TrainResult(ToyVae(params, model.decoder_var), history)
 
 
-def _workspaces(draws: int, n: int, threads: int) -> list[_Workspace]:
-    """The workers' workspaces for a pass over n datapoints of draws
-    log-ratios each.  Each holds max(BLOCK_RATIOS, draws) draws, whatever
-    the block, so a pass holds O(threads BLOCK_RATIOS) floats whatever k
-    is."""
-    size = max(BLOCK_RATIOS, draws)
-    return worker_scratch(lambda: _Workspace(size), threads, -(-n // CHUNK_POINTS))
-
-
 def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
-                workspaces: list[_Workspace], step) -> None:
+                step) -> None:
     """Run step(start, stop, eps, ws) on every block of the datapoints
     [0, n), with eps of shape (stop - start, *trailing) in the worker's
     workspace ws.
@@ -441,8 +435,11 @@ def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
     fills its blocks' eps in order, in C order, from generator(*stream, j).
     numpy fills normals in C order, so the draws do not depend on the block
     size, and a datapoint's draws depend only on its index.  The chunks run
-    through map_chunks, and each step writes only its own datapoints'
-    results.  Floating-point warnings are off: callers check the results.
+    through map_chunks on resolve_threads() workers, and each step writes
+    only its own datapoints' results.  Each worker's workspace, made for
+    this call, holds max(BLOCK_RATIOS, draws) draws whatever the block, so a
+    call holds O(threads BLOCK_RATIOS) floats whatever k is.
+    Floating-point warnings are off: callers check the results.
     """
     draws = math.prod(trailing)
     block = max(1, BLOCK_RATIOS // draws)
@@ -457,7 +454,8 @@ def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
                 rng.standard_normal(out=eps)
                 step(start, stop, eps, ws)
 
-    map_chunks(chunk, -(-n // CHUNK_POINTS), workspaces)
+    map_chunks(chunk, -(-n // CHUNK_POINTS),
+               lambda: _Workspace(max(BLOCK_RATIOS, draws)), resolve_threads())
 
 
 def _ratio_estimates(
@@ -467,7 +465,6 @@ def _ratio_estimates(
     n_pairs: int,
     seed: int,
     epoch: int,
-    workspaces: list[_Workspace],
 ) -> np.ndarray:
     """Per-datapoint log r_hat(x), where r_hat(x) estimates
     E[mean_k R(x, z~) / mean_k R(x, z)] over n_pairs independent (z, z~)
@@ -476,8 +473,7 @@ def _ratio_estimates(
     Datapoint i's (n_pairs, 2, k) normals come from its chunk's stream
     derive_key(seed, epoch, j) (see _map_blocks), so the result depends on
     neither the block size nor the thread count, and xs[:m] gives the first
-    m values.  workspaces come from _workspaces(2 k n_pairs, xs.size,
-    threads).  Memory is O(threads BLOCK_RATIOS) for the workspaces plus
+    m values.  Memory is O(threads BLOCK_RATIOS) for the workspaces plus
     O(n) for the result.
     """
     out = np.empty(xs.size)
@@ -488,7 +484,7 @@ def _ratio_estimates(
         lse = np.asarray(logsumexp(logR, axis=3))
         out[start:stop] = log_mean_exp(lse[:, :, 1] - lse[:, :, 0], axis=1)
 
-    _map_blocks(xs.size, (n_pairs, 2, k), (seed, epoch), workspaces, step)
+    _map_blocks(xs.size, (n_pairs, 2, k), (seed, epoch), step)
     return out
 
 
@@ -504,9 +500,9 @@ def train_cnet(
 ) -> CNetTrainResult:
     """Full-batch gradient descent on the mean gap bound, with fresh
     (z, z~) ratio estimates drawn every epoch from the streams
-    derive_key(seed, epoch, j).  The estimates run on resolve_threads()
-    threads, in workspaces allocated once per call, and the result is
-    bit-identical at any thread count."""
+    derive_key(seed, epoch, j).  Each epoch's estimates run on
+    resolve_threads() threads, in workspaces made for that epoch, and the
+    result is bit-identical at any thread count."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise InvalidParams("cnet training data is empty")
@@ -515,12 +511,10 @@ def train_cnet(
             f"bad cnet config: k={k} n_pairs={n_pairs} epochs={epochs} lr={lr}"
         )
     cparams = cnet.params.copy()
-    workspaces = _workspaces(n_pairs * 2 * k, data.size, resolve_threads())
     history: list[float] = []
     for epoch in range(epochs):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_r_hat = _ratio_estimates(model, data, k, n_pairs, seed, epoch,
-                                         workspaces)
+            log_r_hat = _ratio_estimates(model, data, k, n_pairs, seed, epoch)
             value, grad = cnet_objective_and_grad(cparams, data, log_r_hat)
         if not math.isfinite(value):
             raise DivergenceDetected(f"non-finite cnet loss at epoch {epoch}")
@@ -613,7 +607,7 @@ def evaluate(
         lse[start:stop] = logsumexp(logR, axis=2)
         primal_sums[start:stop] = logR[:, 0, :].sum(axis=1)
 
-    _map_blocks(n, (2, k), (seed,), _workspaces(2 * k, n, resolve_threads()), step)
+    _map_blocks(n, (2, k), (seed,), step)
     # Overflow leaves non-finite pairs, which PairedSamples rejects.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)
@@ -649,7 +643,9 @@ def _write_checkpoint(path: str, payload: np.ndarray, count: int) -> None:
         fh.write(np.asarray(payload, dtype="<f8").tobytes())
 
 
-def _read_checkpoint(path: str, expected_count: int, extra: int) -> np.ndarray:
+def _read_checkpoint(path: str, expected_count: int, extra: int, build):
+    """build(payload) for the checkpoint at path.  Bad framing, and values
+    that build rejects, which no save_* writes, raise CheckpointError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -669,7 +665,10 @@ def _read_checkpoint(path: str, expected_count: int, extra: int) -> np.ndarray:
         raise CheckpointError(
             f"checkpoint {path!r} is {len(blob)} bytes, expected {expected_size}"
         )
-    return np.frombuffer(blob[16:], dtype="<f8").astype(float)
+    try:
+        return build(np.frombuffer(blob[16:], dtype="<f8").astype(float))
+    except (InvalidParams, NonFiniteParams) as exc:
+        raise CheckpointError(f"checkpoint {path!r} holds bad values: {exc}") from exc
 
 
 def save_model(path: str, model: ToyVae) -> None:
@@ -679,8 +678,8 @@ def save_model(path: str, model: ToyVae) -> None:
 
 
 def load_model(path: str) -> ToyVae:
-    payload = _read_checkpoint(path, VAE_PARAM_COUNT, extra=1)
-    return ToyVae(payload[:VAE_PARAM_COUNT], float(payload[VAE_PARAM_COUNT]))
+    return _read_checkpoint(path, VAE_PARAM_COUNT, 1, lambda payload: ToyVae(
+        payload[:VAE_PARAM_COUNT], float(payload[VAE_PARAM_COUNT])))
 
 
 def save_cnet(path: str, cnet: CNet) -> None:
@@ -688,4 +687,4 @@ def save_cnet(path: str, cnet: CNet) -> None:
 
 
 def load_cnet(path: str) -> CNet:
-    return CNet(_read_checkpoint(path, CNET_PARAM_COUNT, extra=0))
+    return _read_checkpoint(path, CNET_PARAM_COUNT, 0, CNet)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -15,7 +16,14 @@ from gapsandwich.distributions import sample
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples
 from gapsandwich.sweep import CSV_HEADER
-from gapsandwich.vae import ToyVae, load_model, save_model
+from gapsandwich.vae import (
+    CNET_PARAM_COUNT,
+    VAE_PARAM_COUNT,
+    ToyVae,
+    load_model,
+    save_model,
+)
+from test_vae import write_raw_checkpoint
 
 
 def run(args):
@@ -51,6 +59,13 @@ class TestAnalyticCommand:
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "thata" in capsys.readouterr().err
+
+    def test_non_finite_distribution_parameter_exits_2(self, tmp_path, capsys):
+        code = run(["analytic", "--dist", "lognormal:m=0,sigma=nan",
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_c_policy_exits_2(self, tmp_path):
         assert run(["analytic", "--dist", "constant:c=1", "--c-policy", "best",
@@ -103,6 +118,22 @@ class TestAnalyticCommand:
                     "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "replicas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first, second, key", [
+        ("n=100", "n=200", "n"),
+        ("c-policy=zero", "c_policy=pilot-optimal", "c_policy"),
+    ])
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, first, second,
+                                         key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{first}\nseed=5\n{second}\n")
+        code = run(["analytic", "--dist", "constant:c=1", "--k", "1",
+                    "--replications", "1", "--config", str(cfg),
+                    "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3" in err and repr(key) in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_config_booleans_accept_both_spellings(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -207,7 +238,7 @@ class TestVaePipeline:
         result = vae.evaluate(ToyVae.init(5), vae.CNet.init(6),
                               np.linspace(-0.5, 0.5, 7), k=3, seed=8)
         path = tmp_path / "r.csv"
-        cli._write_records_csv(str(path), result, 3)
+        cli._write_records_csv(str(path), result)
         expected = ["x,s,S,c,k"] + [
             f"{float(x)!r},{float(s)!r},{float(S)!r},{float(c)!r},3"
             for x, s, S, c in zip(result.x, result.s, result.S, result.c)]
@@ -308,6 +339,27 @@ class TestVaePipeline:
         ckpt.write_bytes(b"BADMAGIC" + struct.pack("<II", 1, 31) + b"\x00" * 256)
         assert run(["vae", "eval", "--model", str(ckpt),
                     "--out", str(tmp_path / "e.csv")]) == 4
+
+    @pytest.mark.parametrize("command, bad, count, index, value", [
+        ("eval", "model", VAE_PARAM_COUNT, 0, math.nan),
+        ("train-cnet", "model", VAE_PARAM_COUNT, VAE_PARAM_COUNT, -1.0),
+        ("eval", "cnet", CNET_PARAM_COUNT, 3, math.inf),
+    ])
+    def test_framed_checkpoint_with_bad_values_exits_4(
+            self, tmp_path, capsys, command, bad, count, index, value):
+        model = str(tmp_path / "v.ckpt")
+        save_model(model, ToyVae.init(5, 0.04))
+        path = str(tmp_path / "bad.ckpt")
+        write_raw_checkpoint(path, count, index, value)
+        args = ["vae", command, "--n", "40", "--out", str(tmp_path / "o.out")]
+        if command == "train-cnet":
+            args += ["--epochs", "1", "--loss-out", str(tmp_path / "l.csv")]
+        if bad == "model":
+            args += ["--model", path]
+        else:
+            args += ["--model", model, "--c", f"cnet:{path}"]
+        assert run(args) == 4
+        assert "bad.ckpt" in capsys.readouterr().err
 
     def test_divergent_training_exits_5(self, tmp_path):
         code = run(["vae", "train", "--epochs", "40", "--n", "400",

@@ -221,3 +221,21 @@ class TestParseGrammar:
             parse_dist("gamma:a=-2,theta=1")
         with pytest.raises(InvalidParams):
             parse_dist("uniform:lo=2,hi=1")
+
+    @pytest.mark.parametrize("text,field", [
+        ("gamma:a=nan,theta=1", "a"),
+        ("gamma:a=2,theta=inf", "theta"),
+        ("lognormal:m=0,sigma=nan", "sigma"),
+        ("lognormal:m=inf,sigma=1", "m"),
+        ("uniform:lo=nan,hi=2", "lo"),
+        ("uniform:lo=1,hi=inf", "hi"),
+        ("laplace:loc=-inf,b=1", "loc"),
+        ("laplace:loc=0,b=nan", "b"),
+    ])
+    def test_non_finite_parameter_is_named(self, text, field):
+        with pytest.raises(InvalidParams, match=f"parameter {field} must be finite"):
+            parse_dist(text)
+
+    def test_non_finite_parameter_rejected_by_the_constructor(self):
+        with pytest.raises(InvalidParams, match="parameter a must be finite"):
+            Gamma(math.nan, 1.0)

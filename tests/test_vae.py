@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from gapsandwich.errors import (
     ParseError,
 )
 from gapsandwich import vae, verify
-from gapsandwich.parallel import THREADS_ENV, resolve_threads
+from gapsandwich.parallel import THREADS_ENV
 from gapsandwich.rng import generator
 from gapsandwich.vae import (
     CHUNK_POINTS,
@@ -50,7 +51,7 @@ def log_r(model: ToyVae, x, z):
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     _, mu, t = vae._encode(model.params, x)
-    m = vae._decode(model.params, z)[1]
+    m = vae._mlp(model.params[18:31], z)[1]
     var = model.decoder_var
     recon = -0.5 * (LOG_2PI + math.log(var)) - (x - m) ** 2 / (2.0 * var)
     prior = -0.5 * LOG_2PI - 0.5 * z * z
@@ -59,10 +60,22 @@ def log_r(model: ToyVae, x, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def ratio_estimates(model, xs, k, n_pairs, seed, epoch=0, threads=None):
-    """_ratio_estimates in workspaces for resolve_threads(threads) workers."""
-    workspaces = vae._workspaces(n_pairs * 2 * k, xs.size, resolve_threads(threads))
-    return vae._ratio_estimates(model, xs, k, n_pairs, seed, epoch, workspaces)
+def ratio_estimates(model, xs, k, n_pairs, seed, epoch=0):
+    """_ratio_estimates, at epoch 0 unless given."""
+    return vae._ratio_estimates(model, xs, k, n_pairs, seed, epoch)
+
+
+def write_raw_checkpoint(path, count, index, value):
+    """A checkpoint of count parameters, written byte by byte as the format
+    lays it out: a VAE one (count 31) carries a 0.3 decoder variance after
+    them.  Every payload value is 0.1 but payload[index], which is value."""
+    payload = np.full(count + (count == VAE_PARAM_COUNT), 0.1)
+    if count == VAE_PARAM_COUNT:
+        payload[-1] = 0.3
+    payload[index] = value
+    with open(path, "wb") as fh:
+        fh.write(b"GSVAE001" + struct.pack("<II", 1, count)
+                 + payload.astype("<f8").tobytes())
 
 
 def assert_same_result(a, b):
@@ -176,6 +189,23 @@ class TestLogRKernel:
         hd, resid = ws_caches[4:]
         for out, buf in ((ws_logR, ws.logR), (ws_z, ws.z), (hd, ws.hd), (resid, ws.m)):
             assert np.shares_memory(out, buf)
+
+
+class TestOneNetwork:
+    """The decoder and the C network are one 13-parameter network."""
+
+    @pytest.mark.parametrize("seed", [90, 91])
+    def test_cnet_is_bitwise_the_decoded_mean(self, seed):
+        p = CNet.init(seed).params
+        params = np.zeros(VAE_PARAM_COUNT)
+        params[18:31] = p
+        model = ToyVae(params)
+        # A zero encoder puts z = eps exactly; at x = 0 the kernel's resid
+        # is 0 - m.
+        z = generator(seed).standard_normal((8, 5))
+        _, _, caches = _log_r_reparam(model.params, model.decoder_var,
+                                      np.zeros(8), z)
+        assert caches[5].tobytes() == (0.0 - CNet(p)(z)).tobytes()
 
 
 class TestReluLayer:
@@ -302,11 +332,14 @@ class TestKeyedChunks:
         other = ratio_estimates(self.model, self.xs, k, n_pairs, seed, epoch + 1)
         assert not np.any(other == got)
 
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_ratio_estimates_are_bitwise_identical_across_threads(self, threads):
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_ratio_estimates_are_bitwise_identical_across_threads(self, monkeypatch,
+                                                                  threads):
         args = (self.model, self.xs, 3, 2, 79, 1)
-        reference = ratio_estimates(*args, threads=1)
-        assert ratio_estimates(*args, threads=threads).tobytes() == reference.tobytes()
+        monkeypatch.setenv(THREADS_ENV, "1")
+        reference = ratio_estimates(*args)
+        monkeypatch.setenv(THREADS_ENV, threads)
+        assert ratio_estimates(*args).tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("threads", ["2", "3"])
     def test_evaluate_is_bitwise_identical_across_threads(self, monkeypatch, threads):
@@ -335,20 +368,6 @@ class TestKeyedChunks:
         whole = ratio_estimates(self.model, self.xs, 3, 2, 82)
         prefix = ratio_estimates(self.model, self.xs[:m], 3, 2, 82)
         assert prefix.tobytes() == whole[:m].tobytes()
-
-    def test_train_cnet_allocates_its_workspaces_once(self, monkeypatch):
-        made = []
-        workspace = vae._Workspace
-
-        def recording(size):
-            made.append(size)
-            return workspace(size)
-
-        monkeypatch.setenv(THREADS_ENV, "2")
-        monkeypatch.setattr(vae, "_Workspace", recording)
-        train_cnet(self.cnet, self.model, self.xs, k=2, n_pairs=2, epochs=4,
-                   lr=0.2, seed=83)
-        assert made == [vae.BLOCK_RATIOS] * 2
 
 
 class TestElboAndIwElbo:
@@ -726,3 +745,16 @@ class TestCheckpoints:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_model(str(tmp_path / "nope.ckpt"))
+
+    @pytest.mark.parametrize("count, index, value", [
+        (VAE_PARAM_COUNT, 5, math.nan),           # a parameter
+        (VAE_PARAM_COUNT, VAE_PARAM_COUNT, -1.0),  # the decoder variance
+        (CNET_PARAM_COUNT, 12, math.inf),
+    ])
+    def test_framed_bad_values_rejected_naming_the_path(self, tmp_path, count,
+                                                        index, value):
+        path = str(tmp_path / "bad.ckpt")
+        write_raw_checkpoint(path, count, index, value)
+        load = load_model if count == VAE_PARAM_COUNT else load_cnet
+        with pytest.raises(CheckpointError, match="bad.ckpt"):
+            load(path)
