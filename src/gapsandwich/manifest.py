@@ -1,11 +1,32 @@
 """Run manifests: every CSV output is paired with one JSON manifest
-recording the command, config, seed, version, wall time and output digests."""
+recording the command, config, seed, version, numpy's version and SIMD
+dispatch, wall time and output digests."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
+
+
+def numpy_runtime() -> dict:
+    """numpy's version and SIMD dispatch: the baseline features it was built
+    for and the dispatched features this CPU has.  log, exp and log1p round
+    differently under different dispatch, so a seed's output bits hold for
+    one numpy version on one dispatch."""
+    return {
+        "version": np.__version__,
+        "simd_baseline": list(_umath.__cpu_baseline__),
+        "simd_dispatched": [name for name in _umath.__cpu_dispatch__
+                            if _umath.__cpu_features__.get(name)],
+    }
 
 
 @dataclass
@@ -30,6 +51,7 @@ class RunManifest:
             "config": self.config,
             "base_seed": self.base_seed,
             "version": self.version,
+            "numpy": numpy_runtime(),
             "wall_time_s": self.wall_time_s,
             "outputs": self.outputs,
         }

@@ -48,6 +48,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # activations stay cache-sized.  Results do not depend on it.
 BLOCK_RATIOS = 1 << 15
 
+# Fewest log-ratios per worker in _map_blocks: a pass over R log-ratios runs
+# on at most max(1, R // WORKER_RATIOS) workers, because handing the GIL
+# over between small numpy calls costs more than a second thread gains.  At
+# n = 10^4 on a 2-CPU machine, evaluate on two threads against inline took
+# 2.2x as long at k = 1 (10^4 log-ratios a worker), 1.26x at k = 4
+# (4 10^4) and 0.90-0.93x at k = 8 (8 10^4).  Results do not depend on it.
+WORKER_RATIOS = 1 << 16
+
 # Datapoints per keyed chunk in _ratio_estimates and evaluate: chunk j holds
 # datapoints [j CHUNK_POINTS, (j + 1) CHUNK_POINTS) and draws from its own
 # stream.  Part of the stream scheme: changing it changes every C-network
@@ -199,25 +207,16 @@ def _mlp(p: np.ndarray, x: np.ndarray, h_out=None, y_out=None):
     return h, y.reshape(x.shape)
 
 
-def _trunk_backward(g_a: np.ndarray, h: np.ndarray, x: np.ndarray,
-                    grad: np.ndarray) -> np.ndarray:
-    """Backward through the hidden layer h = _relu_layer(x, p[0:4], p[4:8])
-    from the (4, N) gradient g_a at h: masks g_a in place to the
-    pre-activations, writes p[0:8]'s gradient into grad[0:8], returns g_a."""
+def _mlp_backward(p: np.ndarray, h: np.ndarray, x: np.ndarray,
+                  g_y: np.ndarray, grad: np.ndarray) -> None:
+    """Backward pass of _mlp(p, x) with hidden h, for the gradient g_y at
+    its flat output: writes the 13 parameter gradients into grad."""
+    grad[8:12] = h @ g_y
+    grad[12] = g_y.sum()
+    g_a = np.multiply.outer(p[8:12], g_y)
     g_a *= h > 0.0
     grad[0:4] = g_a @ x
     grad[4:8] = g_a.sum(axis=1)
-    return g_a
-
-
-def _mlp_backward(p: np.ndarray, h: np.ndarray, x: np.ndarray,
-                  g_y: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Backward pass of _mlp(p, x) with hidden h, for the gradient g_y at
-    its flat output: writes the 13 parameter gradients into grad and returns
-    the (4, N) gradient at the pre-activations."""
-    grad[8:12] = h @ g_y
-    grad[12] = g_y.sum()
-    return _trunk_backward(np.multiply.outer(p[8:12], g_y), h, x, grad)
 
 
 class _Workspace:
@@ -228,6 +227,17 @@ class _Workspace:
         self.eps, self.z, self.m, self.logR, self.tmp = np.empty((5, size))
         self.hd = np.empty(HIDDEN * size)
 
+    @classmethod
+    def block(cls, draws: int) -> "_Workspace":
+        """A _map_blocks worker's workspace, for its largest block at draws
+        log-ratios per datapoint: at most max(BLOCK_RATIOS, draws)."""
+        return cls(draws * min(_block_points(draws), CHUNK_POINTS))
+
+
+def _block_points(draws: int) -> int:
+    """Datapoints per _map_blocks block at draws log-ratios per datapoint."""
+    return max(1, BLOCK_RATIOS // draws)
+
 
 def _log_r_reparam(params, decoder_var, x, eps, ws: _Workspace | None = None):
     """log R at z = mu + exp(t) * eps, with the posterior term simplified to
@@ -235,11 +245,13 @@ def _log_r_reparam(params, decoder_var, x, eps, ws: _Workspace | None = None):
 
     x has shape (B,) and eps (B, ...); x, mu, t and sigma broadcast over the
     trailing sample axes of eps.  Returns (logR, z, caches), logR and z
-    shaped like eps, caches = (h, mu, t, sigma, hd, resid) for the gradient.
-    The caches of the hidden activations are unit-major, as _relu_layer
-    returns them: h is (4, B), and hd is (4, N) over the N = eps.size draws
-    in C order.  This is the one log-ratio kernel: training, the C-network
-    ratio estimates and evaluate all call it.
+    shaped like eps, caches = (h, mu, t, sigma, hd, resid) for callers that
+    inspect the activations.  The caches of the hidden activations are
+    unit-major, as _relu_layer returns them: h is (4, B), and hd is (4, N)
+    over the N = eps.size draws in C order.  This is the estimator kernel:
+    the C-network ratio estimates and evaluate call it, and its sums over
+    the units make a datapoint's bits independent of the block it is in.
+    Training takes the fused step in iw_objective_and_grad instead.
 
     z, hd, m (then resid), logR and a temporary go into the buffers of the
     workspace ws, over at least eps.size draws, or of a new
@@ -278,12 +290,42 @@ def _log_r_reparam(params, decoder_var, x, eps, ws: _Workspace | None = None):
 # Objective values and hand-derived gradients
 # ---------------------------------------------------------------------------
 
+class _StepSpace:
+    """A training step's buffers for B datapoints at K draws each.
+
+    Each layer's input carries a row of ones under its values, so the
+    layer's stacked (weights, bias) block applies to it in one product: x1
+    is (x; 1) and h1 (h; 1) over the B datapoints, z1 (z; 1) and hd1
+    (hd; 1) over the N = B K draws.  eps holds the step's normals, which
+    the caller draws into it, sg_eps = z - mu, w the per-draw weights, mt
+    the posterior mean and log-std, and g_z the latent gradient and its
+    product with sg_eps.
+    """
+
+    def __init__(self, B: int, K: int) -> None:
+        N = B * K
+        self.eps, self.sg_eps, self.w = np.empty((3, B, K))
+        self.x1 = np.ones((2, B))
+        self.h1 = np.ones((HIDDEN + 1, B))
+        self.z1 = np.ones((2, N))
+        self.hd1 = np.ones((HIDDEN + 1, N))
+        self.mt, self.g_mt = np.empty((2, 2, B))
+        self.sg, self.lse, self.top = np.empty((3, B))
+        self.m = np.empty(N)
+        self.g_z = np.empty((2, B, K))
+        self.ones = np.ones(K)
+        self.g_h = np.empty((HIDDEN, B))
+        self.grad = np.empty(VAE_PARAM_COUNT)
+        self.finite = np.empty(VAE_PARAM_COUNT, dtype=bool)
+
+
 def iw_objective_and_grad(
     params: np.ndarray,
     decoder_var: float,
     xs: np.ndarray,
     eps: np.ndarray,
     kind: str = "iwae",
+    ws: _StepSpace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Batch objective (mean over datapoints) and its exact parameter gradient.
 
@@ -292,46 +334,112 @@ def iw_objective_and_grad(
     plain mean of log R; every sample weighs the scalar 1/(B K).  Any other
     kind raises ParseError.
 
-    The backward pass runs on the kernel's unit-major activations, (4, B K)
-    in the decoder and (4, B) in the encoder, so each sum over the draws or
-    the datapoints is one product.  The two encoder heads go through
-    together, their weights as one (2, 4) strided view of params.
+    One fused pass, the training step: each layer's forward is one product
+    of its stacked (weights, bias) block with its input and a row of ones,
+    plus a ReLU, and each layer's weight-and-bias gradient is one product.
+    The ELBO value comes from four sums (of resid^2, z^2, eps^2 and t)
+    without forming log R.  BLAS rounds a product's columns by where they
+    fall in its blocks, so a datapoint's bits depend on its batch; the
+    estimator passes use _log_r_reparam, whose bits do not, and which the
+    tests check this step against.
+
+    The pass works in the buffers of ws, a _StepSpace(B, K) for eps's
+    (B, K) shape, or of a new one when ws is None; the returned gradient is
+    ws.grad, overwritten by the next call with ws.
     """
     if kind not in ("elbo", "iwae"):
         raise ParseError(f"unknown objective kind {kind!r}")
     xs = np.asarray(xs, dtype=float)
     eps = np.asarray(eps, dtype=float)
     B, K = eps.shape
-    logR, z, (h, mu, t, sg, hd, resid) = _log_r_reparam(
-        params, decoder_var, xs, eps
-    )
+    N = B * K
+    if ws is None:
+        ws = _StepSpace(B, K)
+    # Stacked blocks: the (4, 2) columns (w1, b1) of each hidden layer, the
+    # (2, 5) encoder heads [w_mu, b_mu; w_ls, b_ls] and the decoder's
+    # (w2, b2).
+    enc, heads = params[0:8].reshape(2, HIDDEN).T, params[8:18].reshape(2, HIDDEN + 1)
+    dec, dec_out = params[18:26].reshape(2, HIDDEN).T, params[26:31]
+    grad = ws.grad
 
-    if kind == "iwae":
-        lse = logsumexp(logR, axis=1)
-        g_logR = np.exp(logR - lse[:, None]) / B
-        value = float(np.mean(lse - math.log(K)))
+    ws.x1[0] = xs
+    h = np.matmul(enc, ws.x1, out=ws.h1[:HIDDEN])
+    np.maximum(h, 0.0, out=h)
+    mu, t = np.matmul(heads, ws.h1, out=ws.mt)
+    sg = np.exp(t, out=ws.sg)
+    sg_eps = np.multiply(sg[:, None], eps, out=ws.sg_eps)
+    z = np.add(sg_eps, mu[:, None], out=ws.z1[0].reshape(B, K))
+    hd = np.matmul(dec, ws.z1, out=ws.hd1[:HIDDEN])
+    np.maximum(hd, 0.0, out=hd)
+    resid = np.matmul(dec_out, ws.hd1, out=ws.m).reshape(B, K)
+    np.subtract(xs[:, None], resid, out=resid)
+
+    log_norm = -0.5 * (_LOG_2PI + math.log(decoder_var))
+    if kind == "elbo":
+        # mean log R = C - (sum r^2 / (2 var) + sum z^2 / 2 - sum eps^2 / 2) / N
+        #              + sum t / B
+        r, zf, ef = ws.m, ws.z1[0], eps.ravel()
+        value = float(log_norm - (np.dot(r, r) / (2.0 * decoder_var)
+                                  + 0.5 * (np.dot(zf, zf) - np.dot(ef, ef))) / N
+                      + t.sum() / B)
+        g_logR = 1.0 / N
+        g_m = np.multiply(resid, g_logR / decoder_var, out=resid)
     else:
-        g_logR = 1.0 / (B * K)
-        value = float(logR.mean())
+        # log R into w, then w = exp(log R - lse) / B, the gradient weights.
+        w, tmp = ws.w, ws.g_z[0]
+        np.multiply(resid, resid, out=w)
+        w /= -2.0 * decoder_var
+        w += log_norm
+        np.multiply(0.5, z, out=tmp)
+        tmp *= z
+        w -= tmp
+        w += t[:, None]
+        np.multiply(0.5, eps, out=tmp)
+        tmp *= eps
+        w += tmp
+        top = np.max(w, axis=1, out=ws.top)
+        w -= top[:, None]
+        np.exp(w, out=w)
+        lse = np.sum(w, axis=1, out=ws.lse)
+        w /= lse[:, None]
+        np.log(lse, out=lse)
+        lse += top
+        value = float(lse.mean()) - math.log(K)
+        w /= B
+        g_logR = w
+        g_m = np.multiply(resid, w, out=resid)
+        g_m /= decoder_var
 
-    grad = np.empty(VAE_PARAM_COUNT)
-    # Decoder path over the B K draws.
-    g_m = (resid * (g_logR / decoder_var)).ravel()
-    g_ad = _mlp_backward(params[18:31], hd, z.ravel(), g_m, grad[18:31])
+    # Decoder: g_m = resid g_logR / var at the output, in place of resid,
+    # then the hidden layer masked to its pre-activations, in place of hd:
+    # hd >= 0, so its sign is the ReLU's 0/1 mask.
+    g_m = g_m.reshape(N)
+    np.matmul(ws.hd1, g_m, out=grad[26:31])
+    g_ad = np.sign(hd, out=hd)
+    g_ad *= dec_out[:HIDDEN, None]
+    g_ad *= g_m
+    np.matmul(ws.z1, g_ad.T, out=grad[18:26].reshape(2, HIDDEN))
     # Latent path: explicit -z^2/2 plus the decoder sensitivity.  G holds
-    # g_mu and g_t per datapoint; the +t term of log R adds each
-    # datapoint's total weight, 1/B, to g_t.
-    g_z = (params[18:22] @ g_ad).reshape(B, K) - g_logR * z
-    G = np.empty((2, B))
-    np.einsum("bk->b", g_z, out=G[0])
-    np.multiply(np.einsum("bk,bk->b", g_z, eps), sg, out=G[1])
+    # g_mu and g_t per datapoint, the sums of g_z and g_z sigma eps over its
+    # draws; the +t term of log R adds each datapoint's total weight, 1/B,
+    # to g_t.
+    g_z, g_z_eps = ws.g_z
+    np.matmul(params[18:22], g_ad, out=g_z.reshape(N))
+    g_z -= np.multiply(z, g_logR, out=ws.w)
+    np.multiply(g_z, sg_eps, out=g_z_eps)
+    # The sums over each datapoint's draws as one product with ones; a
+    # single draw is its own sum.
+    if K == 1:
+        G = ws.g_z.reshape(2, B)
+    else:
+        G = np.matmul(ws.g_z.reshape(2 * B, K), ws.ones,
+                      out=ws.g_mt.reshape(2 * B)).reshape(2, B)
     G[1] += 1.0 / B
-    # Encoder heads, [w_mu, b_mu] and [w_ls, b_ls] as one (2, 5) view.
-    heads, g_heads = params[8:18].reshape(2, 5), grad[8:18].reshape(2, 5)
-    g_heads[:, :4] = G @ h.T
-    g_heads[:, 4] = G.sum(axis=1)
-    # Encoder trunk.
-    _trunk_backward(heads[:, :4].T @ G, h, xs, grad)
+    # Encoder: the heads, then the hidden layer masked in place of h.
+    np.matmul(G, ws.h1.T, out=grad[8:18].reshape(2, HIDDEN + 1))
+    g_a = np.sign(h, out=h)
+    g_a *= np.matmul(heads[:, :HIDDEN].T, G, out=ws.g_h)
+    np.matmul(ws.x1, g_a.T, out=grad[0:8].reshape(2, HIDDEN))
     return value, grad
 
 
@@ -384,10 +492,12 @@ def train(
     """Plain SGD on the negative objective; sequential over shuffled batches.
 
     Each epoch draws a permutation of the data, then each batch its eps, one
-    standard_normal((rows, K)) call per batch, so memory is O(batch K).
+    standard_normal draw of (rows, K) per batch, so memory is O(batch K).
     numpy fills normals in C order, so these are the same draws as one call
-    per epoch.  Raises DivergenceDetected the moment the loss or a parameter
-    goes non-finite.  lr = 0 leaves the parameters bit-identical.
+    per epoch.  Each step is one iw_objective_and_grad in a _StepSpace made
+    once per call for its batch size, so no step allocates an array.
+    Raises DivergenceDetected the moment the loss or a parameter goes
+    non-finite.  lr = 0 leaves the parameters bit-identical.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -398,6 +508,8 @@ def train(
     rng = generator(seed)
     history: list[float] = []
     n = data.size
+    # One step space per batch size: a full batch, and a short last one.
+    spaces: dict[int, _StepSpace] = {}
     # Overflow here is the divergence signal, detected just below.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
@@ -405,17 +517,21 @@ def train(
             epoch_loss = 0.0
             for start in range(0, n, batch):
                 xs = shuffled[start:start + batch]
-                eps = rng.standard_normal((xs.size, objective.k))
+                ws = spaces.get(xs.size)
+                if ws is None:
+                    ws = spaces[xs.size] = _StepSpace(xs.size, objective.k)
                 value, grad = iw_objective_and_grad(
-                    params, model.decoder_var, xs, eps, objective.kind,
+                    params, model.decoder_var, xs, rng.standard_normal(out=ws.eps),
+                    objective.kind, ws,
                 )
                 if not math.isfinite(value):
                     raise DivergenceDetected(
                         f"non-finite loss at epoch {epoch}, batch start {start}"
                     )
                 if lr != 0.0:
-                    params = params + lr * grad
-                    if not np.isfinite(params).all():
+                    grad *= lr
+                    params += grad
+                    if not np.isfinite(params, out=ws.finite).all():
                         raise DivergenceDetected(
                             f"non-finite parameters at epoch {epoch}, "
                             f"batch start {start}"
@@ -425,8 +541,16 @@ def train(
     return TrainResult(ToyVae(params, model.decoder_var), history)
 
 
+def _block_workers(n: int, draws: int) -> int:
+    """Workers for a _map_blocks pass over n datapoints at draws log-ratios
+    each: resolve_threads(), capped by the chunk count and so that each
+    worker gets at least WORKER_RATIOS log-ratios."""
+    return max(1, min(resolve_threads(), -(-n // CHUNK_POINTS),
+                      n * draws // WORKER_RATIOS))
+
+
 def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
-                step) -> None:
+                step, make=None) -> None:
     """Run step(start, stop, eps, ws) on every block of the datapoints
     [0, n), with eps of shape (stop - start, *trailing) in the worker's
     workspace ws.
@@ -435,14 +559,14 @@ def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
     fills its blocks' eps in order, in C order, from generator(*stream, j).
     numpy fills normals in C order, so the draws do not depend on the block
     size, and a datapoint's draws depend only on its index.  The chunks run
-    through map_chunks on resolve_threads() workers, and each step writes
-    only its own datapoints' results.  Each worker's workspace, made for
-    this call, holds max(BLOCK_RATIOS, draws) draws whatever the block, so a
-    call holds O(threads BLOCK_RATIOS) floats whatever k is.
+    through map_chunks on _block_workers(n, draws) workers, and each step
+    writes only its own datapoints' results.  make() gives each worker its
+    workspace, a new _Workspace.block(draws) unless make is given, so a call
+    holds O(threads BLOCK_RATIOS) floats whatever k is.
     Floating-point warnings are off: callers check the results.
     """
     draws = math.prod(trailing)
-    block = max(1, BLOCK_RATIOS // draws)
+    block = _block_points(draws)
 
     def chunk(j: int, ws: _Workspace) -> None:
         rng = generator(*stream, j)
@@ -455,7 +579,7 @@ def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
                 step(start, stop, eps, ws)
 
     map_chunks(chunk, -(-n // CHUNK_POINTS),
-               lambda: _Workspace(max(BLOCK_RATIOS, draws)), resolve_threads())
+               make or (lambda: _Workspace.block(draws)), _block_workers(n, draws))
 
 
 def _ratio_estimates(
@@ -465,6 +589,7 @@ def _ratio_estimates(
     n_pairs: int,
     seed: int,
     epoch: int,
+    make=None,
 ) -> np.ndarray:
     """Per-datapoint log r_hat(x), where r_hat(x) estimates
     E[mean_k R(x, z~) / mean_k R(x, z)] over n_pairs independent (z, z~)
@@ -473,8 +598,8 @@ def _ratio_estimates(
     Datapoint i's (n_pairs, 2, k) normals come from its chunk's stream
     derive_key(seed, epoch, j) (see _map_blocks), so the result depends on
     neither the block size nor the thread count, and xs[:m] gives the first
-    m values.  Memory is O(threads BLOCK_RATIOS) for the workspaces plus
-    O(n) for the result.
+    m values.  Memory is O(threads BLOCK_RATIOS) for the workspaces, which
+    make hands out as in _map_blocks, plus O(n) for the result.
     """
     out = np.empty(xs.size)
 
@@ -484,7 +609,7 @@ def _ratio_estimates(
         lse = np.asarray(logsumexp(logR, axis=3))
         out[start:stop] = log_mean_exp(lse[:, :, 1] - lse[:, :, 0], axis=1)
 
-    _map_blocks(xs.size, (n_pairs, 2, k), (seed, epoch), step)
+    _map_blocks(xs.size, (n_pairs, 2, k), (seed, epoch), step, make)
     return out
 
 
@@ -501,7 +626,7 @@ def train_cnet(
     """Full-batch gradient descent on the mean gap bound, with fresh
     (z, z~) ratio estimates drawn every epoch from the streams
     derive_key(seed, epoch, j).  Each epoch's estimates run on
-    resolve_threads() threads, in workspaces made for that epoch, and the
+    _block_workers threads, in workspaces made once per call, and the
     result is bit-identical at any thread count."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -512,9 +637,12 @@ def train_cnet(
         )
     cparams = cnet.params.copy()
     history: list[float] = []
+    draws = n_pairs * 2 * k
+    held = [_Workspace.block(draws) for _ in range(_block_workers(data.size, draws))]
     for epoch in range(epochs):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_r_hat = _ratio_estimates(model, data, k, n_pairs, seed, epoch)
+            log_r_hat = _ratio_estimates(model, data, k, n_pairs, seed, epoch,
+                                         iter(held).__next__)
             value, grad = cnet_objective_and_grad(cparams, data, log_r_hat)
         if not math.isfinite(value):
             raise DivergenceDetected(f"non-finite cnet loss at epoch {epoch}")
@@ -586,8 +714,8 @@ def evaluate(
     float C must be finite; non-finite log-ratios raise NonPositiveSample.
     elbo is the mean log R over the primal draws.
 
-    The chunks run on resolve_threads() threads, each in a workspace of
-    max(BLOCK_RATIOS, 2k) draws; memory is O(threads BLOCK_RATIOS + n)
+    The chunks run on _block_workers threads, each in a workspace of at
+    most max(BLOCK_RATIOS, 2k) draws; memory is O(threads BLOCK_RATIOS + n)
     whatever k is.
     """
     data = np.asarray(data, dtype=float)

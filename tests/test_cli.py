@@ -47,6 +47,20 @@ class TestAnalyticCommand:
         assert manifest["base_seed"] == 42
         assert out in manifest["outputs"]
 
+    def test_manifest_records_numpy_and_its_simd_dispatch(self, tmp_path):
+        out = str(tmp_path / "g.csv")
+        run(["analytic", "--dist", "gamma:a=2,theta=1", "--k", "1", "--n", "500",
+             "--replications", "1", "--seed", "42", "--out", out])
+        manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+        runtime = manifest["numpy"]
+        assert runtime["version"] == np.__version__
+        assert set(runtime) == {"version", "simd_baseline", "simd_dispatched"}
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        assert runtime["simd_baseline"] == list(umath.__cpu_baseline__)
+        # The dispatched features this CPU has, in numpy's order.
+        assert runtime["simd_dispatched"] == [
+            name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["analytic", "--dist", "lognormal:m=0,sigma=1", "--k", "1",
                 "--n", "2000", "--replications", "2", "--seed", "9"]

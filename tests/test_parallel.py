@@ -4,21 +4,7 @@ import time
 
 import pytest
 
-from gapsandwich import parallel
 from gapsandwich.parallel import map_chunks
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    sizes = []
-
-    class Recording(parallel.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
-    return sizes
 
 
 class TestMapChunks:

@@ -15,6 +15,7 @@ from gapsandwich.errors import (
     ParseError,
 )
 from gapsandwich import vae, verify
+from gapsandwich.accumulate import logsumexp
 from gapsandwich.parallel import THREADS_ENV
 from gapsandwich.rng import generator
 from gapsandwich.vae import (
@@ -295,11 +296,16 @@ class TestBlocks:
         peak = peak_traced_mb(lambda: evaluate(self.model, self.cnet, data, 64, 72))
         assert peak < 24.0
 
-    def test_evaluate_memory_does_not_grow_with_k(self):
+    def test_evaluate_memory_does_not_grow_with_k(self, monkeypatch):
+        # Every k on as many workers as threads.  From k = 16 on, each
+        # worker's workspace holds a full block; below, a chunk of 1024
+        # datapoints takes less, so memory grows with k up to k = 16 only.
+        monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
         data = sample(Laplace(0.0, 0.2), 10_000, 71)
         peaks = [peak_traced_mb(lambda: evaluate(self.model, self.cnet, data, k, 72))
-                 for k in (1, 64)]
-        assert peaks[1] - peaks[0] < 2.0
+                 for k in (1, 16, 64)]
+        assert peaks[0] <= peaks[1]
+        assert peaks[2] - peaks[1] < 2.0
 
     def test_ratio_estimates_memory_is_bounded(self):
         data = sample(Laplace(0.0, 0.2), 2000, 73)
@@ -310,7 +316,9 @@ class TestBlocks:
 
 class TestKeyedChunks:
     """_ratio_estimates and evaluate draw chunk j of CHUNK_POINTS datapoints
-    from its own stream, so their bits do not depend on the thread count."""
+    from its own stream, so their bits do not depend on the thread count.
+    The cross-thread tests set WORKER_RATIOS to 1, so that their small
+    passes run on as many workers as threads."""
 
     model = ToyVae.init(75)
     cnet = CNet.init(76)
@@ -336,6 +344,7 @@ class TestKeyedChunks:
     def test_ratio_estimates_are_bitwise_identical_across_threads(self, monkeypatch,
                                                                   threads):
         args = (self.model, self.xs, 3, 2, 79, 1)
+        monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
         monkeypatch.setenv(THREADS_ENV, "1")
         reference = ratio_estimates(*args)
         monkeypatch.setenv(THREADS_ENV, threads)
@@ -343,6 +352,7 @@ class TestKeyedChunks:
 
     @pytest.mark.parametrize("threads", ["2", "3"])
     def test_evaluate_is_bitwise_identical_across_threads(self, monkeypatch, threads):
+        monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
         monkeypatch.setenv(THREADS_ENV, "1")
         reference = evaluate(self.model, self.cnet, self.xs, k=4, seed=80)
         monkeypatch.setenv(THREADS_ENV, threads)
@@ -356,12 +366,46 @@ class TestKeyedChunks:
             return train_cnet(self.cnet, self.model, self.xs, k=2, n_pairs=2,
                               epochs=3, lr=0.2, seed=81)
 
+        monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
         monkeypatch.setenv(THREADS_ENV, "1")
         reference = run()
         monkeypatch.setenv(THREADS_ENV, threads)
         got = run()
         assert got.cnet.params.tobytes() == reference.cnet.params.tobytes()
         assert got.loss_history == reference.loss_history
+
+    def test_train_cnet_makes_one_workspace_per_worker(self, monkeypatch,
+                                                        pool_sizes):
+        made = []
+
+        class Counted(vae._Workspace):
+            def __init__(self, size):
+                made.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(vae, "_Workspace", Counted)
+        monkeypatch.setenv(THREADS_ENV, "2")
+        # 3089 datapoints at 16 x 2 x 2 log-ratios each: two workers.
+        train_cnet(self.cnet, self.model, self.xs, k=16, n_pairs=2, epochs=3,
+                   lr=0.2, seed=81)
+        assert pool_sizes == [2, 2, 2]
+        assert made == [vae.BLOCK_RATIOS] * 2
+
+    @pytest.mark.parametrize("draws, size", [
+        (2, 2 * CHUNK_POINTS),            # a whole chunk is one block
+        (128, vae.BLOCK_RATIOS),          # 256 datapoints a block
+        (3 * vae.BLOCK_RATIOS, 3 * vae.BLOCK_RATIOS),  # one datapoint a block
+    ])
+    def test_workspace_holds_the_largest_block(self, draws, size):
+        assert vae._Workspace.block(draws).eps.size == size
+
+    def test_small_evaluate_starts_no_pool(self, monkeypatch, pool_sizes):
+        # Two chunks at k = 1 hold 4096 log-ratios, far below WORKER_RATIOS.
+        monkeypatch.setenv(THREADS_ENV, "2")
+        evaluate(self.model, self.cnet, self.xs[:2 * CHUNK_POINTS], k=1, seed=80)
+        assert pool_sizes == []
+        evaluate(self.model, self.cnet, self.xs, k=32, seed=80)
+        assert pool_sizes == [2]
 
     def test_ratio_estimates_prefix_straddling_a_chunk(self):
         m = CHUNK_POINTS + 1
@@ -428,6 +472,57 @@ class TestGradients:
             fd = (cnet_objective_and_grad(pp, xs, log_r_hat)[0]
                   - cnet_objective_and_grad(pm, xs, log_r_hat)[0]) / (2 * h)
             assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+class TestTrainStep:
+    """iw_objective_and_grad, the fused training step, against the
+    estimator kernel _log_r_reparam at random parameters."""
+
+    @pytest.mark.parametrize("kind", ["elbo", "iwae"])
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("B", [1000, 7])  # a full batch and a short last one
+    def test_value_is_the_kernels_mean(self, kind, K, B):
+        rng = generator(130, K, B)
+        for _ in range(3):
+            params = rng.uniform(-0.8, 0.8, VAE_PARAM_COUNT)
+            xs = rng.standard_normal(B) * 0.5
+            eps = rng.standard_normal((B, K))
+            value, _ = iw_objective_and_grad(params, 0.3, xs, eps, kind)
+            logR, _, _ = _log_r_reparam(params, 0.3, xs, eps)
+            if kind == "elbo":
+                expected = logR.mean()
+            else:
+                expected = np.mean(logsumexp(logR, axis=1) - math.log(K))
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_reused_step_space_is_bitwise_a_fresh_one(self):
+        rng = generator(131)
+        ws = vae._StepSpace(6, 3)
+        for kind in ("elbo", "iwae", "elbo"):
+            params = rng.uniform(-0.8, 0.8, VAE_PARAM_COUNT)
+            xs = rng.standard_normal(6)
+            eps = rng.standard_normal((6, 3))
+            fresh = iw_objective_and_grad(params, 0.3, xs, eps, kind)
+            value, grad = iw_objective_and_grad(params, 0.3, xs, eps, kind, ws)
+            assert value == fresh[0]
+            assert grad is ws.grad
+            assert grad.tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("objective", [Objective("elbo"), Objective("iwae", 5)])
+    def test_train_bits_repeat_at_any_thread_count(self, monkeypatch, objective):
+        data = sample(Laplace(0.0, 0.2), 23, 132)
+
+        def run():
+            return train(ToyVae.init(133), data, objective, epochs=3, batch=5,
+                         lr=0.05, seed=134)
+
+        monkeypatch.setenv(THREADS_ENV, "1")
+        runs = [run(), run()]
+        monkeypatch.setenv(THREADS_ENV, "2")
+        runs.append(run())
+        for other in runs[1:]:
+            assert other.model.params.tobytes() == runs[0].model.params.tobytes()
+            assert other.loss_history == runs[0].loss_history
 
 
 class TestGradientOracle:
