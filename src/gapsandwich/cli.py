@@ -366,8 +366,10 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
     c_source = _c_source(opts["c"])
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 7))
 
+    # The k-sweep's evaluations share their workers' workspaces.
+    held: list = []
     result = vae.evaluate(model, c_source, data, opts["k"],
-                          derive_key(opts["seed"], 8, opts["k"]))
+                          derive_key(opts["seed"], 8, opts["k"]), held)
     _write_records_csv(opts["out"], result)
     _pair_manifest(opts["out"], opts, opts["seed"], started)
 
@@ -376,7 +378,7 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
         lines = [EVAL_SWEEP_HEADER]
         for k in sweep_ks:
             res_k = result if k == opts["k"] else vae.evaluate(
-                model, c_source, data, k, derive_key(opts["seed"], 8, k))
+                model, c_source, data, k, derive_key(opts["seed"], 8, k), held)
             lines.append(",".join([
                 str(k), str(opts["n"]), repr(res_k.lower), repr(res_k.lower_stderr),
                 repr(res_k.upper), repr(res_k.upper_stderr), repr(res_k.elbo),

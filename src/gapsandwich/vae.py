@@ -227,16 +227,21 @@ class _Workspace:
         self.eps, self.z, self.m, self.logR, self.tmp = np.empty((5, size))
         self.hd = np.empty(HIDDEN * size)
 
-    @classmethod
-    def block(cls, draws: int) -> "_Workspace":
-        """A _map_blocks worker's workspace, for its largest block at draws
-        log-ratios per datapoint: at most max(BLOCK_RATIOS, draws)."""
-        return cls(draws * min(_block_points(draws), CHUNK_POINTS))
 
-
-def _block_points(draws: int) -> int:
-    """Datapoints per _map_blocks block at draws log-ratios per datapoint."""
-    return max(1, BLOCK_RATIOS // draws)
+def _log_r(resid, z, t, eps, decoder_var, out, tmp):
+    """logR = C - resid^2 / (2 var) - z z / 2 + t + eps eps / 2, left to
+    right, into out, with tmp as scratch; t broadcasts against eps."""
+    logR = np.multiply(resid, resid, out=out)
+    logR /= 2.0 * decoder_var
+    np.subtract(-0.5 * (_LOG_2PI + math.log(decoder_var)), logR, out=logR)
+    half_sq = np.multiply(0.5, z, out=tmp)
+    half_sq *= z
+    logR -= half_sq
+    logR += t
+    np.multiply(0.5, eps, out=half_sq)
+    half_sq *= eps
+    logR += half_sq
+    return logR
 
 
 def _log_r_reparam(params, decoder_var, x, eps, ws: _Workspace | None = None):
@@ -271,18 +276,7 @@ def _log_r_reparam(params, decoder_var, x, eps, ws: _Workspace | None = None):
     hd, m = _mlp(params[18:31], z, ws.hd[:HIDDEN * n].reshape(HIDDEN, n),
                  ws.m[:n])
     resid = np.subtract(x[trailing], m, out=m)
-    # logR = C - resid^2 / (2 var) - z z / 2 + t + eps eps / 2, left to
-    # right, in two buffers.
-    logR = np.multiply(resid, resid, out=logR_out)
-    logR /= 2.0 * decoder_var
-    np.subtract(-0.5 * (_LOG_2PI + math.log(decoder_var)), logR, out=logR)
-    half_sq = np.multiply(0.5, z, out=tmp_out)
-    half_sq *= z
-    logR -= half_sq
-    logR += t[trailing]
-    np.multiply(0.5, eps, out=half_sq)
-    half_sq *= eps
-    logR += half_sq
+    logR = _log_r(resid, z, t[trailing], eps, decoder_var, logR_out, tmp_out)
     return logR, z, (h, mu, t, sg, hd, resid)
 
 
@@ -374,11 +368,11 @@ def iw_objective_and_grad(
     resid = np.matmul(dec_out, ws.hd1, out=ws.m).reshape(B, K)
     np.subtract(xs[:, None], resid, out=resid)
 
-    log_norm = -0.5 * (_LOG_2PI + math.log(decoder_var))
     if kind == "elbo":
         # mean log R = C - (sum r^2 / (2 var) + sum z^2 / 2 - sum eps^2 / 2) / N
         #              + sum t / B
         r, zf, ef = ws.m, ws.z1[0], eps.ravel()
+        log_norm = -0.5 * (_LOG_2PI + math.log(decoder_var))
         value = float(log_norm - (np.dot(r, r) / (2.0 * decoder_var)
                                   + 0.5 * (np.dot(zf, zf) - np.dot(ef, ef))) / N
                       + t.sum() / B)
@@ -386,17 +380,7 @@ def iw_objective_and_grad(
         g_m = np.multiply(resid, g_logR / decoder_var, out=resid)
     else:
         # log R into w, then w = exp(log R - lse) / B, the gradient weights.
-        w, tmp = ws.w, ws.g_z[0]
-        np.multiply(resid, resid, out=w)
-        w /= -2.0 * decoder_var
-        w += log_norm
-        np.multiply(0.5, z, out=tmp)
-        tmp *= z
-        w -= tmp
-        w += t[:, None]
-        np.multiply(0.5, eps, out=tmp)
-        tmp *= eps
-        w += tmp
+        w = _log_r(resid, z, t[:, None], eps, decoder_var, ws.w, ws.g_z[0])
         top = np.max(w, axis=1, out=ws.top)
         w -= top[:, None]
         np.exp(w, out=w)
@@ -541,16 +525,29 @@ def train(
     return TrainResult(ToyVae(params, model.decoder_var), history)
 
 
-def _block_workers(n: int, draws: int) -> int:
-    """Workers for a _map_blocks pass over n datapoints at draws log-ratios
-    each: resolve_threads(), capped by the chunk count and so that each
-    worker gets at least WORKER_RATIOS log-ratios."""
-    return max(1, min(resolve_threads(), -(-n // CHUNK_POINTS),
-                      n * draws // WORKER_RATIOS))
+def _block_workspaces(n: int, draws: int,
+                      held: list[_Workspace] | None = None) -> list[_Workspace]:
+    """The workspaces of a _map_blocks pass over n datapoints at draws
+    log-ratios each, one per worker: resolve_threads() of them, capped by
+    the chunk count and so that each worker gets at least WORKER_RATIOS
+    log-ratios, each of max(BLOCK_RATIOS, draws) draws.
+
+    held, a list a caller keeps across passes, lends its workspaces first
+    when they are large enough, and keeps the ones made here.
+    """
+    workers = max(1, min(resolve_threads(), -(-n // CHUNK_POINTS),
+                         n * draws // WORKER_RATIOS))
+    size = max(BLOCK_RATIOS, draws)
+    if held is None:
+        held = []
+    elif held and held[0].eps.size < size:
+        held.clear()
+    held.extend(_Workspace(size) for _ in range(workers - len(held)))
+    return held[:workers]
 
 
 def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
-                step, make=None) -> None:
+                step, workspaces: list[_Workspace] | None = None) -> None:
     """Run step(start, stop, eps, ws) on every block of the datapoints
     [0, n), with eps of shape (stop - start, *trailing) in the worker's
     workspace ws.
@@ -559,14 +556,16 @@ def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
     fills its blocks' eps in order, in C order, from generator(*stream, j).
     numpy fills normals in C order, so the draws do not depend on the block
     size, and a datapoint's draws depend only on its index.  The chunks run
-    through map_chunks on _block_workers(n, draws) workers, and each step
-    writes only its own datapoints' results.  make() gives each worker its
-    workspace, a new _Workspace.block(draws) unless make is given, so a call
-    holds O(threads BLOCK_RATIOS) floats whatever k is.
+    through map_chunks, one worker per workspace, and each step writes only
+    its own datapoints' results.  The workspaces are
+    _block_workspaces(n, draws) unless given, so a call holds
+    O(threads BLOCK_RATIOS) floats whatever k is.
     Floating-point warnings are off: callers check the results.
     """
     draws = math.prod(trailing)
-    block = _block_points(draws)
+    block = max(1, BLOCK_RATIOS // draws)
+    if workspaces is None:
+        workspaces = _block_workspaces(n, draws)
 
     def chunk(j: int, ws: _Workspace) -> None:
         rng = generator(*stream, j)
@@ -578,8 +577,8 @@ def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
                 rng.standard_normal(out=eps)
                 step(start, stop, eps, ws)
 
-    map_chunks(chunk, -(-n // CHUNK_POINTS),
-               make or (lambda: _Workspace.block(draws)), _block_workers(n, draws))
+    map_chunks(chunk, -(-n // CHUNK_POINTS), iter(workspaces).__next__,
+               len(workspaces))
 
 
 def _ratio_estimates(
@@ -589,7 +588,7 @@ def _ratio_estimates(
     n_pairs: int,
     seed: int,
     epoch: int,
-    make=None,
+    workspaces: list[_Workspace] | None = None,
 ) -> np.ndarray:
     """Per-datapoint log r_hat(x), where r_hat(x) estimates
     E[mean_k R(x, z~) / mean_k R(x, z)] over n_pairs independent (z, z~)
@@ -598,8 +597,8 @@ def _ratio_estimates(
     Datapoint i's (n_pairs, 2, k) normals come from its chunk's stream
     derive_key(seed, epoch, j) (see _map_blocks), so the result depends on
     neither the block size nor the thread count, and xs[:m] gives the first
-    m values.  Memory is O(threads BLOCK_RATIOS) for the workspaces, which
-    make hands out as in _map_blocks, plus O(n) for the result.
+    m values.  Memory is O(threads BLOCK_RATIOS) for the workspaces, given
+    or made as in _map_blocks, plus O(n) for the result.
     """
     out = np.empty(xs.size)
 
@@ -609,7 +608,7 @@ def _ratio_estimates(
         lse = np.asarray(logsumexp(logR, axis=3))
         out[start:stop] = log_mean_exp(lse[:, :, 1] - lse[:, :, 0], axis=1)
 
-    _map_blocks(xs.size, (n_pairs, 2, k), (seed, epoch), step, make)
+    _map_blocks(xs.size, (n_pairs, 2, k), (seed, epoch), step, workspaces)
     return out
 
 
@@ -626,7 +625,7 @@ def train_cnet(
     """Full-batch gradient descent on the mean gap bound, with fresh
     (z, z~) ratio estimates drawn every epoch from the streams
     derive_key(seed, epoch, j).  Each epoch's estimates run on
-    _block_workers threads, in workspaces made once per call, and the
+    _block_workspaces' workers, in workspaces made once per call, and the
     result is bit-identical at any thread count."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -637,12 +636,11 @@ def train_cnet(
         )
     cparams = cnet.params.copy()
     history: list[float] = []
-    draws = n_pairs * 2 * k
-    held = [_Workspace.block(draws) for _ in range(_block_workers(data.size, draws))]
+    held = _block_workspaces(data.size, n_pairs * 2 * k)
     for epoch in range(epochs):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_r_hat = _ratio_estimates(model, data, k, n_pairs, seed, epoch,
-                                         iter(held).__next__)
+                                         held)
             value, grad = cnet_objective_and_grad(cparams, data, log_r_hat)
         if not math.isfinite(value):
             raise DivergenceDetected(f"non-finite cnet loss at epoch {epoch}")
@@ -701,6 +699,7 @@ def evaluate(
     data: np.ndarray,
     k: int,
     seed: int,
+    held: list[_Workspace] | None = None,
 ) -> EvalResult:
     """Paired lower/upper evidence estimates, one pair per datapoint.
 
@@ -714,8 +713,9 @@ def evaluate(
     float C must be finite; non-finite log-ratios raise NonPositiveSample.
     elbo is the mean log R over the primal draws.
 
-    The chunks run on _block_workers threads, each in a workspace of at
-    most max(BLOCK_RATIOS, 2k) draws; memory is O(threads BLOCK_RATIOS + n)
+    The chunks run on _block_workspaces' workers, each in a workspace of
+    max(BLOCK_RATIOS, 2k) draws, lent by held where given, so that a
+    k-sweep makes its workspaces once; memory is O(threads BLOCK_RATIOS + n)
     whatever k is.
     """
     data = np.asarray(data, dtype=float)
@@ -735,7 +735,7 @@ def evaluate(
         lse[start:stop] = logsumexp(logR, axis=2)
         primal_sums[start:stop] = logR[:, 0, :].sum(axis=1)
 
-    _map_blocks(n, (2, k), (seed,), step)
+    _map_blocks(n, (2, k), (seed,), step, _block_workspaces(n, 2 * k, held))
     # Overflow leaves non-finite pairs, which PairedSamples rejects.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)

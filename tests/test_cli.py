@@ -320,6 +320,25 @@ class TestVaePipeline:
         row_k4 = (tmp_path / "e.csv.ksweep.csv").read_text().splitlines()[2]
         assert row_k4.split(",")[2] == summary[1]  # the same lower bound
 
+    def test_k_sweep_makes_its_workspaces_once(self, tmp_path, monkeypatch):
+        from gapsandwich import vae
+
+        ckpt = str(tmp_path / "v.ckpt")
+        vae.save_model(ckpt, ToyVae.init(5, 0.04))
+        made = []
+
+        class Counted(vae._Workspace):
+            def __init__(self, size):
+                made.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(vae, "_Workspace", Counted)
+        code = run(["vae", "eval", "--model", ckpt, "--n", "100", "--k", "4",
+                    "--k-sweep", "1,2,8", "--c", "fixed:0", "--seed", "6",
+                    "--out", str(tmp_path / "e.csv")])
+        assert code == 0
+        assert made == [vae.BLOCK_RATIOS]
+
     @pytest.mark.parametrize("ks", ["1,0", "1,x"])
     def test_bad_k_sweep_exits_2_before_writing(self, tmp_path, capsys, ks):
         ckpt = str(tmp_path / "v.ckpt")

@@ -297,15 +297,13 @@ class TestBlocks:
         assert peak < 24.0
 
     def test_evaluate_memory_does_not_grow_with_k(self, monkeypatch):
-        # Every k on as many workers as threads.  From k = 16 on, each
-        # worker's workspace holds a full block; below, a chunk of 1024
-        # datapoints takes less, so memory grows with k up to k = 16 only.
+        # Both k on as many workers as threads, so that the workspaces
+        # compared are the same number.
         monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
         data = sample(Laplace(0.0, 0.2), 10_000, 71)
         peaks = [peak_traced_mb(lambda: evaluate(self.model, self.cnet, data, k, 72))
-                 for k in (1, 16, 64)]
-        assert peaks[0] <= peaks[1]
-        assert peaks[2] - peaks[1] < 2.0
+                 for k in (1, 64)]
+        assert peaks[1] - peaks[0] < 2.0
 
     def test_ratio_estimates_memory_is_bounded(self):
         data = sample(Laplace(0.0, 0.2), 2000, 73)
@@ -391,13 +389,32 @@ class TestKeyedChunks:
         assert pool_sizes == [2, 2, 2]
         assert made == [vae.BLOCK_RATIOS] * 2
 
-    @pytest.mark.parametrize("draws, size", [
-        (2, 2 * CHUNK_POINTS),            # a whole chunk is one block
-        (128, vae.BLOCK_RATIOS),          # 256 datapoints a block
-        (3 * vae.BLOCK_RATIOS, 3 * vae.BLOCK_RATIOS),  # one datapoint a block
-    ])
-    def test_workspace_holds_the_largest_block(self, draws, size):
-        assert vae._Workspace.block(draws).eps.size == size
+    def test_evaluate_borrows_held_workspaces(self, monkeypatch):
+        made = []
+
+        class Counted(vae._Workspace):
+            def __init__(self, size):
+                made.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
+        monkeypatch.setenv(THREADS_ENV, "2")
+        reference = [evaluate(self.model, self.cnet, self.xs, k, 80)
+                     for k in (4, 1, 16)]
+        monkeypatch.setattr(vae, "_Workspace", Counted)
+        held = []
+        got = [evaluate(self.model, self.cnet, self.xs, k, 80, held)
+               for k in (4, 1, 16)]
+        assert made == [vae.BLOCK_RATIOS] * 2
+        assert len(held) == 2
+        for a, b in zip(got, reference):
+            assert a.s.tobytes() == b.s.tobytes()
+            assert a.S.tobytes() == b.S.tobytes()
+            assert a.elbo == b.elbo
+        # A larger draw count replaces the held workspaces.
+        evaluate(self.model, self.cnet, self.xs[:10], vae.BLOCK_RATIOS, 80, held)
+        assert made[2:] == [2 * vae.BLOCK_RATIOS]
+        assert [ws.eps.size for ws in held] == [2 * vae.BLOCK_RATIOS]
 
     def test_small_evaluate_starts_no_pool(self, monkeypatch, pool_sizes):
         # Two chunks at k = 1 hold 4096 log-ratios, far below WORKER_RATIOS.
