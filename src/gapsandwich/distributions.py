@@ -4,6 +4,24 @@ Each distribution carries its exact mean, mean-log and (where a closed
 form exists) log E[Y/X], so Monte Carlo estimates can be checked
 against ground truth.  Sampling is deterministic in (dist, n, seed) and uses
 the package's keyed streams.
+
+Gamma draws integer shapes 1 <= a <= ERLANG_MAX_SHAPE as Erlang variates,
+-theta log(U_1 ... U_a) (Devroye, Non-Uniform Random Variate Generation,
+1986, IX.3), and every other shape with numpy's Marsaglia-Tsang
+standard_gamma.  Each U_i is rng.random() + 2^-55, which lies in
+[2^-55, 1 - 2^-53]: the shift lifts 0 and is under half an ulp at the top,
+so no U_i rounds to 1.  A product of a <= 4 of them therefore lies in
+[2^-220, 1 - 2^-53], and every draw is positive and finite.  The uniforms
+are drawn factor by factor, all of U_1 into out and then each later factor
+over the whole vector in sub-blocks of a small scratch, so the bits do not
+depend on the sub-block size.  Per draw, the Erlang path's time over
+standard_gamma's on one 2^20-draw SFC64 fill (medians of 11 fills, two
+runs, on a 2-CPU AVX-512 x86-64 machine):
+
+    a      1          2          3     4     5          6          8
+    ratio  0.66-0.75  0.38-0.40  0.56  0.76  0.91-0.96  0.94-1.06  1.39-1.58
+
+so ERLANG_MAX_SHAPE = 4 leaves a margin below the crossover.
 """
 
 from __future__ import annotations
@@ -91,6 +109,42 @@ class Constant(AnalyticDist):
         return 0.0
 
 
+# Largest integer shape drawn as an Erlang variate; see the module docstring
+# for the measured crossover.
+ERLANG_MAX_SHAPE = 4
+# Lifts rng.random()'s 0 off zero and leaves 1 - 2^-53 below 1.
+_OPEN_SHIFT = 2.0**-55
+# Draws per sub-block of an Erlang fill's scratch: 128 KB.
+_ERLANG_BLOCK = 1 << 14
+
+
+def _fill_erlang(rng: np.random.Generator, shape: int, theta: float,
+                 out: np.ndarray) -> None:
+    """out <- -theta log(U_1 ... U_shape), factor-major.
+
+    U_1 fills out; each later factor is drawn over the whole vector, one
+    sub-block at a time, and multiplied in.  The first pass over the blocks
+    also shifts U_1 into the open interval, and the last takes the log, so
+    every block is finished while it is in cache.
+    """
+    rng.random(out=out)
+    scratch = np.empty(min(_ERLANG_BLOCK, out.size)) if shape > 1 else None
+    passes = max(shape - 1, 1)
+    for p in range(passes):
+        for start in range(0, out.size, _ERLANG_BLOCK):
+            part = out[start:start + _ERLANG_BLOCK]
+            if p == 0:
+                part += _OPEN_SHIFT
+            if scratch is not None:
+                u = scratch[:part.size]
+                rng.random(out=u)
+                u += _OPEN_SHIFT
+                part *= u
+            if p == passes - 1:
+                np.log(part, out=part)
+                part *= -theta
+
+
 @dataclass(frozen=True)
 class Gamma(AnalyticDist):
     kind = "gamma"
@@ -104,8 +158,11 @@ class Gamma(AnalyticDist):
             )
 
     def fill(self, rng, out):
-        rng.standard_gamma(self.a, out=out)
-        out *= self.theta
+        if float(self.a).is_integer() and 1 <= self.a <= ERLANG_MAX_SHAPE:
+            _fill_erlang(rng, int(self.a), self.theta, out)
+        else:
+            rng.standard_gamma(self.a, out=out)
+            out *= self.theta
 
     @property
     def mean(self):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import gamma as gamma_law
+from scipy.stats import kstest
 
+from gapsandwich import distributions, sweep
 from gapsandwich.distributions import (
     Constant,
     Gamma,
@@ -16,6 +19,7 @@ from gapsandwich.distributions import (
     sample,
 )
 from gapsandwich.errors import InvalidParams, ParseError
+from gapsandwich.parallel import THREADS_ENV, resolve_threads
 from gapsandwich.rng import generator
 
 N = 200_000
@@ -155,6 +159,76 @@ class TestSampling:
     def test_out_must_be_a_contiguous_float_vector_of_n(self, out):
         with pytest.raises(InvalidParams, match="out"):
             sample(Gamma(2.0, 1.0), 10, 0, out=out)
+
+
+class StubUniforms:
+    """Stands in for a Generator: random(out=...) hands out the next values
+    of a fixed stream of doubles."""
+
+    def __init__(self, stream):
+        self.stream = np.asarray(stream, dtype=float)
+        self.pos = 0
+
+    def random(self, out):
+        out[:] = self.stream[self.pos:self.pos + out.size]
+        self.pos += out.size
+
+
+class TestErlang:
+    """Integer shapes up to ERLANG_MAX_SHAPE draw -theta log(U_1 ... U_a);
+    every other shape draws numpy's standard_gamma."""
+
+    SHAPES = range(1, distributions.ERLANG_MAX_SHAPE + 1)
+
+    @pytest.mark.parametrize("a", [1.0, 2.0, 3.0, 4.0, 0.5, 2.5, 5.0])
+    def test_matches_the_gamma_law(self, a):
+        xs = sample(Gamma(a, 1.5), N, 31)
+        assert kstest(xs, gamma_law(a, scale=1.5).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_fill_is_the_factor_major_formula(self, a):
+        u = generator(42).random((a, 1001)) + 2.0**-55
+        expected = -1.5 * np.log(np.multiply.reduce(u, axis=0))
+        np.testing.assert_array_equal(sample(Gamma(float(a), 1.5), 1001, 42),
+                                      expected)
+
+    def test_shapes_past_the_crossover_draw_standard_gamma(self):
+        a = distributions.ERLANG_MAX_SHAPE + 1.0
+        np.testing.assert_array_equal(sample(Gamma(a, 1.5), 1001, 43),
+                                      1.5 * generator(43).standard_gamma(a, 1001))
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_extreme_uniforms_give_positive_finite_draws(self, a, monkeypatch):
+        # Element i takes rng.random()'s largest double, 1 - 2^-53, in factor
+        # f when bit f of i is set and its smallest, 0, otherwise, so the
+        # 2^a elements cover every mix; 3-draw sub-blocks cross elements.
+        monkeypatch.setattr(distributions, "_ERLANG_BLOCK", 3)
+        i = np.arange(2**a)
+        stream = np.concatenate([np.where((i >> f) & 1, 1.0 - 2.0**-53, 0.0)
+                                 for f in range(a)])
+        out = np.empty(i.size)
+        Gamma(float(a), 1.0).fill(StubUniforms(stream), out)
+        assert np.isfinite(out).all() and (out > 0.0).all()
+        assert out.max() == pytest.approx(55 * a * math.log(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_bits_do_not_depend_on_the_sub_block_size(self, a, monkeypatch):
+        n = 2 * distributions._ERLANG_BLOCK + 3
+        expected = sample(Gamma(float(a), 1.5), n, 44)
+        for block in (1000, 4096, 1 << 20):
+            monkeypatch.setattr(distributions, "_ERLANG_BLOCK", block)
+            assert sample(Gamma(float(a), 1.5), n, 44).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_cell_bits_do_not_depend_on_the_thread_count(self, a, monkeypatch):
+        monkeypatch.setattr(sweep, "CHUNK_DRAWS", 4096)
+        pairs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv(THREADS_ENV, threads)
+            pairs.append(sweep._cell_pairs(Gamma(float(a), 1.0), 45, 4, 3000,
+                                           resolve_threads()))
+        assert pairs[0].lx.tobytes() == pairs[1].lx.tobytes()
+        assert pairs[0].d.tobytes() == pairs[1].d.tobytes()
 
 
 class TestKAveragedLaw:

@@ -170,15 +170,17 @@ class TestChunkedCells:
     def test_chunk_j_draws_from_sfc64_under_the_chunk_key(self):
         # The stream scheme built from numpy alone: the chunk calls
         # sample(..., derive_key(cell_seed, j)), and sample's generator
-        # seeds SFC64 with derive_key of that key.
+        # seeds SFC64 with derive_key of that key.  Gamma(2, 1) is the
+        # Erlang draw -log(U_1 U_2): all of U_1, then all of U_2, each
+        # shifted by 2^-55 into (0, 1).
         seed = derive_key(21, 0, self.K)
         sizes = (self.PER_CHUNK, 37)
         pairs = sweep._cell_pairs(Gamma(2.0, 1.0), seed, self.K, sum(sizes), 1)
-        draws = [
-            np.random.Generator(np.random.SFC64(derive_key(derive_key(seed, j))))
-            .standard_gamma(2.0, 2 * m * self.K)
-            for j, m in enumerate(sizes)
-        ]
+        draws = []
+        for j, m in enumerate(sizes):
+            rng = np.random.Generator(np.random.SFC64(derive_key(derive_key(seed, j))))
+            u = rng.random((2, 2 * m * self.K)) + 2.0**-55
+            draws.append(-np.log(u[0] * u[1]))
         for start, m, raw in zip((0, self.PER_CHUNK), sizes, draws):
             blocks = raw.reshape(2, m, self.K).mean(axis=2)
             lx, ly = np.log(blocks)
