@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 
@@ -73,7 +74,8 @@ def _read_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
+                # '#' starts a comment at a line's start or after whitespace.
+                line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
                 if not line:
                     continue
                 key, eq, val = line.partition("=")
@@ -141,12 +143,12 @@ def _parse_k_list(text: str, key: str) -> tuple[int, ...]:
     return ks
 
 
-def _pair_manifest(csv_path: str, opts: dict, seed: int, started: float) -> None:
+def _pair_manifest(csv_path: str, argv: list[str], opts: dict, started: float) -> None:
     manifest = RunManifest(
-        command_line=sys.argv[1:],
+        command_line=argv,
         config={k: (v if isinstance(v, (int, float, str, bool)) else str(v))
                 for k, v in opts.items()},
-        base_seed=seed,
+        base_seed=opts["seed"],
         version=__version__,
         wall_time_s=round(time.perf_counter() - started, 6),
     )
@@ -205,7 +207,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                 f"non-finite bound at k={row.k} replication={row.replication}"
             )
     write_sweep_csv(opts["out"], result, dataset=dist.spec_string(), model="analytic")
-    _pair_manifest(opts["out"], opts, opts["seed"], started)
+    _pair_manifest(opts["out"], args.argv, opts, started)
     if opts["emit_gnuplot"]:
         _diag(f"gnuplot script: {_write_gnuplot(opts['out'], 3, [(7, 'lower'), (9, 'upper')], 'k')}")
     for agg in result.aggregates:
@@ -239,7 +241,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _diag(f"{status} {res.name} slack={res.slack:.6g}")
     with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(verify_csv_lines(results)) + "\n")
-    _pair_manifest(opts["out"], opts, opts["seed"], started)
+    _pair_manifest(opts["out"], args.argv, opts, started)
     passed = sum(res.passed for res in results)
     _echo(f"verify passed={passed}/{len(results)} out={opts['out']}")
     return 0 if passed == len(results) else 1
@@ -272,7 +274,7 @@ def cmd_vae_train(args: argparse.Namespace) -> int:
     )
     vae.save_model(opts["out"], result.model)
     _write_loss_csv(opts["loss_out"], result.loss_history)
-    _pair_manifest(opts["loss_out"], opts, opts["seed"], started)
+    _pair_manifest(opts["loss_out"], args.argv, opts, started)
     final = result.loss_history[-1] if result.loss_history else math.nan
     _echo(
         f"vae-train objective={opts['objective']} epochs={opts['epochs']} "
@@ -307,7 +309,7 @@ def cmd_vae_train_cnet(args: argparse.Namespace) -> int:
     )
     vae.save_cnet(opts["out"], result.cnet)
     _write_loss_csv(opts["loss_out"], result.loss_history)
-    _pair_manifest(opts["loss_out"], opts, opts["seed"], started)
+    _pair_manifest(opts["loss_out"], args.argv, opts, started)
     final = result.loss_history[-1] if result.loss_history else math.nan
     _echo(
         f"vae-train-cnet k={opts['k']} epochs={opts['epochs']} "
@@ -366,19 +368,17 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
     c_source = _c_source(opts["c"])
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 7))
 
-    # The k-sweep's evaluations share their workers' workspaces.
-    held: list = []
     result = vae.evaluate(model, c_source, data, opts["k"],
-                          derive_key(opts["seed"], 8, opts["k"]), held)
+                          derive_key(opts["seed"], 8, opts["k"]))
     _write_records_csv(opts["out"], result)
-    _pair_manifest(opts["out"], opts, opts["seed"], started)
+    _pair_manifest(opts["out"], args.argv, opts, started)
 
     if sweep_ks:
         sweep_path = opts["out"] + ".ksweep.csv"
         lines = [EVAL_SWEEP_HEADER]
         for k in sweep_ks:
             res_k = result if k == opts["k"] else vae.evaluate(
-                model, c_source, data, k, derive_key(opts["seed"], 8, k), held)
+                model, c_source, data, k, derive_key(opts["seed"], 8, k))
             lines.append(",".join([
                 str(k), str(opts["n"]), repr(res_k.lower), repr(res_k.lower_stderr),
                 repr(res_k.upper), repr(res_k.upper_stderr), repr(res_k.elbo),
@@ -387,7 +387,7 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
             _diag(f"k={k} lower={res_k.lower:.6f} upper={res_k.upper:.6f}")
         with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-        _pair_manifest(sweep_path, opts, opts["seed"], started)
+        _pair_manifest(sweep_path, args.argv, opts, started)
         if opts["emit_gnuplot"]:
             _diag(f"gnuplot script: {_write_gnuplot(sweep_path, 1, [(3, 'lower'), (5, 'upper')], 'k')}")
 
@@ -454,6 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The manifests record the arguments main was given, not its host's.
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ParseError, InvalidParams, ShapeMismatch) as exc:

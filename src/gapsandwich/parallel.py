@@ -3,10 +3,9 @@
 Every Monte Carlo pass in the package splits its work into chunks j = 0, 1,
 ... whose boundaries and random streams depend on j alone, never on the
 thread count, and each chunk writes its results into its own slice of the
-caller's arrays.  map_chunks runs such chunks on a pool and makes every
-worker one scratch object, on the calling thread before any chunk runs, so
-a pass allocates its working buffers once and its results are
-bit-identical at any thread count.
+caller's arrays.  map_chunks runs such chunks on a pool, one worker per
+scratch object in the list that the pass builds, so a pass allocates its
+working buffers once and its results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import ParseError
 
@@ -43,23 +42,22 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def map_chunks(task: Callable[[int, S], None], n_chunks: int,
-               make: Callable[[], S], threads: int) -> None:
+               scratch: Sequence[S]) -> None:
     """Run task(j, s) for every chunk j < n_chunks.
 
-    The chunks run on min(threads, n_chunks) workers, inline when that is
-    1.  make() is called once per worker, here on the calling thread before
-    any chunk runs; s is one of those scratch objects, which a worker holds
-    for the whole task, so no two running tasks share one.  The first
-    failure in chunk order is raised, the chunks not yet started are
-    cancelled, and the pool is joined before this returns or raises.
+    The chunks run on min(len(scratch), n_chunks) workers, inline when that
+    is at most 1.  s is one of the first that many objects of scratch, which
+    a worker holds for the whole task, so no two running tasks share one.
+    The first failure in chunk order is raised, the chunks not yet started
+    are cancelled, and the pool is joined before this returns or raises.
     """
-    scratch = [make() for _ in range(min(threads, n_chunks))]
-    if len(scratch) <= 1:
+    workers = min(len(scratch), n_chunks)
+    if workers <= 1:
         for j in range(n_chunks):
             task(j, scratch[0])
         return
     free: queue.SimpleQueue = queue.SimpleQueue()
-    for s in scratch:
+    for s in scratch[:workers]:
         free.put(s)
 
     def run(j: int) -> None:
@@ -71,6 +69,6 @@ def map_chunks(task: Callable[[int, S], None], n_chunks: int,
 
     # map yields in chunk order and raises the first failure in that order;
     # leaving the block cancels what has not started and joins the workers.
-    with ThreadPoolExecutor(max_workers=len(scratch)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(run, range(n_chunks)):
             pass

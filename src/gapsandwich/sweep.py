@@ -163,8 +163,8 @@ def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int,
                bit_generator=chunk_bit_generator)
         paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
 
-    map_chunks(draw_chunk, n_chunks,
-               lambda: np.empty(2 * min(per_chunk, n_pairs) * k), threads)
+    map_chunks(draw_chunk, n_chunks, [np.empty(2 * min(per_chunk, n_pairs) * k)
+                                      for _ in range(min(threads, n_chunks))])
     return PairedSamples(lx, d, k=k)
 
 

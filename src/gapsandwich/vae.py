@@ -525,25 +525,14 @@ def train(
     return TrainResult(ToyVae(params, model.decoder_var), history)
 
 
-def _block_workspaces(n: int, draws: int,
-                      held: list[_Workspace] | None = None) -> list[_Workspace]:
-    """The workspaces of a _map_blocks pass over n datapoints at draws
+def _block_workspaces(n: int, draws: int) -> list[_Workspace]:
+    """New workspaces for a _map_blocks pass over n datapoints at draws
     log-ratios each, one per worker: resolve_threads() of them, capped by
     the chunk count and so that each worker gets at least WORKER_RATIOS
-    log-ratios, each of max(BLOCK_RATIOS, draws) draws.
-
-    held, a list a caller keeps across passes, lends its workspaces first
-    when they are large enough, and keeps the ones made here.
-    """
+    log-ratios, each of max(BLOCK_RATIOS, draws) draws."""
     workers = max(1, min(resolve_threads(), -(-n // CHUNK_POINTS),
                          n * draws // WORKER_RATIOS))
-    size = max(BLOCK_RATIOS, draws)
-    if held is None:
-        held = []
-    elif held and held[0].eps.size < size:
-        held.clear()
-    held.extend(_Workspace(size) for _ in range(workers - len(held)))
-    return held[:workers]
+    return [_Workspace(max(BLOCK_RATIOS, draws)) for _ in range(workers)]
 
 
 def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
@@ -557,9 +546,9 @@ def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
     numpy fills normals in C order, so the draws do not depend on the block
     size, and a datapoint's draws depend only on its index.  The chunks run
     through map_chunks, one worker per workspace, and each step writes only
-    its own datapoints' results.  The workspaces are
-    _block_workspaces(n, draws) unless given, so a call holds
-    O(threads BLOCK_RATIOS) floats whatever k is.
+    its own datapoints' results.  The workspaces are the given list, which
+    a caller may reuse across passes, or else _block_workspaces(n, draws),
+    so a call holds O(threads BLOCK_RATIOS) floats whatever k is.
     Floating-point warnings are off: callers check the results.
     """
     draws = math.prod(trailing)
@@ -577,8 +566,7 @@ def _map_blocks(n: int, trailing: tuple[int, ...], stream: tuple[int, ...],
                 rng.standard_normal(out=eps)
                 step(start, stop, eps, ws)
 
-    map_chunks(chunk, -(-n // CHUNK_POINTS), iter(workspaces).__next__,
-               len(workspaces))
+    map_chunks(chunk, -(-n // CHUNK_POINTS), workspaces)
 
 
 def _ratio_estimates(
@@ -636,11 +624,11 @@ def train_cnet(
         )
     cparams = cnet.params.copy()
     history: list[float] = []
-    held = _block_workspaces(data.size, n_pairs * 2 * k)
+    workspaces = _block_workspaces(data.size, n_pairs * 2 * k)
     for epoch in range(epochs):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_r_hat = _ratio_estimates(model, data, k, n_pairs, seed, epoch,
-                                         held)
+                                         workspaces)
             value, grad = cnet_objective_and_grad(cparams, data, log_r_hat)
         if not math.isfinite(value):
             raise DivergenceDetected(f"non-finite cnet loss at epoch {epoch}")
@@ -699,7 +687,6 @@ def evaluate(
     data: np.ndarray,
     k: int,
     seed: int,
-    held: list[_Workspace] | None = None,
 ) -> EvalResult:
     """Paired lower/upper evidence estimates, one pair per datapoint.
 
@@ -710,13 +697,13 @@ def evaluate(
     Datapoint i's pair is lx = s = log mean R, the IWAE bound, and
     d = log sum R~ - log sum R; bounds gives its S = s + C - 1 + exp(d - C),
     the lower and upper means, their stderrs and the saturation count.  A
-    float C must be finite; non-finite log-ratios raise NonPositiveSample.
+    float C must be finite, a C network that gives a non-finite C raises
+    NonFiniteParams, and non-finite log-ratios raise NonPositiveSample.
     elbo is the mean log R over the primal draws.
 
     The chunks run on _block_workspaces' workers, each in a workspace of
-    max(BLOCK_RATIOS, 2k) draws, lent by held where given, so that a
-    k-sweep makes its workspaces once; memory is O(threads BLOCK_RATIOS + n)
-    whatever k is.
+    max(BLOCK_RATIOS, 2k) draws made for this call, so memory is
+    O(threads BLOCK_RATIOS + n) whatever k is.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -726,6 +713,10 @@ def evaluate(
     if not isinstance(c_source, CNet) and not math.isfinite(c_source):
         raise InvalidParams(f"C must be finite, got {c_source!r}")
     n = data.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_vals = c_source(data) if isinstance(c_source, CNet) else np.full(n, float(c_source))
+    if not np.isfinite(c_vals).all():
+        raise NonFiniteParams("the C network gives a non-finite C")
     lse = np.empty((n, 2))
     primal_sums = np.empty(n)
 
@@ -735,11 +726,10 @@ def evaluate(
         lse[start:stop] = logsumexp(logR, axis=2)
         primal_sums[start:stop] = logR[:, 0, :].sum(axis=1)
 
-    _map_blocks(n, (2, k), (seed,), step, _block_workspaces(n, 2 * k, held))
+    _map_blocks(n, (2, k), (seed,), step)
     # Overflow leaves non-finite pairs, which PairedSamples rejects.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)
-    c_vals = c_source(data) if isinstance(c_source, CNet) else np.full(n, float(c_source))
     lower = bounds.jensen_lower(pairs)
     S_vals, saturated = bounds.upper_terms(pairs, c_vals)
     upper, upper_stderr = mean_stderr(S_vals)

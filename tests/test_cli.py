@@ -11,16 +11,19 @@ import pytest
 
 import gapsandwich
 from gapsandwich import verify
-from gapsandwich.cli import main
-from gapsandwich.distributions import sample
+from gapsandwich.cli import EVAL_DEFAULTS, main
+from gapsandwich.distributions import parse_dist, sample
+from gapsandwich.parallel import THREADS_ENV
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples
 from gapsandwich.sweep import CSV_HEADER
 from gapsandwich.vae import (
     CNET_PARAM_COUNT,
     VAE_PARAM_COUNT,
+    CNet,
     ToyVae,
     load_model,
+    save_cnet,
     save_model,
 )
 from test_vae import write_raw_checkpoint
@@ -46,6 +49,17 @@ class TestAnalyticCommand:
         manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
         assert manifest["base_seed"] == 42
         assert out in manifest["outputs"]
+
+    @pytest.mark.parametrize("given", [True, False])
+    def test_manifest_records_the_argv_main_was_given(self, tmp_path,
+                                                       monkeypatch, given):
+        args = ["analytic", "--dist", "constant:c=2", "--k", "1", "--n", "100",
+                "--replications", "1", "--out", str(tmp_path / "g.csv")]
+        monkeypatch.setattr(sys, "argv",
+                            ["host", "host-arg-1"] if given else ["host", *args])
+        assert main(args if given else None) == 0
+        manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+        assert manifest["command_line"] == args
 
     def test_manifest_records_numpy_and_its_simd_dispatch(self, tmp_path):
         out = str(tmp_path / "g.csv")
@@ -124,6 +138,18 @@ class TestAnalyticCommand:
         # flag replications=2 wins over config 1; config n=1000 applies
         assert len(lines) == 3
         assert lines[1].split(",")[4] == "1000"
+
+    def test_config_hash_inside_a_value_is_kept(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "run#2.csv"
+        cfg.write_text(f"# a comment line\nout={out}\nn=500\t# tab comment\n")
+        code = run(["analytic", "--dist", "constant:c=2", "--k", "1",
+                    "--c-policy", "zero", "--replications", "1",
+                    "--config", str(cfg)])
+        assert code == 0
+        assert out.exists()
+        assert not (tmp_path / "run").exists()
+        assert out.read_text().splitlines()[1].split(",")[4] == "500"
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -320,24 +346,32 @@ class TestVaePipeline:
         row_k4 = (tmp_path / "e.csv.ksweep.csv").read_text().splitlines()[2]
         assert row_k4.split(",")[2] == summary[1]  # the same lower bound
 
-    def test_k_sweep_makes_its_workspaces_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_k_sweep_rows_equal_standalone_evaluates(
+            self, tmp_path, monkeypatch, pool_sizes, threads):
+        # Three chunks at every k, on two workers whatever their log-ratios.
         from gapsandwich import vae
 
-        ckpt = str(tmp_path / "v.ckpt")
-        vae.save_model(ckpt, ToyVae.init(5, 0.04))
-        made = []
-
-        class Counted(vae._Workspace):
-            def __init__(self, size):
-                made.append(size)
-                super().__init__(size)
-
-        monkeypatch.setattr(vae, "_Workspace", Counted)
-        code = run(["vae", "eval", "--model", ckpt, "--n", "100", "--k", "4",
-                    "--k-sweep", "1,2,8", "--c", "fixed:0", "--seed", "6",
-                    "--out", str(tmp_path / "e.csv")])
+        monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
+        monkeypatch.setenv(THREADS_ENV, threads)
+        model, cnet = ToyVae.init(5, 0.04), CNet.init(3)
+        ckpt, cnet_ckpt = str(tmp_path / "v.ckpt"), str(tmp_path / "c.ckpt")
+        save_model(ckpt, model)
+        save_cnet(cnet_ckpt, cnet)
+        n, seed = 2 * vae.CHUNK_POINTS + 50, 6
+        code = run(["vae", "eval", "--model", ckpt, "--n", str(n), "--k", "4",
+                    "--k-sweep", "1,2,4,8", "--c", f"cnet:{cnet_ckpt}",
+                    "--seed", str(seed), "--out", str(tmp_path / "e.csv")])
         assert code == 0
-        assert made == [vae.BLOCK_RATIOS]
+        assert pool_sizes == ([2] * 4 if threads == "2" else [])
+        data = sample(parse_dist(EVAL_DEFAULTS["data"]), n, derive_key(seed, 7))
+        rows = (tmp_path / "e.csv.ksweep.csv").read_text().splitlines()[1:]
+        for k, row in zip((1, 2, 4, 8), rows, strict=True):
+            res = vae.evaluate(model, cnet, data, k, derive_key(seed, 8, k))
+            assert row == ",".join([
+                str(k), str(n), repr(res.lower), repr(res.lower_stderr),
+                repr(res.upper), repr(res.upper_stderr), repr(res.elbo),
+                str(res.saturated)])
 
     @pytest.mark.parametrize("ks", ["1,0", "1,x"])
     def test_bad_k_sweep_exits_2_before_writing(self, tmp_path, capsys, ks):
@@ -361,6 +395,18 @@ class TestVaePipeline:
                     "--c", "fixed:0", "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_overflowing_c_network_exits_3_without_csv(self, tmp_path, capsys):
+        ckpt, cnet_ckpt = str(tmp_path / "v.ckpt"), str(tmp_path / "c.ckpt")
+        save_model(ckpt, ToyVae.init(5, 0.04))
+        save_cnet(cnet_ckpt, CNet(np.full(CNET_PARAM_COUNT, 1e200)))
+        out = tmp_path / "e.csv"
+        code = run(["vae", "eval", "--model", ckpt, "--n", "50", "--k", "2",
+                    "--c", f"cnet:{cnet_ckpt}", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
     def test_missing_checkpoint_exits_4(self, tmp_path):

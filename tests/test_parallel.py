@@ -10,19 +10,19 @@ from gapsandwich.parallel import map_chunks
 class TestMapChunks:
     def test_every_chunk_runs_once(self):
         seen = []
-        map_chunks(lambda j, s: seen.append(j), 7, object, 2)
+        map_chunks(lambda j, s: seen.append(j), 7, [object(), object()])
         assert sorted(seen) == list(range(7))
 
     def test_workers_are_capped_by_the_chunks(self, pool_sizes):
-        map_chunks(lambda j, s: None, 3, list, 8)
+        map_chunks(lambda j, s: None, 3, [[] for _ in range(8)])
         assert pool_sizes == [3]
 
-    @pytest.mark.parametrize("n_chunks, threads", [(1, 8), (5, 1), (0, 4)])
-    def test_one_worker_starts_no_pool(self, pool_sizes, n_chunks, threads):
+    @pytest.mark.parametrize("n_chunks, given", [(1, 8), (5, 1), (0, 4)])
+    def test_one_worker_starts_no_pool(self, pool_sizes, n_chunks, given):
         caller = threading.get_ident()
         ran_on = set()
         map_chunks(lambda j, s: ran_on.add(threading.get_ident()), n_chunks,
-                   list, threads)
+                   [[] for _ in range(given)])
         assert pool_sizes == []
         assert ran_on <= {caller}
 
@@ -36,7 +36,7 @@ class TestMapChunks:
 
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
-            map_chunks(task, 6, list, 2)
+            map_chunks(task, 6, [[], []])
         assert set(threading.enumerate()) <= before
 
     def test_running_tasks_never_share_a_scratch(self):
@@ -53,28 +53,21 @@ class TestMapChunks:
             time.sleep(0)
             busy[id(s)] = False
 
-        scratch = []
+        scratch = [[] for _ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            map_chunks(task, 400, lambda: scratch.append([]) or scratch[-1], 8)
+            map_chunks(task, 400, scratch)
         finally:
             sys.setswitchinterval(interval)
         assert clash == []
         assert sorted(j for s in scratch for j in s) == list(range(400))
 
-    @pytest.mark.parametrize("threads, n_chunks, made",
+    @pytest.mark.parametrize("given, n_chunks, used_count",
                              [(8, 3, 3), (2, 40, 2), (1, 5, 1), (4, 1, 1), (3, 0, 0)])
-    def test_one_scratch_per_worker_made_on_the_calling_thread_first(
-            self, threads, n_chunks, made):
-        makers, used = [], []
-
-        def make():
-            assert used == [], "a scratch was made after a chunk ran"
-            makers.append(threading.get_ident())
-            return len(makers)
-
-        map_chunks(lambda j, s: used.append(s), n_chunks, make, threads)
-        assert makers == [threading.get_ident()] * made
+    def test_only_the_first_n_chunks_scratch_objects_are_used(
+            self, given, n_chunks, used_count):
+        used = []
+        map_chunks(lambda j, s: used.append(s), n_chunks, list(range(given)))
         assert len(used) == n_chunks
-        assert set(used) <= set(range(1, made + 1))
+        assert set(used) <= set(range(used_count))

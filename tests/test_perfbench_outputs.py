@@ -43,9 +43,9 @@ def test_tiny_workload_in_small_chunks_is_identical_across_threads(
     monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
     chunk_counts = []
 
-    def recording(task, n_chunks, make, threads):
+    def recording(task, n_chunks, scratch):
         chunk_counts.append(n_chunks)
-        parallel.map_chunks(task, n_chunks, make, threads)
+        parallel.map_chunks(task, n_chunks, scratch)
 
     monkeypatch.setattr(sweep, "map_chunks", recording)
     monkeypatch.setattr(vae, "map_chunks", recording)

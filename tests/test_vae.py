@@ -389,33 +389,6 @@ class TestKeyedChunks:
         assert pool_sizes == [2, 2, 2]
         assert made == [vae.BLOCK_RATIOS] * 2
 
-    def test_evaluate_borrows_held_workspaces(self, monkeypatch):
-        made = []
-
-        class Counted(vae._Workspace):
-            def __init__(self, size):
-                made.append(size)
-                super().__init__(size)
-
-        monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
-        monkeypatch.setenv(THREADS_ENV, "2")
-        reference = [evaluate(self.model, self.cnet, self.xs, k, 80)
-                     for k in (4, 1, 16)]
-        monkeypatch.setattr(vae, "_Workspace", Counted)
-        held = []
-        got = [evaluate(self.model, self.cnet, self.xs, k, 80, held)
-               for k in (4, 1, 16)]
-        assert made == [vae.BLOCK_RATIOS] * 2
-        assert len(held) == 2
-        for a, b in zip(got, reference):
-            assert a.s.tobytes() == b.s.tobytes()
-            assert a.S.tobytes() == b.S.tobytes()
-            assert a.elbo == b.elbo
-        # A larger draw count replaces the held workspaces.
-        evaluate(self.model, self.cnet, self.xs[:10], vae.BLOCK_RATIOS, 80, held)
-        assert made[2:] == [2 * vae.BLOCK_RATIOS]
-        assert [ws.eps.size for ws in held] == [2 * vae.BLOCK_RATIOS]
-
     def test_small_evaluate_starts_no_pool(self, monkeypatch, pool_sizes):
         # Two chunks at k = 1 hold 4096 log-ratios, far below WORKER_RATIOS.
         monkeypatch.setenv(THREADS_ENV, "2")
