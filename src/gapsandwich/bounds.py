@@ -10,6 +10,12 @@ member at C* = log E[Y/X].  The midpoint estimator E log X + C*/2 is exact
 when X is log-normal.  Every estimator reads the pairs' stored lx = log x
 and d = log y - log x; exponents are saturated at EXP_SATURATION so
 heavy-tailed ratios cannot produce infinities in reports.
+
+A report is assembled by bound_report from three mergeable partials (the
+Moments of lx and of the upper terms, and the LogSumExp of d) and the
+saturation count.  sandwich takes them over one batch of pairs; a sweep
+cell takes them per chunk, with upper_moments, and merges them in chunk
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accumulate import EXP_SATURATION, log_mean_exp, mean_stderr
+from .accumulate import EXP_SATURATION, LogSumExp, Moments, log_mean_exp, mean_stderr
 from .errors import EmptyGrid
 from .samples import PairedSamples
 
@@ -75,6 +81,23 @@ def gap_upper_first_order(s: PairedSamples) -> Estimate:
     return Estimate(mean, stderr, saturated)
 
 
+def _upper_terms(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
+                 out: tuple[np.ndarray, np.ndarray]) -> int:
+    """Write the upper terms of pairs (lx, d) at C into out[1], using out[0]
+    for their exponentials, and return the count of saturated exponents."""
+    c = np.asarray(c, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError(f"C must be finite, got {c!r}")
+    scaled, terms = out
+    np.subtract(d, c, out=scaled)
+    saturated = int(np.count_nonzero(scaled > EXP_SATURATION))
+    np.exp(np.minimum(scaled, EXP_SATURATION, out=scaled), out=scaled)
+    np.subtract(lx, 1.0, out=terms)
+    terms += c
+    terms += scaled
+    return saturated
+
+
 def upper_terms(s: PairedSamples, c: float | np.ndarray) -> tuple[np.ndarray, int]:
     """Per-pair log X_i - 1 + C_i + exp(-C_i) * Y_i/X_i, computed with
     exp(d - C_i) for stability, and the count of saturated exponents.
@@ -82,19 +105,29 @@ def upper_terms(s: PairedSamples, c: float | np.ndarray) -> tuple[np.ndarray, in
     c is one finite C or one per pair; for each, the terms' mean is a valid
     upper bound on log E X.
     """
-    c = np.asarray(c, dtype=float)
-    if not np.isfinite(c).all():
-        raise ValueError(f"C must be finite, got {c!r}")
-    scaled, saturated = _saturated_exp(s.d - c)
-    return s.lx - 1.0 + c + scaled, saturated
+    out = (np.empty(s.n), np.empty(s.n))
+    saturated = _upper_terms(s.lx, s.d, c, out)
+    return out[1], saturated
+
+
+def upper_moments(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
+                  scratch: np.ndarray | None = None) -> tuple[Moments, int]:
+    """The Moments of the upper terms of pairs (lx, d) at C, and the count
+    of saturated exponents.  scratch, a float64 vector of at least
+    2 * lx.size elements, holds the terms, so none is allocated."""
+    n = lx.size
+    if scratch is None:
+        scratch = np.empty(2 * n)
+    scaled, terms = scratch[:n], scratch[n:2 * n]
+    saturated = _upper_terms(lx, d, c, (scaled, terms))
+    return Moments.of(terms, scratch=scaled), saturated
 
 
 def improved_upper(s: PairedSamples, c: float | np.ndarray) -> Estimate:
     """Mean and stderr of the upper_terms at C: an upper bound on log E X
     for every finite C."""
-    terms, saturated = upper_terms(s, c)
-    mean, stderr = mean_stderr(terms)
-    return Estimate(mean, stderr, saturated)
+    moments, saturated = upper_moments(s.lx, s.d, c)
+    return Estimate(*moments.mean_stderr(), saturated)
 
 
 def log_ratio_mean(s: PairedSamples) -> Estimate:
@@ -139,23 +172,33 @@ def midpoint_evidence(s: PairedSamples) -> float:
     return jensen_lower(s).mean + 0.5 * optimal_c(s)
 
 
-def sandwich(s: PairedSamples, c: float) -> BoundReport:
-    """Assemble the full lower/upper report at a given C."""
-    lower = jensen_lower(s)
-    upper = improved_upper(s, c)
-    log_ratio = log_mean_exp(s.d)
+def bound_report(lower: Moments, upper: Moments, log_ratio: LogSumExp,
+                 saturated: int, c: float, k: int) -> BoundReport:
+    """The report of pairs whose lx have Moments lower, whose upper terms
+    at C have Moments upper, and whose d have LogSumExp log_ratio."""
+    lower_mean, lower_stderr = lower.mean_stderr()
+    upper_mean, upper_stderr = upper.mean_stderr()
+    log_ratio_mean = float(log_ratio.log_mean())
     return BoundReport(
-        lower_mean=lower.mean,
-        lower_stderr=lower.stderr,
-        upper_mean=upper.mean,
-        upper_stderr=upper.stderr,
-        ratio_mean=math.exp(min(log_ratio, EXP_SATURATION)),
+        lower_mean=lower_mean,
+        lower_stderr=lower_stderr,
+        upper_mean=upper_mean,
+        upper_stderr=upper_stderr,
+        ratio_mean=math.exp(min(log_ratio_mean, EXP_SATURATION)),
         c_used=c,
-        n=s.n,
-        k=s.k,
-        midpoint=lower.mean + 0.5 * log_ratio,
-        saturated_pairs=upper.saturated,
+        n=lower.n,
+        k=k,
+        midpoint=lower_mean + 0.5 * log_ratio_mean,
+        saturated_pairs=saturated,
     )
+
+
+def sandwich(s: PairedSamples, c: float) -> BoundReport:
+    """Assemble the full lower/upper report at a given C: bound_report of
+    one block of pairs."""
+    upper, saturated = upper_moments(s.lx, s.d, c)
+    return bound_report(Moments.of(s.lx), upper, LogSumExp.of(s.d), saturated,
+                        c, s.k)
 
 
 def optimal_h_check(

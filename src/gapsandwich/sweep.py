@@ -6,26 +6,39 @@ fixed chunks of about CHUNK_DRAWS draws; chunk j draws from an SFC64
 stream, chunk_bit_generator, under the key derive_key(cell_seed, j).
 SFC64 draws faster than the package's default Philox, and the sampler is
 most of a sweep's time; the keys come from the package's one derivation
-scheme.  A cell's chunks run through parallel.map_chunks: each draws in
-place into the raw buffer that the cell allocated for its worker, and
-writes its block means straight into its own slice of the cell's lx and d
-vectors.  A cell therefore holds O(n_pairs + threads * CHUNK_DRAWS) floats
-whatever k is, and its results are bit-identical at any thread count.
+scheme.
+
+A cell makes two passes over its chunks through parallel.map_chunks, each
+chunk in the raw buffer that the cell allocated for its worker.  The first
+draws the chunk, writes its block means straight into its own slice of the
+cell's lx and d vectors, and reduces that slice while it is in cache: the
+Moments of lx and the LogSumExp of d over the working pairs, and the
+LogSumExp of d over the pilot pairs that the CPolicy sets aside.  Once C
+is fixed, the second forms the chunk's upper terms and returns their
+Moments and saturation count.  The calling thread only merges the chunks'
+partials, in chunk order, so a cell holds lx, d and the raw buffers,
+O(n_pairs + threads * CHUNK_DRAWS) floats whatever k is, and its results
+are bit-identical at any thread count.  A cell of one chunk reports the
+bits bounds.sandwich gives on its pairs; with more chunks the merged means
+differ from those of one whole-vector pass by rounding alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, optimal_c, sandwich
+from .accumulate import LogSumExp, Moments
+from .bounds import BoundReport, bound_report, upper_moments
 from .distributions import AnalyticDist, sample
 from .errors import ParseError
 from .parallel import map_chunks, resolve_threads
 from .rng import derive_key
-from .samples import PairedSamples, paired_from_halves
+from .samples import paired_from_halves
 
 # Raw draws per chunk of a cell.  Part of the stream scheme, with
 # chunk_bit_generator: changing either changes every sweep result for a
@@ -82,18 +95,17 @@ class CPolicy:
                 raise ParseError(f"c-policy key 'fixed' needs a decimal: {tail!r}")
         raise ParseError(f"unknown c-policy {text!r}")
 
+    def pilot_pairs(self, n: int) -> int:
+        """How many of n >= 2 leading pairs estimate C and are left out of
+        the bounds: for pilot-optimal 10% of them, at least 64 and all but
+        one at most; none for the other kinds."""
+        if self.kind != "pilot-optimal":
+            return 0
+        return min(max(64, math.ceil(n / 10)), n - 1)
 
-def apply_c_policy(s: PairedSamples, policy: CPolicy) -> tuple[float, PairedSamples]:
-    """Resolve C for a batch; pilot-optimal spends a prefix on estimating C
-    and returns the untouched remainder for the actual bounds."""
-    if policy.kind == "zero":
-        return 0.0, s
-    if policy.kind == "fixed":
-        return policy.value, s
-    pilot = min(max(64, math.ceil(s.n / 10)), s.n - 1) if s.n > 1 else 0
-    if pilot < 1:
-        return optimal_c(s), s
-    return optimal_c(s.subset(0, pilot)), s.subset(pilot, s.n)
+    def fixed_c(self) -> float:
+        """C of the zero and fixed kinds."""
+        return self.value if self.kind == "fixed" else 0.0
 
 
 @dataclass(frozen=True)
@@ -146,14 +158,45 @@ class SweepResult:
     aggregates: tuple[KAggregate, ...]
 
 
-def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int,
-                threads: int) -> PairedSamples:
-    """One cell's pairs; chunk j is drawn from the chunk_bit_generator stream
-    under derive_key(seed, j) into a worker's raw buffer, and writes pairs
-    [j per_chunk, (j + 1) per_chunk) of lx and d."""
+def _chunking(n_pairs: int, k: int) -> tuple[int, int]:
+    """Pairs per chunk of a cell, and its number of chunks."""
     per_chunk = max(1, CHUNK_DRAWS // (2 * k))
-    n_chunks = -(-n_pairs // per_chunk)
+    return per_chunk, -(-n_pairs // per_chunk)
+
+
+def _raw_buffers(k: int, n_pairs: int, threads: int) -> list[np.ndarray]:
+    """A cell's raw buffers: one chunk's draws for each of its workers."""
+    per_chunk, n_chunks = _chunking(n_pairs, k)
+    return [np.empty(2 * min(per_chunk, n_pairs) * k)
+            for _ in range(min(threads, n_chunks))]
+
+
+class _DrawnSums(NamedTuple):
+    """Partials of a cell's first pass: the Moments of lx and the LogSumExp
+    of d over the working pairs, and the LogSumExp of d over the pilot."""
+
+    lower: Moments
+    log_ratio: LogSumExp
+    pilot: LogSumExp
+
+    def merge(self, other: "_DrawnSums") -> "_DrawnSums":
+        return _DrawnSums(*(a.merge(b) for a, b in zip(self, other)))
+
+
+def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int, pilot: int,
+                buffers: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, _DrawnSums]:
+    """One cell's pairs, as read-only vectors lx and d, and their partials
+    merged in chunk order.
+
+    Chunk j is drawn from the chunk_bit_generator stream under
+    derive_key(seed, j) into a worker's raw buffer, writes pairs
+    [j per_chunk, (j + 1) per_chunk) of lx and d, and reduces them in the
+    same buffer: pairs below pilot into the pilot's partial, the rest into
+    the working pairs' partials.
+    """
+    per_chunk, n_chunks = _chunking(n_pairs, k)
     lx, d = np.empty(n_pairs), np.empty(n_pairs)
+    sums: list[_DrawnSums] = [None] * n_chunks
 
     def draw_chunk(j: int, buf: np.ndarray) -> None:
         start = j * per_chunk
@@ -161,19 +204,46 @@ def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int,
         raw = buf[:2 * (stop - start) * k]
         sample(dist, raw.size, derive_key(seed, j), raw,
                bit_generator=chunk_bit_generator)
-        paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
+        pairs = paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
+        split = min(max(pilot - start, 0), stop - start)
+        sums[j] = _DrawnSums(Moments.of(pairs.lx[split:], scratch=buf),
+                             LogSumExp.of(pairs.d[split:], scratch=buf),
+                             LogSumExp.of(pairs.d[:split], scratch=buf))
 
-    map_chunks(draw_chunk, n_chunks, [np.empty(2 * min(per_chunk, n_pairs) * k)
-                                      for _ in range(min(threads, n_chunks))])
-    return PairedSamples(lx, d, k=k)
+    map_chunks(draw_chunk, n_chunks, buffers)
+    lx.flags.writeable = d.flags.writeable = False
+    return lx, d, functools.reduce(_DrawnSums.merge, sums)
+
+
+def _cell_upper(lx: np.ndarray, d: np.ndarray, c: float, k: int, pilot: int,
+                buffers: list[np.ndarray]) -> tuple[Moments, int]:
+    """The Moments of the upper terms at C of pairs [pilot, n) of a cell,
+    and the count of saturated exponents; each chunk forms its terms in a
+    worker's raw buffer."""
+    per_chunk, n_chunks = _chunking(lx.size, k)
+    sums: list[tuple[Moments, int]] = [None] * n_chunks
+
+    def upper_chunk(j: int, buf: np.ndarray) -> None:
+        start = max(j * per_chunk, pilot)
+        stop = min((j + 1) * per_chunk, lx.size)
+        sums[j] = upper_moments(lx[start:stop], d[start:stop], c, scratch=buf)
+
+    map_chunks(upper_chunk, n_chunks, buffers)
+    return (functools.reduce(Moments.merge, (m for m, _ in sums)),
+            sum(saturated for _, saturated in sums))
 
 
 def _run_cell(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
               threads: int) -> SweepRow:
     seed = derive_key(cfg.base_seed, rep, k)
-    c, working = apply_c_policy(_cell_pairs(dist, seed, k, cfg.n_pairs, threads),
-                                cfg.c_policy)
-    return SweepRow(k=k, replication=rep, seed=seed, report=sandwich(working, c))
+    policy, n = cfg.c_policy, cfg.n_pairs
+    pilot = policy.pilot_pairs(n)
+    buffers = _raw_buffers(k, n, threads)
+    lx, d, drawn = _cell_pairs(dist, seed, k, n, pilot, buffers)
+    c = float(drawn.pilot.log_mean()) if pilot else policy.fixed_c()
+    upper, saturated = _cell_upper(lx, d, c, k, pilot, buffers)
+    return SweepRow(k=k, replication=rep, seed=seed, report=bound_report(
+        drawn.lower, upper, drawn.log_ratio, saturated, c, k))
 
 
 def run_sweep(

@@ -1,15 +1,58 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapsandwich.accumulate import log_mean_exp, logsumexp, mean_stderr
+from gapsandwich.accumulate import (
+    EXP_SATURATION,
+    LogSumExp,
+    Moments,
+    log_mean_exp,
+    logsumexp,
+    mean_stderr,
+)
 
 finite_lists = st.lists(
     st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=200
 )
+
+
+def whole_pass_logsumexp(values, axis=None):
+    """logsumexp as one max-shifted pass over the whole array computes it."""
+    vmax = np.max(values, axis=axis, keepdims=True)
+    vmax = np.where(np.isfinite(vmax), vmax, 0.0)
+    out = np.log(np.sum(np.exp(values - vmax), axis=axis, keepdims=True)) + vmax
+    if axis is None:
+        return float(out.reshape(()))
+    return np.squeeze(out, axis=axis)
+
+
+def whole_pass_mean_stderr(values):
+    """Mean and stderr as one pass over the whole vector, divided by its
+    largest magnitude, computes them."""
+    n = values.size
+    scale = float(np.max(np.abs(values)))
+    if scale == 0.0 or not math.isfinite(scale):
+        scale = 1.0
+    scaled = values / scale
+    mean_scaled = float(scaled.mean())
+    if n == 1:
+        return scale * mean_scaled, math.inf
+    var_scaled = float(np.sum((scaled - mean_scaled) ** 2)) / (n - 1)
+    return scale * mean_scaled, scale * math.sqrt(var_scaled) / math.sqrt(n)
+
+
+def blocks_of(values, cuts):
+    """values split into contiguous blocks at the given cut points; a
+    repeated cut makes an empty block."""
+    return np.split(values, sorted(c % (values.size + 1) for c in cuts))
+
+
+def close(merged, whole, rel=1e-13):
+    return abs(merged - whole) <= rel * max(1.0, abs(whole))
 
 
 class TestLogSumExp:
@@ -56,3 +99,108 @@ class TestMeanStderr:
         mean, stderr = mean_stderr(values)
         assert math.isfinite(mean)
         assert math.isfinite(stderr)
+
+
+class TestOneBlock:
+    """mean_stderr, logsumexp and log_mean_exp are the one-block case of the
+    partials, with the bits of one whole-vector pass."""
+
+    @given(finite_lists)
+    def test_random_vectors(self, values):
+        values = np.array(values)
+        assert mean_stderr(values) == whole_pass_mean_stderr(values)
+        assert logsumexp(values) == whole_pass_logsumexp(values)
+        assert log_mean_exp(values) == (whole_pass_logsumexp(values)
+                                        - math.log(values.size))
+
+    @pytest.mark.parametrize("values", [[2.5], [0.0], [-1e300]])
+    def test_one_value(self, values):
+        values = np.array(values)
+        assert mean_stderr(values) == whole_pass_mean_stderr(values)
+        assert mean_stderr(values)[1] == math.inf
+        assert logsumexp(values) == whole_pass_logsumexp(values)
+
+    @pytest.mark.parametrize("values", [np.zeros(7), np.full(9, 3.25),
+                                        np.full(300, -0.1)])
+    def test_constant_and_all_zero_vectors(self, values):
+        assert mean_stderr(values) == whole_pass_mean_stderr(values)
+        assert logsumexp(values) == whole_pass_logsumexp(values)
+
+    @given(finite_lists, st.lists(st.integers(0, 199), min_size=1, max_size=20))
+    def test_neg_inf_entries(self, values, where):
+        values = np.array(values)
+        values[[i % values.size for i in where]] = -np.inf
+        values[0] = 1.5  # at least one finite entry
+        assert logsumexp(values) == whole_pass_logsumexp(values)
+        assert LogSumExp.of(values).n == values.size
+
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 1),
+           st.integers(0, 2**32 - 1))
+    def test_axis_reduction(self, rows, cols, axis, seed):
+        values = np.random.default_rng(seed).normal(0.0, 20.0, (rows, cols))
+        assert np.array_equal(logsumexp(values, axis=axis),
+                              whole_pass_logsumexp(values, axis=axis))
+
+    @given(finite_lists)
+    def test_scratch_changes_no_bit(self, values):
+        values = np.array(values)
+        scratch = np.full(values.size + 3, np.nan)
+        assert Moments.of(values, scratch=scratch) == Moments.of(values)
+        assert LogSumExp.of(values, scratch=scratch) == LogSumExp.of(values)
+
+
+class TestMerge:
+    """Partials of contiguous blocks, merged in order, give the whole
+    vector's mean, stderr and log-sum-exp up to rounding."""
+
+    @given(finite_lists, st.lists(st.integers(0, 200), max_size=8))
+    def test_any_split_agrees_with_the_whole(self, values, cuts):
+        values = np.array(values)
+        blocks = blocks_of(values, cuts)
+        moments = reduce(Moments.merge, map(Moments.of, blocks))
+        lse = reduce(LogSumExp.merge, map(LogSumExp.of, blocks))
+        assert moments.n == lse.n == values.size
+        mean, stderr = moments.mean_stderr()
+        whole_mean, whole_stderr = mean_stderr(values)
+        assert close(mean, whole_mean)
+        assert stderr == whole_stderr == math.inf or close(stderr, whole_stderr)
+        assert close(float(lse.log_sum()), logsumexp(values))
+        assert close(float(lse.log_mean()), log_mean_exp(values))
+
+    @given(finite_lists, st.lists(st.integers(0, 200), max_size=8),
+           st.lists(st.integers(0, 199), min_size=1, max_size=20))
+    def test_blocks_of_neg_inf_merge_as_empty(self, values, cuts, where):
+        values = np.array(values)
+        values[[i % values.size for i in where]] = -np.inf
+        values[-1] = -2.0
+        lse = reduce(LogSumExp.merge, map(LogSumExp.of, blocks_of(values, cuts)))
+        assert lse.n == values.size
+        assert close(float(lse.log_sum()), logsumexp(values))
+
+    def test_one_block_merged_with_empty_ones_keeps_its_bits(self):
+        values = np.linspace(-3.0, 5.0, 101)
+        empty_m, empty_l = Moments.of(values[:0]), LogSumExp.of(values[:0])
+        for m in (empty_m.merge(Moments.of(values)),
+                  Moments.of(values).merge(empty_m)):
+            assert m.mean_stderr() == mean_stderr(values)
+        for lse in (empty_l.merge(LogSumExp.of(values)),
+                    LogSumExp.of(values).merge(empty_l)):
+            assert float(lse.log_mean()) == log_mean_exp(values)
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 120)), min_size=2,
+                    max_size=8), st.integers(0, 2**32 - 1))
+    def test_saturated_blocks_stay_finite(self, layout, seed):
+        # Upper terms saturate at exp(700) ~ 1.01e304; 17 800 of them
+        # overflow an unscaled sum.
+        rng = np.random.default_rng(seed)
+        big = math.exp(EXP_SATURATION)
+        blocks = [big * (1.0 + 0.01 * rng.random(m)) if saturated
+                  else rng.normal(0.0, 5.0, m) for saturated, m in layout]
+        blocks.append(np.full(17_800, big))
+        values = np.concatenate(blocks)
+        with np.errstate(over="ignore"):
+            assert np.sum(values) == np.inf
+        mean, stderr = reduce(Moments.merge, map(Moments.of, blocks)).mean_stderr()
+        whole_mean, whole_stderr = mean_stderr(values)
+        assert math.isfinite(mean) and math.isfinite(stderr)
+        assert close(mean, whole_mean) and close(stderr, whole_stderr)

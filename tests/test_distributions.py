@@ -225,10 +225,11 @@ class TestErlang:
         pairs = []
         for threads in ("1", "2"):
             monkeypatch.setenv(THREADS_ENV, threads)
-            pairs.append(sweep._cell_pairs(Gamma(float(a), 1.0), 45, 4, 3000,
-                                           resolve_threads()))
-        assert pairs[0].lx.tobytes() == pairs[1].lx.tobytes()
-        assert pairs[0].d.tobytes() == pairs[1].d.tobytes()
+            buffers = sweep._raw_buffers(4, 3000, resolve_threads())
+            pairs.append(sweep._cell_pairs(Gamma(float(a), 1.0), 45, 4, 3000, 0,
+                                           buffers)[:2])
+        assert pairs[0][0].tobytes() == pairs[1][0].tobytes()
+        assert pairs[0][1].tobytes() == pairs[1][1].tobytes()
 
 
 class TestKAveragedLaw:

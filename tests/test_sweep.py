@@ -4,12 +4,14 @@ import os
 import threading
 import time
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from gapsandwich import parallel, sweep, verify
-from gapsandwich.bounds import optimal_c, sandwich
+from gapsandwich.accumulate import LogSumExp, Moments
+from gapsandwich.bounds import bound_report, optimal_c, sandwich, upper_moments
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError
 from gapsandwich.parallel import THREADS_ENV, resolve_threads
@@ -20,7 +22,6 @@ from gapsandwich.sweep import (
     CSV_HEADER,
     CPolicy,
     SweepConfig,
-    apply_c_policy,
     run_sweep,
     sweep_csv_lines,
     write_sweep_csv,
@@ -40,26 +41,44 @@ class TestCPolicy:
             CPolicy.parse("fixed:xyz")
 
 
-class TestApplyCPolicy:
+def cell_pairs(dist, seed, k, n_pairs, threads):
+    """A cell's pairs, drawn as the cell's first pass draws them."""
+    lx, d, _ = sweep._cell_pairs(dist, seed, k, n_pairs, 0,
+                                 sweep._raw_buffers(k, n_pairs, threads))
+    return PairedSamples(lx, d, k=k)
+
+
+def one_cell(dist, n_pairs, k, base_seed, policy, threads=1):
+    """The report of a one-cell sweep, and the pairs that cell drew."""
+    cfg = SweepConfig(k_values=(k,), n_pairs=n_pairs, replications=1,
+                      base_seed=base_seed, c_policy=policy)
+    row = run_sweep(dist, cfg, threads=threads).rows[0]
+    return row.report, cell_pairs(dist, row.seed, k, n_pairs, 1)
+
+
+class TestCPolicyCells:
+    """The C policy as a cell applies it: zero and fixed bound every pair,
+    pilot-optimal estimates C on a prefix and bounds the rest."""
+
     def test_zero_and_fixed_keep_all_pairs(self):
-        s = paired_from_halves(sample(Gamma(2.0, 1.0), 400, 3), 1)
-        c, working = apply_c_policy(s, CPolicy("zero"))
-        assert c == 0.0 and working.n == s.n
-        c, working = apply_c_policy(s, CPolicy("fixed", 0.7))
-        assert c == 0.7 and working.n == s.n
+        for policy, c in ((CPolicy("zero"), 0.0), (CPolicy("fixed", 0.7), 0.7)):
+            rep, pairs = one_cell(Gamma(2.0, 1.0), 200, 1, 3, policy)
+            assert rep.c_used == c and rep.n == pairs.n == 200
+            assert rep == sandwich(pairs, c)
 
     def test_pilot_freezes_c_from_prefix(self):
-        s = paired_from_halves(sample(Gamma(2.0, 1.0), 4000, 4), 1)
-        c, working = apply_c_policy(s, CPolicy("pilot-optimal"))
-        pilot_n = max(64, math.ceil(s.n / 10))
-        assert working.n == s.n - pilot_n
-        assert c == pytest.approx(optimal_c(s.subset(0, pilot_n)))
+        rep, pairs = one_cell(Gamma(2.0, 1.0), 2000, 1, 4, CPolicy("pilot-optimal"))
+        pilot_n = max(64, math.ceil(pairs.n / 10))
+        assert CPolicy("pilot-optimal").pilot_pairs(pairs.n) == pilot_n
+        assert rep.n == pairs.n - pilot_n
+        c = optimal_c(pairs.subset(0, pilot_n))
+        assert rep.c_used == c
+        assert rep == sandwich(pairs.subset(pilot_n, pairs.n), c)
 
     def test_pilot_on_tiny_batch_still_leaves_pairs(self):
-        s = paired_from_halves(sample(Gamma(2.0, 1.0), 20, 5), 1)
-        c, working = apply_c_policy(s, CPolicy("pilot-optimal"))
-        assert working.n >= 1
-        assert math.isfinite(c)
+        rep, _ = one_cell(Gamma(2.0, 1.0), 10, 1, 5, CPolicy("pilot-optimal"))
+        assert rep.n >= 1
+        assert math.isfinite(rep.c_used)
 
 
 class TestSweepConfig:
@@ -164,7 +183,20 @@ class TestChunkedCells:
         ]
         expected = PairedSamples(np.concatenate([c.lx for c in chunks]),
                                  np.concatenate([c.d for c in chunks]), k=self.K)
-        assert row.report == sandwich(expected, 0.0)
+        # The chunks' partials, merged in chunk order.
+        uppers = [upper_moments(c.lx, c.d, 0.0) for c in chunks]
+        lower = reduce(Moments.merge, (Moments.of(c.lx) for c in chunks))
+        upper = reduce(Moments.merge, (m for m, _ in uppers))
+        log_ratio = reduce(LogSumExp.merge, (LogSumExp.of(c.d) for c in chunks))
+        saturated = sum(n for _, n in uppers)
+        assert row.report == bound_report(lower, upper, log_ratio, saturated, 0.0,
+                                          self.K)
+        whole = sandwich(expected, 0.0)
+        for name in ("lower_mean", "lower_stderr", "upper_mean", "upper_stderr",
+                     "ratio_mean", "c_used", "midpoint"):
+            x, y = getattr(row.report, name), getattr(whole, name)
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), name
+        assert row.report.saturated_pairs == whole.saturated_pairs
         assert row.report.n == n_pairs
 
     def test_chunk_j_draws_from_sfc64_under_the_chunk_key(self):
@@ -175,7 +207,7 @@ class TestChunkedCells:
         # shifted by 2^-55 into (0, 1).
         seed = derive_key(21, 0, self.K)
         sizes = (self.PER_CHUNK, 37)
-        pairs = sweep._cell_pairs(Gamma(2.0, 1.0), seed, self.K, sum(sizes), 1)
+        pairs = cell_pairs(Gamma(2.0, 1.0), seed, self.K, sum(sizes), 1)
         draws = []
         for j, m in enumerate(sizes):
             rng = np.random.Generator(np.random.SFC64(derive_key(derive_key(seed, j))))
@@ -247,9 +279,9 @@ class TestChunkedCells:
         n_pairs = 5 * self.PER_CHUNK + 37
         dist = parse_dist(spec)
         seed = derive_key(16, 0, self.K)
-        ref = sweep._cell_pairs(dist, seed, self.K, n_pairs, 1)
+        ref = cell_pairs(dist, seed, self.K, n_pairs, 1)
         for threads in (2, 3):
-            pairs = sweep._cell_pairs(dist, seed, self.K, n_pairs, threads)
+            pairs = cell_pairs(dist, seed, self.K, n_pairs, threads)
             assert pairs.lx.tobytes() == ref.lx.tobytes()
             assert pairs.d.tobytes() == ref.d.tobytes()
         last = paired_from_halves(sample(dist, 2 * 37 * self.K, derive_key(seed, 5),
@@ -279,24 +311,109 @@ class TestChunkedCells:
         assert set(threading.enumerate()) <= before
 
     def test_pairs_are_read_only_views_of_the_cell(self, monkeypatch):
-        written = []
+        written, read = [], []
 
         def recording(raw, k, out=None):
             written.extend(out)
             return paired_from_halves(raw, k, out)
 
+        def recording_upper(lx, d, c, scratch=None):
+            read.append((lx, d))
+            return upper_moments(lx, d, c, scratch)
+
         monkeypatch.setattr(sweep, "paired_from_halves", recording)
-        pairs = sweep._cell_pairs(Gamma(2.0, 1.0), 18, self.K, 3 * self.PER_CHUNK, 2)
+        monkeypatch.setattr(sweep, "upper_moments", recording_upper)
+        n_pairs = 3 * self.PER_CHUNK
+        pilot = CPolicy("pilot-optimal").pilot_pairs(n_pairs)
+        buffers = sweep._raw_buffers(self.K, n_pairs, 2)
+        lx, d, _ = sweep._cell_pairs(Gamma(2.0, 1.0), 18, self.K, n_pairs, pilot,
+                                     buffers)
         assert len(written) == 6
         for chunk_vector in written:
-            assert np.shares_memory(chunk_vector, pairs.lx) != np.shares_memory(
-                chunk_vector, pairs.d)
-        _, working = apply_c_policy(pairs, CPolicy("pilot-optimal"))
-        pilot = pairs.subset(0, 64)
-        for part in (pairs, working, pilot):
-            assert np.shares_memory(part.lx, pairs.lx)
-            assert np.shares_memory(part.d, pairs.d)
-            assert not part.lx.flags.writeable and not part.d.flags.writeable
+            assert np.shares_memory(chunk_vector, lx) != np.shares_memory(
+                chunk_vector, d)
+        sweep._cell_upper(lx, d, 0.5, self.K, pilot, buffers)
+        # The second pass reads each chunk's working pairs in place.
+        assert [part_lx.size for part_lx, _ in read] == [
+            self.PER_CHUNK - pilot, self.PER_CHUNK, self.PER_CHUNK]
+        for part_lx, part_d in [(lx, d), *read]:
+            assert np.shares_memory(part_lx, lx) and np.shares_memory(part_d, d)
+            assert not part_lx.flags.writeable and not part_d.flags.writeable
+
+    @pytest.mark.parametrize("per_chunk", [193, 1000, 3281, 32768])
+    def test_pilot_boundary_inside_on_and_across_chunks(self, per_chunk,
+                                                        monkeypatch):
+        # k = 16 at 4 PER_CHUNK + 37 pairs: the pilot is 3281 = 17 * 193
+        # pairs, so it ends on a chunk boundary after 17 chunks of 193,
+        # inside chunk 3 of chunks of 1000, on the end of chunk 0 of
+        # chunks of 3281, and inside the one chunk of 32768 then 37.
+        k, n_pairs = 16, 4 * self.PER_CHUNK + 37
+        monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * k * per_chunk)
+        policy = CPolicy("pilot-optimal")
+        pilot = policy.pilot_pairs(n_pairs)
+        assert pilot == 3281
+        rep, pairs = one_cell(Gamma(2.0, 1.0), n_pairs, k, 22, policy, threads=2)
+        c = optimal_c(pairs.subset(0, pilot))
+        whole = sandwich(pairs.subset(pilot, n_pairs), c)
+        assert rep.n == whole.n == n_pairs - pilot
+        assert rep.saturated_pairs == whole.saturated_pairs
+        assert abs(rep.c_used - c) <= 1e-12 * max(1.0, abs(c))
+        for name in ("lower_mean", "lower_stderr", "upper_mean", "upper_stderr",
+                     "ratio_mean", "midpoint"):
+            x, y = getattr(rep, name), getattr(whole, name)
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), name
+        if per_chunk == 3281:
+            # One pilot chunk: C has the bits of the whole-prefix estimate.
+            assert rep.c_used == c
+
+    def test_fixed_c_counts_every_saturated_pair(self, monkeypatch):
+        # Pairs whose Y block is exp(705) have d - C = 704.5 > 700; exp(700.4)
+        # gives 699.9, which does not saturate.
+        n_pairs = 3 * self.PER_CHUNK
+        seed = derive_key(23, 0, self.K)
+        chunk_of = {derive_key(seed, j): j for j in range(3)}
+        planted = {0: {(5, 705.0), (100, 700.4), (self.PER_CHUNK - 1, 705.0)},
+                   2: {(7, 705.0)}}
+
+        def planting(d, n, key, out, *, bit_generator):
+            out[:] = 1.0
+            m = n // (2 * self.K)
+            for i, log_y in planted.get(chunk_of[key], ()):
+                start = (m + i) * self.K
+                out[start:start + self.K] = math.exp(log_y)
+
+        monkeypatch.setattr(sweep, "sample", planting)
+        cfg = SweepConfig(k_values=(self.K,), n_pairs=n_pairs, replications=1,
+                          base_seed=23, c_policy=CPolicy("fixed", 0.5))
+        for threads in (1, 2):
+            rep = run_sweep(Gamma(2.0, 1.0), cfg, threads=threads).rows[0].report
+            assert rep.saturated_pairs == 3
+            assert rep.n == n_pairs
+            for value in (rep.upper_mean, rep.upper_stderr, rep.ratio_mean):
+                assert math.isfinite(value)
+            pairs = cell_pairs(Gamma(2.0, 1.0), seed, self.K, n_pairs, 1)
+            assert sandwich(pairs, 0.5).saturated_pairs == 3
+
+    def test_reports_are_equal_at_one_two_and_three_threads(self):
+        cfg = SweepConfig(k_values=(4, 16, self.K), n_pairs=5 * self.PER_CHUNK + 37,
+                          replications=2, base_seed=24)
+        dist = LogNormal(0.0, 1.5)
+        ref = run_sweep(dist, cfg, threads=1)
+        for threads in (2, 3):
+            assert run_sweep(dist, cfg, threads=threads) == ref
+
+    def test_million_pair_cell_holds_its_pairs_and_one_buffer(self):
+        # lx and d take 15.3 MiB, one raw buffer 8 MiB; the reductions add
+        # no vector-sized temporary.
+        cfg = SweepConfig(k_values=(1,), n_pairs=10**6, replications=1,
+                          base_seed=25, c_policy=CPolicy("pilot-optimal"))
+        tracemalloc.start()
+        try:
+            run_sweep(Gamma(2.0, 1.0), cfg, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
 
 
 class TestWorkers:
@@ -314,16 +431,24 @@ class TestWorkers:
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
         per_chunk = CHUNK_DRAWS // (2 * 64)
         dist = Gamma(2.0, 1.0)
-        sweep._cell_pairs(dist, 19, 64, per_chunk, 8)
+
+        def cell(n_pairs):
+            cfg = SweepConfig(k_values=(64,), n_pairs=n_pairs, replications=1,
+                              base_seed=19)
+            run_sweep(dist, cfg, threads=8)
+
+        cell(per_chunk)
         assert sizes == []
-        sweep._cell_pairs(dist, 19, 64, 2 * per_chunk + 1, 8)
-        assert sizes == [3]
+        cell(2 * per_chunk + 1)
+        assert sizes == [3, 3]  # the drawing pass and the upper-term pass
 
     def test_one_chunk_cell_allocates_one_buffer(self):
         # One raw buffer is CHUNK_DRAWS floats, 8 MB; eight would take 64 MB.
+        cfg = SweepConfig(k_values=(64,), n_pairs=CHUNK_DRAWS // (2 * 64),
+                          replications=1, base_seed=20)
         tracemalloc.start()
         try:
-            sweep._cell_pairs(Gamma(2.0, 1.0), 20, 64, CHUNK_DRAWS // (2 * 64), 8)
+            run_sweep(Gamma(2.0, 1.0), cfg, threads=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
