@@ -80,16 +80,23 @@ class Moments(NamedTuple):
                        self.m2 * ra * ra + other.m2 * rb * rb
                        + delta * delta * (self.n * other.n / n))
 
-    def mean_stderr(self) -> tuple[float, float]:
-        """Sample mean and standard error (n-1 variance, std/sqrt(n)); one
-        value reports stderr = +inf rather than a falsely tight 0."""
+    def mean_std(self) -> tuple[float, float]:
+        """Sample mean and standard deviation (n-1 variance); one value
+        reports a deviation of 0."""
         if self.n == 0:
             raise ValueError("mean of an empty array")
         s = _divisor(self.scale)
-        mean = s * self.mean
+        if self.n == 1:
+            return s * self.mean, 0.0
+        return s * self.mean, s * math.sqrt(self.m2 / (self.n - 1))
+
+    def mean_stderr(self) -> tuple[float, float]:
+        """Sample mean and standard error (n-1 variance, std/sqrt(n)); one
+        value reports stderr = +inf rather than a falsely tight 0."""
+        mean, std = self.mean_std()
         if self.n == 1:
             return mean, math.inf
-        return mean, s * math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n)
+        return mean, std / math.sqrt(self.n)
 
 
 class LogSumExp(NamedTuple):

@@ -14,8 +14,8 @@ heavy-tailed ratios cannot produce infinities in reports.
 A report is assembled by bound_report from three mergeable partials (the
 Moments of lx and of the upper terms, and the LogSumExp of d) and the
 saturation count.  sandwich takes them over one batch of pairs; a sweep
-cell takes them per chunk, with upper_moments, and merges them in chunk
-order.
+cell takes them per chunk, with upper_moments over the chunk's own pairs,
+and merges them in chunk order.
 """
 
 from __future__ import annotations
@@ -111,16 +111,16 @@ def upper_terms(s: PairedSamples, c: float | np.ndarray) -> tuple[np.ndarray, in
 
 
 def upper_moments(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
-                  scratch: np.ndarray | None = None) -> tuple[Moments, int]:
+                  out: tuple[np.ndarray, np.ndarray] | None = None,
+                  ) -> tuple[Moments, int]:
     """The Moments of the upper terms of pairs (lx, d) at C, and the count
-    of saturated exponents.  scratch, a float64 vector of at least
-    2 * lx.size elements, holds the terms, so none is allocated."""
-    n = lx.size
-    if scratch is None:
-        scratch = np.empty(2 * n)
-    scaled, terms = scratch[:n], scratch[n:2 * n]
-    saturated = _upper_terms(lx, d, c, (scaled, terms))
-    return Moments.of(terms, scratch=scaled), saturated
+    of saturated exponents.  out, two float64 vectors of lx.size elements,
+    holds the terms' exponentials and the terms, so none is allocated; it
+    may be (d, lx) itself, which the terms then overwrite."""
+    if out is None:
+        out = (np.empty(lx.size), np.empty(lx.size))
+    saturated = _upper_terms(lx, d, c, out)
+    return Moments.of(out[1], scratch=out[0]), saturated
 
 
 def improved_upper(s: PairedSamples, c: float | np.ndarray) -> Estimate:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 import time
@@ -133,6 +134,25 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+def _check_writable(opts: dict, *keys: str) -> None:
+    """Fail on the first output path of keys that cannot be written, before
+    any compute starts."""
+    for key in keys:
+        path = opts[key]
+        folder = os.path.dirname(path) or "."
+        if not path:
+            why = "the path is empty"
+        elif os.path.isdir(path):
+            why = "it is a directory"
+        elif not os.path.isdir(folder):
+            why = f"no directory {folder!r}"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            why = "permission denied"
+        else:
+            continue
+        raise ParseError(f"key {key!r}: cannot write {path!r}: {why}")
+
+
 def _parse_k_list(text: str, key: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(part) for part in text.split(","))
@@ -191,6 +211,7 @@ ANALYTIC_DEFAULTS = {
 def cmd_analytic(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, ANALYTIC_DEFAULTS)
+    _check_writable(opts, "out")
     dist = parse_dist(opts["dist"])
     cfg = SweepConfig(
         k_values=_parse_k_list(opts["k"], "k"),
@@ -235,6 +256,7 @@ VERIFY_DEFAULTS = {
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, VERIFY_DEFAULTS)
+    _check_writable(opts, "out")
     results = run_verify(opts["seed"], quick=opts["quick"])
     for res in results:
         status = "pass" if res.passed else "FAIL"
@@ -265,6 +287,7 @@ def _write_loss_csv(path: str, history: list[float]) -> None:
 def cmd_vae_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, TRAIN_DEFAULTS)
+    _check_writable(opts, "out", "loss_out")
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 1))
     model = vae.ToyVae.init(derive_key(opts["seed"], 2), opts["decoder_var"])
     result = vae.train(
@@ -300,6 +323,7 @@ CNET_DEFAULTS = {
 def cmd_vae_train_cnet(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, CNET_DEFAULTS)
+    _check_writable(opts, "out", "loss_out")
     model = vae.load_model(opts["model"])
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 4))
     cnet = vae.CNet.init(derive_key(opts["seed"], 5))
@@ -363,6 +387,7 @@ def _write_records_csv(path: str, result: vae.EvalResult) -> None:
 def cmd_vae_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, EVAL_DEFAULTS)
+    _check_writable(opts, "out")
     sweep_ks = _parse_k_list(opts["k_sweep"], "k_sweep") if opts["k_sweep"] else ()
     model = vae.load_model(opts["model"])
     c_source = _c_source(opts["c"])

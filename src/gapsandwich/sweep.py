@@ -8,25 +8,35 @@ SFC64 draws faster than the package's default Philox, and the sampler is
 most of a sweep's time; the keys come from the package's one derivation
 scheme.
 
-A cell makes two passes over its chunks through parallel.map_chunks, each
-chunk in the raw buffer that the cell allocated for its worker.  The first
-draws the chunk, writes its block means straight into its own slice of the
-cell's lx and d vectors, and reduces that slice while it is in cache: the
-Moments of lx and the LogSumExp of d over the working pairs, and the
-LogSumExp of d over the pilot pairs that the CPolicy sets aside.  Once C
-is fixed, the second forms the chunk's upper terms and returns their
-Moments and saturation count.  The calling thread only merges the chunks'
-partials, in chunk order, so a cell holds lx, d and the raw buffers,
-O(n_pairs + threads * CHUNK_DRAWS) floats whatever k is, and its results
-are bit-identical at any thread count.  A cell of one chunk reports the
-bits bounds.sandwich gives on its pairs; with more chunks the merged means
-differ from those of one whole-vector pass by rounding alone.
+A cell runs its chunks through parallel.map_chunks, each in one pass in
+the buffer of the worker that runs it: the chunk draws, pairs its draws
+into lx and d (over the raw halves themselves at k = 1, ahead of them
+otherwise), and reduces its pairs while they are in cache.  A chunk that
+holds pilot pairs, the prefix that the CPolicy spends on C, first publishes
+their LogSumExp; C is fixed once every pilot chunk has published, from
+their partials merged in chunk order.  Then the chunk takes the Moments of
+lx and the LogSumExp of d over its working pairs, waits for C if it is not
+yet fixed, and forms the upper terms at C over the pairs and takes their
+Moments.  map_chunks starts chunks in index order, so every pilot chunk has
+started when a later chunk waits, and the wait cannot deadlock; a pilot
+chunk that fails releases the waiters.  The calling thread only merges the
+chunks' partials, in chunk order, so its results are bit-identical at any
+thread count.
+
+run_sweep makes the workers' buffers once, sized for the sweep's largest
+cell: with m pairs a chunk, 3m floats at k = 1 and 2mk + 2m at k >= 2, at
+most 1.5 * CHUNK_DRAWS while a pair's 2k draws fit in a chunk.  So a sweep
+holds O(threads * CHUNK_DRAWS) floats whatever n_pairs is, and no vector of
+a cell's pairs.  A cell of one chunk reports the bits bounds.sandwich gives
+on its pairs; with more chunks the merged means differ from those of one
+whole-vector pass by rounding alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -164,86 +174,124 @@ def _chunking(n_pairs: int, k: int) -> tuple[int, int]:
     return per_chunk, -(-n_pairs // per_chunk)
 
 
-def _raw_buffers(k: int, n_pairs: int, threads: int) -> list[np.ndarray]:
-    """A cell's raw buffers: one chunk's draws for each of its workers."""
-    per_chunk, n_chunks = _chunking(n_pairs, k)
-    return [np.empty(2 * min(per_chunk, n_pairs) * k)
-            for _ in range(min(threads, n_chunks))]
+def _chunk_buffers(cfg: SweepConfig, threads: int) -> list[np.ndarray]:
+    """One buffer for each worker of the sweep's widest cell, sized for its
+    largest chunk: a chunk of m pairs takes 2m floats for lx and d, plus its
+    2mk raw draws at k >= 2 (at k = 1 the pairs lie over the draws), plus m
+    floats of scratch, which the draws' space gives at k >= 2."""
+    floats, chunks = 0, 0
+    for k in cfg.k_values:
+        per_chunk, n_chunks = _chunking(cfg.n_pairs, k)
+        m = min(per_chunk, cfg.n_pairs)
+        floats = max(floats, 3 * m if k == 1 else 2 * m * (k + 1))
+        chunks = max(chunks, n_chunks)
+    return [np.empty(floats) for _ in range(min(threads, chunks))]
 
 
-class _DrawnSums(NamedTuple):
-    """Partials of a cell's first pass: the Moments of lx and the LogSumExp
-    of d over the working pairs, and the LogSumExp of d over the pilot."""
+class _PilotC:
+    """A cell's C, fixed once its pilot chunks have all published.
+
+    Each of the first `chunks` chunks publishes the LogSumExp of its pilot
+    pairs; the last to publish merges them in chunk order, fixes C and wakes
+    the chunks waiting for it.  With no pilot chunk, C is `fixed` at once.
+    """
+
+    def __init__(self, chunks: int, fixed: float) -> None:
+        self._cond = threading.Condition()
+        self._parts: list[LogSumExp] = [None] * chunks
+        self._left = chunks
+        self._abandoned = False
+        self._c = None if chunks else fixed
+
+    def publish(self, j: int, part: LogSumExp) -> None:
+        with self._cond:
+            self._parts[j] = part
+            self._left -= 1
+            if not self._left:
+                merged = functools.reduce(LogSumExp.merge, self._parts)
+                self._c = float(merged.log_mean())
+                self._cond.notify_all()
+
+    def abandon(self) -> None:
+        """Release the waiters of a pilot chunk that failed to publish."""
+        with self._cond:
+            self._abandoned = True
+            self._cond.notify_all()
+
+    def wait(self) -> float:
+        with self._cond:
+            self._cond.wait_for(lambda: self._c is not None or self._abandoned)
+            if self._c is None:
+                # The failed pilot chunk comes first in chunk order, so
+                # map_chunks raises its error, not this one.
+                raise RuntimeError("a pilot chunk failed before C was fixed")
+            return self._c
+
+
+class _ChunkSums(NamedTuple):
+    """A chunk's partials over its working pairs: the Moments of lx, the
+    LogSumExp of d, the Moments of the upper terms at C, and the count of
+    saturated exponents."""
 
     lower: Moments
     log_ratio: LogSumExp
-    pilot: LogSumExp
+    upper: Moments
+    saturated: int
 
-    def merge(self, other: "_DrawnSums") -> "_DrawnSums":
-        return _DrawnSums(*(a.merge(b) for a, b in zip(self, other)))
-
-
-def _cell_pairs(dist: AnalyticDist, seed: int, k: int, n_pairs: int, pilot: int,
-                buffers: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, _DrawnSums]:
-    """One cell's pairs, as read-only vectors lx and d, and their partials
-    merged in chunk order.
-
-    Chunk j is drawn from the chunk_bit_generator stream under
-    derive_key(seed, j) into a worker's raw buffer, writes pairs
-    [j per_chunk, (j + 1) per_chunk) of lx and d, and reduces them in the
-    same buffer: pairs below pilot into the pilot's partial, the rest into
-    the working pairs' partials.
-    """
-    per_chunk, n_chunks = _chunking(n_pairs, k)
-    lx, d = np.empty(n_pairs), np.empty(n_pairs)
-    sums: list[_DrawnSums] = [None] * n_chunks
-
-    def draw_chunk(j: int, buf: np.ndarray) -> None:
-        start = j * per_chunk
-        stop = min(start + per_chunk, n_pairs)
-        raw = buf[:2 * (stop - start) * k]
-        sample(dist, raw.size, derive_key(seed, j), raw,
-               bit_generator=chunk_bit_generator)
-        pairs = paired_from_halves(raw, k, out=(lx[start:stop], d[start:stop]))
-        split = min(max(pilot - start, 0), stop - start)
-        sums[j] = _DrawnSums(Moments.of(pairs.lx[split:], scratch=buf),
-                             LogSumExp.of(pairs.d[split:], scratch=buf),
-                             LogSumExp.of(pairs.d[:split], scratch=buf))
-
-    map_chunks(draw_chunk, n_chunks, buffers)
-    lx.flags.writeable = d.flags.writeable = False
-    return lx, d, functools.reduce(_DrawnSums.merge, sums)
-
-
-def _cell_upper(lx: np.ndarray, d: np.ndarray, c: float, k: int, pilot: int,
-                buffers: list[np.ndarray]) -> tuple[Moments, int]:
-    """The Moments of the upper terms at C of pairs [pilot, n) of a cell,
-    and the count of saturated exponents; each chunk forms its terms in a
-    worker's raw buffer."""
-    per_chunk, n_chunks = _chunking(lx.size, k)
-    sums: list[tuple[Moments, int]] = [None] * n_chunks
-
-    def upper_chunk(j: int, buf: np.ndarray) -> None:
-        start = max(j * per_chunk, pilot)
-        stop = min((j + 1) * per_chunk, lx.size)
-        sums[j] = upper_moments(lx[start:stop], d[start:stop], c, scratch=buf)
-
-    map_chunks(upper_chunk, n_chunks, buffers)
-    return (functools.reduce(Moments.merge, (m for m, _ in sums)),
-            sum(saturated for _, saturated in sums))
+    def merge(self, other: "_ChunkSums") -> "_ChunkSums":
+        return _ChunkSums(self.lower.merge(other.lower),
+                          self.log_ratio.merge(other.log_ratio),
+                          self.upper.merge(other.upper),
+                          self.saturated + other.saturated)
 
 
 def _run_cell(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
-              threads: int) -> SweepRow:
+              buffers: list[np.ndarray]) -> SweepRow:
+    """One cell, its chunks run on the workers that own buffers.
+
+    Chunk j is drawn from the chunk_bit_generator stream under
+    derive_key(seed, j) and holds pairs [j per_chunk, (j + 1) per_chunk):
+    those below the policy's pilot count go to C, the rest to the bounds.
+    """
     seed = derive_key(cfg.base_seed, rep, k)
     policy, n = cfg.c_policy, cfg.n_pairs
     pilot = policy.pilot_pairs(n)
-    buffers = _raw_buffers(k, n, threads)
-    lx, d, drawn = _cell_pairs(dist, seed, k, n, pilot, buffers)
-    c = float(drawn.pilot.log_mean()) if pilot else policy.fixed_c()
-    upper, saturated = _cell_upper(lx, d, c, k, pilot, buffers)
+    per_chunk, n_chunks = _chunking(n, k)
+    pilot_c = _PilotC(-(-pilot // per_chunk), policy.fixed_c())
+    sums: list[_ChunkSums | None] = [None] * n_chunks
+
+    def run_chunk(j: int, buf: np.ndarray) -> None:
+        start = j * per_chunk
+        m = min(per_chunk, n - start)
+        lx, d, scratch = buf[:m], buf[m:2 * m], buf[2 * m:]
+        raw = buf[:2 * m] if k == 1 else buf[2 * m:2 * m * (k + 1)]
+        split = min(max(pilot - start, 0), m)
+        try:
+            sample(dist, raw.size, derive_key(seed, j), raw,
+                   bit_generator=chunk_bit_generator)
+            paired_from_halves(raw, k, out=(lx, d))
+            if split:
+                pilot_c.publish(j, LogSumExp.of(d[:split], scratch=scratch))
+        except BaseException:
+            if split:
+                pilot_c.abandon()
+            raise
+        if split == m:
+            return
+        lx, d = lx[split:], d[split:]
+        lower = Moments.of(lx, scratch=scratch)
+        log_ratio = LogSumExp.of(d, scratch=scratch)
+        # The upper terms overwrite the pairs they are formed from.
+        upper, saturated = upper_moments(lx, d, pilot_c.wait(), out=(d, lx))
+        sums[j] = _ChunkSums(lower, log_ratio, upper, saturated)
+
+    map_chunks(run_chunk, n_chunks, buffers)
+    # Chunks of pilot pairs alone leave None: they add nothing to the bounds.
+    total = functools.reduce(_ChunkSums.merge,
+                             (part for part in sums if part is not None))
     return SweepRow(k=k, replication=rep, seed=seed, report=bound_report(
-        drawn.lower, upper, drawn.log_ratio, saturated, c, k))
+        total.lower, total.upper, total.log_ratio, total.saturated,
+        pilot_c.wait(), k))
 
 
 def run_sweep(
@@ -253,25 +301,22 @@ def run_sweep(
     another, and aggregate per k.
 
     Deterministic in cfg: cells use derived seeds and chunks derived
-    streams, and each chunk writes its own slice of its cell, so any thread
+    streams, and the chunks' partials merge in chunk order, so any thread
     count gives the same SweepResult.
     """
-    nthreads = resolve_threads(threads)
-    rows = [_run_cell(dist, cfg, k, r, nthreads)
+    buffers = _chunk_buffers(cfg, resolve_threads(threads))
+    rows = [_run_cell(dist, cfg, k, r, buffers)
             for k in cfg.k_values for r in range(cfg.replications)]
 
     aggregates = []
     for k in cfg.k_values:
-        lows = np.array([row.report.lower_mean for row in rows if row.k == k])
-        ups = np.array([row.report.upper_mean for row in rows if row.k == k])
-        ddof = 1 if lows.size > 1 else 0
-        aggregates.append(KAggregate(
-            k=k,
-            lower_mean=float(lows.mean()),
-            lower_std=float(lows.std(ddof=ddof)),
-            upper_mean=float(ups.mean()),
-            upper_std=float(ups.std(ddof=ddof)),
-        ))
+        reports = [row.report for row in rows if row.k == k]
+        lower_mean, lower_std = Moments.of(
+            np.array([rep.lower_mean for rep in reports])).mean_std()
+        upper_mean, upper_std = Moments.of(
+            np.array([rep.upper_mean for rep in reports])).mean_std()
+        aggregates.append(KAggregate(k, lower_mean, lower_std, upper_mean,
+                                     upper_std))
     return SweepResult(rows=tuple(rows), aggregates=tuple(aggregates))
 
 

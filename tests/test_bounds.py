@@ -118,7 +118,8 @@ class TestImprovedUpper:
         terms, saturated = upper_terms(s, cs)
         assert saturated == 0
         for i in range(s.n):
-            assert terms[i] == upper_terms(s.subset(i, i + 1), cs[i])[0][0]
+            one = PairedSamples(s.lx[i:i + 1], s.d[i:i + 1])
+            assert terms[i] == upper_terms(one, cs[i])[0][0]
         assert improved_upper(s, np.full(s.n, 0.3)) == improved_upper(s, 0.3)
 
     @given(st.integers(0, 2**32 - 1))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gapsandwich
-from gapsandwich import verify
+from gapsandwich import cli, verify
 from gapsandwich.cli import EVAL_DEFAULTS, main
 from gapsandwich.distributions import parse_dist, sample
 from gapsandwich.parallel import THREADS_ENV
@@ -117,6 +117,35 @@ class TestAnalyticCommand:
         assert code == 2
         assert "GAPSANDWICH_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_aggregate_of_huge_bounds_stays_finite(self, tmp_path, capsys):
+        # Each row's upper bound is about -1e308; their plain mean overflowed
+        # to -inf with a raw numpy warning on stderr.
+        code = run(["analytic", "--dist", "gamma:a=2,theta=1", "--n", "100",
+                    "--k", "1", "--replications", "2", "--c-policy",
+                    "fixed:-1e308", "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("k=1 lower=")
+        assert "inf" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("out, why", [
+        ("missing/o.csv", "no directory"),
+        (".", "it is a directory"),
+        ("", "the path is empty"),
+    ])
+    def test_unwritable_out_exits_2_before_sampling(self, tmp_path, monkeypatch,
+                                                     capsys, out, why):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        path = str(tmp_path / out) if out else out
+        code = run(["analytic", "--n", "100", "--out", path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: key 'out'")
+        assert why in err
 
     def test_emit_gnuplot_writes_companion(self, tmp_path):
         out = str(tmp_path / "g.csv")
@@ -459,6 +488,22 @@ class TestVaePipeline:
         assert code == 2
         assert f"lr={lr}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["out", "loss_out"])
+    def test_unwritable_train_output_exits_2_before_training(
+            self, tmp_path, monkeypatch, capsys, key):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli.vae, "train", no_training)
+        paths = {"out": tmp_path / "v.ckpt", "loss_out": tmp_path / "l.csv"}
+        paths[key] = tmp_path / "missing" / "file"
+        code = run(["vae", "train", "--epochs", "2", "--n", "40",
+                    "--out", str(paths["out"]), "--loss-out", str(paths["loss_out"])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: key {key!r}")
+        assert not paths["out"].exists()
 
     def test_train_cnet_requires_model(self, tmp_path):
         assert run(["vae", "train-cnet", "--model", str(tmp_path / "no.ckpt"),

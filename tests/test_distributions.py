@@ -19,8 +19,9 @@ from gapsandwich.distributions import (
     sample,
 )
 from gapsandwich.errors import InvalidParams, ParseError
-from gapsandwich.parallel import THREADS_ENV, resolve_threads
+from gapsandwich.parallel import THREADS_ENV
 from gapsandwich.rng import generator
+from sweep_reference import reference_rows
 
 N = 200_000
 
@@ -222,14 +223,12 @@ class TestErlang:
     @pytest.mark.parametrize("a", SHAPES)
     def test_cell_bits_do_not_depend_on_the_thread_count(self, a, monkeypatch):
         monkeypatch.setattr(sweep, "CHUNK_DRAWS", 4096)
-        pairs = []
-        for threads in ("1", "2"):
+        cfg = sweep.SweepConfig(k_values=(4,), n_pairs=3000, replications=1,
+                                base_seed=45, c_policy=sweep.CPolicy("zero"))
+        ref = reference_rows(Gamma(float(a), 1.0), cfg)
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv(THREADS_ENV, threads)
-            buffers = sweep._raw_buffers(4, 3000, resolve_threads())
-            pairs.append(sweep._cell_pairs(Gamma(float(a), 1.0), 45, 4, 3000, 0,
-                                           buffers)[:2])
-        assert pairs[0][0].tobytes() == pairs[1][0].tobytes()
-        assert pairs[0][1].tobytes() == pairs[1][1].tobytes()
+            assert sweep.run_sweep(Gamma(float(a), 1.0), cfg).rows == ref, threads
 
 
 class TestKAveragedLaw:

@@ -60,13 +60,6 @@ class TestPairedSamples:
         assert s.lx[0] == pytest.approx(1.0)
         assert s.d[0] == pytest.approx(-1.0)
 
-    def test_subset(self):
-        s = PairedSamples(np.arange(1.0, 5.0), np.arange(5.0, 9.0), k=2)
-        sub = s.subset(1, 3)
-        np.testing.assert_array_equal(sub.lx, [2.0, 3.0])
-        np.testing.assert_array_equal(sub.d, [6.0, 7.0])
-        assert sub.k == 2
-
 
 class TestKSamplePairs:
     def test_arithmetic_mean_blocks(self):
@@ -118,3 +111,45 @@ class TestPairedFromHalves:
     def test_odd_length_rejected(self):
         with pytest.raises(LengthNotDivisible):
             paired_from_halves(np.ones(5), k=1)
+
+
+class TestBlockMeans:
+    """The k-block means paired_from_halves takes in one scan of the draws."""
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("n", [1, 7, 13, 1001])
+    def test_bits_of_numpys_mean(self, k, n):
+        # k = 2..7 add the k columns and divide once, which numpy's mean
+        # over a short axis matches bit for bit; if a numpy release changes
+        # its order of summation, this fails.
+        rng = np.random.default_rng(1000 * k + n)
+        raw = rng.gamma(2.0, size=2 * n * k) * 10.0 ** rng.uniform(-3, 3, 2 * n * k)
+        means = raw.reshape(2, n, k).mean(axis=2)
+        s = paired_from_halves(raw, k)
+        assert s.lx.tobytes() == np.log(means[0]).tobytes()
+        assert s.d.tobytes() == (np.log(means[1]) - np.log(means[0])).tobytes()
+
+    def test_k_one_pairs_may_overwrite_the_raw_halves(self):
+        raw = np.arange(1.0, 11.0)
+        expected = paired_from_halves(raw.copy(), 1)
+        s = paired_from_halves(raw, 1, out=(raw[:5], raw[5:]))
+        assert raw[:5].tobytes() == expected.lx.tobytes()
+        assert raw[5:].tobytes() == expected.d.tobytes()
+        assert np.shares_memory(s.lx, raw)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_non_finite_draw_is_a_non_positive_sample(self, k, bad, half):
+        raw = np.ones(2 * 4 * k)
+        raw[half * 4 * k + k + 1] = bad
+        with pytest.raises(NonPositiveSample):
+            paired_from_halves(raw, k)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_infinite_draws_in_both_halves_raise_without_a_warning(self, k):
+        # inf - inf is NaN; the session turns numpy's warning into an error.
+        raw = np.ones(2 * 4 * k)
+        raw[[k, 4 * k + k]] = np.inf
+        with pytest.raises(NonPositiveSample):
+            paired_from_halves(raw, k)

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -26,6 +27,7 @@ from gapsandwich.sweep import (
     sweep_csv_lines,
     write_sweep_csv,
 )
+from sweep_reference import chunk_pairs, pairs_of, reference_rows
 
 
 class TestCPolicy:
@@ -41,19 +43,12 @@ class TestCPolicy:
             CPolicy.parse("fixed:xyz")
 
 
-def cell_pairs(dist, seed, k, n_pairs, threads):
-    """A cell's pairs, drawn as the cell's first pass draws them."""
-    lx, d, _ = sweep._cell_pairs(dist, seed, k, n_pairs, 0,
-                                 sweep._raw_buffers(k, n_pairs, threads))
-    return PairedSamples(lx, d, k=k)
-
-
 def one_cell(dist, n_pairs, k, base_seed, policy, threads=1):
     """The report of a one-cell sweep, and the pairs that cell drew."""
     cfg = SweepConfig(k_values=(k,), n_pairs=n_pairs, replications=1,
                       base_seed=base_seed, c_policy=policy)
     row = run_sweep(dist, cfg, threads=threads).rows[0]
-    return row.report, cell_pairs(dist, row.seed, k, n_pairs, 1)
+    return row.report, pairs_of(chunk_pairs(dist, row.seed, k, n_pairs))
 
 
 class TestCPolicyCells:
@@ -71,9 +66,10 @@ class TestCPolicyCells:
         pilot_n = max(64, math.ceil(pairs.n / 10))
         assert CPolicy("pilot-optimal").pilot_pairs(pairs.n) == pilot_n
         assert rep.n == pairs.n - pilot_n
-        c = optimal_c(pairs.subset(0, pilot_n))
+        c = optimal_c(PairedSamples(pairs.lx[:pilot_n], pairs.d[:pilot_n]))
         assert rep.c_used == c
-        assert rep == sandwich(pairs.subset(pilot_n, pairs.n), c)
+        assert rep == sandwich(PairedSamples(pairs.lx[pilot_n:], pairs.d[pilot_n:]),
+                               c)
 
     def test_pilot_on_tiny_batch_still_leaves_pairs(self):
         rep, _ = one_cell(Gamma(2.0, 1.0), 10, 1, 5, CPolicy("pilot-optimal"))
@@ -207,7 +203,7 @@ class TestChunkedCells:
         # shifted by 2^-55 into (0, 1).
         seed = derive_key(21, 0, self.K)
         sizes = (self.PER_CHUNK, 37)
-        pairs = cell_pairs(Gamma(2.0, 1.0), seed, self.K, sum(sizes), 1)
+        pairs = pairs_of(chunk_pairs(Gamma(2.0, 1.0), seed, self.K, sum(sizes)))
         draws = []
         for j, m in enumerate(sizes):
             rng = np.random.Generator(np.random.SFC64(derive_key(derive_key(seed, j))))
@@ -218,6 +214,11 @@ class TestChunkedCells:
             lx, ly = np.log(blocks)
             assert pairs.lx[start:start + m].tobytes() == lx.tobytes()
             assert pairs.d[start:start + m].tobytes() == (ly - lx).tobytes()
+        # The sweep reports what those pairs give.
+        cfg = SweepConfig(k_values=(self.K,), n_pairs=sum(sizes), replications=1,
+                          base_seed=21)
+        assert run_sweep(Gamma(2.0, 1.0), cfg, threads=2).rows == reference_rows(
+            Gamma(2.0, 1.0), cfg)
 
     def test_multi_chunk_sweep_is_identical_across_threads(self):
         cfg = SweepConfig(k_values=(16, self.K), n_pairs=self.PER_CHUNK + 1000,
@@ -276,17 +277,12 @@ class TestChunkedCells:
     def test_cell_is_bitwise_identical_across_threads(self, spec):
         # Six chunks, the last one short: at 2 and 3 threads the chunks run
         # out of order and share the workers' buffers.
-        n_pairs = 5 * self.PER_CHUNK + 37
+        cfg = SweepConfig(k_values=(self.K,), n_pairs=5 * self.PER_CHUNK + 37,
+                          replications=1, base_seed=16)
         dist = parse_dist(spec)
-        seed = derive_key(16, 0, self.K)
-        ref = cell_pairs(dist, seed, self.K, n_pairs, 1)
-        for threads in (2, 3):
-            pairs = cell_pairs(dist, seed, self.K, n_pairs, threads)
-            assert pairs.lx.tobytes() == ref.lx.tobytes()
-            assert pairs.d.tobytes() == ref.d.tobytes()
-        last = paired_from_halves(sample(dist, 2 * 37 * self.K, derive_key(seed, 5),
-                                         bit_generator=np.random.SFC64), self.K)
-        assert ref.lx[-37:].tobytes() == last.lx.tobytes()
+        ref = reference_rows(dist, cfg)
+        for threads in (1, 2, 3):
+            assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
 
     def test_first_failing_chunk_is_reported_and_the_pool_is_joined(self, monkeypatch):
         n_pairs = 6 * self.PER_CHUNK
@@ -310,35 +306,32 @@ class TestChunkedCells:
             run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
         assert set(threading.enumerate()) <= before
 
-    def test_pairs_are_read_only_views_of_the_cell(self, monkeypatch):
-        written, read = [], []
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_each_chunk_pairs_in_its_workers_buffer(self, k, monkeypatch):
+        # At k = 1 the pairs lie over the raw halves; at k > 1 they lie in
+        # the same buffer, ahead of the draws.
+        calls = []
 
         def recording(raw, k, out=None):
-            written.extend(out)
+            calls.append((raw, out))
             return paired_from_halves(raw, k, out)
 
-        def recording_upper(lx, d, c, scratch=None):
-            read.append((lx, d))
-            return upper_moments(lx, d, c, scratch)
-
         monkeypatch.setattr(sweep, "paired_from_halves", recording)
-        monkeypatch.setattr(sweep, "upper_moments", recording_upper)
-        n_pairs = 3 * self.PER_CHUNK
-        pilot = CPolicy("pilot-optimal").pilot_pairs(n_pairs)
-        buffers = sweep._raw_buffers(self.K, n_pairs, 2)
-        lx, d, _ = sweep._cell_pairs(Gamma(2.0, 1.0), 18, self.K, n_pairs, pilot,
-                                     buffers)
-        assert len(written) == 6
-        for chunk_vector in written:
-            assert np.shares_memory(chunk_vector, lx) != np.shares_memory(
-                chunk_vector, d)
-        sweep._cell_upper(lx, d, 0.5, self.K, pilot, buffers)
-        # The second pass reads each chunk's working pairs in place.
-        assert [part_lx.size for part_lx, _ in read] == [
-            self.PER_CHUNK - pilot, self.PER_CHUNK, self.PER_CHUNK]
-        for part_lx, part_d in [(lx, d), *read]:
-            assert np.shares_memory(part_lx, lx) and np.shares_memory(part_d, d)
-            assert not part_lx.flags.writeable and not part_d.flags.writeable
+        per_chunk = CHUNK_DRAWS // (2 * k)
+        cfg = SweepConfig(k_values=(k,), n_pairs=3 * per_chunk, replications=1,
+                          base_seed=18)
+        run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
+        assert len(calls) == 3
+        buffers = {id(raw.base) for raw, _ in calls}
+        assert len(buffers) <= 2
+        for raw, (lx, d) in calls:
+            assert lx.base is raw.base and d.base is raw.base
+            if k == 1:
+                assert np.shares_memory(lx, raw[:per_chunk])
+                assert np.shares_memory(d, raw[per_chunk:])
+            else:
+                assert not np.shares_memory(lx, raw)
+                assert not np.shares_memory(d, raw)
 
     @pytest.mark.parametrize("per_chunk", [193, 1000, 3281, 32768])
     def test_pilot_boundary_inside_on_and_across_chunks(self, per_chunk,
@@ -352,9 +345,17 @@ class TestChunkedCells:
         policy = CPolicy("pilot-optimal")
         pilot = policy.pilot_pairs(n_pairs)
         assert pilot == 3281
-        rep, pairs = one_cell(Gamma(2.0, 1.0), n_pairs, k, 22, policy, threads=2)
-        c = optimal_c(pairs.subset(0, pilot))
-        whole = sandwich(pairs.subset(pilot, n_pairs), c)
+        cfg = SweepConfig(k_values=(k,), n_pairs=n_pairs, replications=1,
+                          base_seed=22, c_policy=policy)
+        dist = Gamma(2.0, 1.0)
+        ref = reference_rows(dist, cfg)
+        for threads in (1, 2, 3):
+            assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
+        # Against one whole-vector pass, the merged partials differ by
+        # rounding alone.
+        rep, pairs = one_cell(dist, n_pairs, k, 22, policy, threads=2)
+        c = optimal_c(PairedSamples(pairs.lx[:pilot], pairs.d[:pilot]))
+        whole = sandwich(PairedSamples(pairs.lx[pilot:], pairs.d[pilot:], k=k), c)
         assert rep.n == whole.n == n_pairs - pilot
         assert rep.saturated_pairs == whole.saturated_pairs
         assert abs(rep.c_used - c) <= 1e-12 * max(1.0, abs(c))
@@ -365,6 +366,48 @@ class TestChunkedCells:
         if per_chunk == 3281:
             # One pilot chunk: C has the bits of the whole-prefix estimate.
             assert rep.c_used == c
+
+    def test_many_pilot_chunks_on_more_workers_than_cores(self, monkeypatch):
+        # The 330-pair pilot spans 33 chunks of 10 pairs at k = 4 and 9 of 40
+        # at k = 1; four workers race to publish them while the interpreter
+        # switches threads often.  A lost publication would hang a waiter or
+        # change C.
+        monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * 4 * 10)
+        cfg = SweepConfig(k_values=(1, 4), n_pairs=3300, replications=3,
+                          base_seed=26)
+        dist = LogNormal(0.0, 1.0)
+        ref = reference_rows(dist, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_sweep(dist, cfg, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.rows == ref
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_pilot_chunk_releases_the_waiters(self, threads, monkeypatch):
+        # Chunks of 100 pairs; the pilot is 300 pairs, chunks 0-2.  Chunk 1
+        # fails late, after chunk 3 has drawn and waits for C at two
+        # threads.  A waiter left hanging trips the session's faulthandler
+        # timeout, which ends the run with every thread's stack.
+        monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * 100)
+        cfg = SweepConfig(k_values=(1,), n_pairs=3000, replications=1,
+                          base_seed=27)
+        seed = derive_key(27, 0, 1)
+        chunk_of = {derive_key(seed, j): j for j in range(30)}
+
+        def pilot_fails(d, n, key, out, *, bit_generator):
+            if chunk_of[key] == 1:
+                time.sleep(0.2)
+                raise RuntimeError("pilot chunk 1 lost")
+            out[:] = 1.0
+
+        monkeypatch.setattr(sweep, "sample", pilot_fails)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="pilot chunk 1 lost"):
+            run_sweep(Gamma(2.0, 1.0), cfg, threads=threads)
+        assert set(threading.enumerate()) <= before
 
     def test_fixed_c_counts_every_saturated_pair(self, monkeypatch):
         # Pairs whose Y block is exp(705) have d - C = 704.5 > 700; exp(700.4)
@@ -391,8 +434,11 @@ class TestChunkedCells:
             assert rep.n == n_pairs
             for value in (rep.upper_mean, rep.upper_stderr, rep.ratio_mean):
                 assert math.isfinite(value)
-            pairs = cell_pairs(Gamma(2.0, 1.0), seed, self.K, n_pairs, 1)
+            pairs = pairs_of(chunk_pairs(Gamma(2.0, 1.0), seed, self.K, n_pairs,
+                                         draw=planting))
             assert sandwich(pairs, 0.5).saturated_pairs == 3
+            assert rep == reference_rows(Gamma(2.0, 1.0), cfg,
+                                         draw=planting)[0].report
 
     def test_reports_are_equal_at_one_two_and_three_threads(self):
         cfg = SweepConfig(k_values=(4, 16, self.K), n_pairs=5 * self.PER_CHUNK + 37,
@@ -402,18 +448,25 @@ class TestChunkedCells:
         for threads in (2, 3):
             assert run_sweep(dist, cfg, threads=threads) == ref
 
-    def test_million_pair_cell_holds_its_pairs_and_one_buffer(self):
-        # lx and d take 15.3 MiB, one raw buffer 8 MiB; the reductions add
-        # no vector-sized temporary.
-        cfg = SweepConfig(k_values=(1,), n_pairs=10**6, replications=1,
-                          base_seed=25, c_policy=CPolicy("pilot-optimal"))
-        tracemalloc.start()
-        try:
-            run_sweep(Gamma(2.0, 1.0), cfg, threads=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 28 * 2**20
+    def test_cell_peak_does_not_grow_with_n(self):
+        # At k = 1 one worker's buffer holds 3 * 2^19 floats, 12 MiB: the
+        # pairs lie over the raw halves, and the reductions add no
+        # temporary as large as a vector.  A cell that held its pairs would
+        # take 16 bytes more per pair.
+        buffer = 8 * 3 * (CHUNK_DRAWS // 2)
+        peaks = []
+        for n_pairs in (10**6, 10**7):
+            cfg = SweepConfig(k_values=(1,), n_pairs=n_pairs, replications=1,
+                              base_seed=25, c_policy=CPolicy("pilot-optimal"))
+            tracemalloc.start()
+            try:
+                run_sweep(Gamma(2.0, 1.0), cfg, threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert buffer <= min(peaks)
+        assert max(peaks) - min(peaks) < buffer
+        assert max(peaks) < 1.5 * buffer
 
 
 class TestWorkers:
@@ -440,7 +493,7 @@ class TestWorkers:
         cell(per_chunk)
         assert sizes == []
         cell(2 * per_chunk + 1)
-        assert sizes == [3, 3]  # the drawing pass and the upper-term pass
+        assert sizes == [3]  # one pass over the chunks
 
     def test_one_chunk_cell_allocates_one_buffer(self):
         # One raw buffer is CHUNK_DRAWS floats, 8 MB; eight would take 64 MB.
