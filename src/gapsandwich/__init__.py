@@ -7,13 +7,8 @@ from .bounds import (
     BoundReport,
     Estimate,
     gap_upper_first_order,
-    improved_upper,
-    jensen_lower,
     log_ratio_mean,
-    midpoint_evidence,
-    optimal_c,
     optimal_h_check,
-    optimal_upper,
     sandwich,
     tangent_family_g,
 )
@@ -57,11 +52,9 @@ __all__ = [
     "EvalRecord", "EvalResult", "EXP_SATURATION", "Gamma", "Laplace",
     "LogNormal", "Objective", "PairedSamples", "SweepConfig",
     "SweepResult", "ToyVae", "UniformPos", "evaluate",
-    "gap_upper_first_order", "improved_upper", "jensen_lower",
-    "k_averaged_law", "laplace_loglik", "load_cnet", "load_model",
-    "log_mean_exp", "log_ratio_mean", "logsumexp",
-    "midpoint_evidence", "optimal_c", "optimal_h_check", "optimal_upper",
-    "paired_from_halves", "parse_dist", "run_sweep", "sample", "sandwich",
-    "save_cnet", "save_model", "tangent_family_g", "train", "train_cnet",
-    "write_sweep_csv",
+    "gap_upper_first_order", "k_averaged_law", "laplace_loglik",
+    "load_cnet", "load_model", "log_mean_exp", "log_ratio_mean", "logsumexp",
+    "optimal_h_check", "paired_from_halves", "parse_dist", "run_sweep",
+    "sample", "sandwich", "save_cnet", "save_model", "tangent_family_g",
+    "train", "train_cnet", "write_sweep_csv",
 ]

@@ -9,13 +9,14 @@ contiguous blocks merge exactly, up to rounding (Chan, Golub & LeVeque,
   Moments    a block's (n, max |v|, mean and squared deviations of v / scale);
              merging rescales both sides to the larger scale, then applies
              Chan's update, so terms up to exp(700) never overflow a sum;
+             Moments.of(v).mean_stderr() is one block's mean and stderr;
   LogSumExp  a block's (n, max, sum of exp(v - max)).
 
-mean_stderr, logsumexp and log_mean_exp are the one-block case of these
-partials, with the same arithmetic they always had.  A pass that splits its
-vectors into chunks reduces each chunk where it was computed and merges the
-partials in chunk order, so its result does not depend on which thread
-reduced which chunk.
+logsumexp and log_mean_exp are the one-block case of LogSumExp, with the
+same arithmetic they always had.  A pass that splits its vectors into
+chunks reduces each chunk where it was computed and merges the partials in
+chunk order, so its result does not depend on which thread reduced which
+chunk.
 """
 
 from __future__ import annotations
@@ -178,13 +179,3 @@ def log_mean_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | fl
     LogSumExp."""
     return _drop_axis(_one_block(values, axis).log_mean(), axis)
 
-
-def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error (n-1 variance, std/sqrt(n)).
-
-    n = 1 reports stderr = +inf rather than a falsely tight 0.  Moments are
-    computed on values divided by max |v|, so saturated terms (up to
-    exp(700)) cannot overflow intermediate sums.  The one-block case of
-    Moments.
-    """
-    return Moments.of(values).mean_stderr()

@@ -11,11 +11,18 @@ when X is log-normal.  Every estimator reads the pairs' stored lx = log x
 and d = log y - log x; exponents are saturated at EXP_SATURATION so
 heavy-tailed ratios cannot produce infinities in reports.
 
-A report is assembled by bound_report from three mergeable partials (the
-Moments of lx and of the upper terms, and the LogSumExp of d) and the
-saturation count.  sandwich takes them over one batch of pairs; a sweep
-cell takes them per chunk, with upper_moments over the chunk's own pairs,
-and merges them in chunk order.
+sandwich(s, C) is the one estimator over a batch of pairs: its BoundReport
+holds the lower bound and the upper bound at C with their stderrs, the
+mean ratio, the midpoint and the saturation count.  C* is
+log_ratio_mean(s).mean, and the tightest bound is lower_mean + C*.
+upper_moments is the one kernel that forms upper terms, at one C or one
+C per pair.
+
+bound_report assembles a report from three mergeable partials (the Moments
+of lx and of the upper terms, and the LogSumExp of d) and the saturation
+count.  sandwich takes them over one batch of pairs; a sweep cell takes
+them per chunk, with upper_moments over the chunk's own pairs, and merges
+them in chunk order.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accumulate import EXP_SATURATION, LogSumExp, Moments, log_mean_exp, mean_stderr
+from .accumulate import EXP_SATURATION, LogSumExp, Moments, log_mean_exp
 from .errors import EmptyGrid
 from .samples import PairedSamples
 
@@ -41,7 +48,13 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Composite sandwich report for one batch of pairs."""
+    """Composite sandwich report for one batch of pairs.
+
+    lower_* is E log X, upper_* the upper bound at C = c_used, ratio_mean
+    the saturated mean of Y/X, and midpoint E log X + C*/2: exact for
+    log-normal X, elsewhere a heuristic center of the optimal-C sandwich,
+    second-order accurate for concentrated X.
+    """
 
     lower_mean: float
     lower_stderr: float
@@ -59,75 +72,41 @@ class BoundReport:
         return self.upper_mean - self.lower_mean
 
 
-def jensen_lower(s: PairedSamples) -> Estimate:
-    """Mean and stderr of log X_i: the Jensen lower bound on log E X."""
-    mean, stderr = mean_stderr(s.lx)
-    return Estimate(mean, stderr)
-
-
-def _saturated_exp(exponents: np.ndarray) -> tuple[np.ndarray, int]:
-    saturated = int(np.count_nonzero(exponents > EXP_SATURATION))
-    return np.exp(np.minimum(exponents, EXP_SATURATION)), saturated
-
-
 def gap_upper_first_order(s: PairedSamples) -> Estimate:
     """Mean and stderr of Y_i/X_i - 1, the first-order gap bound.
 
-    Adding this to jensen_lower gives a valid upper-bound estimate of
-    log E X.  Ratios are exp(d), saturated and counted.
+    Adding this to the report's lower_mean gives a valid upper-bound
+    estimate of log E X: sandwich's upper_mean at C = 0.  Ratios are
+    exp(d), saturated and counted.
     """
-    ratios, saturated = _saturated_exp(s.d)
-    mean, stderr = mean_stderr(ratios - 1.0)
+    saturated = int(np.count_nonzero(s.d > EXP_SATURATION))
+    ratios = np.exp(np.minimum(s.d, EXP_SATURATION))
+    mean, stderr = Moments.of(ratios - 1.0).mean_stderr()
     return Estimate(mean, stderr, saturated)
 
 
-def _upper_terms(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
-                 out: tuple[np.ndarray, np.ndarray]) -> int:
-    """Write the upper terms of pairs (lx, d) at C into out[1], using out[0]
-    for their exponentials, and return the count of saturated exponents."""
+def upper_moments(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
+                  out: tuple[np.ndarray, np.ndarray] | None = None,
+                  ) -> tuple[Moments, int]:
+    """The Moments of the upper terms log X_i - 1 + C_i + exp(d_i - C_i) of
+    pairs (lx, d), and the count of saturated exponents.
+
+    c is one finite C or one per pair; for each, the terms' mean is a valid
+    upper bound on log E X.  out, two float64 vectors of lx.size elements,
+    receives the terms' exponentials and the terms, so none is allocated;
+    it may be (d, lx) itself, which the terms then overwrite.
+    """
     c = np.asarray(c, dtype=float)
     if not np.isfinite(c).all():
         raise ValueError(f"C must be finite, got {c!r}")
-    scaled, terms = out
+    scaled, terms = (np.empty(lx.size), np.empty(lx.size)) if out is None else out
     np.subtract(d, c, out=scaled)
     saturated = int(np.count_nonzero(scaled > EXP_SATURATION))
     np.exp(np.minimum(scaled, EXP_SATURATION, out=scaled), out=scaled)
     np.subtract(lx, 1.0, out=terms)
     terms += c
     terms += scaled
-    return saturated
-
-
-def upper_terms(s: PairedSamples, c: float | np.ndarray) -> tuple[np.ndarray, int]:
-    """Per-pair log X_i - 1 + C_i + exp(-C_i) * Y_i/X_i, computed with
-    exp(d - C_i) for stability, and the count of saturated exponents.
-
-    c is one finite C or one per pair; for each, the terms' mean is a valid
-    upper bound on log E X.
-    """
-    out = (np.empty(s.n), np.empty(s.n))
-    saturated = _upper_terms(s.lx, s.d, c, out)
-    return out[1], saturated
-
-
-def upper_moments(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
-                  out: tuple[np.ndarray, np.ndarray] | None = None,
-                  ) -> tuple[Moments, int]:
-    """The Moments of the upper terms of pairs (lx, d) at C, and the count
-    of saturated exponents.  out, two float64 vectors of lx.size elements,
-    holds the terms' exponentials and the terms, so none is allocated; it
-    may be (d, lx) itself, which the terms then overwrite."""
-    if out is None:
-        out = (np.empty(lx.size), np.empty(lx.size))
-    saturated = _upper_terms(lx, d, c, out)
-    return Moments.of(out[1], scratch=out[0]), saturated
-
-
-def improved_upper(s: PairedSamples, c: float | np.ndarray) -> Estimate:
-    """Mean and stderr of the upper_terms at C: an upper bound on log E X
-    for every finite C."""
-    moments, saturated = upper_moments(s.lx, s.d, c)
-    return Estimate(*moments.mean_stderr(), saturated)
+    return Moments.of(terms, scratch=scaled), saturated
 
 
 def log_ratio_mean(s: PairedSamples) -> Estimate:
@@ -153,25 +132,6 @@ def log_ratio_mean(s: PairedSamples) -> Estimate:
     return Estimate(log_mean, stderr)
 
 
-def optimal_c(s: PairedSamples) -> float:
-    """The bound-minimizing C: log of the sample mean of Y/X."""
-    return log_mean_exp(s.d)
-
-
-def optimal_upper(s: PairedSamples) -> float:
-    """Tightest (non-additive) upper bound: E log X + log E[Y/X]."""
-    return jensen_lower(s).mean + optimal_c(s)
-
-
-def midpoint_evidence(s: PairedSamples) -> float:
-    """Point estimate E log X + 0.5 * log E[Y/X].
-
-    Exact for log-normal X; elsewhere a heuristic center of the optimal-C
-    sandwich, second-order accurate for concentrated X.
-    """
-    return jensen_lower(s).mean + 0.5 * optimal_c(s)
-
-
 def bound_report(lower: Moments, upper: Moments, log_ratio: LogSumExp,
                  saturated: int, c: float, k: int) -> BoundReport:
     """The report of pairs whose lx have Moments lower, whose upper terms
@@ -194,8 +154,12 @@ def bound_report(lower: Moments, upper: Moments, log_ratio: LogSumExp,
 
 
 def sandwich(s: PairedSamples, c: float) -> BoundReport:
-    """Assemble the full lower/upper report at a given C: bound_report of
-    one block of pairs."""
+    """The report of one batch of pairs at a finite C: bound_report of the
+    lx Moments, the upper_moments at C and the LogSumExp of d.
+
+    Every bound estimate of the batch is one of its fields, or, for C* and
+    the tightest bound lower_mean + C*, log_ratio_mean(s).mean.
+    """
     upper, saturated = upper_moments(s.lx, s.d, c)
     return bound_report(Moments.of(s.lx), upper, LogSumExp.of(s.d), saturated,
                         c, s.k)

@@ -98,7 +98,8 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge parsed flags (None = not given) with config file and defaults."""
+    """Merge parsed flags (None = not given) with config file and defaults;
+    the seed must lie in [0, 2^64)."""
     config = _read_config(args.config) if getattr(args, "config", None) else {}
     resolved = {}
     for key, default in defaults.items():
@@ -131,6 +132,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = default
     if config:
         raise ParseError(f"unknown config key {sorted(config)[0]!r}")
+    # derive_key reads a seed modulo 2^64, so -1 would alias 2^64 - 1.
+    if not 0 <= resolved["seed"] < 1 << 64:
+        raise ParseError(f"key 'seed' must be in [0, 2^64), got {resolved['seed']}")
     return resolved
 
 

@@ -158,11 +158,14 @@ class Gamma(AnalyticDist):
             )
 
     def fill(self, rng, out):
-        if float(self.a).is_integer() and 1 <= self.a <= ERLANG_MAX_SHAPE:
-            _fill_erlang(rng, int(self.a), self.theta, out)
-        else:
-            rng.standard_gamma(self.a, out=out)
-            out *= self.theta
+        # A theta near the float limit overflows the draws to inf, which
+        # PairedSamples rejects.
+        with np.errstate(over="ignore"):
+            if float(self.a).is_integer() and 1 <= self.a <= ERLANG_MAX_SHAPE:
+                _fill_erlang(rng, int(self.a), self.theta, out)
+            else:
+                rng.standard_gamma(self.a, out=out)
+                out *= self.theta
 
     @property
     def mean(self):
@@ -197,9 +200,12 @@ class LogNormal(AnalyticDist):
 
     def fill(self, rng, out):
         rng.standard_normal(out=out)
-        out *= self.sigma
-        out += self.m
-        np.exp(out, out=out)
+        # Finite m and sigma can still overflow the draws to inf, which
+        # PairedSamples rejects.
+        with np.errstate(over="ignore"):
+            out *= self.sigma
+            out += self.m
+            np.exp(out, out=out)
 
     @property
     def mean(self):
@@ -271,8 +277,11 @@ class Laplace(AnalyticDist):
         np.abs(out, out=out)
         out *= -2.0
         np.log1p(out, out=out)
-        out *= scale
-        np.subtract(self.loc, out, out=out)
+        # A b near the float limit overflows to inf, which PairedSamples
+        # rejects.
+        with np.errstate(over="ignore"):
+            out *= scale
+            np.subtract(self.loc, out, out=out)
 
     @property
     def mean(self):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .accumulate import EXP_SATURATION, log_mean_exp, logsumexp, mean_stderr
+from .accumulate import EXP_SATURATION, Moments, log_mean_exp, logsumexp
 from .errors import (
     CheckpointError,
     DivergenceDetected,
@@ -695,8 +695,9 @@ def evaluate(
     _map_blocks).  The results therefore depend on neither the block size
     nor the thread count, and data[:m] gives the first m of them.
     Datapoint i's pair is lx = s = log mean R, the IWAE bound, and
-    d = log sum R~ - log sum R; bounds gives its S = s + C - 1 + exp(d - C),
-    the lower and upper means, their stderrs and the saturation count.  A
+    d = log sum R~ - log sum R; bounds.upper_moments gives its
+    S = s + C - 1 + exp(d - C) and the saturation count, and the Moments of
+    s and S give the lower and upper means and their stderrs.  A
     float C must be finite, a C network that gives a non-finite C raises
     NonFiniteParams, and non-finite log-ratios raise NonPositiveSample.
     elbo is the mean log R over the primal draws.
@@ -730,18 +731,20 @@ def evaluate(
     # Overflow leaves non-finite pairs, which PairedSamples rejects.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)
-    lower = bounds.jensen_lower(pairs)
-    S_vals, saturated = bounds.upper_terms(pairs, c_vals)
-    upper, upper_stderr = mean_stderr(S_vals)
+    scratch, S_vals = np.empty(n), np.empty(n)
+    lower, lower_stderr = Moments.of(pairs.lx, scratch=scratch).mean_stderr()
+    moments, saturated = bounds.upper_moments(pairs.lx, pairs.d, c_vals,
+                                              out=(scratch, S_vals))
+    upper, upper_stderr = moments.mean_stderr()
     return EvalResult(
         x=data,
         s=pairs.lx,
         S=S_vals,
         c=c_vals,
         k=k,
-        lower=lower.mean,
+        lower=lower,
         upper=upper,
-        lower_stderr=lower.stderr,
+        lower_stderr=lower_stderr,
         upper_stderr=upper_stderr,
         elbo=float(primal_sums.sum() / (n * k)),
         saturated=saturated,

@@ -80,24 +80,25 @@ def check_sandwich_order(seed: int, n: int) -> PropertyResult:
 
 
 def check_c_zero_identity(seed: int, n: int) -> PropertyResult:
-    """improved_upper at C=0 equals jensen + first-order gap to 1e-12 rel."""
+    """The upper bound at C=0 equals lower + first-order gap to 1e-12 rel."""
     s = _pairs_for(Gamma(2.0, 1.0), n, 1, derive_key(seed, 2))
-    a = bounds.improved_upper(s, 0.0).mean
-    b = bounds.jensen_lower(s).mean + bounds.gap_upper_first_order(s).mean
+    rep = bounds.sandwich(s, 0.0)
+    a = rep.upper_mean
+    b = rep.lower_mean + bounds.gap_upper_first_order(s).mean
     err = abs(a - b) / max(1.0, abs(a), abs(b))
     slack = 1e-12 - err
     return PropertyResult("c-zero-identity", slack)
 
 
 def check_optimal_c_stationarity(seed: int, n: int) -> PropertyResult:
-    """improved_upper is minimized at C* = log mean(Y/X) on the same pairs."""
+    """The upper bound is minimized at C* = log mean(Y/X) on the same pairs."""
     margins = []
     for i, dist in enumerate([Gamma(2.0, 1.0), LogNormal(0.0, 1.0)]):
         s = _pairs_for(dist, n, 1, derive_key(seed, 3, i))
-        c_star = bounds.optimal_c(s)
-        at_star = bounds.improved_upper(s, c_star).mean
+        c_star = bounds.log_ratio_mean(s).mean
+        at_star = bounds.sandwich(s, c_star).upper_mean
         for dc in (-0.1, 0.1):
-            margins.append(bounds.improved_upper(s, c_star + dc).mean - at_star)
+            margins.append(bounds.sandwich(s, c_star + dc).upper_mean - at_star)
     slack = _min_slack(margins)
     return PropertyResult("optimal-c-stationarity", slack)
 
@@ -109,10 +110,11 @@ def check_k_monotonicity(seed: int, n: int) -> PropertyResult:
     prev = None
     for i, k in enumerate([1, 2, 4, 8, 16]):
         s = _pairs_for(dist, n, k, derive_key(seed, 4, i))
-        est = bounds.jensen_lower(s)
+        rep = bounds.sandwich(s, 0.0)
         if prev is not None:
-            margins.append(est.mean - prev.mean + 3.0 * (est.stderr + prev.stderr))
-        prev = est
+            margins.append(rep.lower_mean - prev.lower_mean
+                           + 3.0 * (rep.lower_stderr + prev.lower_stderr))
+        prev = rep
     slack = _min_slack(margins)
     return PropertyResult("k-monotonicity", slack)
 
@@ -151,12 +153,10 @@ def check_lognormal_midpoint(seed: int, n: int) -> PropertyResult:
     margins = []
     for i, (m, sg) in enumerate([(0.0, 1.0), (-1.0, 0.5), (2.0, 2.0)]):
         s = _pairs_for(LogNormal(m, sg), n, 1, derive_key(seed, 7, i))
-        mid = bounds.midpoint_evidence(s)
-        se = math.sqrt(
-            bounds.jensen_lower(s).stderr ** 2
-            + 0.25 * bounds.log_ratio_mean(s).stderr ** 2
-        )
-        margins.append(3.0 * se - abs(mid - (m + 0.5 * sg * sg)))
+        ratio = bounds.log_ratio_mean(s)
+        rep = bounds.sandwich(s, ratio.mean)
+        se = math.sqrt(rep.lower_stderr ** 2 + 0.25 * ratio.stderr ** 2)
+        margins.append(3.0 * se - abs(rep.midpoint - (m + 0.5 * sg * sg)))
     slack = _min_slack(margins)
     return PropertyResult("lognormal-midpoint", slack)
 
@@ -170,16 +170,14 @@ def check_scale_equivariance(seed: int, n: int) -> PropertyResult:
     scaled = paired_from_halves(raw * lam, 1)
     shift = math.log(lam)
     tol = 1e-10
-    errs = [
-        abs(bounds.jensen_lower(scaled).mean - bounds.jensen_lower(s).mean - shift),
-        abs(bounds.improved_upper(scaled, 0.3).mean
-            - bounds.improved_upper(s, 0.3).mean - shift),
-        abs(bounds.optimal_upper(scaled) - bounds.optimal_upper(s) - shift),
-        abs(bounds.midpoint_evidence(scaled) - bounds.midpoint_evidence(s) - shift),
-        abs(bounds.optimal_c(scaled) - bounds.optimal_c(s)),
-        abs(bounds.gap_upper_first_order(scaled).mean
-            - bounds.gap_upper_first_order(s).mean),
-    ]
+
+    def estimates(p):
+        rep, c_star = bounds.sandwich(p, 0.3), bounds.log_ratio_mean(p).mean
+        return np.array([rep.lower_mean, rep.upper_mean, rep.lower_mean + c_star,
+                         rep.midpoint, c_star, bounds.gap_upper_first_order(p).mean])
+
+    # Lower, upper, tightest upper and midpoint shift; C* and the gap do not.
+    errs = np.abs(estimates(scaled) - estimates(s) - ([shift] * 4 + [0.0] * 2))
     slack = tol - max(errs)
     return PropertyResult("scale-equivariance", slack)
 
@@ -308,7 +306,7 @@ def check_midpoint_centering(seed: int, n: int) -> PropertyResult:
     """With C = optimal C from the same pairs, the report midpoint is the
     exact center of [lower, upper]."""
     s = _pairs_for(LogNormal(0.0, 1.0), max(n // 10, 100), 1, derive_key(seed, 15))
-    rep = bounds.sandwich(s, bounds.optimal_c(s))
+    rep = bounds.sandwich(s, bounds.log_ratio_mean(s).mean)
     err = abs(rep.midpoint - 0.5 * (rep.lower_mean + rep.upper_mean))
     slack = 1e-9 - err
     return PropertyResult("midpoint-centering", slack)

@@ -10,10 +10,7 @@ import numpy as np
 from gapsandwich import vae
 from gapsandwich.bounds import (
     gap_upper_first_order,
-    improved_upper,
-    jensen_lower,
     log_ratio_mean,
-    midpoint_evidence,
     optimal_h_check,
     sandwich,
     tangent_family_g,
@@ -69,19 +66,20 @@ def test_criterion_2_lognormal_exactness():
         s = pairs_for(LogNormal(m, sg), n, derive_key(SEED, 102, i))
         ratio = log_ratio_mean(s)
         assert abs(ratio.mean - sg * sg) <= 3.0 * ratio.stderr, (m, sg, ratio)
-        mid = midpoint_evidence(s)
-        se_mid = math.sqrt(jensen_lower(s).stderr ** 2 + 0.25 * ratio.stderr**2)
-        assert abs(mid - (m + 0.5 * sg * sg)) <= 3.0 * se_mid, (m, sg, mid)
+        rep = sandwich(s, ratio.mean)
+        se_mid = math.sqrt(rep.lower_stderr ** 2 + 0.25 * ratio.stderr**2)
+        assert abs(rep.midpoint - (m + 0.5 * sg * sg)) <= 3.0 * se_mid, (m, sg, rep)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"runtime {elapsed:.1f}s"
     report(2, "log-normal midpoint and optimal-C exactness")
 
 
 def test_criterion_3_c_zero_identity():
-    """improved_upper(s, 0) == jensen + first-order gap, 1e-12 relative."""
+    """sandwich's upper at C=0 == its lower + first-order gap, 1e-12 relative."""
     s = pairs_for(Gamma(2.0, 1.0), 10_000, derive_key(SEED, 103))
-    a = improved_upper(s, 0.0).mean
-    b = jensen_lower(s).mean + gap_upper_first_order(s).mean
+    rep = sandwich(s, 0.0)
+    a = rep.upper_mean
+    b = rep.lower_mean + gap_upper_first_order(s).mean
     rel = abs(a - b) / max(1.0, abs(a), abs(b))
     assert rel <= 1e-12, rel
     report(3, "C=0 identity (exact algebra)")

@@ -12,7 +12,6 @@ from gapsandwich.accumulate import (
     Moments,
     log_mean_exp,
     logsumexp,
-    mean_stderr,
 )
 
 finite_lists = st.lists(
@@ -84,31 +83,31 @@ class TestLogSumExp:
 
 class TestMeanStderr:
     def test_single_sample_reports_infinite_stderr(self):
-        mean, stderr = mean_stderr(np.array([2.5]))
+        mean, stderr = Moments.of(np.array([2.5])).mean_stderr()
         assert mean == 2.5
         assert stderr == math.inf
 
     def test_matches_numpy(self):
         values = np.linspace(-3.0, 5.0, 101)
-        mean, stderr = mean_stderr(values)
+        mean, stderr = Moments.of(values).mean_stderr()
         assert mean == pytest.approx(values.mean())
         assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(values.size))
 
     def test_huge_values_do_not_overflow(self):
         values = np.array([1e300, 1e300, -1e300])
-        mean, stderr = mean_stderr(values)
+        mean, stderr = Moments.of(values).mean_stderr()
         assert math.isfinite(mean)
         assert math.isfinite(stderr)
 
 
 class TestOneBlock:
-    """mean_stderr, logsumexp and log_mean_exp are the one-block case of the
-    partials, with the bits of one whole-vector pass."""
+    """Moments.of(v).mean_stderr(), logsumexp and log_mean_exp are the
+    one-block case of the partials, with the bits of one whole-vector pass."""
 
     @given(finite_lists)
     def test_random_vectors(self, values):
         values = np.array(values)
-        assert mean_stderr(values) == whole_pass_mean_stderr(values)
+        assert Moments.of(values).mean_stderr() == whole_pass_mean_stderr(values)
         assert logsumexp(values) == whole_pass_logsumexp(values)
         assert log_mean_exp(values) == (whole_pass_logsumexp(values)
                                         - math.log(values.size))
@@ -116,14 +115,14 @@ class TestOneBlock:
     @pytest.mark.parametrize("values", [[2.5], [0.0], [-1e300]])
     def test_one_value(self, values):
         values = np.array(values)
-        assert mean_stderr(values) == whole_pass_mean_stderr(values)
-        assert mean_stderr(values)[1] == math.inf
+        assert Moments.of(values).mean_stderr() == whole_pass_mean_stderr(values)
+        assert Moments.of(values).mean_stderr()[1] == math.inf
         assert logsumexp(values) == whole_pass_logsumexp(values)
 
     @pytest.mark.parametrize("values", [np.zeros(7), np.full(9, 3.25),
                                         np.full(300, -0.1)])
     def test_constant_and_all_zero_vectors(self, values):
-        assert mean_stderr(values) == whole_pass_mean_stderr(values)
+        assert Moments.of(values).mean_stderr() == whole_pass_mean_stderr(values)
         assert logsumexp(values) == whole_pass_logsumexp(values)
 
     @given(finite_lists, st.lists(st.integers(0, 199), min_size=1, max_size=20))
@@ -161,7 +160,7 @@ class TestMerge:
         lse = reduce(LogSumExp.merge, map(LogSumExp.of, blocks))
         assert moments.n == lse.n == values.size
         mean, stderr = moments.mean_stderr()
-        whole_mean, whole_stderr = mean_stderr(values)
+        whole_mean, whole_stderr = Moments.of(values).mean_stderr()
         assert close(mean, whole_mean)
         assert stderr == whole_stderr == math.inf or close(stderr, whole_stderr)
         assert close(float(lse.log_sum()), logsumexp(values))
@@ -182,7 +181,7 @@ class TestMerge:
         empty_m, empty_l = Moments.of(values[:0]), LogSumExp.of(values[:0])
         for m in (empty_m.merge(Moments.of(values)),
                   Moments.of(values).merge(empty_m)):
-            assert m.mean_stderr() == mean_stderr(values)
+            assert m.mean_stderr() == Moments.of(values).mean_stderr()
         for lse in (empty_l.merge(LogSumExp.of(values)),
                     LogSumExp.of(values).merge(empty_l)):
             assert float(lse.log_mean()) == log_mean_exp(values)
@@ -201,6 +200,6 @@ class TestMerge:
         with np.errstate(over="ignore"):
             assert np.sum(values) == np.inf
         mean, stderr = reduce(Moments.merge, map(Moments.of, blocks)).mean_stderr()
-        whole_mean, whole_stderr = mean_stderr(values)
+        whole_mean, whole_stderr = Moments.of(values).mean_stderr()
         assert math.isfinite(mean) and math.isfinite(stderr)
         assert close(mean, whole_mean) and close(stderr, whole_stderr)

@@ -8,16 +8,11 @@ from scipy.integrate import quad
 
 from gapsandwich.bounds import (
     gap_upper_first_order,
-    improved_upper,
-    jensen_lower,
     log_ratio_mean,
-    midpoint_evidence,
-    optimal_c,
     optimal_h_check,
-    optimal_upper,
     sandwich,
     tangent_family_g,
-    upper_terms,
+    upper_moments,
 )
 from gapsandwich.distributions import Gamma, LogNormal, sample
 from gapsandwich.errors import EmptyGrid
@@ -43,25 +38,25 @@ def gamma_mean_log_by_quadrature(a, theta):
 class TestJensenLower:
     def test_constant_samples(self):
         s = paired_from_halves(np.full(6, math.e), 1)
-        est = jensen_lower(s)
-        assert est.mean == pytest.approx(1.0, abs=1e-12)
-        assert est.stderr == 0.0
+        rep = sandwich(s, 0.0)
+        assert rep.lower_mean == pytest.approx(1.0, abs=1e-12)
+        assert rep.lower_stderr == 0.0
 
     def test_lognormal_converges_to_m(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=11)
-        est = jensen_lower(s)
-        assert abs(est.mean - 0.0) <= 3.0 * est.stderr
+        rep = sandwich(s, 0.0)
+        assert abs(rep.lower_mean - 0.0) <= 3.0 * rep.lower_stderr
 
     def test_gamma_matches_quadrature_oracle(self):
         s = pairs_for(Gamma(2.0, 1.0), N, seed=12)
-        est = jensen_lower(s)
+        rep = sandwich(s, 0.0)
         exact = gamma_mean_log_by_quadrature(2.0, 1.0)
         assert exact == pytest.approx(0.42278, abs=1e-4)
-        assert abs(est.mean - exact) <= 3.0 * est.stderr
+        assert abs(rep.lower_mean - exact) <= 3.0 * rep.lower_stderr
 
     def test_single_pair_has_infinite_stderr(self):
         s = paired_from_halves(np.array([2.0, 3.0]), 1)
-        assert jensen_lower(s).stderr == math.inf
+        assert sandwich(s, 0.0).lower_stderr == math.inf
 
 
 class TestGapUpperFirstOrder:
@@ -91,49 +86,54 @@ class TestGapUpperFirstOrder:
 class TestImprovedUpper:
     def test_reduces_to_first_order_at_c_zero(self):
         s = pairs_for(Gamma(2.0, 1.0), 10_000, seed=15)
-        a = improved_upper(s, 0.0).mean
-        b = jensen_lower(s).mean + gap_upper_first_order(s).mean
+        rep = sandwich(s, 0.0)
+        a = rep.upper_mean
+        b = rep.lower_mean + gap_upper_first_order(s).mean
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
     def test_constant_at_c_zero_is_log_c(self):
         s = paired_from_halves(np.full(10, 3.0), 1)
-        assert improved_upper(s, 0.0).mean == pytest.approx(math.log(3.0), abs=1e-12)
+        assert sandwich(s, 0.0).upper_mean == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_lognormal_at_c_one(self):
         # E log X - 1 + 1 + exp(-1) * e^{sigma^2} = 1 for m=0, sigma=1.
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=16)
-        est = improved_upper(s, 1.0)
-        assert abs(est.mean - 1.0) <= 3.0 * est.stderr
+        rep = sandwich(s, 1.0)
+        assert abs(rep.upper_mean - 1.0) <= 3.0 * rep.upper_stderr
 
     def test_rejects_non_finite_c(self):
         s = paired_from_halves(np.ones(4), 1)
         with pytest.raises(ValueError):
-            improved_upper(s, math.inf)
+            sandwich(s, math.inf)
         with pytest.raises(ValueError):
-            improved_upper(s, np.array([0.0, math.nan]))
+            upper_moments(s.lx, s.d, np.array([0.0, math.nan]))
 
     def test_one_c_per_pair(self):
         s = pairs_for(Gamma(2.0, 1.0), 40, seed=17)
         cs = np.linspace(-1.0, 1.0, s.n)
-        terms, saturated = upper_terms(s, cs)
+        terms = np.empty(s.n)
+        _, saturated = upper_moments(s.lx, s.d, cs, out=(np.empty(s.n), terms))
         assert saturated == 0
         for i in range(s.n):
-            one = PairedSamples(s.lx[i:i + 1], s.d[i:i + 1])
-            assert terms[i] == upper_terms(one, cs[i])[0][0]
-        assert improved_upper(s, np.full(s.n, 0.3)) == improved_upper(s, 0.3)
+            one = (np.empty(1), np.empty(1))
+            upper_moments(s.lx[i:i + 1], s.d[i:i + 1], cs[i], out=one)
+            assert terms[i] == one[1][0]
+        assert (upper_moments(s.lx, s.d, np.full(s.n, 0.3))
+                == upper_moments(s.lx, s.d, 0.3))
 
     @given(st.integers(0, 2**32 - 1))
     def test_c_zero_identity_holds_for_any_sample(self, seed):
         s = pairs_for(Gamma(2.0, 1.0), 200, seed=seed)
-        a = improved_upper(s, 0.0).mean
-        b = jensen_lower(s).mean + gap_upper_first_order(s).mean
+        rep = sandwich(s, 0.0)
+        a = rep.upper_mean
+        b = rep.lower_mean + gap_upper_first_order(s).mean
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
 class TestOptimalC:
     def test_constant_samples_give_zero(self):
         s = paired_from_halves(np.full(8, 5.0), 1)
-        assert optimal_c(s) == pytest.approx(0.0, abs=1e-12)
+        assert log_ratio_mean(s).mean == pytest.approx(0.0, abs=1e-12)
 
     def test_lognormal_gives_sigma_squared(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=17)
@@ -147,36 +147,41 @@ class TestOptimalC:
 
     def test_minimizes_improved_upper(self):
         s = pairs_for(Gamma(2.0, 1.0), 5_000, seed=19)
-        c_star = optimal_c(s)
-        at_star = improved_upper(s, c_star).mean
-        assert at_star <= improved_upper(s, c_star + 0.1).mean
-        assert at_star <= improved_upper(s, c_star - 0.1).mean
+        c_star = log_ratio_mean(s).mean
+        at_star = sandwich(s, c_star).upper_mean
+        assert at_star <= sandwich(s, c_star + 0.1).upper_mean
+        assert at_star <= sandwich(s, c_star - 0.1).upper_mean
 
 
 class TestOptimalUpperAndMidpoint:
+    """The tightest upper bound is lower_mean + C*, C* = log_ratio_mean;
+    the midpoint is the report's."""
+
     def test_constant_is_tight(self):
         s = paired_from_halves(np.full(8, 3.0), 1)
-        assert optimal_upper(s) == pytest.approx(math.log(3.0), abs=1e-12)
-        assert midpoint_evidence(s) == pytest.approx(math.log(3.0), abs=1e-12)
+        rep = sandwich(s, 0.0)
+        assert rep.lower_mean + log_ratio_mean(s).mean == pytest.approx(
+            math.log(3.0), abs=1e-12)
+        assert rep.midpoint == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_lognormal_optimal_upper_dominates_log_mean(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=20)
-        up = optimal_upper(s)
+        up = sandwich(s, 0.0).lower_mean + log_ratio_mean(s).mean
         assert up == pytest.approx(1.0, abs=0.05)
         assert up >= 0.5  # log E X = m + sigma^2/2
 
     def test_lognormal_midpoint_is_exact(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=21)
-        mid = midpoint_evidence(s)
-        se = math.sqrt(jensen_lower(s).stderr ** 2
+        rep = sandwich(s, 0.0)
+        se = math.sqrt(rep.lower_stderr ** 2
                        + 0.25 * log_ratio_mean(s).stderr ** 2)
-        assert abs(mid - 0.5) <= 3.0 * se
+        assert abs(rep.midpoint - 0.5) <= 3.0 * se
 
     def test_gamma_midpoint_sits_inside_sandwich(self):
         s = pairs_for(Gamma(2.0, 1.0), N, seed=22)
-        mid = midpoint_evidence(s)
-        lower = jensen_lower(s).mean
-        upper = optimal_upper(s)
+        rep = sandwich(s, 0.0)
+        mid, lower = rep.midpoint, rep.lower_mean
+        upper = lower + log_ratio_mean(s).mean
         exact = gamma_mean_log_by_quadrature(2.0, 1.0) + 0.5 * math.log(2.0)
         assert mid == pytest.approx(exact, abs=0.01)
         assert mid == pytest.approx(0.7694, abs=0.01)
@@ -213,7 +218,7 @@ class TestSandwich:
 
     def test_midpoint_centers_interval_at_optimal_c(self):
         s = pairs_for(LogNormal(0.0, 1.0), 5_000, seed=25)
-        rep = sandwich(s, optimal_c(s))
+        rep = sandwich(s, log_ratio_mean(s).mean)
         assert rep.midpoint == pytest.approx(
             0.5 * (rep.lower_mean + rep.upper_mean), abs=1e-10
         )
@@ -224,15 +229,17 @@ class TestSandwich:
         s = paired_from_halves(raw, 1)
         scaled = paired_from_halves(raw * lam, 1)
         shift = math.log(lam)
-        assert jensen_lower(scaled).mean == pytest.approx(
-            jensen_lower(s).mean + shift, abs=1e-9)
-        assert improved_upper(scaled, 0.7).mean == pytest.approx(
-            improved_upper(s, 0.7).mean + shift, abs=1e-9)
-        assert optimal_upper(scaled) == pytest.approx(
-            optimal_upper(s) + shift, abs=1e-9)
-        assert midpoint_evidence(scaled) == pytest.approx(
-            midpoint_evidence(s) + shift, abs=1e-9)
-        assert optimal_c(scaled) == pytest.approx(optimal_c(s), abs=1e-9)
+        rep, rep_scaled = sandwich(s, 0.7), sandwich(scaled, 0.7)
+        c_star, c_star_scaled = log_ratio_mean(s).mean, log_ratio_mean(scaled).mean
+        assert rep_scaled.lower_mean == pytest.approx(
+            rep.lower_mean + shift, abs=1e-9)
+        assert rep_scaled.upper_mean == pytest.approx(
+            rep.upper_mean + shift, abs=1e-9)
+        assert rep_scaled.lower_mean + c_star_scaled == pytest.approx(
+            rep.lower_mean + c_star + shift, abs=1e-9)
+        assert rep_scaled.midpoint == pytest.approx(
+            rep.midpoint + shift, abs=1e-9)
+        assert c_star_scaled == pytest.approx(c_star, abs=1e-9)
         assert gap_upper_first_order(scaled).mean == pytest.approx(
             gap_upper_first_order(s).mean, abs=1e-9)
 

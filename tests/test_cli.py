@@ -129,6 +129,26 @@ class TestAnalyticCommand:
         assert err.count("\n") == 1 and err.startswith("k=1 lower=")
         assert "inf" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize("spec", ["lognormal:m=709,sigma=1",
+                                      "gamma:a=2,theta=1e308",
+                                      "laplace:loc=1e308,b=1e308"])
+    def test_overflowing_draws_exit_3_with_one_line(self, tmp_path, capsys, spec):
+        # Finite parameters whose draws overflow to inf put no raw numpy
+        # RuntimeWarning on stderr before the error line.
+        out = tmp_path / "x.csv"
+        code = run(["analytic", "--dist", spec, "--n", "100", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["0", str((1 << 64) - 1)])
+    def test_seeds_at_the_ends_of_the_range_run(self, tmp_path, seed):
+        code = run(["analytic", "--dist", "constant:c=2", "--k", "1", "--n", "100",
+                    "--replications", "1", "--seed", seed,
+                    "--out", str(tmp_path / "g.csv")])
+        assert code == 0
+
     @pytest.mark.parametrize("out, why", [
         ("missing/o.csv", "no directory"),
         (".", "it is a directory"),
@@ -509,6 +529,38 @@ class TestVaePipeline:
         assert run(["vae", "train-cnet", "--model", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path / "c.ckpt"),
                     "--loss-out", str(tmp_path / "l.csv")]) == 4
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command", [["analytic"], ["verify"], ["vae", "train"],
+                                     ["vae", "train-cnet"], ["vae", "eval"]],
+                         ids=" ".join)
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, command, seed):
+    # derive_key reads a seed modulo 2^64, so --seed -1 would silently give
+    # the streams of --seed 18446744073709551615.
+    out = tmp_path / "o.csv"
+    code = run([*command, "--seed", seed, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: key 'seed'")
+    assert not out.exists()
+
+
+def test_seed_outside_64_bits_in_a_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed={1 << 64}\n")
+    code = run(["analytic", "--config", str(config),
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: key 'seed'")
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    assert [name for name in gapsandwich.__all__
+            if not hasattr(gapsandwich, name)] == []
+    namespace = {}
+    exec("from gapsandwich import *", namespace)
+    assert set(gapsandwich.__all__) <= set(namespace)
 
 
 def loaded_by_importing_the_cli(module: str) -> bool:

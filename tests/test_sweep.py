@@ -12,7 +12,7 @@ import pytest
 
 from gapsandwich import parallel, sweep, verify
 from gapsandwich.accumulate import LogSumExp, Moments
-from gapsandwich.bounds import bound_report, optimal_c, sandwich, upper_moments
+from gapsandwich.bounds import bound_report, log_ratio_mean, sandwich, upper_moments
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError
 from gapsandwich.parallel import THREADS_ENV, resolve_threads
@@ -66,7 +66,7 @@ class TestCPolicyCells:
         pilot_n = max(64, math.ceil(pairs.n / 10))
         assert CPolicy("pilot-optimal").pilot_pairs(pairs.n) == pilot_n
         assert rep.n == pairs.n - pilot_n
-        c = optimal_c(PairedSamples(pairs.lx[:pilot_n], pairs.d[:pilot_n]))
+        c = log_ratio_mean(PairedSamples(pairs.lx[:pilot_n], pairs.d[:pilot_n])).mean
         assert rep.c_used == c
         assert rep == sandwich(PairedSamples(pairs.lx[pilot_n:], pairs.d[pilot_n:]),
                                c)
@@ -354,7 +354,7 @@ class TestChunkedCells:
         # Against one whole-vector pass, the merged partials differ by
         # rounding alone.
         rep, pairs = one_cell(dist, n_pairs, k, 22, policy, threads=2)
-        c = optimal_c(PairedSamples(pairs.lx[:pilot], pairs.d[:pilot]))
+        c = log_ratio_mean(PairedSamples(pairs.lx[:pilot], pairs.d[:pilot])).mean
         whole = sandwich(PairedSamples(pairs.lx[pilot:], pairs.d[pilot:], k=k), c)
         assert rep.n == whole.n == n_pairs - pilot
         assert rep.saturated_pairs == whole.saturated_pairs
