@@ -27,6 +27,7 @@ from .errors import (
     DivergenceDetected,
     GapSandwichError,
     InvalidParams,
+    NonPositiveSample,
     ParseError,
     ShapeMismatch,
 )
@@ -278,7 +279,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_data(spec: str, n: int, seed: int) -> np.ndarray:
-    return sample(parse_dist(spec), n, seed)
+    """n draws of the data spec; finite parameters whose draws overflow are
+    a numeric failure, raised before any compute."""
+    data = sample(parse_dist(spec), n, seed)
+    if not (math.isfinite(data.min()) and math.isfinite(data.max())):
+        raise NonPositiveSample(f"data {spec!r} gives non-finite draws")
+    return data
 
 
 def _write_loss_csv(path: str, history: list[float]) -> None:

@@ -5,10 +5,14 @@ independent copy with the same law.  The bound estimators read only log X
 and log(Y/X), so a pair is stored as lx = log x and d = log y - log x.
 paired_from_halves takes 2*n*k positive linear draws, averages blocks of k
 in each half and takes the logs, in one scan of the draws, into new vectors
-or into ones the caller gives; at k = 1 those may be the raw halves
-themselves, which the logs then overwrite.  PairedSamples holds read-only
-views, never copies, and scans its values with min and max, so no check
-makes a temporary as large as a vector.
+or into ones the caller gives.  Those may lie over the draws themselves:
+at k = 1 the two raw halves, which the logs overwrite, and at k >= 2 the
+first n and the next n draws.  At k >= 2 the block means of a run of rows
+go through a scratch vector, and their logs overwrite only draws already
+read: lx[i] lies in an X row at or before row i, and d, written once every
+X row is read, lies in X rows alone, since 2n <= nk.  PairedSamples holds
+read-only views, never copies, and scans its values with min and max, so
+no check makes a temporary as large as a vector.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ def _block_means(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def paired_from_halves(raw: np.ndarray, k: int,
-                       out: tuple[np.ndarray, np.ndarray] | None = None) -> PairedSamples:
+                       out: tuple[np.ndarray, np.ndarray] | None = None,
+                       scratch: np.ndarray | None = None) -> PairedSamples:
     """Split 2*n*k positive raw draws into disjoint halves (X first, Y
     second), average consecutive non-overlapping blocks of k in each, and
     store the logs of the block means as (lx, d).  Disjoint halves keep X
@@ -99,10 +104,13 @@ def paired_from_halves(raw: np.ndarray, k: int,
 
     With out, two float64 vectors of n elements, lx and d are written there
     and the result views them; nothing as large as the raw draws is
-    allocated either way.  At k = 1 out may be the two halves of raw, which
-    then hold lx and d.  A draw that is not positive raises
-    NonPositiveSample here, and one that is infinite or NaN makes lx or d
-    non-finite, which PairedSamples rejects with the same class.
+    allocated either way.  At k >= 2 the block means of up to scratch.size
+    rows at a time go through scratch, a float64 vector apart from raw and
+    out, or else through d.  out may be raw[:n] and raw[n:2n], which then
+    hold lx and d; at k >= 2 that needs a scratch.  A draw that is not
+    positive raises NonPositiveSample here, and one that is infinite or NaN
+    makes lx or d non-finite, which PairedSamples rejects with the same
+    class.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
@@ -118,15 +126,24 @@ def paired_from_halves(raw: np.ndarray, k: int,
     n = raw.size // (2 * k)
     blocks = raw.reshape(2, n, k)
     lx, d = (np.empty(n), np.empty(n)) if out is None else out
-    if k == 1:
-        # A mean over one draw is the draw itself.
-        np.log(blocks[0, :, 0], out=lx)
-        np.log(blocks[1, :, 0], out=d)
-    else:
-        np.log(_block_means(blocks[0], lx), out=lx)
-        np.log(_block_means(blocks[1], d), out=d)
     # Infinite draws in both halves give inf - inf: PairedSamples rejects
     # the NaN, so numpy need not warn of it.
     with np.errstate(invalid="ignore"):
-        d -= lx
+        if k == 1:
+            # A mean over one draw is the draw itself.
+            np.log(blocks[0, :, 0], out=lx)
+            np.log(blocks[1, :, 0], out=d)
+            d -= lx
+        else:
+            if scratch is None:
+                scratch = d
+            rows = scratch.size
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                np.log(_block_means(blocks[0, lo:hi], scratch[:hi - lo]),
+                       out=lx[lo:hi])
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                means = _block_means(blocks[1, lo:hi], scratch[:hi - lo])
+                np.subtract(np.log(means, out=means), lx[lo:hi], out=d[lo:hi])
     return PairedSamples(lx, d, k=k)

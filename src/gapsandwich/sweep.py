@@ -10,8 +10,8 @@ scheme.
 
 A cell runs its chunks through parallel.map_chunks, each in one pass in
 the buffer of the worker that runs it: the chunk draws, pairs its draws
-into lx and d (over the raw halves themselves at k = 1, ahead of them
-otherwise), and reduces its pairs while they are in cache.  A chunk that
+into lx and d over its first 2m draws (the raw halves themselves at
+k = 1), and reduces its pairs while they are in cache.  A chunk that
 holds pilot pairs, the prefix that the CPolicy spends on C, first publishes
 their LogSumExp; C is fixed once every pilot chunk has published, from
 their partials merged in chunk order.  Then the chunk takes the Moments of
@@ -24,12 +24,15 @@ chunks' partials, in chunk order, so its results are bit-identical at any
 thread count.
 
 run_sweep makes the workers' buffers once, sized for the sweep's largest
-cell: with m pairs a chunk, 3m floats at k = 1 and 2mk + 2m at k >= 2, at
-most 1.5 * CHUNK_DRAWS while a pair's 2k draws fit in a chunk.  So a sweep
-holds O(threads * CHUNK_DRAWS) floats whatever n_pairs is, and no vector of
-a cell's pairs.  A cell of one chunk reports the bits bounds.sandwich gives
-on its pairs; with more chunks the merged means differ from those of one
-whole-vector pass by rounding alone.
+chunk: with m pairs a chunk, its 2mk draws and SCRATCH_FLOATS of scratch,
+at most CHUNK_DRAWS + SCRATCH_FLOATS while a pair's 2k draws fit in a
+chunk.  The reductions take their temporaries in the buffer past the
+pairs: at k >= 2 that space holds a whole vector of them, and at k = 1 the
+sums go leaf by leaf through the scratch, with the same bits (see
+accumulate).  So a sweep holds O(threads * CHUNK_DRAWS) floats whatever
+n_pairs is, and no vector of a cell's pairs.  A cell of one chunk reports
+the bits bounds.sandwich gives on its pairs; with more chunks the merged
+means differ from those of one whole-vector pass by rounding alone.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ from .samples import paired_from_halves
 # chunk_bit_generator: changing either changes every sweep result for a
 # given seed.
 CHUNK_DRAWS = 1 << 20
+
+# Floats of scratch a chunk's buffer holds past its draws: its pairing's
+# block means at k >= 2, and its reductions' leaves at k = 1.  Results do
+# not depend on it.
+SCRATCH_FLOATS = 1 << 14
 
 
 def chunk_bit_generator(key: int) -> np.random.BitGenerator:
@@ -176,16 +184,15 @@ def _chunking(n_pairs: int, k: int) -> tuple[int, int]:
 
 def _chunk_buffers(cfg: SweepConfig, threads: int) -> list[np.ndarray]:
     """One buffer for each worker of the sweep's widest cell, sized for its
-    largest chunk: a chunk of m pairs takes 2m floats for lx and d, plus its
-    2mk raw draws at k >= 2 (at k = 1 the pairs lie over the draws), plus m
-    floats of scratch, which the draws' space gives at k >= 2."""
+    largest chunk: a chunk of m pairs takes its 2mk raw draws, over which
+    its pairs lie, plus SCRATCH_FLOATS of scratch."""
     floats, chunks = 0, 0
     for k in cfg.k_values:
         per_chunk, n_chunks = _chunking(cfg.n_pairs, k)
-        m = min(per_chunk, cfg.n_pairs)
-        floats = max(floats, 3 * m if k == 1 else 2 * m * (k + 1))
+        floats = max(floats, 2 * k * min(per_chunk, cfg.n_pairs))
         chunks = max(chunks, n_chunks)
-    return [np.empty(floats) for _ in range(min(threads, chunks))]
+    return [np.empty(floats + SCRATCH_FLOATS)
+            for _ in range(min(threads, chunks))]
 
 
 class _PilotC:
@@ -263,13 +270,13 @@ def _run_cell(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
     def run_chunk(j: int, buf: np.ndarray) -> None:
         start = j * per_chunk
         m = min(per_chunk, n - start)
+        raw = buf[:2 * m * k]
         lx, d, scratch = buf[:m], buf[m:2 * m], buf[2 * m:]
-        raw = buf[:2 * m] if k == 1 else buf[2 * m:2 * m * (k + 1)]
         split = min(max(pilot - start, 0), m)
         try:
             sample(dist, raw.size, derive_key(seed, j), raw,
                    bit_generator=chunk_bit_generator)
-            paired_from_halves(raw, k, out=(lx, d))
+            paired_from_halves(raw, k, out=(lx, d), scratch=buf[raw.size:])
             if split:
                 pilot_c.publish(j, LogSumExp.of(d[:split], scratch=scratch))
         except BaseException:

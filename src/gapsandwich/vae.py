@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .accumulate import EXP_SATURATION, Moments, log_mean_exp, logsumexp
+from .accumulate import EXP_SATURATION, LogSumExp, Moments, log_mean_exp
 from .errors import (
     CheckpointError,
     DivergenceDetected,
@@ -593,8 +593,10 @@ def _ratio_estimates(
     def step(start: int, stop: int, eps: np.ndarray, ws: _Workspace) -> None:
         logR, _, _ = _log_r_reparam(model.params, model.decoder_var,
                                     xs[start:stop], eps, ws)
-        lse = np.asarray(logsumexp(logR, axis=3))
-        out[start:stop] = log_mean_exp(lse[:, :, 1] - lse[:, :, 0], axis=1)
+        # ws.tmp is free once the kernel returns.
+        lse = LogSumExp.of(logR, axis=3, scratch=ws.tmp).log_sum()
+        out[start:stop] = log_mean_exp(lse[:, :, 1, 0] - lse[:, :, 0, 0],
+                                       axis=1)
 
     _map_blocks(xs.size, (n_pairs, 2, k), (seed, epoch), step, workspaces)
     return out
@@ -724,7 +726,8 @@ def evaluate(
     def step(start: int, stop: int, eps: np.ndarray, ws: _Workspace) -> None:
         logR, _, _ = _log_r_reparam(model.params, model.decoder_var,
                                     data[start:stop], eps, ws)
-        lse[start:stop] = logsumexp(logR, axis=2)
+        lse[start:stop] = LogSumExp.of(logR, axis=2,
+                                       scratch=ws.tmp).log_sum()[:, :, 0]
         primal_sums[start:stop] = logR[:, 0, :].sum(axis=1)
 
     _map_blocks(n, (2, k), (seed,), step)

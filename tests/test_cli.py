@@ -446,6 +446,29 @@ class TestVaePipeline:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "train-cnet", "eval"])
+    def test_non_finite_data_exits_3_before_any_compute(self, tmp_path, capsys,
+                                                        command):
+        # Finite parameters whose draws overflow: train and train-cnet
+        # exited 5 as a divergence, eval 3 only after its compute.
+        spec = "laplace:loc=0,b=1e308"
+        ckpt = str(tmp_path / "v.ckpt")
+        save_model(ckpt, ToyVae.init(5, 0.04))
+        out, loss_out = tmp_path / "out", tmp_path / "loss.csv"
+        argv = {
+            "train": ["train", "--epochs", "2", "--loss-out", str(loss_out)],
+            "train-cnet": ["train-cnet", "--epochs", "2", "--model", ckpt,
+                           "--loss-out", str(loss_out)],
+            "eval": ["eval", "--k", "2", "--c", "fixed:0", "--model", ckpt],
+        }[command]
+        code = run(["vae", *argv, "--data", spec, "--n", "100",
+                    "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data ")
+        assert spec in err[0] and "Traceback" not in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.ckpt"]
+
     def test_overflowing_c_network_exits_3_without_csv(self, tmp_path, capsys):
         ckpt, cnet_ckpt = str(tmp_path / "v.ckpt"), str(tmp_path / "c.ckpt")
         save_model(ckpt, ToyVae.init(5, 0.04))

@@ -137,6 +137,21 @@ class TestBlockMeans:
         assert raw[5:].tobytes() == expected.d.tobytes()
         assert np.shares_memory(s.lx, raw)
 
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 16])
+    @pytest.mark.parametrize("n", [1, 5, 1001])
+    @pytest.mark.parametrize("rows", [1, 3, 64, 5000])
+    def test_pairs_may_overwrite_the_first_draws(self, k, n, rows):
+        # Row blocks of any size through the scratch overwrite only draws
+        # already read, and keep the bits of one whole pass.
+        rng = np.random.default_rng(100 * k + n)
+        raw = rng.gamma(2.0, size=2 * n * k) * 10.0 ** rng.uniform(-3, 3, 2 * n * k)
+        expected = paired_from_halves(raw.copy(), k)
+        s = paired_from_halves(raw, k, out=(raw[:n], raw[n:2 * n]),
+                               scratch=np.full(rows, np.nan))
+        assert raw[:n].tobytes() == expected.lx.tobytes()
+        assert raw[n:2 * n].tobytes() == expected.d.tobytes()
+        assert np.shares_memory(s.lx, raw) and np.shares_memory(s.d, raw)
+
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("half", [0, 1])

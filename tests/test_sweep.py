@@ -1,10 +1,12 @@
 import csv
+import gc
 import math
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -21,6 +23,7 @@ from gapsandwich.samples import PairedSamples, paired_from_halves
 from gapsandwich.sweep import (
     CHUNK_DRAWS,
     CSV_HEADER,
+    SCRATCH_FLOATS,
     CPolicy,
     SweepConfig,
     run_sweep,
@@ -306,15 +309,15 @@ class TestChunkedCells:
             run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
         assert set(threading.enumerate()) <= before
 
-    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("k", [1, 4, 16])
     def test_each_chunk_pairs_in_its_workers_buffer(self, k, monkeypatch):
-        # At k = 1 the pairs lie over the raw halves; at k > 1 they lie in
-        # the same buffer, ahead of the draws.
+        # At every k the pairs lie over the chunk's first 2m draws, and the
+        # pairing's scratch lies past the draws, in the same buffer.
         calls = []
 
-        def recording(raw, k, out=None):
-            calls.append((raw, out))
-            return paired_from_halves(raw, k, out)
+        def recording(raw, k, out=None, scratch=None):
+            calls.append((raw, out, scratch))
+            return paired_from_halves(raw, k, out, scratch)
 
         monkeypatch.setattr(sweep, "paired_from_halves", recording)
         per_chunk = CHUNK_DRAWS // (2 * k)
@@ -322,16 +325,20 @@ class TestChunkedCells:
                           base_seed=18)
         run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
         assert len(calls) == 3
-        buffers = {id(raw.base) for raw, _ in calls}
+        buffers = {id(raw.base) for raw, _, _ in calls}
         assert len(buffers) <= 2
-        for raw, (lx, d) in calls:
+        for raw, (lx, d), scratch in calls:
+            assert raw.base.size == CHUNK_DRAWS + SCRATCH_FLOATS
             assert lx.base is raw.base and d.base is raw.base
-            if k == 1:
-                assert np.shares_memory(lx, raw[:per_chunk])
-                assert np.shares_memory(d, raw[per_chunk:])
-            else:
-                assert not np.shares_memory(lx, raw)
-                assert not np.shares_memory(d, raw)
+            assert lx.size == d.size == per_chunk
+            assert np.shares_memory(lx, raw[:per_chunk])
+            assert not np.shares_memory(lx, raw[per_chunk:])
+            assert np.shares_memory(d, raw[per_chunk:2 * per_chunk])
+            assert not np.shares_memory(d, raw[:per_chunk])
+            assert not np.shares_memory(d, raw[2 * per_chunk:])
+            assert scratch.base is raw.base
+            assert scratch.size == SCRATCH_FLOATS
+            assert not np.shares_memory(scratch, raw)
 
     @pytest.mark.parametrize("per_chunk", [193, 1000, 3281, 32768])
     def test_pilot_boundary_inside_on_and_across_chunks(self, per_chunk,
@@ -449,11 +456,14 @@ class TestChunkedCells:
             assert run_sweep(dist, cfg, threads=threads) == ref
 
     def test_cell_peak_does_not_grow_with_n(self):
-        # At k = 1 one worker's buffer holds 3 * 2^19 floats, 12 MiB: the
-        # pairs lie over the raw halves, and the reductions add no
-        # temporary as large as a vector.  A cell that held its pairs would
-        # take 16 bytes more per pair.
-        buffer = 8 * 3 * (CHUNK_DRAWS // 2)
+        # At k = 1 one worker's buffer holds CHUNK_DRAWS + SCRATCH_FLOATS
+        # floats, about 8.1 MiB: the pairs lie over the raw halves, and the
+        # reductions go leaf by leaf through the scratch, with no temporary
+        # as large as a vector.  A cell that held its pairs would take 16
+        # bytes more per pair.  A small sweep first loads what a cell
+        # imports on its first draw.
+        run_sweep(Gamma(2.0, 1.0), SweepConfig(k_values=(1,), n_pairs=2,
+                                               replications=1, base_seed=25))
         peaks = []
         for n_pairs in (10**6, 10**7):
             cfg = SweepConfig(k_values=(1,), n_pairs=n_pairs, replications=1,
@@ -464,9 +474,41 @@ class TestChunkedCells:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert buffer <= min(peaks)
-        assert max(peaks) - min(peaks) < buffer
-        assert max(peaks) < 1.5 * buffer
+        assert 8 * CHUNK_DRAWS <= min(peaks)
+        assert max(peaks) <= 8 * (CHUNK_DRAWS + SCRATCH_FLOATS) + 2**20
+
+    @pytest.mark.parametrize("k_values", [(1,), (1, 4)])
+    def test_buffers_die_when_the_sweep_returns(self, k_values, monkeypatch):
+        # No reference cycle holds a buffer, so it is freed on return even
+        # with the cycle collector off.
+        refs = []
+        made = sweep._chunk_buffers
+
+        def recording(cfg, threads):
+            buffers = made(cfg, threads)
+            refs.extend(weakref.ref(buf) for buf in buffers)
+            return buffers
+
+        monkeypatch.setattr(sweep, "_chunk_buffers", recording)
+        cfg = SweepConfig(k_values=k_values, n_pairs=CHUNK_DRAWS // 2 + 5,
+                          replications=1, base_seed=26)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
+            assert len(refs) == 2
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_every_buffer_holds_at_most_one_chunk_and_its_scratch(self):
+        for k_values in [(1,), (1, 4, 16), (3, 7), (64,), (1, 2, 3, 5, 8)]:
+            for n_pairs in (2, 1000, 300_001, 10**6):
+                cfg = SweepConfig(k_values=k_values, n_pairs=n_pairs,
+                                  replications=1, base_seed=1)
+                for buf in sweep._chunk_buffers(cfg, 3):
+                    assert buf.size <= CHUNK_DRAWS + SCRATCH_FLOATS
 
 
 class TestWorkers:
