@@ -2,7 +2,7 @@
 
 The (k, replication) cells run one after another.  Each cell derives its own
 seed and samples 2*n_pairs*k fresh draws of the sweep's distribution in
-fixed chunks of about CHUNK_DRAWS draws; chunk j draws from an SFC64
+fixed chunks of about CHUNK_DRAWS = 2^19 draws; chunk j draws from an SFC64
 stream, chunk_bit_generator, under the key derive_key(cell_seed, j).
 SFC64 draws faster than the package's default Philox, and the sampler is
 most of a sweep's time; the keys come from the package's one derivation
@@ -29,10 +29,11 @@ at most CHUNK_DRAWS + SCRATCH_FLOATS while a pair's 2k draws fit in a
 chunk.  The reductions take their temporaries in the buffer past the
 pairs: at k >= 2 that space holds a whole vector of them, and at k = 1 the
 sums go leaf by leaf through the scratch, with the same bits (see
-accumulate).  So a sweep holds O(threads * CHUNK_DRAWS) floats whatever
-n_pairs is, and no vector of a cell's pairs.  A cell of one chunk reports
-the bits bounds.sandwich gives on its pairs; with more chunks the merged
-means differ from those of one whole-vector pass by rounding alone.
+accumulate).  So a sweep holds O(threads * CHUNK_DRAWS) floats, 4.1 MiB a
+worker, whatever n_pairs is, and no vector of a cell's pairs.  A cell of
+one chunk reports the bits bounds.sandwich gives on its pairs; with more
+chunks the merged means differ from those of one whole-vector pass by
+rounding alone.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ from .samples import paired_from_halves
 
 # Raw draws per chunk of a cell.  Part of the stream scheme, with
 # chunk_bit_generator: changing either changes every sweep result for a
-# given seed.
-CHUNK_DRAWS = 1 << 20
+# given seed.  It bounds a worker's buffer; below 2^19 each chunk's fixed
+# cost (its generator, checks and short numpy calls) slows the sweep.
+CHUNK_DRAWS = 1 << 19
 
 # Floats of scratch a chunk's buffer holds past its draws: its pairing's
 # block means at k >= 2, and its reductions' leaves at k = 1.  Results do
@@ -126,6 +128,14 @@ class CPolicy:
         return self.value if self.kind == "fixed" else 0.0
 
 
+def _integer(name: str, value: object) -> int:
+    """value as an int if it is a Python or numpy integer; a float or a bool
+    is a ParseError rather than a silently truncated count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     k_values: tuple[int, ...]
@@ -135,8 +145,10 @@ class SweepConfig:
     c_policy: CPolicy = field(default_factory=lambda: CPolicy("pilot-optimal"))
 
     def __post_init__(self) -> None:
-        ks = tuple(int(k) for k in self.k_values)
+        ks = tuple(_integer("each of k_values", k) for k in self.k_values)
         object.__setattr__(self, "k_values", ks)
+        for name in ("n_pairs", "replications", "base_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not ks or any(k < 1 for k in ks) or any(
             b <= a for a, b in zip(ks, ks[1:])
         ):

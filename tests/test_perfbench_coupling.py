@@ -32,7 +32,8 @@ def load_bench(name):
 def test_tracer_counts_the_sweep_layers_and_repeats():
     spans = load_bench("spans")
     # k = 1 cells fit one chunk, k = 64 cells take two, on two workers.
-    cfg = sweep.SweepConfig(k_values=(1, 64), n_pairs=sweep.CHUNK_DRAWS // 128 + 5,
+    n_pairs = sweep.CHUNK_DRAWS // 128 + 5
+    cfg = sweep.SweepConfig(k_values=(1, 64), n_pairs=n_pairs,
                             replications=2, base_seed=3)
     originals = (sweep.sample, sweep.paired_from_halves, sweep._run_cell)
     tracer = spans.Tracer()
@@ -48,8 +49,10 @@ def test_tracer_counts_the_sweep_layers_and_repeats():
         tracer.uninstall()
     assert (sweep.sample, sweep.paired_from_halves, sweep._run_cell) == originals
     for c in counts:
-        assert c["samples.pairs"] == 32788 == c["sweep.pairs_drawn"]
-        assert c["distributions.draws"] == 2131220
+        # Each of the 2 x 2 (k, replication) cells pairs n_pairs pairs from
+        # its 2 k n_pairs draws.
+        assert c["samples.pairs"] == 4 * n_pairs == c["sweep.pairs_drawn"]
+        assert c["distributions.draws"] == 2 * (2 * 1 + 2 * 64) * n_pairs
         assert c["rng.generators"] == 6
 
 

@@ -89,6 +89,27 @@ class TestSweepConfig:
         with pytest.raises(ParseError):
             SweepConfig(k_values=(1,), n_pairs=1, replications=1, base_seed=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("k_values", (1.9, 4.2)), ("k_values", (True, 2)),
+        ("k_values", (np.bool_(True),)), ("n_pairs", 1000.5),
+        ("n_pairs", np.float64(1000.0)), ("replications", 2.5),
+        ("replications", True), ("base_seed", 1.0),
+    ])
+    def test_non_integers_are_parse_errors(self, name, value):
+        # Not truncated to an int, and not left for numpy to reject mid-run.
+        fields = dict(k_values=(1,), n_pairs=10, replications=1, base_seed=0)
+        fields[name] = value
+        with pytest.raises(ParseError, match=name):
+            SweepConfig(**fields)
+
+    def test_numpy_integers_become_ints(self):
+        cfg = SweepConfig(k_values=(np.int64(1), np.uint8(4)), n_pairs=np.int32(10),
+                          replications=np.int64(2), base_seed=np.uint64(2**63))
+        assert cfg == SweepConfig(k_values=(1, 4), n_pairs=10, replications=2,
+                                  base_seed=2**63)
+        values = (*cfg.k_values, cfg.n_pairs, cfg.replications, cfg.base_seed)
+        assert all(type(v) is int for v in values)
+
 
 class TestRunSweep:
     def test_constant_source_gives_zero_bounds(self):
@@ -343,11 +364,11 @@ class TestChunkedCells:
     @pytest.mark.parametrize("per_chunk", [193, 1000, 3281, 32768])
     def test_pilot_boundary_inside_on_and_across_chunks(self, per_chunk,
                                                         monkeypatch):
-        # k = 16 at 4 PER_CHUNK + 37 pairs: the pilot is 3281 = 17 * 193
-        # pairs, so it ends on a chunk boundary after 17 chunks of 193,
-        # inside chunk 3 of chunks of 1000, on the end of chunk 0 of
-        # chunks of 3281, and inside the one chunk of 32768 then 37.
-        k, n_pairs = 16, 4 * self.PER_CHUNK + 37
+        # k = 16 at 32805 pairs: the pilot is 3281 = 17 * 193 pairs, so it
+        # ends on a chunk boundary after 17 chunks of 193, inside chunk 3 of
+        # chunks of 1000, on the end of chunk 0 of chunks of 3281, and
+        # inside the one chunk of 32768 then 37.
+        k, n_pairs = 16, 32805
         monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * k * per_chunk)
         policy = CPolicy("pilot-optimal")
         pilot = policy.pilot_pairs(n_pairs)
@@ -457,7 +478,7 @@ class TestChunkedCells:
 
     def test_cell_peak_does_not_grow_with_n(self):
         # At k = 1 one worker's buffer holds CHUNK_DRAWS + SCRATCH_FLOATS
-        # floats, about 8.1 MiB: the pairs lie over the raw halves, and the
+        # floats, about 4.1 MiB: the pairs lie over the raw halves, and the
         # reductions go leaf by leaf through the scratch, with no temporary
         # as large as a vector.  A cell that held its pairs would take 16
         # bytes more per pair.  A small sweep first loads what a cell
@@ -511,6 +532,67 @@ class TestChunkedCells:
                     assert buf.size <= CHUNK_DRAWS + SCRATCH_FLOATS
 
 
+# A Gamma(2, 1) sweep at base seed 31, k = 1 and 64, 4200 pairs, two
+# replications: each k = 1 cell is one chunk and each k = 64 cell two, at
+# the real CHUNK_DRAWS.  Per row: (k, replication, n, seed, saturated_pairs)
+# and (lower_mean, lower_stderr, upper_mean, upper_stderr, ratio_mean,
+# c_used, midpoint).  A new stream or chunk size must be recorded here, with
+# its old and new values in CHANGES.md.
+PINNED_SWEEP = {
+    "pilot-optimal": [
+        ((1, 0, 3780, 13253156795846853237, 0),
+         (0.39555769646073086, 0.01331984212171124, 1.1432434405716096,
+          0.02777683675922456, 2.0905485483887474, 0.8841722552307836,
+          0.7642709439023008)),
+        ((1, 1, 3780, 13795746169784502323, 0),
+         (0.41604135052295405, 0.013121224184526157, 1.1947992983610134,
+          0.05540817675405221, 2.175729261000389, 0.7250221156308703,
+          0.8047233009012937)),
+        ((64, 0, 3780, 2705577056092244467, 0),
+         (0.6916541011980217, 0.0014301686181693877, 0.698421383580946,
+          0.00145617729304514, 1.0067902302433676, 0.006705281545962727,
+          0.6950377414284978)),
+        ((64, 1, 3780, 18142339541595575362, 0),
+         (0.687727403386085, 0.0014421764084412883, 0.6954374024322916,
+          0.0014484970967478697, 1.0076466326993814, 0.02124649610512197,
+          0.6915361760808059)),
+    ],
+    "fixed:0.5": [
+        ((1, 0, 4200, 13253156795846853237, 0),
+         (0.38566650110012524, 0.012762316902612104, 1.1736899482137306,
+          0.03957295423544698, 2.1235916544167024, 0.5, 0.7622209169987328)),
+        ((1, 1, 4200, 13795746169784502323, 0),
+         (0.42080601707642135, 0.012452952606252524, 1.2337229119445072,
+          0.06377433195814831, 2.1646340112305777, 0.5, 0.8069316666933175)),
+        ((64, 0, 4200, 2705577056092244467, 0),
+         (0.6919331678088185, 0.0013525906916876276, 0.8025785245094947,
+          0.0010019092465292485, 1.0067839884466714, 0.5, 0.6953137081800302)),
+        ((64, 1, 4200, 18142339541595575362, 0),
+         (0.6871486335750177, 0.0013690998292138663, 0.7991558711557378,
+          0.00100203445029138, 1.009029350421761, 0.5, 0.6916430483612925)),
+    ],
+}
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED_SWEEP))
+def test_sweep_stream_is_pinned(policy):
+    # Integers exactly; floats to 1e-12 relative, since numpy's log and exp
+    # round differently under another SIMD dispatch (test_cross_dispatch).
+    cfg = SweepConfig(k_values=(1, 64), n_pairs=4200, replications=2,
+                      base_seed=31, c_policy=CPolicy.parse(policy))
+    rows = run_sweep(Gamma(2.0, 1.0), cfg).rows
+    assert len(rows) == len(PINNED_SWEEP[policy])
+    for row, (ints, floats) in zip(rows, PINNED_SWEEP[policy]):
+        rep = row.report
+        assert (row.k, row.replication, rep.n, row.seed, rep.saturated_pairs) == ints
+        got = (rep.lower_mean, rep.lower_stderr, rep.upper_mean, rep.upper_stderr,
+               rep.ratio_mean, rep.c_used, rep.midpoint)
+        for x, y in zip(got, floats):
+            assert abs(x - y) <= 1e-12 * abs(y), (row.k, row.replication, got)
+    # The k = 64 cells cross a chunk boundary.
+    assert [sweep._chunking(4200, k)[1] for k in cfg.k_values] == [1, 2]
+
+
 class TestWorkers:
     """A cell runs its chunks on min(threads, chunks) workers, each with one
     raw buffer; one worker means no pool."""
@@ -538,7 +620,7 @@ class TestWorkers:
         assert sizes == [3]  # one pass over the chunks
 
     def test_one_chunk_cell_allocates_one_buffer(self):
-        # One raw buffer is CHUNK_DRAWS floats, 8 MB; eight would take 64 MB.
+        # One raw buffer is CHUNK_DRAWS floats, 4 MiB; eight would take 32 MiB.
         cfg = SweepConfig(k_values=(64,), n_pairs=CHUNK_DRAWS // (2 * 64),
                           replications=1, base_seed=20)
         tracemalloc.start()
