@@ -236,11 +236,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     _pair_manifest(opts["out"], args.argv, opts, started)
     if opts["emit_gnuplot"]:
         _diag(f"gnuplot script: {_write_gnuplot(opts['out'], 3, [(7, 'lower'), (9, 'upper')], 'k')}")
+    def summary(mean: float, std: float) -> str:
+        # One replication has no spread across replications to report.
+        return f"{mean:.6f}" + (f"+-{std:.6f}" if cfg.replications > 1 else "")
+
     for agg in result.aggregates:
-        _diag(
-            f"k={agg.k} lower={agg.lower_mean:.6f}+-{agg.lower_std:.6f} "
-            f"upper={agg.upper_mean:.6f}+-{agg.upper_std:.6f}"
-        )
+        _diag(f"k={agg.k} lower={summary(agg.lower_mean, agg.lower_std)} "
+              f"upper={summary(agg.upper_mean, agg.upper_std)}")
     _echo(
         f"analytic dist={dist.spec_string()} rows={len(result.rows)} out={opts['out']}"
     )

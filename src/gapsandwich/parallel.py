@@ -1,11 +1,13 @@
-"""Keyed chunks on a pool of threads.
+"""Keyed tasks on a pool of threads.
 
-Every Monte Carlo pass in the package splits its work into chunks j = 0, 1,
+Every Monte Carlo pass in the package splits its work into tasks j = 0, 1,
 ... whose boundaries and random streams depend on j alone, never on the
-thread count, and each chunk writes its results into its own slice of the
-caller's arrays.  map_chunks runs such chunks on a pool, one worker per
-scratch object in the list that the pass builds, so a pass allocates its
-working buffers once and its results are bit-identical at any thread count.
+thread count, and each task writes its results into its own slot of the
+caller's arrays or lists.  A task is a chunk of datapoints in the VAE's
+passes and a whole (k, replication) cell, its chunks run in order, in a
+sweep.  map_chunks runs such tasks on a pool, one worker per scratch object
+in the list that the pass builds, so a pass allocates its working buffers
+once and its results are bit-identical at any thread count.
 """
 
 from __future__ import annotations

@@ -126,9 +126,10 @@ def paired_from_halves(raw: np.ndarray, k: int,
     n = raw.size // (2 * k)
     blocks = raw.reshape(2, n, k)
     lx, d = (np.empty(n), np.empty(n)) if out is None else out
-    # Infinite draws in both halves give inf - inf: PairedSamples rejects
-    # the NaN, so numpy need not warn of it.
-    with np.errstate(invalid="ignore"):
+    # A block of finite draws may sum to inf, and infinite draws in both
+    # halves give inf - inf: PairedSamples rejects the inf or NaN, so numpy
+    # need not warn of either.
+    with np.errstate(over="ignore", invalid="ignore"):
         if k == 1:
             # A mean over one draw is the draw itself.
             np.log(blocks[0, :, 0], out=lx)

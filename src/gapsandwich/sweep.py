@@ -1,27 +1,26 @@
 """Orchestration: paired sampling, k-sweeps, replications, CSV output.
 
-The (k, replication) cells run one after another.  Each cell derives its own
-seed and samples 2*n_pairs*k fresh draws of the sweep's distribution in
-fixed chunks of about CHUNK_DRAWS = 2^19 draws; chunk j draws from an SFC64
-stream, chunk_bit_generator, under the key derive_key(cell_seed, j).
-SFC64 draws faster than the package's default Philox, and the sampler is
-most of a sweep's time; the keys come from the package's one derivation
-scheme.
+Each (k, replication) cell derives its own seed and samples 2*n_pairs*k
+fresh draws of the sweep's distribution in fixed chunks of about
+CHUNK_DRAWS = 2^19 draws; chunk j draws from an SFC64 stream,
+chunk_bit_generator, under the key derive_key(cell_seed, j).  SFC64 draws
+faster than the package's default Philox, and the sampler is most of a
+sweep's time; the keys come from the package's one derivation scheme.
 
-A cell runs its chunks through parallel.map_chunks, each in one pass in
-the buffer of the worker that runs it: the chunk draws, pairs its draws
-into lx and d over its first 2m draws (the raw halves themselves at
-k = 1), and reduces its pairs while they are in cache.  A chunk that
-holds pilot pairs, the prefix that the CPolicy spends on C, first publishes
-their LogSumExp; C is fixed once every pilot chunk has published, from
-their partials merged in chunk order.  Then the chunk takes the Moments of
-lx and the LogSumExp of d over its working pairs, waits for C if it is not
-yet fixed, and forms the upper terms at C over the pairs and takes their
-Moments.  map_chunks starts chunks in index order, so every pilot chunk has
-started when a later chunk waits, and the wait cannot deadlock; a pilot
-chunk that fails releases the waiters.  The calling thread only merges the
-chunks' partials, in chunk order, so its results are bit-identical at any
-thread count.
+run_sweep runs the cells through parallel.map_chunks, one cell to a worker
+at a time, largest k first: a cell's draws grow with k, and starting the
+longest cells first is Graham's LPT rule, whose makespan is at most 4/3 of
+the optimum.  A cell runs its chunks in index order, each in one pass in
+its worker's buffer: the chunk draws, pairs its draws into lx and d over
+its first 2m draws (the raw halves themselves at k = 1), and reduces its
+pairs while they are in cache.  A chunk that holds pilot pairs, the prefix
+that the CPolicy spends on C, merges their LogSumExp into the cell's; C is
+fixed from it before the first working pair is bounded.  Then the chunk
+takes the Moments of lx and the LogSumExp of d over its working pairs,
+forms the upper terms at C over the pairs and takes their Moments, and
+merges them into the cell's.  Every merge is in chunk order, and a cell
+runs on one thread, so its results are bit-identical at any thread count.
+A sweep of one cell uses one worker.
 
 run_sweep makes the workers' buffers once, sized for the sweep's largest
 chunk: with m pairs a chunk, its 2mk draws and SCRATCH_FLOATS of scratch,
@@ -38,9 +37,7 @@ rounding alone.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -195,56 +192,14 @@ def _chunking(n_pairs: int, k: int) -> tuple[int, int]:
 
 
 def _chunk_buffers(cfg: SweepConfig, threads: int) -> list[np.ndarray]:
-    """One buffer for each worker of the sweep's widest cell, sized for its
-    largest chunk: a chunk of m pairs takes its 2mk raw draws, over which
-    its pairs lie, plus SCRATCH_FLOATS of scratch."""
-    floats, chunks = 0, 0
-    for k in cfg.k_values:
-        per_chunk, n_chunks = _chunking(cfg.n_pairs, k)
-        floats = max(floats, 2 * k * min(per_chunk, cfg.n_pairs))
-        chunks = max(chunks, n_chunks)
+    """One buffer for each worker, min(threads, cells) of them, sized for
+    the sweep's largest chunk: a chunk of m pairs takes its 2mk raw draws,
+    over which its pairs lie, plus SCRATCH_FLOATS of scratch."""
+    floats = max(2 * k * min(_chunking(cfg.n_pairs, k)[0], cfg.n_pairs)
+                 for k in cfg.k_values)
+    cells = len(cfg.k_values) * cfg.replications
     return [np.empty(floats + SCRATCH_FLOATS)
-            for _ in range(min(threads, chunks))]
-
-
-class _PilotC:
-    """A cell's C, fixed once its pilot chunks have all published.
-
-    Each of the first `chunks` chunks publishes the LogSumExp of its pilot
-    pairs; the last to publish merges them in chunk order, fixes C and wakes
-    the chunks waiting for it.  With no pilot chunk, C is `fixed` at once.
-    """
-
-    def __init__(self, chunks: int, fixed: float) -> None:
-        self._cond = threading.Condition()
-        self._parts: list[LogSumExp] = [None] * chunks
-        self._left = chunks
-        self._abandoned = False
-        self._c = None if chunks else fixed
-
-    def publish(self, j: int, part: LogSumExp) -> None:
-        with self._cond:
-            self._parts[j] = part
-            self._left -= 1
-            if not self._left:
-                merged = functools.reduce(LogSumExp.merge, self._parts)
-                self._c = float(merged.log_mean())
-                self._cond.notify_all()
-
-    def abandon(self) -> None:
-        """Release the waiters of a pilot chunk that failed to publish."""
-        with self._cond:
-            self._abandoned = True
-            self._cond.notify_all()
-
-    def wait(self) -> float:
-        with self._cond:
-            self._cond.wait_for(lambda: self._c is not None or self._abandoned)
-            if self._c is None:
-                # The failed pilot chunk comes first in chunk order, so
-                # map_chunks raises its error, not this one.
-                raise RuntimeError("a pilot chunk failed before C was fixed")
-            return self._c
+            for _ in range(min(threads, cells))]
 
 
 class _ChunkSums(NamedTuple):
@@ -265,67 +220,69 @@ class _ChunkSums(NamedTuple):
 
 
 def _run_cell(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
-              buffers: list[np.ndarray]) -> SweepRow:
-    """One cell, its chunks run on the workers that own buffers.
+              buf: np.ndarray) -> SweepRow:
+    """One cell, its chunks run in index order in one worker's buffer.
 
     Chunk j is drawn from the chunk_bit_generator stream under
     derive_key(seed, j) and holds pairs [j per_chunk, (j + 1) per_chunk):
     those below the policy's pilot count go to C, the rest to the bounds.
+    C is fixed from the pilot chunks' partials, merged in chunk order, before
+    the first chunk that holds working pairs forms its upper terms.
     """
     seed = derive_key(cfg.base_seed, rep, k)
     policy, n = cfg.c_policy, cfg.n_pairs
     pilot = policy.pilot_pairs(n)
     per_chunk, n_chunks = _chunking(n, k)
-    pilot_c = _PilotC(-(-pilot // per_chunk), policy.fixed_c())
-    sums: list[_ChunkSums | None] = [None] * n_chunks
-
-    def run_chunk(j: int, buf: np.ndarray) -> None:
+    c = None if pilot else policy.fixed_c()
+    pilot_sums = total = None
+    for j in range(n_chunks):
         start = j * per_chunk
         m = min(per_chunk, n - start)
         raw = buf[:2 * m * k]
         lx, d, scratch = buf[:m], buf[m:2 * m], buf[2 * m:]
         split = min(max(pilot - start, 0), m)
-        try:
-            sample(dist, raw.size, derive_key(seed, j), raw,
-                   bit_generator=chunk_bit_generator)
-            paired_from_halves(raw, k, out=(lx, d), scratch=buf[raw.size:])
-            if split:
-                pilot_c.publish(j, LogSumExp.of(d[:split], scratch=scratch))
-        except BaseException:
-            if split:
-                pilot_c.abandon()
-            raise
+        sample(dist, raw.size, derive_key(seed, j), raw,
+               bit_generator=chunk_bit_generator)
+        paired_from_halves(raw, k, out=(lx, d), scratch=buf[raw.size:])
+        if split:
+            part = LogSumExp.of(d[:split], scratch=scratch)
+            pilot_sums = part if pilot_sums is None else pilot_sums.merge(part)
         if split == m:
-            return
+            continue
+        if c is None:
+            c = float(pilot_sums.log_mean())
         lx, d = lx[split:], d[split:]
         lower = Moments.of(lx, scratch=scratch)
         log_ratio = LogSumExp.of(d, scratch=scratch)
         # The upper terms overwrite the pairs they are formed from.
-        upper, saturated = upper_moments(lx, d, pilot_c.wait(), out=(d, lx))
-        sums[j] = _ChunkSums(lower, log_ratio, upper, saturated)
-
-    map_chunks(run_chunk, n_chunks, buffers)
-    # Chunks of pilot pairs alone leave None: they add nothing to the bounds.
-    total = functools.reduce(_ChunkSums.merge,
-                             (part for part in sums if part is not None))
+        upper, saturated = upper_moments(lx, d, c, out=(d, lx))
+        part = _ChunkSums(lower, log_ratio, upper, saturated)
+        total = part if total is None else total.merge(part)
     return SweepRow(k=k, replication=rep, seed=seed, report=bound_report(
-        total.lower, total.upper, total.log_ratio, total.saturated,
-        pilot_c.wait(), k))
+        total.lower, total.upper, total.log_ratio, total.saturated, c, k))
 
 
 def run_sweep(
     dist: AnalyticDist, cfg: SweepConfig, threads: int | None = None
 ) -> SweepResult:
-    """Run every (k, replication) cell of draws from dist, one after
-    another, and aggregate per k.
+    """Run every (k, replication) cell of draws from dist on the workers,
+    one cell to a worker, largest k first, and aggregate per k.
 
     Deterministic in cfg: cells use derived seeds and chunks derived
-    streams, and the chunks' partials merge in chunk order, so any thread
-    count gives the same SweepResult.
+    streams, and each cell merges its chunks' partials in chunk order, so
+    any thread count gives the same SweepResult.
     """
-    buffers = _chunk_buffers(cfg, resolve_threads(threads))
-    rows = [_run_cell(dist, cfg, k, r, buffers)
-            for k in cfg.k_values for r in range(cfg.replications)]
+    cells = [(k, r) for k in cfg.k_values for r in range(cfg.replications)]
+    # A cell's draws grow with k.  sorted is stable, so each k keeps its
+    # replications in order.
+    order = sorted(range(len(cells)), key=lambda i: -cells[i][0])
+    rows: list[SweepRow | None] = [None] * len(cells)
+
+    def run(j: int, buf: np.ndarray) -> None:
+        i = order[j]
+        rows[i] = _run_cell(dist, cfg, *cells[i], buf)
+
+    map_chunks(run, len(cells), _chunk_buffers(cfg, resolve_threads(threads)))
 
     aggregates = []
     for k in cfg.k_values:

@@ -129,6 +129,21 @@ class TestAnalyticCommand:
         assert err.count("\n") == 1 and err.startswith("k=1 lower=")
         assert "inf" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize("reps, spread", [(1, False), (2, True)])
+    def test_summary_shows_a_spread_only_across_replications(
+            self, tmp_path, capsys, reps, spread):
+        # One replication has no spread: a +-0.000000 beside the CSV's inf
+        # stderr columns would claim an exact bound.
+        code = run(["analytic", "--n", "100", "--k", "1,4",
+                    "--replications", str(reps), "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" ")[0] for line in err] == ["k=1", "k=4"]
+        for line in err:
+            lower, upper = line.split(" ")[1:]
+            assert lower.startswith("lower=") and upper.startswith("upper=")
+            assert ("+-" in lower, "+-" in upper) == (spread, spread)
+
     @pytest.mark.parametrize("spec", ["lognormal:m=709,sigma=1",
                                       "gamma:a=2,theta=1e308",
                                       "laplace:loc=1e308,b=1e308"])
@@ -137,6 +152,21 @@ class TestAnalyticCommand:
         # RuntimeWarning on stderr before the error line.
         out = tmp_path / "x.csv"
         code = run(["analytic", "--dist", spec, "--n", "100", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, k", [
+        ("lognormal:m=708,sigma=0.1", "16"),    # mean(axis=1) overflows
+        ("lognormal:m=709.3,sigma=0.01", "4"),  # a column add overflows
+    ])
+    def test_overflowing_block_sums_exit_3_with_one_line(self, tmp_path, capsys,
+                                                          spec, k):
+        # Every draw is finite, but the sum of a block of k of them is not.
+        out = tmp_path / "x.csv"
+        code = run(["analytic", "--dist", spec, "--k", k, "--n", "100",
+                    "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -168,3 +168,14 @@ class TestBlockMeans:
         raw[[k, 4 * k + k]] = np.inf
         with pytest.raises(NonPositiveSample):
             paired_from_halves(raw, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_overflowing_block_sum_raises_without_a_warning(self, k, half):
+        # Finite draws whose block sum overflows to inf, through the column
+        # adds below k = 8 and mean(axis=1) from 8 up; the session turns
+        # numpy's overflow warning into an error.
+        raw = np.ones(2 * 4 * k)
+        raw[half * 4 * k + k:half * 4 * k + 2 * k] = np.finfo(float).max
+        with pytest.raises(NonPositiveSample):
+            paired_from_halves(raw, k)

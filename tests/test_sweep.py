@@ -299,34 +299,38 @@ class TestChunkedCells:
     @pytest.mark.parametrize("spec", ["gamma:a=2,theta=1", "lognormal:m=0,sigma=1",
                                       "uniform:lo=0.5,hi=1.5"])
     def test_cell_is_bitwise_identical_across_threads(self, spec):
-        # Six chunks, the last one short: at 2 and 3 threads the chunks run
-        # out of order and share the workers' buffers.
-        cfg = SweepConfig(k_values=(self.K,), n_pairs=5 * self.PER_CHUNK + 37,
-                          replications=1, base_seed=16)
+        # Two cells of each k; a k = 64 cell has six chunks, the last one
+        # short.  At 2 and 3 threads the cells run largest k first, out of
+        # row order, and a k = 4 or 16 cell runs in a buffer that a k = 64
+        # cell has filled with a longer chunk.
+        cfg = SweepConfig(k_values=(4, 16, self.K),
+                          n_pairs=5 * self.PER_CHUNK + 37, replications=2,
+                          base_seed=16)
         dist = parse_dist(spec)
         ref = reference_rows(dist, cfg)
         for threads in (1, 2, 3):
             assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
 
     def test_first_failing_chunk_is_reported_and_the_pool_is_joined(self, monkeypatch):
-        n_pairs = 6 * self.PER_CHUNK
-        cfg = SweepConfig(k_values=(self.K,), n_pairs=n_pairs, replications=1,
-                          base_seed=17)
-        seed = derive_key(17, 0, self.K)
-        chunk_of = {derive_key(seed, j): j for j in range(6)}
+        # The k = 64 cell starts first and fails in its chunk 2, 0.2 s after
+        # the k = 16 cell fails in its chunk 0: the failure of the cell that
+        # starts first is raised, not the first in time.
+        cfg = SweepConfig(k_values=(16, self.K), n_pairs=6 * self.PER_CHUNK,
+                          replications=1, base_seed=17)
+        failing = {derive_key(derive_key(17, 0, self.K), 2): 64,
+                   derive_key(derive_key(17, 0, 16), 0): 16}
 
         def flaky(d, n, key, out, *, bit_generator):
-            j = chunk_of[key]
-            if j == 2:
-                time.sleep(0.2)  # chunk 4 fails first in time
-                raise RuntimeError("chunk 2 lost")
-            if j == 4:
-                raise RuntimeError("chunk 4 lost")
+            k = failing.get(key)
+            if k == 64:
+                time.sleep(0.2)
+            if k is not None:
+                raise RuntimeError(f"k = {k} lost")
             out[:] = 1.0
 
         monkeypatch.setattr(sweep, "sample", flaky)
         before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="chunk 2 lost"):
+        with pytest.raises(RuntimeError, match="k = 64 lost"):
             run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
         assert set(threading.enumerate()) <= before
 
@@ -396,10 +400,12 @@ class TestChunkedCells:
             assert rep.c_used == c
 
     def test_many_pilot_chunks_on_more_workers_than_cores(self, monkeypatch):
-        # The 330-pair pilot spans 33 chunks of 10 pairs at k = 4 and 9 of 40
-        # at k = 1; four workers race to publish them while the interpreter
-        # switches threads often.  A lost publication would hang a waiter or
-        # change C.
+        # Six cells on four workers while the interpreter switches threads
+        # often: the k = 4 cells start first, and the k = 1 cells take the
+        # buffers they free.  Each cell's 330-pair pilot spans 33 chunks of
+        # 10 pairs at k = 4 and 9 of 40 at k = 1.  A cell that drew into
+        # another's buffer, or merged its pilot out of order, would change
+        # its row.
         monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * 4 * 10)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3300, replications=3,
                           base_seed=26)
@@ -414,19 +420,21 @@ class TestChunkedCells:
         assert result.rows == ref
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_failing_pilot_chunk_releases_the_waiters(self, threads, monkeypatch):
-        # Chunks of 100 pairs; the pilot is 300 pairs, chunks 0-2.  Chunk 1
-        # fails late, after chunk 3 has drawn and waits for C at two
-        # threads.  A waiter left hanging trips the session's faulthandler
-        # timeout, which ends the run with every thread's stack.
+    def test_failing_pilot_chunk_is_raised_and_the_pool_is_joined(
+            self, threads, monkeypatch):
+        # Chunks of 100 pairs at k = 1 and 25 at k = 4; the pilot is 300
+        # pairs.  The k = 4 cells start first; at two threads cell (1, 0)
+        # shares the pool with them, and its pilot chunk 1 fails late,
+        # while the other worker runs on.  A worker left hanging trips the
+        # session's faulthandler timeout, which ends the run with every
+        # thread's stack.
         monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * 100)
-        cfg = SweepConfig(k_values=(1,), n_pairs=3000, replications=1,
+        cfg = SweepConfig(k_values=(1, 4), n_pairs=3000, replications=2,
                           base_seed=27)
-        seed = derive_key(27, 0, 1)
-        chunk_of = {derive_key(seed, j): j for j in range(30)}
+        lost = derive_key(derive_key(27, 0, 1), 1)
 
         def pilot_fails(d, n, key, out, *, bit_generator):
-            if chunk_of[key] == 1:
+            if key == lost:
                 time.sleep(0.2)
                 raise RuntimeError("pilot chunk 1 lost")
             out[:] = 1.0
@@ -511,8 +519,9 @@ class TestChunkedCells:
             return buffers
 
         monkeypatch.setattr(sweep, "_chunk_buffers", recording)
+        # Two cells or more, so two threads get a buffer each.
         cfg = SweepConfig(k_values=k_values, n_pairs=CHUNK_DRAWS // 2 + 5,
-                          replications=1, base_seed=26)
+                          replications=2, base_seed=26)
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -594,10 +603,10 @@ def test_sweep_stream_is_pinned(policy):
 
 
 class TestWorkers:
-    """A cell runs its chunks on min(threads, chunks) workers, each with one
+    """A sweep runs its cells on min(threads, cells) workers, each with one
     raw buffer; one worker means no pool."""
 
-    def test_workers_are_capped_by_the_chunks(self, monkeypatch):
+    def test_workers_are_capped_by_the_cells(self, monkeypatch):
         sizes = []
 
         class Recording(parallel.ThreadPoolExecutor):
@@ -609,15 +618,17 @@ class TestWorkers:
         per_chunk = CHUNK_DRAWS // (2 * 64)
         dist = Gamma(2.0, 1.0)
 
-        def cell(n_pairs):
-            cfg = SweepConfig(k_values=(64,), n_pairs=n_pairs, replications=1,
-                              base_seed=19)
+        def sweep_of(k_values, replications):
+            cfg = SweepConfig(k_values=k_values, n_pairs=2 * per_chunk + 1,
+                              replications=replications, base_seed=19)
             run_sweep(dist, cfg, threads=8)
 
-        cell(per_chunk)
+        sweep_of((64,), 1)  # one cell of three chunks runs inline
         assert sizes == []
-        cell(2 * per_chunk + 1)
-        assert sizes == [3]  # one pass over the chunks
+        sweep_of((16, 64), 1)
+        assert sizes == [2]
+        sweep_of((64,), 3)
+        assert sizes == [2, 3]  # one pool a sweep
 
     def test_one_chunk_cell_allocates_one_buffer(self):
         # One raw buffer is CHUNK_DRAWS floats, 4 MiB; eight would take 32 MiB.
