@@ -7,20 +7,20 @@ chunk_bit_generator, under the key derive_key(cell_seed, j).  SFC64 draws
 faster than the package's default Philox, and the sampler is most of a
 sweep's time; the keys come from the package's one derivation scheme.
 
-run_sweep runs the cells through parallel.map_chunks, one cell to a worker
-at a time, largest k first: a cell's draws grow with k, and starting the
-longest cells first is Graham's LPT rule, whose makespan is at most 4/3 of
-the optimum.  A cell runs its chunks in index order, each in one pass in
-its worker's buffer: the chunk draws, pairs its draws into lx and d over
-its first 2m draws (the raw halves themselves at k = 1), and reduces its
-pairs while they are in cache.  A chunk that holds pilot pairs, the prefix
-that the CPolicy spends on C, merges their LogSumExp into the cell's; C is
-fixed from it before the first working pair is bounded.  Then the chunk
-takes the Moments of lx and the LogSumExp of d over its working pairs,
-forms the upper terms at C over the pairs and takes their Moments, and
-merges them into the cell's.  Every merge is in chunk order, and a cell
-runs on one thread, so its results are bit-identical at any thread count.
-A sweep of one cell uses one worker.
+run_sweep runs every chunk of every cell through parallel.map_chunks, in
+the buffer of the worker that runs it: the chunk draws, pairs its draws
+into lx and d over its first 2m draws (the raw halves themselves at
+k = 1), and reduces its pairs while they are in cache.  A chunk takes the
+LogSumExp of its pilot pairs, the prefix that the CPolicy spends on C, and
+over its working pairs the Moments of lx, the LogSumExp of d, and the
+Moments of the upper terms at C.  C must be fixed before a working pair is
+bounded, so the chunks run in three passes and no thread waits on another:
+first each cell's chunks before its tail, the chunk that holds its last
+pilot pair; then the tails, each of which merges its cell's pilot partials
+in chunk order and fixes C; then every later chunk, at its cell's C.  Each
+pass spreads its chunks over all the workers, whatever the cells, and each
+cell merges its chunks' partials in chunk order after the last pass, so
+its results are bit-identical at any thread count.
 
 run_sweep makes the workers' buffers once, sized for the sweep's largest
 chunk: with m pairs a chunk, its 2mk draws and SCRATCH_FLOATS of scratch,
@@ -37,6 +37,7 @@ rounding alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -191,15 +192,13 @@ def _chunking(n_pairs: int, k: int) -> tuple[int, int]:
     return per_chunk, -(-n_pairs // per_chunk)
 
 
-def _chunk_buffers(cfg: SweepConfig, threads: int) -> list[np.ndarray]:
-    """One buffer for each worker, min(threads, cells) of them, sized for
-    the sweep's largest chunk: a chunk of m pairs takes its 2mk raw draws,
-    over which its pairs lie, plus SCRATCH_FLOATS of scratch."""
+def _chunk_buffers(cfg: SweepConfig, workers: int) -> list[np.ndarray]:
+    """One buffer for each of the workers, sized for the sweep's largest
+    chunk: a chunk of m pairs takes its 2mk raw draws, over which its pairs
+    lie, plus SCRATCH_FLOATS of scratch."""
     floats = max(2 * k * min(_chunking(cfg.n_pairs, k)[0], cfg.n_pairs)
                  for k in cfg.k_values)
-    cells = len(cfg.k_values) * cfg.replications
-    return [np.empty(floats + SCRATCH_FLOATS)
-            for _ in range(min(threads, cells))]
+    return [np.empty(floats + SCRATCH_FLOATS) for _ in range(workers)]
 
 
 class _ChunkSums(NamedTuple):
@@ -219,70 +218,106 @@ class _ChunkSums(NamedTuple):
                           self.saturated + other.saturated)
 
 
-def _run_cell(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
-              buf: np.ndarray) -> SweepRow:
-    """One cell, its chunks run in index order in one worker's buffer.
+def _run_chunk(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
+               j: int, buf: np.ndarray, pilot_sums: LogSumExp | None,
+               c: float | None) -> tuple[LogSumExp | None, float | None,
+                                         _ChunkSums | None]:
+    """Chunk j of cell (k, rep), drawn, paired and reduced in one worker's
+    buffer.
 
-    Chunk j is drawn from the chunk_bit_generator stream under
+    The chunk is drawn from the chunk_bit_generator stream under
     derive_key(seed, j) and holds pairs [j per_chunk, (j + 1) per_chunk):
     those below the policy's pilot count go to C, the rest to the bounds.
-    C is fixed from the pilot chunks' partials, merged in chunk order, before
-    the first chunk that holds working pairs forms its upper terms.
+    The LogSumExp of its pilot pairs is merged after pilot_sums, the cell's
+    earlier pilot chunks' merged in chunk order, and C is fixed from the
+    result if the chunk holds the last pilot pair.  Returns the merged pilot
+    LogSumExp, C, and the partials of the working pairs at C; None where the
+    chunk holds no such pairs.
     """
     seed = derive_key(cfg.base_seed, rep, k)
-    policy, n = cfg.c_policy, cfg.n_pairs
-    pilot = policy.pilot_pairs(n)
-    per_chunk, n_chunks = _chunking(n, k)
-    c = None if pilot else policy.fixed_c()
-    pilot_sums = total = None
-    for j in range(n_chunks):
-        start = j * per_chunk
-        m = min(per_chunk, n - start)
-        raw = buf[:2 * m * k]
-        lx, d, scratch = buf[:m], buf[m:2 * m], buf[2 * m:]
-        split = min(max(pilot - start, 0), m)
-        sample(dist, raw.size, derive_key(seed, j), raw,
-               bit_generator=chunk_bit_generator)
-        paired_from_halves(raw, k, out=(lx, d), scratch=buf[raw.size:])
-        if split:
-            part = LogSumExp.of(d[:split], scratch=scratch)
-            pilot_sums = part if pilot_sums is None else pilot_sums.merge(part)
-        if split == m:
-            continue
-        if c is None:
+    n = cfg.n_pairs
+    pilot = cfg.c_policy.pilot_pairs(n)
+    per_chunk = _chunking(n, k)[0]
+    start = j * per_chunk
+    m = min(per_chunk, n - start)
+    raw = buf[:2 * m * k]
+    lx, d, scratch = buf[:m], buf[m:2 * m], buf[2 * m:]
+    split = min(max(pilot - start, 0), m)
+    sample(dist, raw.size, derive_key(seed, j), raw,
+           bit_generator=chunk_bit_generator)
+    paired_from_halves(raw, k, out=(lx, d), scratch=buf[raw.size:])
+    if split:
+        part = LogSumExp.of(d[:split], scratch=scratch)
+        pilot_sums = part if pilot_sums is None else pilot_sums.merge(part)
+        if start + split == pilot:
             c = float(pilot_sums.log_mean())
-        lx, d = lx[split:], d[split:]
-        lower = Moments.of(lx, scratch=scratch)
-        log_ratio = LogSumExp.of(d, scratch=scratch)
-        # The upper terms overwrite the pairs they are formed from.
-        upper, saturated = upper_moments(lx, d, c, out=(d, lx))
-        part = _ChunkSums(lower, log_ratio, upper, saturated)
-        total = part if total is None else total.merge(part)
-    return SweepRow(k=k, replication=rep, seed=seed, report=bound_report(
-        total.lower, total.upper, total.log_ratio, total.saturated, c, k))
+    if split == m:
+        return pilot_sums, c, None
+    lx, d = lx[split:], d[split:]
+    lower = Moments.of(lx, scratch=scratch)
+    log_ratio = LogSumExp.of(d, scratch=scratch)
+    # The upper terms overwrite the pairs they are formed from.
+    upper, saturated = upper_moments(lx, d, c, out=(d, lx))
+    return pilot_sums, c, _ChunkSums(lower, log_ratio, upper, saturated)
+
+
+def _run_cell(cfg: SweepConfig, k: int, rep: int, c: float,
+              sums: list[_ChunkSums | None]) -> SweepRow:
+    """Cell (k, rep)'s row: its chunks' working partials merged in chunk
+    order, chunks of pilot pairs alone left out, and bounded at C.
+
+    perfbench's tracer wraps this function by name, as the cell's span."""
+    total = functools.reduce(_ChunkSums.merge,
+                             (part for part in sums if part is not None))
+    return SweepRow(k=k, replication=rep, seed=derive_key(cfg.base_seed, rep, k),
+                    report=bound_report(total.lower, total.upper,
+                                        total.log_ratio, total.saturated, c, k))
 
 
 def run_sweep(
     dist: AnalyticDist, cfg: SweepConfig, threads: int | None = None
 ) -> SweepResult:
-    """Run every (k, replication) cell of draws from dist on the workers,
-    one cell to a worker, largest k first, and aggregate per k.
+    """Run every chunk of every (k, replication) cell of draws from dist on
+    the workers, in three passes, and aggregate per k.
 
+    The first pass runs each cell's chunks before its tail, the second the
+    tails, which fix C, and the third every later chunk, at C.
     Deterministic in cfg: cells use derived seeds and chunks derived
     streams, and each cell merges its chunks' partials in chunk order, so
     any thread count gives the same SweepResult.
     """
     cells = [(k, r) for k in cfg.k_values for r in range(cfg.replications)]
-    # A cell's draws grow with k.  sorted is stable, so each k keeps its
-    # replications in order.
-    order = sorted(range(len(cells)), key=lambda i: -cells[i][0])
-    rows: list[SweepRow | None] = [None] * len(cells)
+    pilot = cfg.c_policy.pilot_pairs(cfg.n_pairs)
+    chunking = [_chunking(cfg.n_pairs, k) for k, _ in cells]
+    # A cell's tail: its chunk that holds the last pilot pair, -1 with no
+    # pilot.
+    tails = [(pilot - 1) // per_chunk for per_chunk, _ in chunking]
+    cs = [None if tail >= 0 else cfg.c_policy.fixed_c() for tail in tails]
+    pilots = [[None] * n_chunks for _, n_chunks in chunking]
+    sums = [[None] * n_chunks for _, n_chunks in chunking]
+    passes = (
+        [(i, j) for i, tail in enumerate(tails) for j in range(tail)],
+        [(i, tail) for i, tail in enumerate(tails) if tail >= 0],
+        [(i, j) for i, tail in enumerate(tails)
+         for j in range(tail + 1, chunking[i][1])],
+    )
 
-    def run(j: int, buf: np.ndarray) -> None:
-        i = order[j]
-        rows[i] = _run_cell(dist, cfg, *cells[i], buf)
+    def run_chunk(i: int, j: int, buf: np.ndarray) -> None:
+        earlier = None
+        if j == tails[i] and j:
+            earlier = functools.reduce(LogSumExp.merge, pilots[i][:j])
+        pilots[i][j], c, sums[i][j] = _run_chunk(dist, cfg, *cells[i], j, buf,
+                                                 earlier, cs[i])
+        if j == tails[i]:
+            cs[i] = c
 
-    map_chunks(run, len(cells), _chunk_buffers(cfg, resolve_threads(threads)))
+    workers = min(resolve_threads(threads), max(map(len, passes)))
+    buffers = _chunk_buffers(cfg, workers)
+    for tasks in passes:
+        map_chunks(lambda t, buf: run_chunk(*tasks[t], buf), len(tasks),
+                   buffers)
+    rows = [_run_cell(cfg, *cell, cs[i], sums[i])
+            for i, cell in enumerate(cells)]
 
     aggregates = []
     for k in cfg.k_values:

@@ -300,9 +300,9 @@ class TestChunkedCells:
                                       "uniform:lo=0.5,hi=1.5"])
     def test_cell_is_bitwise_identical_across_threads(self, spec):
         # Two cells of each k; a k = 64 cell has six chunks, the last one
-        # short.  At 2 and 3 threads the cells run largest k first, out of
-        # row order, and a k = 4 or 16 cell runs in a buffer that a k = 64
-        # cell has filled with a longer chunk.
+        # short.  At 2 and 3 threads each pass runs its chunks out of order
+        # and across cells, and a k = 4 or 16 chunk runs in a buffer that a
+        # k = 64 chunk has filled with more draws.
         cfg = SweepConfig(k_values=(4, 16, self.K),
                           n_pairs=5 * self.PER_CHUNK + 37, replications=2,
                           base_seed=16)
@@ -312,17 +312,19 @@ class TestChunkedCells:
             assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
 
     def test_first_failing_chunk_is_reported_and_the_pool_is_joined(self, monkeypatch):
-        # The k = 64 cell starts first and fails in its chunk 2, 0.2 s after
-        # the k = 16 cell fails in its chunk 0: the failure of the cell that
-        # starts first is raised, not the first in time.
+        # The pilot is chunk 0 of each cell, so the last pass runs the
+        # k = 16 cell's chunk 1, then the k = 64 cell's chunks 1-5.  The
+        # k = 16 chunk fails 0.2 s after the k = 64 cell's chunk 3: the
+        # failure of the chunk that starts first is raised, not the first
+        # in time.
         cfg = SweepConfig(k_values=(16, self.K), n_pairs=6 * self.PER_CHUNK,
                           replications=1, base_seed=17)
-        failing = {derive_key(derive_key(17, 0, self.K), 2): 64,
-                   derive_key(derive_key(17, 0, 16), 0): 16}
+        failing = {derive_key(derive_key(17, 0, self.K), 3): 64,
+                   derive_key(derive_key(17, 0, 16), 1): 16}
 
         def flaky(d, n, key, out, *, bit_generator):
             k = failing.get(key)
-            if k == 64:
+            if k == 16:
                 time.sleep(0.2)
             if k is not None:
                 raise RuntimeError(f"k = {k} lost")
@@ -330,7 +332,7 @@ class TestChunkedCells:
 
         monkeypatch.setattr(sweep, "sample", flaky)
         before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="k = 64 lost"):
+        with pytest.raises(RuntimeError, match="k = 16 lost"):
             run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
         assert set(threading.enumerate()) <= before
 
@@ -401,11 +403,11 @@ class TestChunkedCells:
 
     def test_many_pilot_chunks_on_more_workers_than_cores(self, monkeypatch):
         # Six cells on four workers while the interpreter switches threads
-        # often: the k = 4 cells start first, and the k = 1 cells take the
-        # buffers they free.  Each cell's 330-pair pilot spans 33 chunks of
-        # 10 pairs at k = 4 and 9 of 40 at k = 1.  A cell that drew into
-        # another's buffer, or merged its pilot out of order, would change
-        # its row.
+        # often.  Each cell's 330-pair pilot spans 33 chunks of 10 pairs at
+        # k = 4 and 9 of 40 at k = 1: the first pass runs all but the last
+        # of them, out of order, and each cell's tail merges their partials
+        # in chunk order.  A chunk that drew into another's buffer, or
+        # partials merged out of order, would change a row.
         monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * 4 * 10)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3300, replications=3,
                           base_seed=26)
@@ -423,11 +425,11 @@ class TestChunkedCells:
     def test_failing_pilot_chunk_is_raised_and_the_pool_is_joined(
             self, threads, monkeypatch):
         # Chunks of 100 pairs at k = 1 and 25 at k = 4; the pilot is 300
-        # pairs.  The k = 4 cells start first; at two threads cell (1, 0)
-        # shares the pool with them, and its pilot chunk 1 fails late,
-        # while the other worker runs on.  A worker left hanging trips the
-        # session's faulthandler timeout, which ends the run with every
-        # thread's stack.
+        # pairs, so the first pass runs chunks 0-1 of each k = 1 cell and
+        # 0-10 of each k = 4 cell.  Cell (1, 0)'s chunk 1 fails late, while
+        # at two threads the other worker runs on through the other cells'
+        # chunks.  A worker left hanging trips the session's faulthandler
+        # timeout, which ends the run with every thread's stack.
         monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * 100)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3000, replications=2,
                           base_seed=27)
@@ -519,7 +521,8 @@ class TestChunkedCells:
             return buffers
 
         monkeypatch.setattr(sweep, "_chunk_buffers", recording)
-        # Two cells or more, so two threads get a buffer each.
+        # Two cells of two chunks or more: two tails, and two later chunks
+        # or more, so two threads get a buffer each.
         cfg = SweepConfig(k_values=k_values, n_pairs=CHUNK_DRAWS // 2 + 5,
                           replications=2, base_seed=26)
         enabled = gc.isenabled()
@@ -603,10 +606,11 @@ def test_sweep_stream_is_pinned(policy):
 
 
 class TestWorkers:
-    """A sweep runs its cells on min(threads, cells) workers, each with one
-    raw buffer; one worker means no pool."""
+    """A sweep runs on min(threads, chunks of its largest pass) workers,
+    each with one raw buffer, and a pass of more than one chunk on a pool
+    of min(workers, its chunks)."""
 
-    def test_workers_are_capped_by_the_cells(self, monkeypatch):
+    def test_workers_are_capped_by_the_chunks(self, monkeypatch):
         sizes = []
 
         class Recording(parallel.ThreadPoolExecutor):
@@ -618,17 +622,25 @@ class TestWorkers:
         per_chunk = CHUNK_DRAWS // (2 * 64)
         dist = Gamma(2.0, 1.0)
 
-        def sweep_of(k_values, replications):
-            cfg = SweepConfig(k_values=k_values, n_pairs=2 * per_chunk + 1,
-                              replications=replications, base_seed=19)
+        def sweep_of(k_values, replications, n_pairs, policy="pilot-optimal"):
+            cfg = SweepConfig(k_values=k_values, n_pairs=n_pairs,
+                              replications=replications, base_seed=19,
+                              c_policy=CPolicy.parse(policy))
+            sizes.clear()
             run_sweep(dist, cfg, threads=8)
+            return sizes
 
-        sweep_of((64,), 1)  # one cell of three chunks runs inline
-        assert sizes == []
-        sweep_of((16, 64), 1)
-        assert sizes == [2]
-        sweep_of((64,), 3)
-        assert sizes == [2, 3]  # one pool a sweep
+        # One chunk, the cell's tail, runs inline.
+        assert sweep_of((64,), 1, per_chunk) == []
+        # Three chunks: the tail, chunk 0, runs inline, the other two on two
+        # workers; with no pilot, all three in one pass on three.
+        assert sweep_of((64,), 1, 2 * per_chunk + 1) == [2]
+        assert sweep_of((64,), 1, 2 * per_chunk + 1, "zero") == [3]
+        # Three one-chunk cells: their tails on three workers.
+        assert sweep_of((64,), 3, per_chunk) == [3]
+        # Two cells' tails on two workers, then the k = 64 cell's other
+        # two chunks on two.
+        assert sweep_of((16, 64), 1, 2 * per_chunk + 1) == [2, 2]
 
     def test_one_chunk_cell_allocates_one_buffer(self):
         # One raw buffer is CHUNK_DRAWS floats, 4 MiB; eight would take 32 MiB.
