@@ -18,13 +18,9 @@ chunks reduces each chunk where it was computed and merges the partials in
 chunk order, so its result does not depend on which thread reduced which
 chunk.
 
-Moments.of and LogSumExp.of (over all values) take a scratch vector for
-their temporaries.  One as long as the values holds a whole temporary
-vector, which numpy's pairwise sum then adds up (Higham, SIAM J. Sci.
-Comput. 14(4), 1993).  A shorter one, of at least _PAIRWISE_BLOCK floats,
-holds one leaf at a time: _tree_sum splits the vector as numpy's pairwise
-sum does and adds each leaf with np.add.reduce, so either way every sum has
-the bits of one np.add.reduce over the whole temporary vector.
+Moments.of and LogSumExp.of take an optional scratch vector, at least as
+long as the values, for their temporaries; a shorter one is a ValueError.
+Either way each sum is one numpy sum over a whole temporary vector.
 """
 
 from __future__ import annotations
@@ -38,34 +34,15 @@ import numpy as np
 EXP_SATURATION = 700.0
 
 
-# numpy's pairwise sum adds at most this many values in one unrolled loop;
-# a longer vector it splits in two, the first part size // 2 rounded down to
-# a multiple of 8, and adds the parts' sums.
-_PAIRWISE_BLOCK = 128
-
-
-def _tree_sum(leaf, lo: int, size: int, cap: int) -> float:
-    """The np.add.reduce of a vector's elements [lo, lo + size), with
-    leaf(lo, size) the np.add.reduce of a part of at most cap >=
-    _PAIRWISE_BLOCK elements.  The parts are numpy's own, so the bits are.
-
-    A module-level function, not a closure that calls itself: such a closure
-    is a reference cycle, which would hold the caller's buffers until the
-    cycle collector runs.
-    """
-    if size <= cap:
-        return leaf(lo, size)
-    half = size // 2
-    half -= half % 8
-    return (_tree_sum(leaf, lo, half, cap)
-            + _tree_sum(leaf, lo + half, size - half, cap))
-
-
-def _leaf_cap(scratch: np.ndarray) -> int:
-    if scratch.size < _PAIRWISE_BLOCK:
-        raise ValueError(f"a scratch shorter than the values needs at least "
-                         f"{_PAIRWISE_BLOCK} floats, got {scratch.size}")
-    return scratch.size
+def _work(values: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """A vector shaped like values for a temporary: the head of scratch, or
+    a new one without."""
+    if scratch is None:
+        return np.empty(values.shape)
+    if scratch.size < values.size:
+        raise ValueError(f"scratch of {scratch.size} floats is shorter than "
+                         f"the {values.size} values")
+    return scratch[:values.size].reshape(values.shape)
 
 
 def _divisor(scale: float) -> float:
@@ -89,37 +66,18 @@ class Moments(NamedTuple):
 
     @classmethod
     def of(cls, values: np.ndarray, scratch: np.ndarray | None = None) -> "Moments":
-        """The moments of values; with scratch, a float64 vector, no
-        temporary is allocated.  A scratch shorter than values takes the
-        sums leaf by leaf, with the same bits."""
+        """The moments of values; with scratch, a float64 vector at least
+        as long as values, no temporary is allocated."""
         values = np.asarray(values, dtype=float)
         n = values.size
         if n == 0:
             return cls(0, 0.0, 0.0, 0.0)
         scale = max(abs(float(values.max())), abs(float(values.min())))
-        s = _divisor(scale)
-        if scratch is None or scratch.size >= n:
-            work = (np.empty(values.shape) if scratch is None
-                    else scratch[:n].reshape(values.shape))
-            np.divide(values, s, out=work)
-            mean = float(work.mean())
-            np.subtract(work, mean, out=work)
-            np.square(work, out=work)
-            return cls(n, scale, mean, float(work.sum()))
-        flat, cap = values.reshape(-1), _leaf_cap(scratch)
-
-        def scaled_sum(lo: int, size: int) -> float:
-            return np.add.reduce(np.divide(flat[lo:lo + size], s,
-                                           out=scratch[:size]))
-
-        mean = float(_tree_sum(scaled_sum, 0, n, cap) / n)
-
-        def square_sum(lo: int, size: int) -> float:
-            work = np.divide(flat[lo:lo + size], s, out=scratch[:size])
-            np.subtract(work, mean, out=work)
-            return np.add.reduce(np.square(work, out=work))
-
-        return cls(n, scale, mean, float(_tree_sum(square_sum, 0, n, cap)))
+        work = np.divide(values, _divisor(scale), out=_work(values, scratch))
+        mean = float(work.mean())
+        np.subtract(work, mean, out=work)
+        np.square(work, out=work)
+        return cls(n, scale, mean, float(work.sum()))
 
     def merge(self, other: "Moments") -> "Moments":
         """The moments of this block followed by other (Chan's update)."""
@@ -174,28 +132,15 @@ class LogSumExp(NamedTuple):
     def of(cls, values: np.ndarray, axis: int | None = None,
            scratch: np.ndarray | None = None) -> "LogSumExp":
         """The partial of values, or of each slice along axis; with scratch,
-        a float64 vector, no temporary as large as values is allocated.
-        Over all values, a scratch shorter than values takes the sum leaf by
-        leaf, with the same bits; along an axis it must hold values."""
+        a float64 vector at least as long as values, no temporary as large
+        as values is allocated."""
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return cls(0, 0.0, 0.0)
         vmax = np.max(values, axis=axis, keepdims=True)
         shift = np.where(np.isfinite(vmax), vmax, 0.0)
-        if scratch is None:
-            exps = np.exp(values - shift)
-        elif axis is None and scratch.size < values.size:
-            flat, at = values.reshape(-1), float(shift.reshape(()))
-
-            def exp_sum(lo: int, size: int) -> float:
-                exps = np.subtract(flat[lo:lo + size], at, out=scratch[:size])
-                return np.add.reduce(np.exp(exps, out=exps))
-
-            return cls(values.size, at, float(
-                _tree_sum(exp_sum, 0, values.size, _leaf_cap(scratch))))
-        else:
-            exps = scratch[:values.size].reshape(values.shape)
-            np.exp(np.subtract(values, shift, out=exps), out=exps)
+        exps = np.subtract(values, shift, out=_work(values, scratch))
+        np.exp(exps, out=exps)
         total = np.sum(exps, axis=axis, keepdims=True)
         if axis is None:
             return cls(values.size, float(shift.reshape(())),

@@ -165,6 +165,8 @@ def _parse_k_list(text: str, key: str) -> tuple[int, ...]:
         raise ParseError(f"key {key!r} must be a comma list of integers: {text!r}")
     if any(k < 1 for k in ks):
         raise ParseError(f"key {key!r} values must be >= 1: {text!r}")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ParseError(f"key {key!r} must be strictly increasing: {text!r}")
     return ks
 
 

@@ -4,10 +4,10 @@ Every Monte Carlo pass in the package splits its work into tasks j = 0, 1,
 ... whose boundaries and random streams depend on j alone, never on the
 thread count, and each task writes its results into its own slot of the
 caller's arrays or lists.  A task is a chunk of datapoints in the VAE's
-passes; in a sweep it is a cell's pilot chunks, run in order, or one other
-chunk of a cell.  map_chunks runs such tasks on a pool, one worker per scratch object
-in the list that the pass builds, so a pass allocates its working buffers
-once and its results are bit-identical at any thread count.
+passes and one chunk of a cell in a sweep.  map_chunks runs such tasks on
+a pool, one worker per scratch object in the list that the pass builds, so
+a pass allocates its working buffers once and its results are
+bit-identical at any thread count.
 """
 
 from __future__ import annotations

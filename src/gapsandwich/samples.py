@@ -7,12 +7,12 @@ paired_from_halves takes 2*n*k positive linear draws, averages blocks of k
 in each half and takes the logs, in one scan of the draws, into new vectors
 or into ones the caller gives.  Those may lie over the draws themselves:
 at k = 1 the two raw halves, which the logs overwrite, and at k >= 2 the
-first n and the next n draws.  At k >= 2 the block means of a run of rows
-go through a scratch vector, and their logs overwrite only draws already
-read: lx[i] lies in an X row at or before row i, and d, written once every
-X row is read, lies in X rows alone, since 2n <= nk.  PairedSamples holds
-read-only views, never copies, and scans its values with min and max, so
-no check makes a temporary as large as a vector.
+first n and the next n draws.  At k >= 2 the block means of each half go
+through a scratch vector of at least n floats, and their logs overwrite
+only draws already read: lx is written once every X row is read, and d,
+written once every Y row is read, lies in X rows alone, since 2n <= nk.
+PairedSamples holds read-only views, never copies, and scans its values
+with min and max, so no check makes a temporary as large as a vector.
 """
 
 from __future__ import annotations
@@ -104,13 +104,13 @@ def paired_from_halves(raw: np.ndarray, k: int,
 
     With out, two float64 vectors of n elements, lx and d are written there
     and the result views them; nothing as large as the raw draws is
-    allocated either way.  At k >= 2 the block means of up to scratch.size
-    rows at a time go through scratch, a float64 vector apart from raw and
-    out, or else through d.  out may be raw[:n] and raw[n:2n], which then
-    hold lx and d; at k >= 2 that needs a scratch.  A draw that is not
-    positive raises NonPositiveSample here, and one that is infinite or NaN
-    makes lx or d non-finite, which PairedSamples rejects with the same
-    class.
+    allocated either way.  At k >= 2 the block means go through scratch, a
+    float64 vector of at least n elements apart from raw and out, or else
+    through d; a shorter scratch is a ValueError.  out may be raw[:n] and
+    raw[n:2n], which then hold lx and d; at k >= 2 that needs a scratch.  A
+    draw that is not positive raises NonPositiveSample here, and one that
+    is infinite or NaN makes lx or d non-finite, which PairedSamples
+    rejects with the same class.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
@@ -124,6 +124,9 @@ def paired_from_halves(raw: np.ndarray, k: int,
     if not raw.min() > 0.0:
         raise NonPositiveSample("raw draws must be strictly positive and finite")
     n = raw.size // (2 * k)
+    if scratch is not None and scratch.size < n:
+        raise ValueError(f"scratch of {scratch.size} floats is shorter than "
+                         f"the {n} pairs")
     blocks = raw.reshape(2, n, k)
     lx, d = (np.empty(n), np.empty(n)) if out is None else out
     # A block of finite draws may sum to inf, and infinite draws in both
@@ -136,15 +139,8 @@ def paired_from_halves(raw: np.ndarray, k: int,
             np.log(blocks[1, :, 0], out=d)
             d -= lx
         else:
-            if scratch is None:
-                scratch = d
-            rows = scratch.size
-            for lo in range(0, n, rows):
-                hi = min(lo + rows, n)
-                np.log(_block_means(blocks[0, lo:hi], scratch[:hi - lo]),
-                       out=lx[lo:hi])
-            for lo in range(0, n, rows):
-                hi = min(lo + rows, n)
-                means = _block_means(blocks[1, lo:hi], scratch[:hi - lo])
-                np.subtract(np.log(means, out=means), lx[lo:hi], out=d[lo:hi])
+            means = d if scratch is None else scratch[:n]
+            np.log(_block_means(blocks[0], means), out=lx)
+            np.log(_block_means(blocks[1], means), out=means)
+            np.subtract(means, lx, out=d)
     return PairedSamples(lx, d, k=k)

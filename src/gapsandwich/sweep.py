@@ -1,11 +1,12 @@
 """Orchestration: paired sampling, k-sweeps, replications, CSV output.
 
 Each (k, replication) cell derives its own seed and samples 2*n_pairs*k
-fresh draws of the sweep's distribution in fixed chunks of about
-CHUNK_DRAWS = 2^19 draws; chunk j draws from an SFC64 stream,
-chunk_bit_generator, under the key derive_key(cell_seed, j).  SFC64 draws
-faster than the package's default Philox, and the sampler is most of a
-sweep's time; the keys come from the package's one derivation scheme.
+fresh draws of the sweep's distribution in chunks of m pairs, with
+m = max(1, CHUNK_FLOATS // (2k + 1)), the last chunk fewer; chunk j draws
+from an SFC64 stream, chunk_bit_generator, under the key
+derive_key(cell_seed, j).  SFC64 draws faster than the package's default
+Philox, and the sampler is most of a sweep's time; the keys come from the
+package's one derivation scheme.
 
 run_sweep runs every chunk of every cell through parallel.map_chunks, in
 the buffer of the worker that runs it: the chunk draws, pairs its draws
@@ -23,16 +24,14 @@ cell merges its chunks' partials in chunk order after the last pass, so
 its results are bit-identical at any thread count.
 
 run_sweep makes the workers' buffers once, sized for the sweep's largest
-chunk: with m pairs a chunk, its 2mk draws and SCRATCH_FLOATS of scratch,
-at most CHUNK_DRAWS + SCRATCH_FLOATS while a pair's 2k draws fit in a
-chunk.  The reductions take their temporaries in the buffer past the
-pairs: at k >= 2 that space holds a whole vector of them, and at k = 1 the
-sums go leaf by leaf through the scratch, with the same bits (see
-accumulate).  So a sweep holds O(threads * CHUNK_DRAWS) floats, 4.1 MiB a
-worker, whatever n_pairs is, and no vector of a cell's pairs.  A cell of
-one chunk reports the bits bounds.sandwich gives on its pairs; with more
-chunks the merged means differ from those of one whole-vector pass by
-rounding alone.
+chunk: a chunk of m pairs takes (2k + 1) m floats, its 2mk draws and a
+scratch of m floats past them, at most CHUNK_FLOATS while 2k + 1 is.  The
+pairing's block means and every reduction take their temporaries in that
+scratch, which holds a whole vector of them.  So a sweep holds
+O(threads * CHUNK_FLOATS) floats, 4 MiB a worker, whatever n_pairs is, and
+no vector of a cell's pairs.  A cell of one chunk reports the bits
+bounds.sandwich gives on its pairs; with more chunks the merged means
+differ from those of one whole-vector pass by rounding alone.
 """
 
 from __future__ import annotations
@@ -52,16 +51,12 @@ from .parallel import map_chunks, resolve_threads
 from .rng import derive_key
 from .samples import paired_from_halves
 
-# Raw draws per chunk of a cell.  Part of the stream scheme, with
-# chunk_bit_generator: changing either changes every sweep result for a
-# given seed.  It bounds a worker's buffer; below 2^19 each chunk's fixed
-# cost (its generator, checks and short numpy calls) slows the sweep.
-CHUNK_DRAWS = 1 << 19
-
-# Floats of scratch a chunk's buffer holds past its draws: its pairing's
-# block means at k >= 2, and its reductions' leaves at k = 1.  Results do
-# not depend on it.
-SCRATCH_FLOATS = 1 << 14
+# Floats of a chunk's buffer: its draws plus a scratch as long as its pairs.
+# Part of the stream scheme, with chunk_bit_generator: changing either
+# changes every sweep result for a given seed.  It bounds a worker's buffer;
+# below 2^19 each chunk's fixed cost (its generator, checks and short numpy
+# calls) slows the sweep.
+CHUNK_FLOATS = 1 << 19
 
 
 def chunk_bit_generator(key: int) -> np.random.BitGenerator:
@@ -188,17 +183,17 @@ class SweepResult:
 
 def _chunking(n_pairs: int, k: int) -> tuple[int, int]:
     """Pairs per chunk of a cell, and its number of chunks."""
-    per_chunk = max(1, CHUNK_DRAWS // (2 * k))
+    per_chunk = max(1, CHUNK_FLOATS // (2 * k + 1))
     return per_chunk, -(-n_pairs // per_chunk)
 
 
 def _chunk_buffers(cfg: SweepConfig, workers: int) -> list[np.ndarray]:
     """One buffer for each of the workers, sized for the sweep's largest
     chunk: a chunk of m pairs takes its 2mk raw draws, over which its pairs
-    lie, plus SCRATCH_FLOATS of scratch."""
-    floats = max(2 * k * min(_chunking(cfg.n_pairs, k)[0], cfg.n_pairs)
+    lie, plus a scratch of m floats."""
+    floats = max((2 * k + 1) * min(_chunking(cfg.n_pairs, k)[0], cfg.n_pairs)
                  for k in cfg.k_values)
-    return [np.empty(floats + SCRATCH_FLOATS) for _ in range(workers)]
+    return [np.empty(floats) for _ in range(workers)]
 
 
 class _ChunkSums(NamedTuple):
@@ -241,11 +236,11 @@ def _run_chunk(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
     start = j * per_chunk
     m = min(per_chunk, n - start)
     raw = buf[:2 * m * k]
-    lx, d, scratch = buf[:m], buf[m:2 * m], buf[2 * m:]
+    lx, d, scratch = buf[:m], buf[m:2 * m], buf[raw.size:raw.size + m]
     split = min(max(pilot - start, 0), m)
     sample(dist, raw.size, derive_key(seed, j), raw,
            bit_generator=chunk_bit_generator)
-    paired_from_halves(raw, k, out=(lx, d), scratch=buf[raw.size:])
+    paired_from_halves(raw, k, out=(lx, d), scratch=scratch)
     if split:
         part = LogSumExp.of(d[:split], scratch=scratch)
         pilot_sums = part if pilot_sums is None else pilot_sums.merge(part)

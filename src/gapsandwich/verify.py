@@ -31,7 +31,7 @@ from .distributions import (
 )
 from .rng import derive_key, generator
 from .samples import paired_from_halves
-from .sweep import CHUNK_DRAWS, CPolicy, SweepConfig, run_sweep
+from .sweep import CHUNK_FLOATS, CPolicy, SweepConfig, run_sweep
 
 VERIFY_CSV_HEADER = "property,passed,slack"
 
@@ -287,7 +287,7 @@ def check_sweep_reproducibility(seed: int, n: int) -> PropertyResult:
         )),
         # One chunk holds about half of this cell's pairs.
         (UniformPos(0.5, 1.5), SweepConfig(
-            k_values=(CHUNK_DRAWS // n_pairs,), n_pairs=n_pairs, replications=2,
+            k_values=(CHUNK_FLOATS // n_pairs,), n_pairs=n_pairs, replications=2,
             base_seed=derive_key(seed, 14, 1), c_policy=CPolicy("pilot-optimal"),
         )),
     ]

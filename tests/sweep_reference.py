@@ -1,8 +1,8 @@
 """A sweep cell built chunk by chunk from the library's parts: the reference
 that run_sweep's one-pass chunks are compared against.
 
-Chunk j of a cell holds max(1, CHUNK_DRAWS // 2k) pairs, the last chunk
-fewer, drawn from SFC64 under derive_key(cell_seed, j) and paired with
+Chunk j of a cell holds max(1, CHUNK_FLOATS // (2k + 1)) pairs, the last
+chunk fewer, drawn from SFC64 under derive_key(cell_seed, j) and paired with
 paired_from_halves.  Pairs below the policy's pilot count estimate C; the
 rest are bounded.  Each chunk's partials come from accumulate and
 bounds.upper_moments and merge in chunk order.
@@ -23,7 +23,7 @@ from gapsandwich.samples import PairedSamples, paired_from_halves
 def chunk_pairs(dist, seed, k, n_pairs, draw=sample):
     """A cell's pairs, one PairedSamples per chunk.  draw has sample's
     signature and fills its out argument."""
-    per_chunk = max(1, sweep.CHUNK_DRAWS // (2 * k))
+    per_chunk = max(1, sweep.CHUNK_FLOATS // (2 * k + 1))
     chunks = []
     for j, start in enumerate(range(0, n_pairs, per_chunk)):
         raw = np.empty(2 * min(per_chunk, n_pairs - start) * k)

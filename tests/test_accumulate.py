@@ -10,7 +10,6 @@ from gapsandwich.accumulate import (
     EXP_SATURATION,
     LogSumExp,
     Moments,
-    _tree_sum,
     log_mean_exp,
     logsumexp,
 )
@@ -206,34 +205,10 @@ class TestMerge:
         assert close(mean, whole_mean) and close(stderr, whole_stderr)
 
 
-def numpy_sum_by_leaves(values, cap):
-    """values' sum as _tree_sum takes it, leaf by leaf."""
-    return _tree_sum(lambda lo, size: np.add.reduce(values[lo:lo + size]),
-                     0, values.size, cap)
-
-
 class TestLeafByLeaf:
-    """A scratch shorter than the values takes every sum leaf by leaf, in
-    numpy's own pairwise order, so no bit moves.  These tests pin numpy's
-    summation order, as the k <= 7 column-add test pins its block mean."""
-
-    @given(st.integers(1, 3 * 2**19), st.integers(128, 2**15),
-           st.integers(0, 2**32 - 1))
-    @example(2**19, 2**14, 1)
-    @example(475_712, 2**14, 2)
-    @example(3 * 2**19, 128, 3)
-    @example(1_000_003, 129, 4)  # a prime
-    @example(65_521, 2**15, 5)  # a prime
-    @example(8 * 40_001 + 1, 1000, 6)
-    @example(8 * 40_001 - 1, 2**14 + 1, 7)
-    @example(129, 128, 8)
-    @settings(max_examples=40, deadline=None)
-    def test_leaf_sums_equal_numpys(self, n, cap, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal(n) * rng.exponential(1.0, n) * 1e3
-        total = numpy_sum_by_leaves(values, cap)
-        assert total == np.add.reduce(values) == values.sum()
-        assert total / n == values.mean()
+    """No sum is taken leaf by leaf: a scratch holds every value, so each
+    sum is numpy's own over a whole vector, and one shorter than the values
+    is refused."""
 
     @pytest.mark.parametrize("values", [
         np.zeros(5000), np.full(4099, 3.25), np.full(300, -0.1),
@@ -243,28 +218,39 @@ class TestLeafByLeaf:
     ])
     @pytest.mark.parametrize("cap", [128, 1000, 2**14])
     def test_short_scratch_keeps_every_field(self, values, cap):
-        full = np.empty(values.size)
+        # The shortest scratch allowed, exactly as long as the values, keeps
+        # every field; cap floats are refused unless they hold the values.
+        exact = np.full(values.size, np.nan)
+        assert Moments.of(values, scratch=exact) == Moments.of(values)
+        assert LogSumExp.of(values, scratch=exact) == LogSumExp.of(values)
         short = np.full(cap, np.nan)
-        assert Moments.of(values, scratch=short) == Moments.of(values, scratch=full)
-        assert (LogSumExp.of(values, scratch=short)
-                == LogSumExp.of(values, scratch=full))
+        if cap < values.size:
+            with pytest.raises(ValueError, match="shorter"):
+                Moments.of(values, scratch=short)
+            with pytest.raises(ValueError, match="shorter"):
+                LogSumExp.of(values, scratch=short)
+        else:
+            assert Moments.of(values, scratch=short) == Moments.of(values)
 
     @pytest.mark.parametrize("cap", [128, 2**14])
     def test_short_scratch_keeps_neg_inf_log_sum_exp(self, cap):
         values = np.random.default_rng(10).normal(0.0, 30.0, 50_000)
         values[::7] = -np.inf
-        full = np.empty(values.size)
-        assert (LogSumExp.of(values, scratch=np.empty(cap))
-                == LogSumExp.of(values, scratch=full))
+        exact = np.empty(values.size)
+        assert LogSumExp.of(values, scratch=exact) == LogSumExp.of(values)
         values[:] = -np.inf
-        assert (LogSumExp.of(values, scratch=np.empty(cap))
-                == LogSumExp.of(values, scratch=full) == (values.size, 0.0, 0.0))
+        assert (LogSumExp.of(values, scratch=exact) == LogSumExp.of(values)
+                == (values.size, 0.0, 0.0))
+        with pytest.raises(ValueError, match="shorter"):
+            LogSumExp.of(values, scratch=np.empty(cap))
 
-    def test_scratch_below_numpys_block_is_refused(self):
-        with pytest.raises(ValueError, match="128"):
-            Moments.of(np.ones(200), scratch=np.empty(127))
-        with pytest.raises(ValueError, match="128"):
-            LogSumExp.of(np.ones(200), scratch=np.empty(127))
+    def test_scratch_shorter_than_the_values_is_refused(self):
+        values = np.ones((20, 10))
+        for axis in (None, 0, 1):
+            with pytest.raises(ValueError, match="199 floats"):
+                LogSumExp.of(values, axis=axis, scratch=np.empty(199))
+        with pytest.raises(ValueError, match="199 floats"):
+            Moments.of(values, scratch=np.empty(199))
 
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 40),
            st.integers(0, 3), st.integers(0, 2**32 - 1))

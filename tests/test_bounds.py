@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -151,6 +152,31 @@ class TestOptimalC:
         at_star = sandwich(s, c_star).upper_mean
         assert at_star <= sandwich(s, c_star + 0.1).upper_mean
         assert at_star <= sandwich(s, c_star - 0.1).upper_mean
+
+
+def stderr_at_50_digits(d):
+    """se(mean r) / mean r of the ratios r = exp(d), with the n - 1 variance,
+    in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        r = [mpmath.exp(mpmath.mpf(float(x))) for x in d]
+        mean = mpmath.fsum(r) / len(r)
+        var = mpmath.fsum((x - mean) ** 2 for x in r) / (len(r) - 1)
+        return float(mpmath.sqrt(var / len(r)) / mean)
+
+
+class TestLogRatioMeanStderr:
+    """The delta-method stderr of log mean(Y/X) against a 50-digit oracle,
+    at small n, where the n / (n - 1) factor matters, and at relative
+    spreads down to 1e-6, which are not zero spread."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    @pytest.mark.parametrize("spread", [1e-6, 1e-5, 1e-4, 1e-3, 1e-1])
+    def test_matches_the_oracle(self, n, spread):
+        d = np.log1p(spread * np.linspace(-1.0, 1.0, n))
+        got = log_ratio_mean(PairedSamples(np.zeros(n), d)).stderr
+        want = stderr_at_50_digits(d)
+        assert got != 0.0
+        assert abs(got - want) <= 5e-3 * want
 
 
 class TestOptimalUpperAndMidpoint:

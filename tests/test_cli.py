@@ -452,8 +452,10 @@ class TestVaePipeline:
                 repr(res.upper), repr(res.upper_stderr), repr(res.elbo),
                 str(res.saturated)])
 
-    @pytest.mark.parametrize("ks", ["1,0", "1,x"])
+    @pytest.mark.parametrize("ks", ["1,0", "1,x", "2,2", "4,1", "1,4,2"])
     def test_bad_k_sweep_exits_2_before_writing(self, tmp_path, capsys, ks):
+        # A repeated k would write its row twice, and an unordered list is
+        # refused as analytic's --k is.
         ckpt = str(tmp_path / "v.ckpt")
         save_model(ckpt, ToyVae.init(5, 0.04))
         out = tmp_path / "e.csv"

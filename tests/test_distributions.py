@@ -222,7 +222,7 @@ class TestErlang:
 
     @pytest.mark.parametrize("a", SHAPES)
     def test_cell_bits_do_not_depend_on_the_thread_count(self, a, monkeypatch):
-        monkeypatch.setattr(sweep, "CHUNK_DRAWS", 4096)
+        monkeypatch.setattr(sweep, "CHUNK_FLOATS", 4096)
         cfg = sweep.SweepConfig(k_values=(4,), n_pairs=3000, replications=1,
                                 base_seed=45, c_policy=sweep.CPolicy("zero"))
         ref = reference_rows(Gamma(float(a), 1.0), cfg)

@@ -32,7 +32,7 @@ def load_bench(name):
 def test_tracer_counts_the_sweep_layers_and_repeats():
     spans = load_bench("spans")
     # k = 1 cells fit one chunk, k = 64 cells take two, on two workers.
-    n_pairs = sweep.CHUNK_DRAWS // 128 + 5
+    n_pairs = sweep.CHUNK_FLOATS // 128 + 5
     cfg = sweep.SweepConfig(k_values=(1, 64), n_pairs=n_pairs,
                             replications=2, base_seed=3)
     originals = (sweep.sample, sweep.paired_from_halves, sweep._run_cell)

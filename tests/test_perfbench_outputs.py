@@ -38,7 +38,7 @@ def test_tiny_workload_in_small_chunks_is_identical_across_threads(
     # runs inline at both thread counts.  These sizes cut each sweep cell,
     # C-network epoch and evaluate into at least 2 chunks, and let two
     # workers take them however few log-ratios they hold.
-    monkeypatch.setattr(sweep, "CHUNK_DRAWS", 1024)
+    monkeypatch.setattr(sweep, "CHUNK_FLOATS", 1024)
     monkeypatch.setattr(vae, "CHUNK_POINTS", 128)
     monkeypatch.setattr(vae, "WORKER_RATIOS", 1)
     chunk_counts = []

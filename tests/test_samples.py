@@ -112,6 +112,11 @@ class TestPairedFromHalves:
         with pytest.raises(LengthNotDivisible):
             paired_from_halves(np.ones(5), k=1)
 
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_scratch_shorter_than_the_pairs_is_refused(self, k):
+        with pytest.raises(ValueError, match="4 floats"):
+            paired_from_halves(np.ones(2 * 5 * k), k, scratch=np.empty(4))
+
 
 class TestBlockMeans:
     """The k-block means paired_from_halves takes in one scan of the draws."""
@@ -141,11 +146,19 @@ class TestBlockMeans:
     @pytest.mark.parametrize("n", [1, 5, 1001])
     @pytest.mark.parametrize("rows", [1, 3, 64, 5000])
     def test_pairs_may_overwrite_the_first_draws(self, k, n, rows):
-        # Row blocks of any size through the scratch overwrite only draws
-        # already read, and keep the bits of one whole pass.
+        # Through a scratch of at least n floats, the pairs overwrite only
+        # draws already read and keep the bits of pairing into new vectors;
+        # a shorter scratch is refused before any draw is overwritten.
         rng = np.random.default_rng(100 * k + n)
         raw = rng.gamma(2.0, size=2 * n * k) * 10.0 ** rng.uniform(-3, 3, 2 * n * k)
         expected = paired_from_halves(raw.copy(), k)
+        if rows < n:
+            before = raw.copy()
+            with pytest.raises(ValueError, match="shorter"):
+                paired_from_halves(raw, k, out=(raw[:n], raw[n:2 * n]),
+                                   scratch=np.full(rows, np.nan))
+            assert raw.tobytes() == before.tobytes()
+            return
         s = paired_from_halves(raw, k, out=(raw[:n], raw[n:2 * n]),
                                scratch=np.full(rows, np.nan))
         assert raw[:n].tobytes() == expected.lx.tobytes()

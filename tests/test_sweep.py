@@ -11,6 +11,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gapsandwich import parallel, sweep, verify
 from gapsandwich.accumulate import LogSumExp, Moments
@@ -21,9 +23,8 @@ from gapsandwich.parallel import THREADS_ENV, resolve_threads
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples, paired_from_halves
 from gapsandwich.sweep import (
-    CHUNK_DRAWS,
+    CHUNK_FLOATS,
     CSV_HEADER,
-    SCRATCH_FLOATS,
     CPolicy,
     SweepConfig,
     run_sweep,
@@ -183,11 +184,12 @@ class TestRunSweep:
 
 
 class TestChunkedCells:
-    """Each cell draws chunks of CHUNK_DRAWS // (2k) pairs, chunk j from the
-    SFC64 stream under derive_key(cell_seed, j); the last chunk is short."""
+    """Each cell draws chunks of CHUNK_FLOATS // (2k + 1) pairs, chunk j from
+    the SFC64 stream under derive_key(cell_seed, j); the last chunk is
+    short."""
 
     K = 64
-    PER_CHUNK = CHUNK_DRAWS // (2 * K)
+    PER_CHUNK = CHUNK_FLOATS // (2 * K + 1)
 
     def test_pairs_are_the_concatenated_chunks(self):
         n_pairs = 2 * self.PER_CHUNK + 37
@@ -277,7 +279,7 @@ class TestChunkedCells:
         monkeypatch.setattr(verify, "run_sweep", recording_run_sweep)
         assert verify.check_sweep_reproducibility(7, n).passed
         assert any(
-            cfg.n_pairs > max(1, CHUNK_DRAWS // (2 * k))
+            cfg.n_pairs > max(1, CHUNK_FLOATS // (2 * k + 1))
             for cfg in configs for k in cfg.k_values
         )
 
@@ -339,7 +341,8 @@ class TestChunkedCells:
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_each_chunk_pairs_in_its_workers_buffer(self, k, monkeypatch):
         # At every k the pairs lie over the chunk's first 2m draws, and the
-        # pairing's scratch lies past the draws, in the same buffer.
+        # pairing's scratch, as long as the pairs, lies past the draws in
+        # the same buffer, which holds nothing more.
         calls = []
 
         def recording(raw, k, out=None, scratch=None):
@@ -347,7 +350,7 @@ class TestChunkedCells:
             return paired_from_halves(raw, k, out, scratch)
 
         monkeypatch.setattr(sweep, "paired_from_halves", recording)
-        per_chunk = CHUNK_DRAWS // (2 * k)
+        per_chunk = CHUNK_FLOATS // (2 * k + 1)
         cfg = SweepConfig(k_values=(k,), n_pairs=3 * per_chunk, replications=1,
                           base_seed=18)
         run_sweep(Gamma(2.0, 1.0), cfg, threads=2)
@@ -355,7 +358,7 @@ class TestChunkedCells:
         buffers = {id(raw.base) for raw, _, _ in calls}
         assert len(buffers) <= 2
         for raw, (lx, d), scratch in calls:
-            assert raw.base.size == CHUNK_DRAWS + SCRATCH_FLOATS
+            assert raw.base.size == (2 * k + 1) * per_chunk
             assert lx.base is raw.base and d.base is raw.base
             assert lx.size == d.size == per_chunk
             assert np.shares_memory(lx, raw[:per_chunk])
@@ -364,8 +367,9 @@ class TestChunkedCells:
             assert not np.shares_memory(d, raw[:per_chunk])
             assert not np.shares_memory(d, raw[2 * per_chunk:])
             assert scratch.base is raw.base
-            assert scratch.size == SCRATCH_FLOATS
+            assert scratch.size == per_chunk
             assert not np.shares_memory(scratch, raw)
+            assert np.shares_memory(scratch, raw.base[-per_chunk:])
 
     @pytest.mark.parametrize("per_chunk", [193, 1000, 3281, 32768])
     def test_pilot_boundary_inside_on_and_across_chunks(self, per_chunk,
@@ -375,7 +379,7 @@ class TestChunkedCells:
         # chunks of 1000, on the end of chunk 0 of chunks of 3281, and
         # inside the one chunk of 32768 then 37.
         k, n_pairs = 16, 32805
-        monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * k * per_chunk)
+        monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * k + 1) * per_chunk)
         policy = CPolicy("pilot-optimal")
         pilot = policy.pilot_pairs(n_pairs)
         assert pilot == 3281
@@ -404,11 +408,11 @@ class TestChunkedCells:
     def test_many_pilot_chunks_on_more_workers_than_cores(self, monkeypatch):
         # Six cells on four workers while the interpreter switches threads
         # often.  Each cell's 330-pair pilot spans 33 chunks of 10 pairs at
-        # k = 4 and 9 of 40 at k = 1: the first pass runs all but the last
+        # k = 4 and 11 of 30 at k = 1: the first pass runs all but the last
         # of them, out of order, and each cell's tail merges their partials
         # in chunk order.  A chunk that drew into another's buffer, or
         # partials merged out of order, would change a row.
-        monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * 4 * 10)
+        monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * 4 + 1) * 10)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3300, replications=3,
                           base_seed=26)
         dist = LogNormal(0.0, 1.0)
@@ -424,13 +428,13 @@ class TestChunkedCells:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_pilot_chunk_is_raised_and_the_pool_is_joined(
             self, threads, monkeypatch):
-        # Chunks of 100 pairs at k = 1 and 25 at k = 4; the pilot is 300
+        # Chunks of 100 pairs at k = 1 and 33 at k = 4; the pilot is 300
         # pairs, so the first pass runs chunks 0-1 of each k = 1 cell and
-        # 0-10 of each k = 4 cell.  Cell (1, 0)'s chunk 1 fails late, while
+        # 0-8 of each k = 4 cell.  Cell (1, 0)'s chunk 1 fails late, while
         # at two threads the other worker runs on through the other cells'
         # chunks.  A worker left hanging trips the session's faulthandler
         # timeout, which ends the run with every thread's stack.
-        monkeypatch.setattr(sweep, "CHUNK_DRAWS", 2 * 100)
+        monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * 1 + 1) * 100)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3000, replications=2,
                           base_seed=27)
         lost = derive_key(derive_key(27, 0, 1), 1)
@@ -487,12 +491,11 @@ class TestChunkedCells:
             assert run_sweep(dist, cfg, threads=threads) == ref
 
     def test_cell_peak_does_not_grow_with_n(self):
-        # At k = 1 one worker's buffer holds CHUNK_DRAWS + SCRATCH_FLOATS
-        # floats, about 4.1 MiB: the pairs lie over the raw halves, and the
-        # reductions go leaf by leaf through the scratch, with no temporary
-        # as large as a vector.  A cell that held its pairs would take 16
-        # bytes more per pair.  A small sweep first loads what a cell
-        # imports on its first draw.
+        # At k = 1 one worker's buffer holds 3m <= CHUNK_FLOATS floats, 4 MiB:
+        # the pairs lie over the raw halves, and the reductions take their
+        # temporaries in the scratch of m floats past them.  A cell that
+        # held its pairs would take 16 bytes more per pair.  A small sweep
+        # first loads what a cell imports on its first draw.
         run_sweep(Gamma(2.0, 1.0), SweepConfig(k_values=(1,), n_pairs=2,
                                                replications=1, base_seed=25))
         peaks = []
@@ -505,8 +508,8 @@ class TestChunkedCells:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert 8 * CHUNK_DRAWS <= min(peaks)
-        assert max(peaks) <= 8 * (CHUNK_DRAWS + SCRATCH_FLOATS) + 2**20
+        assert 8 * 3 * (CHUNK_FLOATS // 3) <= min(peaks)
+        assert max(peaks) <= 8 * CHUNK_FLOATS + 2**20
 
     @pytest.mark.parametrize("k_values", [(1,), (1, 4)])
     def test_buffers_die_when_the_sweep_returns(self, k_values, monkeypatch):
@@ -523,7 +526,7 @@ class TestChunkedCells:
         monkeypatch.setattr(sweep, "_chunk_buffers", recording)
         # Two cells of two chunks or more: two tails, and two later chunks
         # or more, so two threads get a buffer each.
-        cfg = SweepConfig(k_values=k_values, n_pairs=CHUNK_DRAWS // 2 + 5,
+        cfg = SweepConfig(k_values=k_values, n_pairs=CHUNK_FLOATS // 2 + 5,
                           replications=2, base_seed=26)
         enabled = gc.isenabled()
         gc.disable()
@@ -535,18 +538,39 @@ class TestChunkedCells:
             if enabled:
                 gc.enable()
 
+    @given(st.integers(1, 4096), st.integers(2, 10**8),
+           st.sampled_from([CHUNK_FLOATS, 1000, 7]))
+    def test_every_chunk_fits_its_draws_and_a_scratch_of_its_pairs(
+            self, k, n_pairs, chunk_floats):
+        # The layout from _chunking alone, allocating nothing: a chunk of m
+        # pairs draws into buf[:2mk] and takes the m floats past them as its
+        # scratch, in a buffer of (2k + 1) min(per_chunk, n_pairs) floats.
+        # Every chunk but the last has per_chunk pairs.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep, "CHUNK_FLOATS", chunk_floats)
+            per_chunk, n_chunks = sweep._chunking(n_pairs, k)
+        buffer = (2 * k + 1) * min(per_chunk, n_pairs)
+        last = n_pairs - (n_chunks - 1) * per_chunk
+        assert 1 <= last <= per_chunk
+        for m in (min(per_chunk, n_pairs), last):
+            assert buffer - 2 * m * k >= m
+        if 2 * k + 1 <= chunk_floats:
+            assert buffer <= chunk_floats
+        else:
+            assert per_chunk == 1
+
     def test_every_buffer_holds_at_most_one_chunk_and_its_scratch(self):
         for k_values in [(1,), (1, 4, 16), (3, 7), (64,), (1, 2, 3, 5, 8)]:
             for n_pairs in (2, 1000, 300_001, 10**6):
                 cfg = SweepConfig(k_values=k_values, n_pairs=n_pairs,
                                   replications=1, base_seed=1)
                 for buf in sweep._chunk_buffers(cfg, 3):
-                    assert buf.size <= CHUNK_DRAWS + SCRATCH_FLOATS
+                    assert buf.size <= CHUNK_FLOATS
 
 
 # A Gamma(2, 1) sweep at base seed 31, k = 1 and 64, 4200 pairs, two
 # replications: each k = 1 cell is one chunk and each k = 64 cell two, at
-# the real CHUNK_DRAWS.  Per row: (k, replication, n, seed, saturated_pairs)
+# the real CHUNK_FLOATS.  Per row: (k, replication, n, seed, saturated_pairs)
 # and (lower_mean, lower_stderr, upper_mean, upper_stderr, ratio_mean,
 # c_used, midpoint).  A new stream or chunk size must be recorded here, with
 # its old and new values in CHANGES.md.
@@ -561,13 +585,13 @@ PINNED_SWEEP = {
           0.05540817675405221, 2.175729261000389, 0.7250221156308703,
           0.8047233009012937)),
         ((64, 0, 3780, 2705577056092244467, 0),
-         (0.6916541011980217, 0.0014301686181693877, 0.698421383580946,
-          0.00145617729304514, 1.0067902302433676, 0.006705281545962727,
-          0.6950377414284978)),
+         (0.6918777235155273, 0.0014493174400033674, 0.6984348445144625,
+          0.0014532739979524827, 1.0065756159025776, 0.004093332903830849,
+          0.6951547689400899)),
         ((64, 1, 3780, 18142339541595575362, 0),
-         (0.687727403386085, 0.0014421764084412883, 0.6954374024322916,
-          0.0014484970967478697, 1.0076466326993814, 0.02124649610512197,
-          0.6915361760808059)),
+         (0.6874252629978145, 0.0014376630453863868, 0.6952468707986695,
+          0.0014647665448187675, 1.0077458081305855, 0.022287042046330363,
+          0.6912832446849256)),
     ],
     "fixed:0.5": [
         ((1, 0, 4200, 13253156795846853237, 0),
@@ -577,11 +601,11 @@ PINNED_SWEEP = {
          (0.42080601707642135, 0.012452952606252524, 1.2337229119445072,
           0.06377433195814831, 2.1646340112305777, 0.5, 0.8069316666933175)),
         ((64, 0, 4200, 2705577056092244467, 0),
-         (0.6919331678088185, 0.0013525906916876276, 0.8025785245094947,
-          0.0010019092465292485, 1.0067839884466714, 0.5, 0.6953137081800302)),
+         (0.6920924691483351, 0.001365832694687935, 0.8024613922643314,
+          0.000996887881345182, 1.0063282265156739, 0.5, 0.6952466128311771)),
         ((64, 1, 4200, 18142339541595575362, 0),
-         (0.6871486335750177, 0.0013690998292138663, 0.7991558711557378,
-          0.00100203445029138, 1.009029350421761, 0.5, 0.6916430483612925)),
+         (0.6869469177991685, 0.001366058386533379, 0.7990727941411863,
+          0.001024521566004871, 1.009224952671041, 0.5, 0.6915382491383242)),
     ],
 }
 
@@ -619,7 +643,7 @@ class TestWorkers:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
-        per_chunk = CHUNK_DRAWS // (2 * 64)
+        per_chunk = CHUNK_FLOATS // (2 * 64 + 1)
         dist = Gamma(2.0, 1.0)
 
         def sweep_of(k_values, replications, n_pairs, policy="pilot-optimal"):
@@ -643,8 +667,10 @@ class TestWorkers:
         assert sweep_of((16, 64), 1, 2 * per_chunk + 1) == [2, 2]
 
     def test_one_chunk_cell_allocates_one_buffer(self):
-        # One raw buffer is CHUNK_DRAWS floats, 4 MiB; eight would take 32 MiB.
-        cfg = SweepConfig(k_values=(64,), n_pairs=CHUNK_DRAWS // (2 * 64),
+        # One buffer is 129 m <= CHUNK_FLOATS floats, 4 MiB; eight would take
+        # 32 MiB.
+        per_chunk = CHUNK_FLOATS // (2 * 64 + 1)
+        cfg = SweepConfig(k_values=(64,), n_pairs=per_chunk,
                           replications=1, base_seed=20)
         tracemalloc.start()
         try:
@@ -652,7 +678,7 @@ class TestWorkers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 8 * CHUNK_DRAWS <= peak < 12 * CHUNK_DRAWS
+        assert 8 * 129 * per_chunk <= peak < 12 * CHUNK_FLOATS
 
 
 class TestResolveThreads:
