@@ -54,9 +54,9 @@ def _divisor(scale: float) -> float:
 class Moments(NamedTuple):
     """Mergeable sample moments of a block of n values.
 
-    scale is max |v|; mean and m2 are the mean of v / s and the sum of the
-    squared deviations of v / s from it, where s is _divisor(scale).  The
-    empty block, n = 0, is the identity of merge.
+    scale is max |v|, or a value of its order; mean and m2 are the mean of
+    v / s and the sum of the squared deviations of v / s from it, where s
+    is _divisor(scale).  The empty block, n = 0, is the identity of merge.
     """
 
     n: int
@@ -133,7 +133,8 @@ class LogSumExp(NamedTuple):
            scratch: np.ndarray | None = None) -> "LogSumExp":
         """The partial of values, or of each slice along axis; with scratch,
         a float64 vector at least as long as values, no temporary as large
-        as values is allocated."""
+        as values is allocated, and its head is left holding
+        exp(values - shift)."""
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return cls(0, 0.0, 0.0)

@@ -15,21 +15,21 @@ sandwich(s, C) is the one estimator over a batch of pairs: its BoundReport
 holds the lower bound and the upper bound at C with their stderrs, the
 mean ratio, the midpoint and the saturation count.  C* is
 log_ratio_mean(s).mean, and the tightest bound is lower_mean + C*.
-upper_moments is the one kernel that forms upper terms, at one C or one
-C per pair.
 
-bound_report assembles a report from three mergeable partials (the Moments
-of lx and of the upper terms, and the LogSumExp of d) and the saturation
-count.  sandwich takes them over one batch of pairs; a sweep cell takes
-them per chunk, with upper_moments over the chunk's own pairs, and merges
-them in chunk order.
+The upper terms lx - 1 + C + exp(M - C) w, with M = max d and
+w = exp(d - M), are affine in exp(-C), so UpperPartial reduces a block of
+pairs without C and gives the Moments of its upper terms at any C that
+saturates no exponent.  bound_report merges blocks' partials in order into
+a report.  upper_moments forms the upper terms pair by pair, at one C or
+one C per pair, as a block that saturates at its C needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import reduce
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,6 +109,58 @@ def upper_moments(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
     return Moments.of(terms, scratch=scaled), saturated
 
 
+class UpperPartial(NamedTuple):
+    """The upper terms of a block of pairs, reduced without C.
+
+    lower is the Moments of lx, log_ratio the LogSumExp (n, M, sum of w) of
+    d with w = exp(d - M), w_m2 the sum of the squared deviations of w, and
+    co the sum of the products of the deviations of lx / s, s lower's
+    divisor, and of w."""
+
+    lower: Moments
+    log_ratio: LogSumExp
+    w_m2: float
+    co: float
+
+    @classmethod
+    def of(cls, lx: np.ndarray, d: np.ndarray,
+           out: tuple[np.ndarray, np.ndarray] | None = None) -> "UpperPartial":
+        """The partial of n >= 1 pairs (lx, d).  out, two float64 vectors of
+        at least n elements, takes the temporaries, so none is allocated; it
+        may be (d, scratch), and d is then overwritten."""
+        n = lx.size
+        w, work = (np.empty(n), np.empty(n)) if out is None else out
+        w, work = w[:n], work[:n]
+        lower = Moments.of(lx, scratch=work)
+        log_ratio = LogSumExp.of(d, scratch=w)  # leaves w = exp(d - M) there
+        w -= log_ratio.total / n
+        # lx / s centred, as Moments.of forms it: uncentred, the co-moment
+        # would cancel when lx has a large mean.
+        np.divide(lx, lower.scale or 1.0, out=work)
+        work -= lower.mean
+        co = float(np.multiply(work, w, out=work).sum())
+        return cls(lower, log_ratio, float(np.square(w, out=w).sum()), co)
+
+    def at(self, c: float) -> Moments | None:
+        """The Moments of the upper terms at a finite C, or None if some
+        exponent d - C saturates: those terms need upper_moments."""
+        if not math.isfinite(c):
+            raise ValueError(f"C must be finite, got {c!r}")
+        n, shift, total = self.log_ratio
+        if shift - c > EXP_SATURATION:
+            return None
+        # (n - 1) Var(U) = m2(lx) + a^2 m2(w) + 2 a c(lx, w) with a = e^(M-C),
+        # every term taken in units of the terms' scale s.
+        a = math.exp(shift - c)
+        scale = max(self.lower.scale, abs(c - 1.0), a)
+        s = scale or 1.0
+        rl, ra = self.lower.scale / s, a / s
+        mean = self.lower.mean * rl + (c - 1.0) / s + ra * (total / n)
+        m2 = (self.lower.m2 * rl * rl + ra * ra * self.w_m2
+              + 2.0 * ra * rl * self.co)
+        return Moments(n, scale, mean, max(m2, 0.0))
+
+
 def log_ratio_mean(s: PairedSamples) -> Estimate:
     """log of the sample mean of Y_i/X_i, with a delta-method stderr.
 
@@ -132,37 +184,34 @@ def log_ratio_mean(s: PairedSamples) -> Estimate:
     return Estimate(log_mean, stderr)
 
 
-def bound_report(lower: Moments, upper: Moments, log_ratio: LogSumExp,
-                 saturated: int, c: float, k: int) -> BoundReport:
-    """The report of pairs whose lx have Moments lower, whose upper terms
-    at C have Moments upper, and whose d have LogSumExp log_ratio."""
+def bound_report(blocks: Sequence[tuple[UpperPartial, tuple[Moments, int]]],
+                 c: float, k: int) -> BoundReport:
+    """The report at C of blocks of pairs, each its UpperPartial with the
+    Moments and saturation count of its upper terms at C, merged in block
+    order."""
+    lower = reduce(Moments.merge, (part.lower for part, _ in blocks))
+    upper = reduce(Moments.merge, (moments for _, (moments, _) in blocks))
+    log_ratio = reduce(LogSumExp.merge, (part.log_ratio for part, _ in blocks))
     lower_mean, lower_stderr = lower.mean_stderr()
-    upper_mean, upper_stderr = upper.mean_stderr()
     log_ratio_mean = float(log_ratio.log_mean())
     return BoundReport(
-        lower_mean=lower_mean,
-        lower_stderr=lower_stderr,
-        upper_mean=upper_mean,
-        upper_stderr=upper_stderr,
-        ratio_mean=math.exp(min(log_ratio_mean, EXP_SATURATION)),
-        c_used=c,
-        n=lower.n,
-        k=k,
-        midpoint=lower_mean + 0.5 * log_ratio_mean,
-        saturated_pairs=saturated,
-    )
+        lower_mean, lower_stderr, *upper.mean_stderr(),
+        ratio_mean=math.exp(min(log_ratio_mean, EXP_SATURATION)), c_used=c,
+        n=lower.n, k=k, midpoint=lower_mean + 0.5 * log_ratio_mean,
+        saturated_pairs=sum(saturated for _, (_, saturated) in blocks))
 
 
 def sandwich(s: PairedSamples, c: float) -> BoundReport:
-    """The report of one batch of pairs at a finite C: bound_report of the
-    lx Moments, the upper_moments at C and the LogSumExp of d.
+    """The report of one batch of pairs at a finite C: bound_report of its
+    UpperPartial, with upper_moments where an exponent saturates.
 
     Every bound estimate of the batch is one of its fields, or, for C* and
     the tightest bound lower_mean + C*, log_ratio_mean(s).mean.
     """
-    upper, saturated = upper_moments(s.lx, s.d, c)
-    return bound_report(Moments.of(s.lx), upper, LogSumExp.of(s.d), saturated,
-                        c, s.k)
+    partial = UpperPartial.of(s.lx, s.d)
+    upper = partial.at(c)
+    return bound_report([(partial, upper_moments(s.lx, s.d, c) if upper is None
+                          else (upper, 0))], c, s.k)
 
 
 def optimal_h_check(

@@ -2,12 +2,12 @@
 
 Every Monte Carlo pass in the package splits its work into tasks j = 0, 1,
 ... whose boundaries and random streams depend on j alone, never on the
-thread count, and each task writes its results into its own slot of the
-caller's arrays or lists.  A task is a chunk of datapoints in the VAE's
-passes and one chunk of a cell in a sweep.  map_chunks runs such tasks on
-a pool, one worker per scratch object in the list that the pass builds, so
-a pass allocates its working buffers once and its results are
-bit-identical at any thread count.
+thread count.  A task is a chunk of datapoints in the VAE's passes, which
+writes its results into its own slot of the caller's arrays, and one chunk
+of a cell in a sweep, which returns its partials.  map_chunks runs such
+tasks on a pool, one worker per scratch object in the list that the pass
+builds, and returns their results in chunk order, so a pass allocates its
+working buffers once and its results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import ParseError
 
 THREADS_ENV = "GAPSANDWICH_THREADS"
 
+R = TypeVar("R")
 S = TypeVar("S")
 
 
@@ -43,9 +44,10 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def map_chunks(task: Callable[[int, S], None], n_chunks: int,
-               scratch: Sequence[S]) -> None:
-    """Run task(j, s) for every chunk j < n_chunks.
+def map_chunks(task: Callable[[int, S], R], n_chunks: int,
+               scratch: Sequence[S]) -> list[R]:
+    """Run task(j, s) for every chunk j < n_chunks, and return the tasks'
+    results in chunk order.
 
     The chunks run on min(len(scratch), n_chunks) workers, inline when that
     is at most 1.  s is one of the first that many objects of scratch, which
@@ -55,22 +57,19 @@ def map_chunks(task: Callable[[int, S], None], n_chunks: int,
     """
     workers = min(len(scratch), n_chunks)
     if workers <= 1:
-        for j in range(n_chunks):
-            task(j, scratch[0])
-        return
+        return [task(j, scratch[0]) for j in range(n_chunks)]
     free: queue.SimpleQueue = queue.SimpleQueue()
     for s in scratch[:workers]:
         free.put(s)
 
-    def run(j: int) -> None:
+    def run(j: int) -> R:
         s = free.get()
         try:
-            task(j, s)
+            return task(j, s)
         finally:
             free.put(s)
 
     # map yields in chunk order and raises the first failure in that order;
     # leaving the block cancels what has not started and joins the workers.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(run, range(n_chunks)):
-            pass
+        return list(pool.map(run, range(n_chunks)))

@@ -107,7 +107,8 @@ def paired_from_halves(raw: np.ndarray, k: int,
     allocated either way.  At k >= 2 the block means go through scratch, a
     float64 vector of at least n elements apart from raw and out, or else
     through d; a shorter scratch is a ValueError.  out may be raw[:n] and
-    raw[n:2n], which then hold lx and d; at k >= 2 that needs a scratch.  A
+    raw[n:2n], which then hold lx and d; at k >= 2 an out that may share
+    memory with raw needs a scratch, and is a ValueError without one.  A
     draw that is not positive raises NonPositiveSample here, and one that
     is infinite or NaN makes lx or d non-finite, which PairedSamples
     rejects with the same class.
@@ -129,6 +130,9 @@ def paired_from_halves(raw: np.ndarray, k: int,
                          f"the {n} pairs")
     blocks = raw.reshape(2, n, k)
     lx, d = (np.empty(n), np.empty(n)) if out is None else out
+    if k > 1 and scratch is None and (np.may_share_memory(lx, raw)
+                                      or np.may_share_memory(d, raw)):
+        raise ValueError("pairs written over the draws need a scratch at k >= 2")
     # A block of finite draws may sum to inf, and infinite draws in both
     # halves give inf - inf: PairedSamples rejects the inf or NaN, so numpy
     # need not warn of either.

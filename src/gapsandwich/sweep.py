@@ -1,50 +1,37 @@
 """Orchestration: paired sampling, k-sweeps, replications, CSV output.
 
 Each (k, replication) cell derives its own seed and samples 2*n_pairs*k
-fresh draws of the sweep's distribution in chunks of m pairs, with
+draws of the sweep's distribution in chunks of m pairs,
 m = max(1, CHUNK_FLOATS // (2k + 1)), the last chunk fewer; chunk j draws
-from an SFC64 stream, chunk_bit_generator, under the key
-derive_key(cell_seed, j).  SFC64 draws faster than the package's default
-Philox, and the sampler is most of a sweep's time; the keys come from the
-package's one derivation scheme.
+from an SFC64 stream, chunk_bit_generator, under derive_key(cell_seed, j).
+SFC64 draws faster than the package's default Philox, and the sampler is
+most of a sweep's time.
 
-run_sweep runs every chunk of every cell through parallel.map_chunks, in
-the buffer of the worker that runs it: the chunk draws, pairs its draws
-into lx and d over its first 2m draws (the raw halves themselves at
-k = 1), and reduces its pairs while they are in cache.  A chunk takes the
-LogSumExp of its pilot pairs, the prefix that the CPolicy spends on C, and
-over its working pairs the Moments of lx, the LogSumExp of d, and the
-Moments of the upper terms at C.  C must be fixed before a working pair is
-bounded, so the chunks run in three passes and no thread waits on another:
-first each cell's chunks before its tail, the chunk that holds its last
-pilot pair; then the tails, each of which merges its cell's pilot partials
-in chunk order and fixes C; then every later chunk, at its cell's C.  Each
-pass spreads its chunks over all the workers, whatever the cells, and each
-cell merges its chunks' partials in chunk order after the last pass, so
-its results are bit-identical at any thread count.
-
-run_sweep makes the workers' buffers once, sized for the sweep's largest
-chunk: a chunk of m pairs takes (2k + 1) m floats, its 2mk draws and a
-scratch of m floats past them, at most CHUNK_FLOATS while 2k + 1 is.  The
-pairing's block means and every reduction take their temporaries in that
-scratch, which holds a whole vector of them.  So a sweep holds
-O(threads * CHUNK_FLOATS) floats, 4 MiB a worker, whatever n_pairs is, and
-no vector of a cell's pairs.  A cell of one chunk reports the bits
-bounds.sandwich gives on its pairs; with more chunks the merged means
-differ from those of one whole-vector pass by rounding alone.
+run_sweep makes one buffer per worker, sized for the sweep's largest chunk,
+and runs every chunk of every cell in one parallel.map_chunks call.  A chunk
+draws into its worker's buffer, pairs its draws over themselves and reduces
+its pairs without C, with its temporaries in the pairs and in a scratch of
+m floats past its 2mk draws, so a sweep holds 4 MiB a worker whatever
+n_pairs is.  It takes the LogSumExp of its pilot pairs, the prefix that the
+CPolicy spends on C, and the bounds.UpperPartial of the rest.  Each cell
+merges its pilot partials into C and evaluates each chunk's UpperPartial at
+C.  A chunk whose largest exponent saturates at C is drawn again and bounded
+with bounds.upper_moments, in a second map_chunks call over those chunks
+alone.  Each cell merges its chunks' partials in chunk order, so results are
+bit-identical at any thread count, and a cell of one chunk has the bits
+bounds.sandwich gives on its pairs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import reduce
 
 import numpy as np
 
 from .accumulate import LogSumExp, Moments
-from .bounds import BoundReport, bound_report, upper_moments
+from .bounds import BoundReport, UpperPartial, bound_report, upper_moments
 from .distributions import AnalyticDist, sample
 from .errors import ParseError
 from .parallel import map_chunks, resolve_threads
@@ -196,123 +183,82 @@ def _chunk_buffers(cfg: SweepConfig, workers: int) -> list[np.ndarray]:
     return [np.empty(floats) for _ in range(workers)]
 
 
-class _ChunkSums(NamedTuple):
-    """A chunk's partials over its working pairs: the Moments of lx, the
-    LogSumExp of d, the Moments of the upper terms at C, and the count of
-    saturated exponents."""
-
-    lower: Moments
-    log_ratio: LogSumExp
-    upper: Moments
-    saturated: int
-
-    def merge(self, other: "_ChunkSums") -> "_ChunkSums":
-        return _ChunkSums(self.lower.merge(other.lower),
-                          self.log_ratio.merge(other.log_ratio),
-                          self.upper.merge(other.upper),
-                          self.saturated + other.saturated)
-
-
-def _run_chunk(dist: AnalyticDist, cfg: SweepConfig, k: int, rep: int,
-               j: int, buf: np.ndarray, pilot_sums: LogSumExp | None,
-               c: float | None) -> tuple[LogSumExp | None, float | None,
-                                         _ChunkSums | None]:
-    """Chunk j of cell (k, rep), drawn, paired and reduced in one worker's
-    buffer.
+def _run_chunk(dist: AnalyticDist, cfg: SweepConfig, buf: np.ndarray, k: int,
+               rep: int, j: int, c: float | None = None,
+               ) -> tuple[LogSumExp, UpperPartial | None] | tuple[Moments, int]:
+    """Chunk j of cell (k, rep), drawn, paired and reduced in buf, its
+    worker's buffer.
 
     The chunk is drawn from the chunk_bit_generator stream under
     derive_key(seed, j) and holds pairs [j per_chunk, (j + 1) per_chunk):
     those below the policy's pilot count go to C, the rest to the bounds.
-    The LogSumExp of its pilot pairs is merged after pilot_sums, the cell's
-    earlier pilot chunks' merged in chunk order, and C is fixed from the
-    result if the chunk holds the last pilot pair.  Returns the merged pilot
-    LogSumExp, C, and the partials of the working pairs at C; None where the
-    chunk holds no such pairs.
+    Returns the LogSumExp of its pilot pairs and the UpperPartial of the
+    rest, None if there are none; given C, upper_moments of the rest at C.
     """
     seed = derive_key(cfg.base_seed, rep, k)
     n = cfg.n_pairs
-    pilot = cfg.c_policy.pilot_pairs(n)
     per_chunk = _chunking(n, k)[0]
     start = j * per_chunk
     m = min(per_chunk, n - start)
     raw = buf[:2 * m * k]
     lx, d, scratch = buf[:m], buf[m:2 * m], buf[raw.size:raw.size + m]
-    split = min(max(pilot - start, 0), m)
+    split = min(max(cfg.c_policy.pilot_pairs(n) - start, 0), m)
     sample(dist, raw.size, derive_key(seed, j), raw,
            bit_generator=chunk_bit_generator)
     paired_from_halves(raw, k, out=(lx, d), scratch=scratch)
-    if split:
-        part = LogSumExp.of(d[:split], scratch=scratch)
-        pilot_sums = part if pilot_sums is None else pilot_sums.merge(part)
-        if start + split == pilot:
-            c = float(pilot_sums.log_mean())
-    if split == m:
-        return pilot_sums, c, None
+    pilot = LogSumExp.of(d[:split], scratch=scratch)
     lx, d = lx[split:], d[split:]
-    lower = Moments.of(lx, scratch=scratch)
-    log_ratio = LogSumExp.of(d, scratch=scratch)
-    # The upper terms overwrite the pairs they are formed from.
-    upper, saturated = upper_moments(lx, d, c, out=(d, lx))
-    return pilot_sums, c, _ChunkSums(lower, log_ratio, upper, saturated)
+    if c is not None:
+        # The upper terms overwrite the pairs they are formed from.
+        return upper_moments(lx, d, c, out=(d, lx))
+    return pilot, UpperPartial.of(lx, d, out=(d, scratch)) if d.size else None
 
 
 def _run_cell(cfg: SweepConfig, k: int, rep: int, c: float,
-              sums: list[_ChunkSums | None]) -> SweepRow:
-    """Cell (k, rep)'s row: its chunks' working partials merged in chunk
-    order, chunks of pilot pairs alone left out, and bounded at C.
-
+              chunks: list[tuple[UpperPartial, tuple[Moments, int]]]
+              ) -> SweepRow:
+    """Cell (k, rep)'s row at C, from its chunks' blocks of working pairs;
     perfbench's tracer wraps this function by name, as the cell's span."""
-    total = functools.reduce(_ChunkSums.merge,
-                             (part for part in sums if part is not None))
     return SweepRow(k=k, replication=rep, seed=derive_key(cfg.base_seed, rep, k),
-                    report=bound_report(total.lower, total.upper,
-                                        total.log_ratio, total.saturated, c, k))
+                    report=bound_report(chunks, c, k))
 
 
 def run_sweep(
     dist: AnalyticDist, cfg: SweepConfig, threads: int | None = None
 ) -> SweepResult:
     """Run every chunk of every (k, replication) cell of draws from dist on
-    the workers, in three passes, and aggregate per k.
+    the workers, bound each cell at its C, and aggregate per k.
 
-    The first pass runs each cell's chunks before its tail, the second the
-    tails, which fix C, and the third every later chunk, at C.
     Deterministic in cfg: cells use derived seeds and chunks derived
-    streams, and each cell merges its chunks' partials in chunk order, so
-    any thread count gives the same SweepResult.
+    streams, so any thread count gives the same SweepResult.
     """
     cells = [(k, r) for k in cfg.k_values for r in range(cfg.replications)]
-    pilot = cfg.c_policy.pilot_pairs(cfg.n_pairs)
-    chunking = [_chunking(cfg.n_pairs, k) for k, _ in cells]
-    # A cell's tail: its chunk that holds the last pilot pair, -1 with no
-    # pilot.
-    tails = [(pilot - 1) // per_chunk for per_chunk, _ in chunking]
-    cs = [None if tail >= 0 else cfg.c_policy.fixed_c() for tail in tails]
-    pilots = [[None] * n_chunks for _, n_chunks in chunking]
-    sums = [[None] * n_chunks for _, n_chunks in chunking]
-    passes = (
-        [(i, j) for i, tail in enumerate(tails) for j in range(tail)],
-        [(i, tail) for i, tail in enumerate(tails) if tail >= 0],
-        [(i, j) for i, tail in enumerate(tails)
-         for j in range(tail + 1, chunking[i][1])],
-    )
+    tasks = [(k, r, j) for k, r in cells
+             for j in range(_chunking(cfg.n_pairs, k)[1])]
+    buffers = _chunk_buffers(cfg, min(resolve_threads(threads), len(tasks)))
 
-    def run_chunk(i: int, j: int, buf: np.ndarray) -> None:
-        earlier = None
-        if j == tails[i] and j:
-            earlier = functools.reduce(LogSumExp.merge, pilots[i][:j])
-        pilots[i][j], c, sums[i][j] = _run_chunk(dist, cfg, *cells[i], j, buf,
-                                                 earlier, cs[i])
-        if j == tails[i]:
-            cs[i] = c
+    def run(chunks: list[tuple]) -> list:
+        return map_chunks(lambda t, buf: _run_chunk(dist, cfg, buf, *chunks[t]),
+                          len(chunks), buffers)
 
-    workers = min(resolve_threads(threads), max(map(len, passes)))
-    buffers = _chunk_buffers(cfg, workers)
-    for tasks in passes:
-        map_chunks(lambda t, buf: run_chunk(*tasks[t], buf), len(tasks),
-                   buffers)
-    rows = [_run_cell(cfg, *cell, cs[i], sums[i])
-            for i, cell in enumerate(cells)]
+    reduced = {cell: [] for cell in cells}
+    for (k, r, _), result in zip(tasks, run(tasks)):
+        reduced[k, r].append(result)
+    cs, uppers = {}, {}
+    for cell, results in reduced.items():
+        pilot = reduce(LogSumExp.merge, (part for part, _ in results))
+        c = float(pilot.log_mean()) if pilot.n else cfg.c_policy.fixed_c()
+        cs[cell] = c
+        uppers[cell] = [None if part is None else (part.at(c), 0)
+                        for _, part in results]
+    # Chunks that saturate at C are drawn again and bounded pair by pair.
+    again = [(k, r, j, cs[k, r]) for (k, r), cell in uppers.items()
+             for j, upper in enumerate(cell) if upper and upper[0] is None]
+    for (k, r, j, _), upper in zip(again, run(again) if again else []):
+        uppers[k, r][j] = upper
+    rows = [_run_cell(cfg, k, r, cs[k, r], [
+        (part, upper) for (_, part), upper in zip(reduced[k, r], uppers[k, r])
+        if part is not None]) for k, r in cells]
 
     aggregates = []
     for k in cfg.k_values:

@@ -4,8 +4,9 @@ that run_sweep's one-pass chunks are compared against.
 Chunk j of a cell holds max(1, CHUNK_FLOATS // (2k + 1)) pairs, the last
 chunk fewer, drawn from SFC64 under derive_key(cell_seed, j) and paired with
 paired_from_halves.  Pairs below the policy's pilot count estimate C; the
-rest are bounded.  Each chunk's partials come from accumulate and
-bounds.upper_moments and merge in chunk order.
+rest are bounded.  Each chunk's working pairs reduce to a
+bounds.UpperPartial, evaluated at C, or bounded with bounds.upper_moments
+where an exponent saturates; the partials merge in chunk order.
 """
 
 from functools import reduce
@@ -13,8 +14,8 @@ from functools import reduce
 import numpy as np
 
 from gapsandwich import sweep
-from gapsandwich.accumulate import LogSumExp, Moments
-from gapsandwich.bounds import bound_report, upper_moments
+from gapsandwich.accumulate import LogSumExp
+from gapsandwich.bounds import UpperPartial, bound_report, upper_moments
 from gapsandwich.distributions import sample
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples, paired_from_halves
@@ -53,15 +54,16 @@ def reference_row(dist, cfg, k, rep, draw=sample):
                          ).log_mean())
     else:
         c = cfg.c_policy.fixed_c()
-    lower = reduce(Moments.merge, (Moments.of(p.lx[s:])
-                                   for p, s in zip(chunks, splits)))
-    log_ratio = reduce(LogSumExp.merge, (LogSumExp.of(p.d[s:])
-                                         for p, s in zip(chunks, splits)))
-    uppers = [upper_moments(p.lx[s:], p.d[s:], c) for p, s in zip(chunks, splits)]
-    upper = reduce(Moments.merge, (m for m, _ in uppers))
-    saturated = sum(n for _, n in uppers)
-    return sweep.SweepRow(k=k, replication=rep, seed=seed, report=bound_report(
-        lower, upper, log_ratio, saturated, c, k))
+    blocks = []
+    for p, s in zip(chunks, splits):
+        if s < p.n:
+            lx, d = p.lx[s:], p.d[s:]
+            part = UpperPartial.of(lx, d)
+            upper = part.at(c)
+            blocks.append((part, upper_moments(lx, d, c) if upper is None
+                           else (upper, 0)))
+    return sweep.SweepRow(k=k, replication=rep, seed=seed,
+                          report=bound_report(blocks, c, k))
 
 
 def reference_rows(dist, cfg, draw=sample):

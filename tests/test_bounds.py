@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gapsandwich.accumulate import EXP_SATURATION, Moments
 from gapsandwich.bounds import (
+    UpperPartial,
     gap_upper_first_order,
     log_ratio_mean,
     optimal_h_check,
@@ -299,6 +301,75 @@ class TestHeavyTails:
         assert gap.saturated == np.count_nonzero(s.d > 700.0)
         ratio = log_ratio_mean(s)
         assert math.isfinite(ratio.mean) and math.isfinite(ratio.stderr)
+
+
+@st.composite
+def split_pairs(draw):
+    """Finite pairs (lx, d), 1 to 40 of them, and the bounds of contiguous
+    chunks that cover them."""
+    n = draw(st.integers(1, 40))
+    lx = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    d = draw(st.lists(st.floats(-2000.0, 2000.0), min_size=n, max_size=n))
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else set()
+    return np.array(lx), np.array(d), [0, *sorted(cuts), n]
+
+
+class TestUpperPartial:
+    @given(split_pairs(), st.floats(-1e4, 1e4))
+    def test_chunks_at_any_c_merge_to_the_whole_upper_moments(self, pairs, c):
+        # Each chunk's partial at C, or upper_moments where it saturates,
+        # merged in chunk order.  The tolerance is in units of the terms'
+        # scale, not of the result, which can cancel; below the smallest
+        # normal float the terms round to nothing.
+        lx, d, bounds = pairs
+        merged, saturated = Moments(0, 0.0, 0.0, 0.0), 0
+        for a, b in zip(bounds, bounds[1:]):
+            part = UpperPartial.of(lx[a:b], d[a:b])
+            work = d[a:b].copy()
+            assert UpperPartial.of(lx[a:b], work,
+                                   out=(work, np.empty(b - a + 3))) == part
+            upper, count = upper_moments(lx[a:b], d[a:b], c)
+            at_c = part.at(c)
+            assert (at_c is None) == (count >= 1)
+            merged = merged.merge(upper if at_c is None else at_c)
+            saturated += count
+        whole, whole_saturated = upper_moments(lx, d, c)
+        assert saturated == whole_saturated
+        scale = max(np.abs(lx).max(), abs(c - 1.0),
+                    math.exp(min(d.max() - c, EXP_SATURATION)),
+                    np.finfo(float).tiny)
+        (mean, std), (whole_mean, whole_std) = merged.mean_std(), whole.mean_std()
+        assert abs(mean - whole_mean) <= 1e-13 * scale
+        assert abs((std / scale) ** 2 - (whole_std / scale) ** 2) <= 1e-13
+
+
+    def test_saturates_only_above_the_threshold(self):
+        part = UpperPartial.of(np.zeros(2), np.array([EXP_SATURATION, 0.0]))
+        assert part.at(0.0) is not None
+        assert part.at(-1e-13) is None
+        assert upper_moments(np.zeros(2), np.array([EXP_SATURATION, 0.0]),
+                             -1e-13)[1] == 1
+
+    def test_concentrated_pairs_far_from_zero_keep_their_spread(self):
+        # lx near 50 with a spread of 0.01: the co-moment is taken over
+        # centred lx, or the spread would move by about 1e-10 relative.
+        s = pairs_for(LogNormal(50.0, 0.01), N, seed=5)
+        mean, std = UpperPartial.of(s.lx, s.d).at(1e-4).mean_std()
+        ref_mean, ref_std = upper_moments(s.lx, s.d, 1e-4)[0].mean_std()
+        assert abs(mean - ref_mean) <= 1e-13 * abs(ref_mean)
+        assert abs(std - ref_std) <= 1e-13 * ref_std
+
+    def test_upper_terms_that_cancel_have_a_finite_stderr(self):
+        # lx = 5 - exp(d - C) makes every upper term 4 + C up to rounding: the
+        # co-moment cancels both spreads, and an m2 that rounds below zero
+        # is no spread, not a math domain error.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d, c = rng.normal(size=20), float(rng.normal())
+            s = PairedSamples(5.0 - np.exp(d - c), d)
+            rep = sandwich(s, c)
+            assert rep.upper_mean == pytest.approx(4.0 + c, abs=1e-14)
+            assert 0.0 <= rep.upper_stderr <= 1e-7
 
 
 class TestOptimalHCheck:

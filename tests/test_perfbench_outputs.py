@@ -45,7 +45,7 @@ def test_tiny_workload_in_small_chunks_is_identical_across_threads(
 
     def recording(task, n_chunks, scratch):
         chunk_counts.append(n_chunks)
-        parallel.map_chunks(task, n_chunks, scratch)
+        return parallel.map_chunks(task, n_chunks, scratch)
 
     monkeypatch.setattr(sweep, "map_chunks", recording)
     monkeypatch.setattr(vae, "map_chunks", recording)

@@ -165,6 +165,19 @@ class TestBlockMeans:
         assert raw[n:2 * n].tobytes() == expected.d.tobytes()
         assert np.shares_memory(s.lx, raw) and np.shares_memory(s.d, raw)
 
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    def test_pairs_over_the_draws_without_a_scratch_are_refused(self, k):
+        # The block means would go through d, over X rows that later column
+        # adds still read: refused before any draw is overwritten.
+        n = 1000
+        raw = np.random.default_rng(k).gamma(2.0, size=2 * n * k)
+        before = raw.copy()
+        for out in ((raw[:n], raw[n:2 * n]), (np.empty(n), raw[n:2 * n]),
+                    (raw[:n], np.empty(n))):
+            with pytest.raises(ValueError, match="scratch"):
+                paired_from_halves(raw, k, out=out)
+            assert raw.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("half", [0, 1])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gapsandwich import parallel, sweep, verify
 from gapsandwich.accumulate import LogSumExp, Moments
-from gapsandwich.bounds import bound_report, log_ratio_mean, sandwich, upper_moments
+from gapsandwich.bounds import UpperPartial, bound_report, log_ratio_mean, sandwich
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError
 from gapsandwich.parallel import THREADS_ENV, resolve_threads
@@ -205,14 +205,15 @@ class TestChunkedCells:
         ]
         expected = PairedSamples(np.concatenate([c.lx for c in chunks]),
                                  np.concatenate([c.d for c in chunks]), k=self.K)
-        # The chunks' partials, merged in chunk order.
-        uppers = [upper_moments(c.lx, c.d, 0.0) for c in chunks]
+        # The chunks' partials, merged in chunk order; no exponent saturates,
+        # so each chunk's upper terms come from its UpperPartial at C.
+        partials = [UpperPartial.of(c.lx, c.d) for c in chunks]
+        assert row.report == bound_report(
+            [(part, (part.at(0.0), 0)) for part in partials], 0.0, self.K)
         lower = reduce(Moments.merge, (Moments.of(c.lx) for c in chunks))
-        upper = reduce(Moments.merge, (m for m, _ in uppers))
         log_ratio = reduce(LogSumExp.merge, (LogSumExp.of(c.d) for c in chunks))
-        saturated = sum(n for _, n in uppers)
-        assert row.report == bound_report(lower, upper, log_ratio, saturated, 0.0,
-                                          self.K)
+        assert (row.report.lower_mean, row.report.lower_stderr) == lower.mean_stderr()
+        assert row.report.ratio_mean == math.exp(log_ratio.log_mean())
         whole = sandwich(expected, 0.0)
         for name in ("lower_mean", "lower_stderr", "upper_mean", "upper_stderr",
                      "ratio_mean", "c_used", "midpoint"):
@@ -302,9 +303,9 @@ class TestChunkedCells:
                                       "uniform:lo=0.5,hi=1.5"])
     def test_cell_is_bitwise_identical_across_threads(self, spec):
         # Two cells of each k; a k = 64 cell has six chunks, the last one
-        # short.  At 2 and 3 threads each pass runs its chunks out of order
-        # and across cells, and a k = 4 or 16 chunk runs in a buffer that a
-        # k = 64 chunk has filled with more draws.
+        # short.  At 2 and 3 threads the chunks run out of order and across
+        # cells, and a k = 4 or 16 chunk runs in a buffer that a k = 64
+        # chunk has filled with more draws.
         cfg = SweepConfig(k_values=(4, 16, self.K),
                           n_pairs=5 * self.PER_CHUNK + 37, replications=2,
                           base_seed=16)
@@ -314,11 +315,10 @@ class TestChunkedCells:
             assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
 
     def test_first_failing_chunk_is_reported_and_the_pool_is_joined(self, monkeypatch):
-        # The pilot is chunk 0 of each cell, so the last pass runs the
-        # k = 16 cell's chunk 1, then the k = 64 cell's chunks 1-5.  The
-        # k = 16 chunk fails 0.2 s after the k = 64 cell's chunk 3: the
-        # failure of the chunk that starts first is raised, not the first
-        # in time.
+        # The pass runs the k = 16 cell's chunks 0-1, then the k = 64 cell's
+        # chunks 0-5.  The k = 16 chunk fails 0.2 s after the k = 64 cell's
+        # chunk 3: the failure of the chunk that starts first is raised, not
+        # the first in time.
         cfg = SweepConfig(k_values=(16, self.K), n_pairs=6 * self.PER_CHUNK,
                           replications=1, base_seed=17)
         failing = {derive_key(derive_key(17, 0, self.K), 3): 64,
@@ -408,10 +408,10 @@ class TestChunkedCells:
     def test_many_pilot_chunks_on_more_workers_than_cores(self, monkeypatch):
         # Six cells on four workers while the interpreter switches threads
         # often.  Each cell's 330-pair pilot spans 33 chunks of 10 pairs at
-        # k = 4 and 11 of 30 at k = 1: the first pass runs all but the last
-        # of them, out of order, and each cell's tail merges their partials
-        # in chunk order.  A chunk that drew into another's buffer, or
-        # partials merged out of order, would change a row.
+        # k = 4 and 11 of 30 at k = 1, which run out of order, and each cell
+        # merges their partials in chunk order.  A chunk that drew into
+        # another's buffer, or partials merged out of order, would change a
+        # row.
         monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * 4 + 1) * 10)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3300, replications=3,
                           base_seed=26)
@@ -429,10 +429,9 @@ class TestChunkedCells:
     def test_failing_pilot_chunk_is_raised_and_the_pool_is_joined(
             self, threads, monkeypatch):
         # Chunks of 100 pairs at k = 1 and 33 at k = 4; the pilot is 300
-        # pairs, so the first pass runs chunks 0-1 of each k = 1 cell and
-        # 0-8 of each k = 4 cell.  Cell (1, 0)'s chunk 1 fails late, while
-        # at two threads the other worker runs on through the other cells'
-        # chunks.  A worker left hanging trips the session's faulthandler
+        # pairs, chunks 0-2 of each k = 1 cell and 0-9 of each k = 4 cell.
+        # Cell (1, 0)'s pilot chunk 1 fails late, while at two threads the
+        # other worker runs on through the other cells' chunks.  A worker left hanging trips the session's faulthandler
         # timeout, which ends the run with every thread's stack.
         monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * 1 + 1) * 100)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3000, replications=2,
@@ -482,6 +481,84 @@ class TestChunkedCells:
             assert rep == reference_rows(Gamma(2.0, 1.0), cfg,
                                          draw=planting)[0].report
 
+    @pytest.fixture
+    def map_calls(self, monkeypatch):
+        """The chunk count of every map_chunks call a sweep makes."""
+        calls = []
+
+        def recording(task, n_chunks, scratch):
+            calls.append(n_chunks)
+            return parallel.map_chunks(task, n_chunks, scratch)
+
+        monkeypatch.setattr(sweep, "map_chunks", recording)
+        return calls
+
+    def test_saturation_in_a_later_chunk_is_drawn_again(self, monkeypatch,
+                                                        map_calls):
+        # Each cell's pilot lies in chunk 0 and gives C near 0.  Chunk 2 of
+        # each cell holds two Y blocks of exp(705), so d - C is near 704: its
+        # partial saturates at C, and the chunk alone is drawn again and
+        # bounded pair by pair.
+        n_pairs = 3 * self.PER_CHUNK
+        cfg = SweepConfig(k_values=(self.K,), n_pairs=n_pairs, replications=2,
+                          base_seed=28, c_policy=CPolicy("pilot-optimal"))
+        planted = {derive_key(derive_key(28, rep, self.K), 2) for rep in (0, 1)}
+
+        def planting(d, n, key, out, *, bit_generator):
+            sample(d, n, key, out, bit_generator=bit_generator)
+            if key in planted:
+                m = n // (2 * self.K)
+                for i in (7, m - 1):
+                    out[(m + i) * self.K:(m + i + 1) * self.K] = math.exp(705.0)
+
+        monkeypatch.setattr(sweep, "sample", planting)
+        dist = Gamma(2.0, 1.0)
+        ref = reference_rows(dist, cfg, draw=planting)
+        for threads in (1, 2, 3):
+            del map_calls[:]
+            assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
+            assert map_calls == [6, 2]
+        pilot = cfg.c_policy.pilot_pairs(n_pairs)
+        for row in ref:
+            pairs = pairs_of(chunk_pairs(dist, row.seed, self.K, n_pairs,
+                                         draw=planting), pilot)
+            assert 0.0 < abs(row.report.c_used) < 0.1
+            assert row.report.saturated_pairs == 2 == np.count_nonzero(
+                pairs.d - row.report.c_used > 700.0)
+
+    def test_every_chunk_saturates_at_a_far_negative_c(self, map_calls):
+        # At C = -1e308 every d - C saturates, so every chunk is drawn again
+        # and every pair is counted.
+        cfg = SweepConfig(k_values=(4, self.K), n_pairs=2 * self.PER_CHUNK + 37,
+                          replications=2, base_seed=29,
+                          c_policy=CPolicy.parse("fixed:-1e308"))
+        dist = LogNormal(0.0, 1.0)
+        ref = reference_rows(dist, cfg)
+        for threads in (1, 2, 3):
+            del map_calls[:]
+            assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
+            assert map_calls == [8, 8]
+        for row in ref:
+            assert row.report.saturated_pairs == row.report.n == cfg.n_pairs
+            assert math.isfinite(row.report.upper_mean)
+            assert math.isfinite(row.report.upper_stderr)
+
+    def test_pilot_partials_merge_in_chunk_order(self, monkeypatch):
+        # The 330-pair pilot of a LogNormal(0, 2) cell at k = 4 spans 33
+        # chunks of 10 pairs, whose LogSumExps merged in reverse order give
+        # C other bits.  The sweep's C has the bits of the chunk-order merge.
+        monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * 4 + 1) * 10)
+        cfg = SweepConfig(k_values=(4,), n_pairs=3300, replications=1,
+                          base_seed=2)
+        dist = LogNormal(0.0, 2.0)
+        parts = [LogSumExp.of(chunk.d)
+                 for chunk in chunk_pairs(dist, derive_key(2, 0, 4), 4, 330)]
+        assert len(parts) == 33
+        c = float(reduce(LogSumExp.merge, parts).log_mean())
+        assert float(reduce(LogSumExp.merge, parts[::-1]).log_mean()) != c
+        for threads in (1, 2):
+            assert run_sweep(dist, cfg, threads=threads).rows[0].report.c_used == c
+
     def test_reports_are_equal_at_one_two_and_three_threads(self):
         cfg = SweepConfig(k_values=(4, 16, self.K), n_pairs=5 * self.PER_CHUNK + 37,
                           replications=2, base_seed=24)
@@ -524,8 +601,7 @@ class TestChunkedCells:
             return buffers
 
         monkeypatch.setattr(sweep, "_chunk_buffers", recording)
-        # Two cells of two chunks or more: two tails, and two later chunks
-        # or more, so two threads get a buffer each.
+        # Two cells of two chunks or more, so two threads get a buffer each.
         cfg = SweepConfig(k_values=k_values, n_pairs=CHUNK_FLOATS // 2 + 5,
                           replications=2, base_seed=26)
         enabled = gc.isenabled()
@@ -630,9 +706,9 @@ def test_sweep_stream_is_pinned(policy):
 
 
 class TestWorkers:
-    """A sweep runs on min(threads, chunks of its largest pass) workers,
-    each with one raw buffer, and a pass of more than one chunk on a pool
-    of min(workers, its chunks)."""
+    """A sweep runs on min(threads, its chunks) workers, each with one raw
+    buffer, and re-derives its saturated chunks on min(workers, their
+    number)."""
 
     def test_workers_are_capped_by_the_chunks(self, monkeypatch):
         sizes = []
@@ -654,17 +730,17 @@ class TestWorkers:
             run_sweep(dist, cfg, threads=8)
             return sizes
 
-        # One chunk, the cell's tail, runs inline.
+        # One chunk runs inline.
         assert sweep_of((64,), 1, per_chunk) == []
-        # Three chunks: the tail, chunk 0, runs inline, the other two on two
-        # workers; with no pilot, all three in one pass on three.
-        assert sweep_of((64,), 1, 2 * per_chunk + 1) == [2]
+        # Three chunks on three workers, whatever the policy.
+        assert sweep_of((64,), 1, 2 * per_chunk + 1) == [3]
         assert sweep_of((64,), 1, 2 * per_chunk + 1, "zero") == [3]
-        # Three one-chunk cells: their tails on three workers.
+        # Three one-chunk cells on three workers.
         assert sweep_of((64,), 3, per_chunk) == [3]
-        # Two cells' tails on two workers, then the k = 64 cell's other
-        # two chunks on two.
-        assert sweep_of((16, 64), 1, 2 * per_chunk + 1) == [2, 2]
+        # The k = 16 cell's one chunk and the k = 64 cell's three on four.
+        assert sweep_of((16, 64), 1, 2 * per_chunk + 1) == [4]
+        # Every chunk saturates at this C: all three again, on three.
+        assert sweep_of((64,), 1, 2 * per_chunk + 1, "fixed:-1e308") == [3, 3]
 
     def test_one_chunk_cell_allocates_one_buffer(self):
         # One buffer is 129 m <= CHUNK_FLOATS floats, 4 MiB; eight would take
