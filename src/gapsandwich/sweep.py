@@ -81,6 +81,9 @@ class CPolicy:
             raise ParseError(f"unknown c-policy kind {self.kind!r}")
         if not math.isfinite(self.value):
             raise ParseError(f"c-policy value must be finite, got {self.value!r}")
+        if self.kind != "fixed" and self.value != 0.0:
+            raise ParseError(
+                f"c-policy {self.kind!r} takes no value, got {self.value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "CPolicy":

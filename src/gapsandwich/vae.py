@@ -6,7 +6,9 @@ the observation mean with a fixed variance.  Importance ratios
 R(x, z) = p(x|z) p(z) / q(z|x) drive the ELBO / IW-ELBO objectives and the
 paired lower/upper evidence estimates, and the C network, the decoder's
 network with its own 13 parameters, maps each datapoint to its bound
-parameter C.
+parameter C.  Outside the fused training step, every network runs through
+_network, which streams its hidden units one at a time through one
+N-length temporary.
 
 All parameters live in flat float64 vectors; the declared order (also the
 checkpoint payload order) is:
@@ -44,8 +46,8 @@ DEFAULT_DECODER_VAR = 0.3
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # Log-ratios per block in _ratio_estimates and evaluate: a block holds
-# max(1, BLOCK_RATIOS // draws per datapoint) datapoints, so its hidden
-# activations stay cache-sized.  Results do not depend on it.
+# max(1, BLOCK_RATIOS // draws per datapoint) datapoints, so its vectors
+# stay cache-sized.  Results do not depend on it.
 BLOCK_RATIOS = 1 << 15
 
 # Fewest log-ratios per worker in _map_blocks: a pass over R log-ratios runs
@@ -110,7 +112,7 @@ class CNet:
         return cls(generator(seed).uniform(-0.5, 0.5, CNET_PARAM_COUNT))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _mlp(self.params, np.asarray(x, dtype=float))[1]
+        return _mlp(self.params, np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -154,63 +156,77 @@ class Objective:
 # Forward passes (vectorized over any leading batch shape)
 # ---------------------------------------------------------------------------
 
-def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hidden ReLU activations of a scalar-input layer, unit-major.
 
     Returns a C-ordered (w.size, N) array over the N = x.size inputs taken
-    in C order, in out if given: row j is unit j, bit for bit the transpose
-    of np.maximum(x.reshape(-1, 1) * w + b, 0.0).  With the units on the
-    outer axis, numpy's inner loop runs over the N inputs in every
-    elementwise pass and in every reduction over the units.
+    in C order: row j is unit j, bit for bit the transpose of
+    np.maximum(x.reshape(-1, 1) * w + b, 0.0), and bit for bit the unit
+    _network streams.
     """
-    h = np.multiply.outer(w, x.ravel(), out=out)
+    h = np.multiply.outer(w, x.ravel())
     h += b[:, None]
     return np.maximum(h, 0.0, out=h)
 
 
-def _sum_units(w: np.ndarray, h: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """w . h over the unit axis of (units, N) activations h, for a (units,)
-    or a (J, units) w; a given out receives the result when N > 1.
+def _network(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+             b2: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The 1 -> 4 ReLU -> J network at the flat inputs x, into the (J, N)
+    out, with w2 of shape (J, 4) and b2 of shape (J,).
 
-    einsum loops over the N columns and adds the units in order,
-    ((w0 h0 + w1 h1) + w2 h2) + w3 h3, so a column's value does not depend
-    on how many columns come with it; @ does not promise that, because BLAS
-    rounds a column by where it falls in its blocks.  A single column would
-    take einsum's vectorised dot, which pairs the units otherwise, so it
-    goes through as two copies of itself.
+    The hidden units stream through the N-length temporary tmp: unit j's
+    activations h = max(w1[j] x + b1[j], 0) are formed there and added into
+    each output as w2[r, j] h, so output r is
+    ((w2[r, 0] h0 + w2[r, 1] h1) + w2[r, 2] h2) + w2[r, 3] h3 + b2[r], the
+    units added in order.  An input's value therefore does not depend on
+    how many come with it.  The last output takes its product in place of
+    h; the others, the encoder's mean head only, through a numpy temporary.
     """
-    if h.shape[1] == 1:
-        return np.einsum("...h,hn->...n", w, np.repeat(h, 2, axis=1))[..., :1]
-    return np.einsum("...h,hn->...n", w, h, out=out)
+    last = w2.shape[0] - 1
+    for j in range(HIDDEN):
+        h = np.multiply(w1[j], x, out=tmp)
+        h += b1[j]
+        np.maximum(h, 0.0, out=h)
+        for r in range(last + 1):
+            if j == 0:
+                np.multiply(w2[r, 0], h, out=out[r])
+            elif r < last:
+                out[r] += w2[r, j] * h
+            else:
+                h *= w2[r, j]
+                out[r] += h
+    out += b2[:, None]
+    return out
 
 
 def _encode(params: np.ndarray, x: np.ndarray):
-    """Returns the (4, N) hidden h, and the posterior mean mu and log-std t
-    shaped like x."""
-    h = _relu_layer(x, params[0:4], params[4:8])
-    mu, t = _sum_units(params[8:18].reshape(2, 5)[:, :4], h)
-    mu += params[12]
-    t += params[17]
-    return h, mu.reshape(x.shape), t.reshape(x.shape)
+    """The posterior mean mu and log-std t, shaped like x."""
+    n = x.size
+    heads = params[8:18].reshape(2, HIDDEN + 1)
+    mu, t = _network(x.ravel(), params[0:4], params[4:8], heads[:, :HIDDEN],
+                     heads[:, HIDDEN], np.empty((2, n)), np.empty(n))
+    return mu.reshape(x.shape), t.reshape(x.shape)
 
 
-def _mlp(p: np.ndarray, x: np.ndarray, h_out=None, y_out=None):
+def _mlp(p: np.ndarray, x: np.ndarray, out=None, tmp=None):
     """The 1 -> 4 ReLU -> 1 network with the 13 parameters p = w1[4], b1[4],
     w2[4], b2: the decoder on params[18:31] and the C network.  Returns the
-    (4, N) hidden h and the output shaped like x, in h_out and the flat
-    y_out where given."""
-    h = _relu_layer(x, p[0:4], p[4:8], h_out)
-    y = _sum_units(p[8:12], h, y_out)
-    y += p[12]
-    return h, y.reshape(x.shape)
+    output shaped like x, in the flat out where given, streaming the hidden
+    units through the flat N-length tmp where given (see _network)."""
+    n = x.size
+    out = np.empty(n) if out is None else out
+    tmp = np.empty(n) if tmp is None else tmp
+    _network(x.ravel(), p[0:4], p[4:8], p[8:12].reshape(1, HIDDEN), p[12:13],
+             out[None], tmp)
+    return out.reshape(x.shape)
 
 
-def _mlp_backward(p: np.ndarray, h: np.ndarray, x: np.ndarray,
-                  g_y: np.ndarray, grad: np.ndarray) -> None:
-    """Backward pass of _mlp(p, x) with hidden h, for the gradient g_y at
-    its flat output: writes the 13 parameter gradients into grad."""
+def _mlp_backward(p: np.ndarray, x: np.ndarray, g_y: np.ndarray,
+                  grad: np.ndarray) -> None:
+    """Backward pass of _mlp(p, x), for the gradient g_y at its flat output:
+    recomputes the (4, N) hidden layer and writes the 13 parameter
+    gradients into grad."""
+    h = _relu_layer(x, p[0:4], p[4:8])
     grad[8:12] = h @ g_y
     grad[12] = g_y.sum()
     g_a = np.multiply.outer(p[8:12], g_y)
@@ -221,11 +237,11 @@ def _mlp_backward(p: np.ndarray, h: np.ndarray, x: np.ndarray,
 
 class _Workspace:
     """One worker's scratch for the log-ratio kernel over up to size draws:
-    eps, z, the (4, size) decoder activations, m, log R and a temporary."""
+    eps, z, m (then resid, then log R) and the decoder's temporary, 4 size
+    floats in all."""
 
     def __init__(self, size: int) -> None:
-        self.eps, self.z, self.m, self.logR, self.tmp = np.empty((5, size))
-        self.hd = np.empty(HIDDEN * size)
+        self.eps, self.z, self.m, self.tmp = np.empty((4, size))
 
 
 def _log_r(resid, z, t, eps, decoder_var, out, tmp):
@@ -249,35 +265,31 @@ def _log_r_reparam(params, decoder_var, x, eps, ws: _Workspace | None = None):
     t + eps^2/2; exact as a function of (mu, t, eps).
 
     x has shape (B,) and eps (B, ...); x, mu, t and sigma broadcast over the
-    trailing sample axes of eps.  Returns (logR, z, caches), logR and z
-    shaped like eps, caches = (h, mu, t, sigma, hd, resid) for callers that
-    inspect the activations.  The caches of the hidden activations are
-    unit-major, as _relu_layer returns them: h is (4, B), and hd is (4, N)
-    over the N = eps.size draws in C order.  This is the estimator kernel:
-    the C-network ratio estimates and evaluate call it, and its sums over
-    the units make a datapoint's bits independent of the block it is in.
+    trailing sample axes of eps.  Returns (logR, z), both shaped like eps.
+    This is the estimator kernel: the C-network ratio estimates and
+    evaluate call it, and its networks add their hidden units in order (see
+    _network), so a datapoint's bits do not depend on the block it is in.
     Training takes the fused step in iw_objective_and_grad instead.
 
-    z, hd, m (then resid), logR and a temporary go into the buffers of the
-    workspace ws, over at least eps.size draws, or of a new
-    _Workspace(eps.size) when ws is None; the returned arrays are views of
-    it.
+    z, m (then resid, then log R, each elementwise in place of the last)
+    and the decoder's temporary go into the buffers of the workspace ws,
+    over at least eps.size draws, or of a new _Workspace(eps.size) when ws
+    is None; the returned arrays are views of ws.z and ws.m, and ws.tmp is
+    free once the call returns.
     """
     n = eps.size
     if ws is None:
         ws = _Workspace(n)
-    z_out, logR_out, tmp_out = (buf[:n].reshape(eps.shape)
-                                for buf in (ws.z, ws.logR, ws.tmp))
-    h, mu, t = _encode(params, x)
+    z_out, tmp = ws.z[:n].reshape(eps.shape), ws.tmp[:n].reshape(eps.shape)
+    mu, t = _encode(params, x)
     sg = np.exp(t)
     trailing = (slice(None),) + (None,) * (eps.ndim - 1)
     z = np.multiply(sg[trailing], eps, out=z_out)
     z += mu[trailing]
-    hd, m = _mlp(params[18:31], z, ws.hd[:HIDDEN * n].reshape(HIDDEN, n),
-                 ws.m[:n])
+    m = _mlp(params[18:31], z, ws.m[:n], ws.tmp[:n])
     resid = np.subtract(x[trailing], m, out=m)
-    logR = _log_r(resid, z, t[trailing], eps, decoder_var, logR_out, tmp_out)
-    return logR, z, (h, mu, t, sg, hd, resid)
+    logR = _log_r(resid, z, t[trailing], eps, decoder_var, resid, tmp)
+    return logR, z
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +451,12 @@ def cnet_objective_and_grad(
     """
     xs = np.asarray(xs, dtype=float)
     log_r_hat = np.asarray(log_r_hat, dtype=float)
-    h, c = _mlp(cparams, xs)
+    c = _mlp(cparams, xs)
     expterm = np.exp(np.minimum(log_r_hat - c, EXP_SATURATION))
     value = float(np.mean(c - 1.0 + expterm))
     g_c = (1.0 - expterm) / xs.size
     grad = np.empty(CNET_PARAM_COUNT)
-    _mlp_backward(cparams, h, xs, g_c, grad)
+    _mlp_backward(cparams, xs, g_c, grad)
     return value, grad
 
 
@@ -591,8 +603,8 @@ def _ratio_estimates(
     out = np.empty(xs.size)
 
     def step(start: int, stop: int, eps: np.ndarray, ws: _Workspace) -> None:
-        logR, _, _ = _log_r_reparam(model.params, model.decoder_var,
-                                    xs[start:stop], eps, ws)
+        logR, _ = _log_r_reparam(model.params, model.decoder_var,
+                                 xs[start:stop], eps, ws)
         # ws.tmp is free once the kernel returns.
         lse = LogSumExp.of(logR, axis=3, scratch=ws.tmp).log_sum()
         out[start:stop] = log_mean_exp(lse[:, :, 1, 0] - lse[:, :, 0, 0],
@@ -724,8 +736,8 @@ def evaluate(
     primal_sums = np.empty(n)
 
     def step(start: int, stop: int, eps: np.ndarray, ws: _Workspace) -> None:
-        logR, _, _ = _log_r_reparam(model.params, model.decoder_var,
-                                    data[start:stop], eps, ws)
+        logR, _ = _log_r_reparam(model.params, model.decoder_var,
+                                 data[start:stop], eps, ws)
         lse[start:stop] = LogSumExp.of(logR, axis=2,
                                        scratch=ws.tmp).log_sum()[:, :, 0]
         primal_sums[start:stop] = logR[:, 0, :].sum(axis=1)

@@ -330,8 +330,11 @@ def _fd_error(fd: float, grad: float, value: float, h: float) -> float:
 
 
 def _relu_signs(params: np.ndarray, xs: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Which encoder and decoder pre-activations are positive."""
-    _, _, (h, _, _, _, hd, _) = vae._log_r_reparam(params, 0.3, xs, eps)
+    """Which encoder and decoder pre-activations are positive: the encoder
+    at xs, the decoder at the kernel's z."""
+    _, z = vae._log_r_reparam(params, 0.3, xs, eps)
+    h = vae._relu_layer(xs, params[0:4], params[4:8])
+    hd = vae._relu_layer(z, params[18:22], params[22:26])
     return np.concatenate([h.ravel(), hd.ravel()]) > 0.0
 
 
@@ -400,7 +403,7 @@ def check_reparam_moments(seed: int, n: int) -> PropertyResult:
     rng = generator(derive_key(seed, 18, 1))
     margins = []
     for x in (-0.4, 0.0, 0.7):
-        _, mu, t = vae._encode(model.params, np.asarray(x, dtype=float))
+        mu, t = vae._encode(model.params, np.asarray(x, dtype=float))
         sg = math.exp(float(t))
         z = float(mu) + sg * rng.standard_normal(n)
         se_mean = z.std(ddof=1) / math.sqrt(n)

@@ -46,6 +46,14 @@ class TestCPolicy:
         with pytest.raises(ParseError):
             CPolicy.parse("fixed:xyz")
 
+    @pytest.mark.parametrize("kind", ["zero", "pilot-optimal"])
+    def test_a_value_without_the_fixed_kind_is_an_error(self, kind):
+        # The value would be ignored: zero sweeps at C = 0, pilot-optimal
+        # at its pilot's C.
+        with pytest.raises(ParseError, match=kind):
+            CPolicy(kind, 0.7)
+        assert CPolicy(kind, 0.0) == CPolicy(kind)
+
 
 def one_cell(dist, n_pairs, k, base_seed, policy, threads=1):
     """The report of a one-cell sweep, and the pairs that cell drew."""

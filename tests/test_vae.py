@@ -14,7 +14,7 @@ from gapsandwich.errors import (
     NonPositiveSample,
     ParseError,
 )
-from gapsandwich import vae, verify
+from gapsandwich import bounds, vae, verify
 from gapsandwich.accumulate import logsumexp
 from gapsandwich.parallel import THREADS_ENV
 from gapsandwich.rng import generator
@@ -51,8 +51,8 @@ def log_r(model: ToyVae, x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    _, mu, t = vae._encode(model.params, x)
-    m = vae._mlp(model.params[18:31], z)[1]
+    mu, t = vae._encode(model.params, x)
+    m = vae._mlp(model.params[18:31], z)
     var = model.decoder_var
     recon = -0.5 * (LOG_2PI + math.log(var)) - (x - m) ** 2 / (2.0 * var)
     prior = -0.5 * LOG_2PI - 0.5 * z * z
@@ -153,8 +153,8 @@ class TestLogRKernel:
     @pytest.mark.parametrize("trailing", [(7,), (3, 7), (3, 2, 7)])
     def test_matches_log_r_at_reparameterised_z(self, trailing):
         eps = generator(63).standard_normal((self.xs.size, *trailing))
-        logR, _, _ = _log_r_reparam(self.model.params, self.model.decoder_var,
-                                    self.xs, eps)
+        logR, _ = _log_r_reparam(self.model.params, self.model.decoder_var,
+                                 self.xs, eps)
         expand = (slice(None),) + (None,) * len(trailing)
         mu, sigma = posterior(self.model, self.xs)
         z = mu[expand] + sigma[expand] * eps
@@ -165,11 +165,11 @@ class TestLogRKernel:
     def test_rank4_block_is_bitwise_the_rank2_call(self):
         eps = generator(64).standard_normal((self.xs.size, 3, 2, 7))
         params, var = self.model.params, self.model.decoder_var
-        whole, _, _ = _log_r_reparam(params, var, self.xs, eps)
+        whole, _ = _log_r_reparam(params, var, self.xs, eps)
         for pair in range(3):
             for side in range(2):
                 block = np.ascontiguousarray(eps[:, pair, side, :])
-                alone, _, _ = _log_r_reparam(params, var, self.xs, block)
+                alone, _ = _log_r_reparam(params, var, self.xs, block)
                 np.testing.assert_array_equal(whole[:, pair, side, :], alone)
 
 
@@ -182,13 +182,13 @@ class TestLogRKernel:
         big = generator(66).standard_normal((self.xs.size, 3, 2, 7))
         _log_r_reparam(params, var, self.xs, big, ws)
         eps = generator(67).standard_normal((self.xs.size, *trailing))
-        logR, z, caches = _log_r_reparam(params, var, self.xs, eps)
-        ws_logR, ws_z, ws_caches = _log_r_reparam(params, var, self.xs, eps, ws)
-        for a, b in zip((logR, z, *caches), (ws_logR, ws_z, *ws_caches)):
-            assert a.shape == b.shape
+        logR, z = _log_r_reparam(params, var, self.xs, eps)
+        ws_logR, ws_z = _log_r_reparam(params, var, self.xs, eps, ws)
+        for a, b in ((logR, ws_logR), (z, ws_z)):
+            assert a.shape == b.shape == eps.shape
             assert a.tobytes() == b.tobytes()
-        hd, resid = ws_caches[4:]
-        for out, buf in ((ws_logR, ws.logR), (ws_z, ws.z), (hd, ws.hd), (resid, ws.m)):
+        # log R is written over the decoded mean, in place.
+        for out, buf in ((ws_logR, ws.m), (ws_z, ws.z)):
             assert np.shares_memory(out, buf)
 
 
@@ -201,12 +201,47 @@ class TestOneNetwork:
         params = np.zeros(VAE_PARAM_COUNT)
         params[18:31] = p
         model = ToyVae(params)
-        # A zero encoder puts z = eps exactly; at x = 0 the kernel's resid
-        # is 0 - m.
+        # A zero encoder puts z = eps exactly, with mu = t = 0; at x = 0
+        # the kernel's resid is 0 - m.
         z = generator(seed).standard_normal((8, 5))
-        _, _, caches = _log_r_reparam(model.params, model.decoder_var,
-                                      np.zeros(8), z)
-        assert caches[5].tobytes() == (0.0 - CNet(p)(z)).tobytes()
+        logR, got_z = _log_r_reparam(model.params, model.decoder_var,
+                                     np.zeros(8), z)
+        assert got_z.tobytes() == z.tobytes()
+        expected = vae._log_r(0.0 - CNet(p)(z), z, np.zeros((8, 1)), z,
+                              model.decoder_var, np.empty(z.shape),
+                              np.empty(z.shape))
+        assert logR.tobytes() == expected.tobytes()
+
+
+def units_in_order(p, x, w2, b2):
+    """1 -> 4 ReLU -> 1 at the float x in Python floats: the units' products
+    added in order, ((w2_0 h0 + w2_1 h1) + w2_2 h2) + w2_3 h3, then b2."""
+    total = None
+    for j in range(4):
+        h = max(p[j] * x + p[4 + j], 0.0)
+        total = w2[j] * h if total is None else total + w2[j] * h
+    return total + b2
+
+
+class TestStreamedNetwork:
+    """The encoder heads, the decoder and the C network add their hidden
+    units in order at any N, one input at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_bitwise_the_units_added_in_order(self, n):
+        # Hidden biases in [1, 2] keep nearly every unit active, so that
+        # adding the units in another order would round otherwise.
+        rng = generator(95, n)
+        p = rng.uniform(-0.8, 0.8, VAE_PARAM_COUNT)
+        p[4:8], p[22:26] = rng.uniform(1.0, 2.0, (2, 4))
+        p = p.tolist()
+        x = rng.standard_normal(n) * 0.7
+        mu, t = vae._encode(np.array(p), x)
+        m = vae._mlp(np.array(p[18:31]), x)
+        for i, xi in enumerate(x.tolist()):
+            assert mu[i] == units_in_order(p, xi, p[8:12], p[12])
+            assert t[i] == units_in_order(p, xi, p[13:17], p[17])
+            assert m[i] == units_in_order(p[18:], xi, p[26:30], p[30])
 
 
 class TestReluLayer:
@@ -279,9 +314,9 @@ class TestBlocks:
     @pytest.mark.parametrize("seed", [66, 100])
     def test_encoder_rows_are_bitwise_the_one_row_call(self, seed):
         params = ToyVae.init(seed).params
-        _, mu, t = vae._encode(params, self.second_xs)
+        mu, t = vae._encode(params, self.second_xs)
         for i, x in enumerate(self.second_xs):
-            _, mu_i, t_i = vae._encode(params, self.second_xs[i:i + 1])
+            mu_i, t_i = vae._encode(params, self.second_xs[i:i + 1])
             assert (mu_i[0], t_i[0]) == (mu[i], t[i]), f"row {i}, x = {x!r}"
 
     @pytest.mark.parametrize("seed", [67, 200])
@@ -311,6 +346,15 @@ class TestBlocks:
             lambda: ratio_estimates(self.model, data, 64, 4, 74))
         assert peak < 16.0
 
+    def test_ratio_estimates_hold_four_vectors_a_worker(self, monkeypatch):
+        # One worker's workspace is 4 BLOCK_RATIOS floats, 1 MiB; the rest
+        # is O(n): the 2000 results and a block's per-datapoint arrays.
+        monkeypatch.setenv(THREADS_ENV, "1")
+        data = sample(Laplace(0.0, 0.2), 2000, 73)
+        peak = peak_traced_mb(
+            lambda: ratio_estimates(self.model, data, 64, 4, 74))
+        assert peak < 1.25
+
 
 class TestKeyedChunks:
     """_ratio_estimates and evaluate draw chunk j of CHUNK_POINTS datapoints
@@ -329,8 +373,8 @@ class TestKeyedChunks:
         start = 2 * CHUNK_POINTS
         xb = self.xs[start:start + CHUNK_POINTS]
         eps = generator(seed, epoch, 2).standard_normal((xb.size, n_pairs, 2, k))
-        logR, _, _ = _log_r_reparam(self.model.params, self.model.decoder_var,
-                                    xb, eps)
+        logR, _ = _log_r_reparam(self.model.params, self.model.decoder_var,
+                                 xb, eps)
         lse = scipy_logsumexp(logR, axis=3)
         expected = scipy_logsumexp(lse[:, :, 1] - lse[:, :, 0], axis=1) - math.log(2)
         np.testing.assert_allclose(got[start:start + CHUNK_POINTS], expected,
@@ -478,7 +522,7 @@ class TestTrainStep:
             xs = rng.standard_normal(B) * 0.5
             eps = rng.standard_normal((B, K))
             value, _ = iw_objective_and_grad(params, 0.3, xs, eps, kind)
-            logR, _, _ = _log_r_reparam(params, 0.3, xs, eps)
+            logR, _ = _log_r_reparam(params, 0.3, xs, eps)
             if kind == "elbo":
                 expected = logR.mean()
             else:
@@ -560,6 +604,33 @@ class TestGradientOracle:
         assert skipped == kinks
         assert len(errors) == 6 * VAE_PARAM_COUNT + 3 * CNET_PARAM_COUNT - kinks
         assert verify.check_vae_gradients(seed, 1).passed
+
+
+class TestBoundChain:
+    """verify's vae-bound-chain at the verify command's default seed and
+    full size: upper terms planted about 6 joint stderr low must fail its
+    3-stderr gate."""
+
+    SEED, N = 1234, 100_000
+
+    def test_catches_upper_terms_six_stderr_low(self, monkeypatch):
+        exact_evaluate, exact_upper = vae.evaluate, bounds.upper_moments
+        seen = []
+
+        def spy(*args):
+            seen.append(exact_evaluate(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(vae, "evaluate", spy)
+        assert verify.check_vae_bound_chain(self.SEED, self.N).passed
+        shift = 6.0 * (seen[0].lower_stderr + seen[0].upper_stderr)
+
+        def planted(lx, d, c, out=None):
+            return exact_upper(lx - shift, d, c, out)
+
+        monkeypatch.setattr(bounds, "upper_moments", planted)
+        assert not verify.check_vae_bound_chain(self.SEED, self.N).passed
+        assert seen[1].upper == pytest.approx(seen[0].upper - shift, abs=1e-12)
 
 
 class TestTrain:
