@@ -5,9 +5,6 @@ __version__ = "0.1.0"
 from .accumulate import EXP_SATURATION, log_mean_exp, logsumexp
 from .bounds import (
     BoundReport,
-    Estimate,
-    gap_upper_first_order,
-    log_ratio_mean,
     optimal_h_check,
     sandwich,
     tangent_family_g,
@@ -48,12 +45,11 @@ from .vae import (
 )
 
 __all__ = [
-    "AnalyticDist", "BoundReport", "CNet", "CPolicy", "Constant", "Estimate",
-    "EvalRecord", "EvalResult", "EXP_SATURATION", "Gamma", "Laplace",
-    "LogNormal", "Objective", "PairedSamples", "SweepConfig",
-    "SweepResult", "ToyVae", "UniformPos", "evaluate",
-    "gap_upper_first_order", "k_averaged_law", "laplace_loglik",
-    "load_cnet", "load_model", "log_mean_exp", "log_ratio_mean", "logsumexp",
+    "AnalyticDist", "BoundReport", "CNet", "CPolicy", "Constant", "EvalRecord",
+    "EvalResult", "EXP_SATURATION", "Gamma", "Laplace", "LogNormal",
+    "Objective", "PairedSamples", "SweepConfig", "SweepResult", "ToyVae",
+    "UniformPos", "evaluate", "k_averaged_law", "laplace_loglik",
+    "load_cnet", "load_model", "log_mean_exp", "logsumexp",
     "optimal_h_check", "paired_from_halves", "parse_dist", "run_sweep",
     "sample", "sandwich", "save_cnet", "save_model", "tangent_family_g",
     "train", "train_cnet", "write_sweep_csv",

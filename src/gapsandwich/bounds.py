@@ -13,15 +13,19 @@ heavy-tailed ratios cannot produce infinities in reports.
 
 sandwich(s, C) is the one estimator over a batch of pairs: its BoundReport
 holds the lower bound and the upper bound at C with their stderrs, the
-mean ratio, the midpoint and the saturation count.  C* is
-log_ratio_mean(s).mean, and the tightest bound is lower_mean + C*.
+width, the mean of the pairs' gaps W_i = C - 1 + Y_i/X_i exp(-C), with its
+paired stderr, C* as log_ratio_mean, the mean ratio, the midpoint and the
+saturation count.  So sandwich(s, 0.0)'s width is the first-order gap, the
+tightest bound is lower_mean + C*, and sandwich(s, C*)'s width_stderr is
+the delta-method stderr of C*, since Var(exp(d - C*)) = Var(Y/X) / E[Y/X]^2.
 
-The upper terms lx - 1 + C + exp(M - C) w, with M = max d and
+The upper terms lx + W, with W = C - 1 + exp(M - C) w, M = max d and
 w = exp(d - M), are affine in exp(-C), so UpperPartial reduces a block of
-pairs without C and gives the Moments of its upper terms at any C that
-saturates no exponent.  bound_report merges blocks' partials in order into
-a report.  upper_moments forms the upper terms pair by pair, at one C or
-one C per pair, as a block that saturates at its C needs.
+pairs without C and gives the Moments of its upper terms and widths at any
+C that saturates no exponent.  bound_report merges blocks' partials in
+order into a report.  upper_moments forms the upper terms pair by pair, at
+one C or one C per pair, and pairwise_at forms the upper terms and widths
+at one C, as a block that saturates at its C needs.
 """
 
 from __future__ import annotations
@@ -33,24 +37,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .accumulate import EXP_SATURATION, LogSumExp, Moments, log_mean_exp
+from .accumulate import EXP_SATURATION, LogSumExp, Moments
 from .errors import EmptyGrid
 from .samples import PairedSamples
-
-
-class Estimate(NamedTuple):
-    """Monte Carlo mean with its standard error and saturation count."""
-
-    mean: float
-    stderr: float
-    saturated: int = 0
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Composite sandwich report for one batch of pairs.
 
-    lower_* is E log X, upper_* the upper bound at C = c_used, ratio_mean
+    lower_* is E log X, upper_* the upper bound at C = c_used, width and
+    width_stderr the mean of the pairs' gaps C - 1 + exp(d - C) and its
+    paired stderr, and log_ratio_mean C* = log mean(Y/X).  ratio_mean is
     the saturated mean of Y/X, and midpoint E log X + C*/2: exact for
     log-normal X, elsewhere a heuristic center of the optimal-C sandwich,
     second-order accurate for concentrated X.
@@ -60,29 +58,39 @@ class BoundReport:
     lower_stderr: float
     upper_mean: float
     upper_stderr: float
-    ratio_mean: float
+    width: float
+    width_stderr: float
+    log_ratio_mean: float
     c_used: float
     n: int
     k: int
-    midpoint: float
     saturated_pairs: int = 0
 
     @property
-    def width(self) -> float:
-        return self.upper_mean - self.lower_mean
+    def ratio_mean(self) -> float:
+        return math.exp(min(self.log_ratio_mean, EXP_SATURATION))
+
+    @property
+    def midpoint(self) -> float:
+        return self.lower_mean + 0.5 * self.log_ratio_mean
 
 
-def gap_upper_first_order(s: PairedSamples) -> Estimate:
-    """Mean and stderr of Y_i/X_i - 1, the first-order gap bound.
-
-    Adding this to the report's lower_mean gives a valid upper-bound
-    estimate of log E X: sandwich's upper_mean at C = 0.  Ratios are
-    exp(d), saturated and counted.
-    """
-    saturated = int(np.count_nonzero(s.d > EXP_SATURATION))
-    ratios = np.exp(np.minimum(s.d, EXP_SATURATION))
-    mean, stderr = Moments.of(ratios - 1.0).mean_stderr()
-    return Estimate(mean, stderr, saturated)
+def _upper_terms(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
+                 out: tuple[np.ndarray, np.ndarray] | None,
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The exponentials exp(d_i - C_i), saturated, the upper terms
+    lx_i - 1 + C_i + exp(d_i - C_i), and the count of saturated exponents."""
+    c = np.asarray(c, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError(f"C must be finite, got {c!r}")
+    exps, terms = (np.empty(lx.size), np.empty(lx.size)) if out is None else out
+    np.subtract(d, c, out=exps)
+    saturated = int(np.count_nonzero(exps > EXP_SATURATION))
+    np.exp(np.minimum(exps, EXP_SATURATION, out=exps), out=exps)
+    np.subtract(lx, 1.0, out=terms)
+    terms += c
+    terms += exps
+    return exps, terms, saturated
 
 
 def upper_moments(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
@@ -96,17 +104,20 @@ def upper_moments(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
     receives the terms' exponentials and the terms, so none is allocated;
     it may be (d, lx) itself, which the terms then overwrite.
     """
-    c = np.asarray(c, dtype=float)
-    if not np.isfinite(c).all():
-        raise ValueError(f"C must be finite, got {c!r}")
-    scaled, terms = (np.empty(lx.size), np.empty(lx.size)) if out is None else out
-    np.subtract(d, c, out=scaled)
-    saturated = int(np.count_nonzero(scaled > EXP_SATURATION))
-    np.exp(np.minimum(scaled, EXP_SATURATION, out=scaled), out=scaled)
-    np.subtract(lx, 1.0, out=terms)
-    terms += c
-    terms += scaled
-    return Moments.of(terms, scratch=scaled), saturated
+    exps, terms, saturated = _upper_terms(lx, d, c, out)
+    return Moments.of(terms, scratch=exps), saturated
+
+
+def pairwise_at(lx: np.ndarray, d: np.ndarray, c: float,
+                out: tuple[np.ndarray, np.ndarray] | None = None,
+                ) -> tuple[Moments, Moments, int]:
+    """What UpperPartial.at gives, formed pair by pair at a finite C, for a
+    block that saturates there: the Moments of the upper terms and of the
+    widths C - 1 + exp(d_i - C), and the count of saturated exponents.
+    out is as upper_moments takes it."""
+    exps, terms, saturated = _upper_terms(lx, d, c, out)
+    widths = Moments.of(np.add(exps, c - 1.0, out=exps), scratch=exps)
+    return Moments.of(terms, scratch=exps), widths, saturated
 
 
 class UpperPartial(NamedTuple):
@@ -141,77 +152,56 @@ class UpperPartial(NamedTuple):
         co = float(np.multiply(work, w, out=work).sum())
         return cls(lower, log_ratio, float(np.square(w, out=w).sum()), co)
 
-    def at(self, c: float) -> Moments | None:
-        """The Moments of the upper terms at a finite C, or None if some
-        exponent d - C saturates: those terms need upper_moments."""
+    def at(self, c: float) -> tuple[Moments, Moments, int] | None:
+        """The Moments of the upper terms and of the widths at a finite C,
+        and no saturated exponent; None if some exponent d - C saturates:
+        that block needs pairwise_at."""
         if not math.isfinite(c):
             raise ValueError(f"C must be finite, got {c!r}")
         n, shift, total = self.log_ratio
         if shift - c > EXP_SATURATION:
             return None
-        # (n - 1) Var(U) = m2(lx) + a^2 m2(w) + 2 a c(lx, w) with a = e^(M-C),
-        # every term taken in units of the terms' scale s.
+        # With a = e^(M-C), W = C - 1 + a w and U = lx + W, so (n - 1) Var(W)
+        # = a^2 m2(w) and (n - 1) Var(U) = m2(lx) + a^2 m2(w) + 2 a c(lx, w),
+        # every term taken in units of its Moments' scale.
         a = math.exp(shift - c)
-        scale = max(self.lower.scale, abs(c - 1.0), a)
+        w_scale = max(abs(c - 1.0), a)
+        s = w_scale or 1.0
+        widths = Moments(n, w_scale, (c - 1.0) / s + a / s * (total / n),
+                         (a / s) ** 2 * self.w_m2)
+        scale = max(self.lower.scale, w_scale)
         s = scale or 1.0
         rl, ra = self.lower.scale / s, a / s
         mean = self.lower.mean * rl + (c - 1.0) / s + ra * (total / n)
         m2 = (self.lower.m2 * rl * rl + ra * ra * self.w_m2
               + 2.0 * ra * rl * self.co)
-        return Moments(n, scale, mean, max(m2, 0.0))
+        return Moments(n, scale, mean, max(m2, 0.0)), widths, 0
 
 
-def log_ratio_mean(s: PairedSamples) -> Estimate:
-    """log of the sample mean of Y_i/X_i, with a delta-method stderr.
-
-    The mean is log-sum-exp of d minus log n, so it stays finite even when
-    individual ratios overflow.  stderr is se(mean ratio)/mean ratio,
-    evaluated entirely in log domain.
-    """
-    n = s.n
-    log_mean = log_mean_exp(s.d)
-    if n == 1:
-        return Estimate(log_mean, math.inf)
-    log_mean_sq = log_mean_exp(2.0 * s.d)
-    # log Var = log(E r^2 - (E r)^2); the subtraction cancels to zero for
-    # (near-)constant ratios, which is genuinely zero spread.
-    ratio_sq = math.exp(min(2.0 * log_mean - log_mean_sq, 0.0))
-    if ratio_sq >= 1.0 - 1e-15:
-        return Estimate(log_mean, 0.0)
-    diff = log_mean_sq + math.log1p(-ratio_sq)
-    log_se = 0.5 * diff + 0.5 * math.log(n / (n - 1)) - 0.5 * math.log(n)
-    stderr = math.exp(min(log_se - log_mean, EXP_SATURATION))
-    return Estimate(log_mean, stderr)
-
-
-def bound_report(blocks: Sequence[tuple[UpperPartial, tuple[Moments, int]]],
+def bound_report(blocks: Sequence[tuple[UpperPartial,
+                                        tuple[Moments, Moments, int]]],
                  c: float, k: int) -> BoundReport:
-    """The report at C of blocks of pairs, each its UpperPartial with the
-    Moments and saturation count of its upper terms at C, merged in block
+    """The report at C of blocks of pairs, each its UpperPartial with its
+    UpperPartial.at(C), or pairwise_at where it saturates, merged in block
     order."""
-    lower = reduce(Moments.merge, (part.lower for part, _ in blocks))
-    upper = reduce(Moments.merge, (moments for _, (moments, _) in blocks))
-    log_ratio = reduce(LogSumExp.merge, (part.log_ratio for part, _ in blocks))
-    lower_mean, lower_stderr = lower.mean_stderr()
-    log_ratio_mean = float(log_ratio.log_mean())
+    parts, at_c = zip(*blocks)
+    uppers, widths, saturated = zip(*at_c)
+    lower = reduce(Moments.merge, (part.lower for part in parts))
+    log_ratio = reduce(LogSumExp.merge, (part.log_ratio for part in parts))
     return BoundReport(
-        lower_mean, lower_stderr, *upper.mean_stderr(),
-        ratio_mean=math.exp(min(log_ratio_mean, EXP_SATURATION)), c_used=c,
-        n=lower.n, k=k, midpoint=lower_mean + 0.5 * log_ratio_mean,
-        saturated_pairs=sum(saturated for _, (_, saturated) in blocks))
+        *lower.mean_stderr(), *reduce(Moments.merge, uppers).mean_stderr(),
+        *reduce(Moments.merge, widths).mean_stderr(),
+        log_ratio_mean=float(log_ratio.log_mean()), c_used=c, n=lower.n, k=k,
+        saturated_pairs=sum(saturated))
 
 
 def sandwich(s: PairedSamples, c: float) -> BoundReport:
     """The report of one batch of pairs at a finite C: bound_report of its
-    UpperPartial, with upper_moments where an exponent saturates.
-
-    Every bound estimate of the batch is one of its fields, or, for C* and
-    the tightest bound lower_mean + C*, log_ratio_mean(s).mean.
-    """
+    UpperPartial, with pairwise_at where an exponent saturates.  Every
+    bound estimate of the batch is one of its fields."""
     partial = UpperPartial.of(s.lx, s.d)
-    upper = partial.at(c)
-    return bound_report([(partial, upper_moments(s.lx, s.d, c) if upper is None
-                          else (upper, 0))], c, s.k)
+    return bound_report([(partial, partial.at(c)
+                          or pairwise_at(s.lx, s.d, c))], c, s.k)
 
 
 def optimal_h_check(

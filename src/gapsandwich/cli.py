@@ -139,9 +139,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
-def _check_writable(opts: dict, *keys: str) -> None:
-    """Fail on the first output path of keys that cannot be written, before
-    any compute starts."""
+def _check_writable(opts: dict, *keys: str, reads: str | None = None) -> None:
+    """Fail on the first output path of keys that cannot be written, or that
+    names the file of an earlier key or of the input key reads, before any
+    compute starts."""
+    owners = {os.path.realpath(opts[reads]): reads} if reads else {}
     for key in keys:
         path = opts[key]
         folder = os.path.dirname(path) or "."
@@ -154,7 +156,10 @@ def _check_writable(opts: dict, *keys: str) -> None:
         elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
             why = "permission denied"
         else:
-            continue
+            other = owners.setdefault(os.path.realpath(path), key)
+            if other == key:
+                continue
+            why = f"key {other!r} names the same file"
         raise ParseError(f"key {key!r}: cannot write {path!r}: {why}")
 
 
@@ -337,7 +342,7 @@ CNET_DEFAULTS = {
 def cmd_vae_train_cnet(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, CNET_DEFAULTS)
-    _check_writable(opts, "out", "loss_out")
+    _check_writable(opts, "out", "loss_out", reads="model")
     model = vae.load_model(opts["model"])
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 4))
     cnet = vae.CNet.init(derive_key(opts["seed"], 5))
@@ -401,7 +406,7 @@ def _write_records_csv(path: str, result: vae.EvalResult) -> None:
 def cmd_vae_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, EVAL_DEFAULTS)
-    _check_writable(opts, "out")
+    _check_writable(opts, "out", reads="model")
     sweep_ks = _parse_k_list(opts["k_sweep"], "k_sweep") if opts["k_sweep"] else ()
     model = vae.load_model(opts["model"])
     c_source = _c_source(opts["c"])

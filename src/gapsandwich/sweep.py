@@ -16,7 +16,7 @@ n_pairs is.  It takes the LogSumExp of its pilot pairs, the prefix that the
 CPolicy spends on C, and the bounds.UpperPartial of the rest.  Each cell
 merges its pilot partials into C and evaluates each chunk's UpperPartial at
 C.  A chunk whose largest exponent saturates at C is drawn again and bounded
-with bounds.upper_moments, in a second map_chunks call over those chunks
+with bounds.pairwise_at, in a second map_chunks call over those chunks
 alone.  Each cell merges its chunks' partials in chunk order, so results are
 bit-identical at any thread count, and a cell of one chunk has the bits
 bounds.sandwich gives on its pairs.
@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .accumulate import LogSumExp, Moments
-from .bounds import BoundReport, UpperPartial, bound_report, upper_moments
+from .bounds import BoundReport, UpperPartial, bound_report, pairwise_at
 from .distributions import AnalyticDist, sample
 from .errors import ParseError
 from .parallel import map_chunks, resolve_threads
@@ -188,7 +188,8 @@ def _chunk_buffers(cfg: SweepConfig, workers: int) -> list[np.ndarray]:
 
 def _run_chunk(dist: AnalyticDist, cfg: SweepConfig, buf: np.ndarray, k: int,
                rep: int, j: int, c: float | None = None,
-               ) -> tuple[LogSumExp, UpperPartial | None] | tuple[Moments, int]:
+               ) -> (tuple[LogSumExp, UpperPartial | None]
+                     | tuple[Moments, Moments, int]):
     """Chunk j of cell (k, rep), drawn, paired and reduced in buf, its
     worker's buffer.
 
@@ -196,7 +197,7 @@ def _run_chunk(dist: AnalyticDist, cfg: SweepConfig, buf: np.ndarray, k: int,
     derive_key(seed, j) and holds pairs [j per_chunk, (j + 1) per_chunk):
     those below the policy's pilot count go to C, the rest to the bounds.
     Returns the LogSumExp of its pilot pairs and the UpperPartial of the
-    rest, None if there are none; given C, upper_moments of the rest at C.
+    rest, None if there are none; given C, pairwise_at of the rest at C.
     """
     seed = derive_key(cfg.base_seed, rep, k)
     n = cfg.n_pairs
@@ -213,12 +214,12 @@ def _run_chunk(dist: AnalyticDist, cfg: SweepConfig, buf: np.ndarray, k: int,
     lx, d = lx[split:], d[split:]
     if c is not None:
         # The upper terms overwrite the pairs they are formed from.
-        return upper_moments(lx, d, c, out=(d, lx))
+        return pairwise_at(lx, d, c, out=(d, lx))
     return pilot, UpperPartial.of(lx, d, out=(d, scratch)) if d.size else None
 
 
 def _run_cell(cfg: SweepConfig, k: int, rep: int, c: float,
-              chunks: list[tuple[UpperPartial, tuple[Moments, int]]]
+              chunks: list[tuple[UpperPartial, tuple[Moments, Moments, int]]]
               ) -> SweepRow:
     """Cell (k, rep)'s row at C, from its chunks' blocks of working pairs;
     perfbench's tracer wraps this function by name, as the cell's span."""
@@ -247,21 +248,20 @@ def run_sweep(
     reduced = {cell: [] for cell in cells}
     for (k, r, _), result in zip(tasks, run(tasks)):
         reduced[k, r].append(result)
-    cs, uppers = {}, {}
+    cs, blocks = {}, {}
     for cell, results in reduced.items():
         pilot = reduce(LogSumExp.merge, (part for part, _ in results))
-        c = float(pilot.log_mean()) if pilot.n else cfg.c_policy.fixed_c()
-        cs[cell] = c
-        uppers[cell] = [None if part is None else (part.at(c), 0)
-                        for _, part in results]
+        c = cs[cell] = float(pilot.log_mean()) if pilot.n else cfg.c_policy.fixed_c()
+        # A chunk that holds pilot pairs alone has no block.
+        blocks[cell] = {j: (part, part.at(c)) for j, (_, part) in enumerate(results)
+                        if part is not None}
     # Chunks that saturate at C are drawn again and bounded pair by pair.
-    again = [(k, r, j, cs[k, r]) for (k, r), cell in uppers.items()
-             for j, upper in enumerate(cell) if upper and upper[0] is None]
-    for (k, r, j, _), upper in zip(again, run(again) if again else []):
-        uppers[k, r][j] = upper
-    rows = [_run_cell(cfg, k, r, cs[k, r], [
-        (part, upper) for (_, part), upper in zip(reduced[k, r], uppers[k, r])
-        if part is not None]) for k, r in cells]
+    again = [(k, r, j, cs[k, r]) for (k, r), cell in blocks.items()
+             for j, (_, at_c) in cell.items() if at_c is None]
+    for (k, r, j, _), at_c in zip(again, run(again) if again else []):
+        blocks[k, r][j] = (blocks[k, r][j][0], at_c)
+    rows = [_run_cell(cfg, k, r, cs[k, r], list(blocks[k, r].values()))
+            for k, r in cells]
 
     aggregates = []
     for k in cfg.k_values:

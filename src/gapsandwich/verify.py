@@ -59,6 +59,11 @@ def _min_slack(margins: list[float]) -> float:
     return min(margins) if margins else math.inf
 
 
+def _at_c_star(s) -> bounds.BoundReport:
+    """The sandwich of pairs s at C* = log mean(Y/X) of the same pairs."""
+    return bounds.sandwich(s, bounds.sandwich(s, 0.0).log_ratio_mean)
+
+
 def check_sandwich_order(seed: int, n: int) -> PropertyResult:
     """Lower estimate must not exceed the upper one beyond 3 joint stderr."""
     margins = []
@@ -80,11 +85,11 @@ def check_sandwich_order(seed: int, n: int) -> PropertyResult:
 
 
 def check_c_zero_identity(seed: int, n: int) -> PropertyResult:
-    """The upper bound at C=0 equals lower + first-order gap to 1e-12 rel."""
+    """The upper bound at C=0 equals lower + mean(Y/X) - 1 to 1e-12 rel."""
     s = _pairs_for(Gamma(2.0, 1.0), n, 1, derive_key(seed, 2))
     rep = bounds.sandwich(s, 0.0)
     a = rep.upper_mean
-    b = rep.lower_mean + bounds.gap_upper_first_order(s).mean
+    b = rep.lower_mean + (float(np.exp(s.d).mean()) - 1.0)
     err = abs(a - b) / max(1.0, abs(a), abs(b))
     slack = 1e-12 - err
     return PropertyResult("c-zero-identity", slack)
@@ -95,8 +100,8 @@ def check_optimal_c_stationarity(seed: int, n: int) -> PropertyResult:
     margins = []
     for i, dist in enumerate([Gamma(2.0, 1.0), LogNormal(0.0, 1.0)]):
         s = _pairs_for(dist, n, 1, derive_key(seed, 3, i))
-        c_star = bounds.log_ratio_mean(s).mean
-        at_star = bounds.sandwich(s, c_star).upper_mean
+        rep = _at_c_star(s)
+        c_star, at_star = rep.c_used, rep.upper_mean
         for dc in (-0.1, 0.1):
             margins.append(bounds.sandwich(s, c_star + dc).upper_mean - at_star)
     slack = _min_slack(margins)
@@ -125,13 +130,14 @@ def check_gap_shrinkage(seed: int, n: int) -> PropertyResult:
     ests = {}
     for i, k in enumerate([1, 2, 4, 8, 16]):
         s = _pairs_for(dist, n, k, derive_key(seed, 5, i))
-        ests[k] = bounds.gap_upper_first_order(s)
+        ests[k] = bounds.sandwich(s, 0.0)
     margins = []
     for k in [1, 2, 4, 8]:
         a, b = ests[k], ests[2 * k]
-        margins.append(a.mean + 3.0 * (a.stderr + b.stderr) - b.mean)
+        margins.append(a.width + 3.0 * (a.width_stderr + b.width_stderr)
+                       - b.width)
     # Limit check: at k=16 the gap must have collapsed well below its k=1 value.
-    margins.append(0.2 * ests[1].mean - ests[16].mean)
+    margins.append(0.2 * ests[1].width - ests[16].width)
     slack = _min_slack(margins)
     return PropertyResult("gap-shrinkage", slack)
 
@@ -141,9 +147,9 @@ def check_gamma_closed_form(seed: int, n: int) -> PropertyResult:
     margins = []
     for i, (a, theta, k) in enumerate([(2.0, 1.0, 1), (2.0, 1.0, 4), (0.5, 1.0, 4)]):
         s = _pairs_for(Gamma(a, theta), n, k, derive_key(seed, 6, i))
-        est = bounds.gap_upper_first_order(s)
+        rep = bounds.sandwich(s, 0.0)
         exact = 1.0 / (k * a - 1.0)
-        margins.append(3.0 * est.stderr - abs(est.mean - exact))
+        margins.append(3.0 * rep.width_stderr - abs(rep.width - exact))
     slack = _min_slack(margins)
     return PropertyResult("gamma-closed-form", slack)
 
@@ -153,9 +159,9 @@ def check_lognormal_midpoint(seed: int, n: int) -> PropertyResult:
     margins = []
     for i, (m, sg) in enumerate([(0.0, 1.0), (-1.0, 0.5), (2.0, 2.0)]):
         s = _pairs_for(LogNormal(m, sg), n, 1, derive_key(seed, 7, i))
-        ratio = bounds.log_ratio_mean(s)
-        rep = bounds.sandwich(s, ratio.mean)
-        se = math.sqrt(rep.lower_stderr ** 2 + 0.25 * ratio.stderr ** 2)
+        # At C*, the width's stderr is the delta-method stderr of C*.
+        rep = _at_c_star(s)
+        se = math.sqrt(rep.lower_stderr ** 2 + 0.25 * rep.width_stderr ** 2)
         margins.append(3.0 * se - abs(rep.midpoint - (m + 0.5 * sg * sg)))
     slack = _min_slack(margins)
     return PropertyResult("lognormal-midpoint", slack)
@@ -172,9 +178,10 @@ def check_scale_equivariance(seed: int, n: int) -> PropertyResult:
     tol = 1e-10
 
     def estimates(p):
-        rep, c_star = bounds.sandwich(p, 0.3), bounds.log_ratio_mean(p).mean
+        rep = bounds.sandwich(p, 0.3)
+        c_star = rep.log_ratio_mean
         return np.array([rep.lower_mean, rep.upper_mean, rep.lower_mean + c_star,
-                         rep.midpoint, c_star, bounds.gap_upper_first_order(p).mean])
+                         rep.midpoint, c_star, bounds.sandwich(p, 0.0).width])
 
     # Lower, upper, tightest upper and midpoint shift; C* and the gap do not.
     errs = np.abs(estimates(scaled) - estimates(s) - ([shift] * 4 + [0.0] * 2))
@@ -306,7 +313,7 @@ def check_midpoint_centering(seed: int, n: int) -> PropertyResult:
     """With C = optimal C from the same pairs, the report midpoint is the
     exact center of [lower, upper]."""
     s = _pairs_for(LogNormal(0.0, 1.0), max(n // 10, 100), 1, derive_key(seed, 15))
-    rep = bounds.sandwich(s, bounds.log_ratio_mean(s).mean)
+    rep = _at_c_star(s)
     err = abs(rep.midpoint - 0.5 * (rep.lower_mean + rep.upper_mean))
     slack = 1e-9 - err
     return PropertyResult("midpoint-centering", slack)

@@ -5,7 +5,7 @@ Chunk j of a cell holds max(1, CHUNK_FLOATS // (2k + 1)) pairs, the last
 chunk fewer, drawn from SFC64 under derive_key(cell_seed, j) and paired with
 paired_from_halves.  Pairs below the policy's pilot count estimate C; the
 rest are bounded.  Each chunk's working pairs reduce to a
-bounds.UpperPartial, evaluated at C, or bounded with bounds.upper_moments
+bounds.UpperPartial, evaluated at C, or bounded with bounds.pairwise_at
 where an exponent saturates; the partials merge in chunk order.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from gapsandwich import sweep
 from gapsandwich.accumulate import LogSumExp
-from gapsandwich.bounds import UpperPartial, bound_report, upper_moments
+from gapsandwich.bounds import UpperPartial, bound_report, pairwise_at
 from gapsandwich.distributions import sample
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples, paired_from_halves
@@ -59,9 +59,7 @@ def reference_row(dist, cfg, k, rep, draw=sample):
         if s < p.n:
             lx, d = p.lx[s:], p.d[s:]
             part = UpperPartial.of(lx, d)
-            upper = part.at(c)
-            blocks.append((part, upper_moments(lx, d, c) if upper is None
-                           else (upper, 0)))
+            blocks.append((part, part.at(c) or pairwise_at(lx, d, c)))
     return sweep.SweepRow(k=k, replication=rep, seed=seed,
                           report=bound_report(blocks, c, k))
 

@@ -8,13 +8,7 @@ import time
 import numpy as np
 
 from gapsandwich import vae
-from gapsandwich.bounds import (
-    gap_upper_first_order,
-    log_ratio_mean,
-    optimal_h_check,
-    sandwich,
-    tangent_family_g,
-)
+from gapsandwich.bounds import optimal_h_check, sandwich, tangent_family_g
 from gapsandwich.cli import CNET_DEFAULTS, TRAIN_DEFAULTS, main
 from gapsandwich.distributions import (
     Gamma,
@@ -50,9 +44,9 @@ def test_criterion_1_gamma_closed_form_gap():
     n = 100_000
     for i, k in enumerate((1, 4, 8)):
         s = pairs_for(Gamma(2.0, 1.0), n, derive_key(SEED, 101, i), k=k)
-        est = gap_upper_first_order(s)
+        rep = sandwich(s, 0.0)
         exact = 1.0 / (k * 2.0 - 1.0)
-        assert abs(est.mean - exact) <= 3.0 * est.stderr, (k, est, exact)
+        assert abs(rep.width - exact) <= 3.0 * rep.width_stderr, (k, rep, exact)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"runtime {elapsed:.1f}s"
     report(1, "gamma closed-form gap 1/(ka-1)")
@@ -64,10 +58,11 @@ def test_criterion_2_lognormal_exactness():
     n = 100_000
     for i, (m, sg) in enumerate([(0.0, 1.0), (-1.0, 0.5), (2.0, 2.0)]):
         s = pairs_for(LogNormal(m, sg), n, derive_key(SEED, 102, i))
-        ratio = log_ratio_mean(s)
-        assert abs(ratio.mean - sg * sg) <= 3.0 * ratio.stderr, (m, sg, ratio)
-        rep = sandwich(s, ratio.mean)
-        se_mid = math.sqrt(rep.lower_stderr ** 2 + 0.25 * ratio.stderr**2)
+        # At C*, the width's stderr is the delta-method stderr of C*.
+        rep = sandwich(s, sandwich(s, 0.0).log_ratio_mean)
+        c_star, se_c = rep.c_used, rep.width_stderr
+        assert abs(c_star - sg * sg) <= 3.0 * se_c, (m, sg, rep)
+        se_mid = math.sqrt(rep.lower_stderr ** 2 + 0.25 * se_c**2)
         assert abs(rep.midpoint - (m + 0.5 * sg * sg)) <= 3.0 * se_mid, (m, sg, rep)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"runtime {elapsed:.1f}s"
@@ -75,11 +70,11 @@ def test_criterion_2_lognormal_exactness():
 
 
 def test_criterion_3_c_zero_identity():
-    """sandwich's upper at C=0 == its lower + first-order gap, 1e-12 relative."""
+    """sandwich's upper at C=0 == its lower + mean(Y/X) - 1, 1e-12 relative."""
     s = pairs_for(Gamma(2.0, 1.0), 10_000, derive_key(SEED, 103))
     rep = sandwich(s, 0.0)
     a = rep.upper_mean
-    b = rep.lower_mean + gap_upper_first_order(s).mean
+    b = rep.lower_mean + (float(np.exp(s.d).mean()) - 1.0)
     rel = abs(a - b) / max(1.0, abs(a), abs(b))
     assert rel <= 1e-12, rel
     report(3, "C=0 identity (exact algebra)")

@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gapsandwich.accumulate import EXP_SATURATION, Moments
+from gapsandwich.accumulate import EXP_SATURATION, Moments, log_mean_exp
 from gapsandwich.bounds import (
     UpperPartial,
-    gap_upper_first_order,
-    log_ratio_mean,
     optimal_h_check,
+    pairwise_at,
     sandwich,
     tangent_family_g,
     upper_moments,
@@ -26,6 +25,11 @@ N = 100_000
 
 def pairs_for(dist, n, seed, k=1):
     return paired_from_halves(sample(dist, 2 * n * k, seed), k)
+
+
+def at_c_star(s):
+    """The sandwich of pairs s at C* = log mean(Y/X), its log_ratio_mean."""
+    return sandwich(s, sandwich(s, 0.0).log_ratio_mean)
 
 
 def gamma_mean_log_by_quadrature(a, theta):
@@ -63,27 +67,50 @@ class TestJensenLower:
 
 
 class TestGapUpperFirstOrder:
+    """The first-order gap mean(Y/X) - 1: the width of the sandwich at C = 0,
+    with its paired stderr and saturation count."""
+
     def test_constant_samples_have_zero_gap(self):
         s = paired_from_halves(np.full(8, 2.0), 1)
-        est = gap_upper_first_order(s)
-        assert est.mean == pytest.approx(0.0, abs=1e-15)
-        assert est.saturated == 0
+        rep = sandwich(s, 0.0)
+        assert rep.width == 0.0 and rep.width_stderr == 0.0
+        assert rep.saturated_pairs == 0
+        # C* is 0 too, so the tightest sandwich has no width either.
+        assert rep.log_ratio_mean == 0.0
+        assert at_c_star(s).width == 0.0
 
     def test_gamma_2_1_gap_is_one(self):
         s = pairs_for(Gamma(2.0, 1.0), N, seed=13)
-        est = gap_upper_first_order(s)
-        assert abs(est.mean - 1.0) <= 3.0 * est.stderr
+        rep = sandwich(s, 0.0)
+        assert abs(rep.width - 1.0) <= 3.0 * rep.width_stderr
 
     def test_lognormal_gap_is_e_minus_one(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=14)
-        est = gap_upper_first_order(s)
-        assert abs(est.mean - (math.e - 1.0)) <= 3.0 * est.stderr
+        rep = sandwich(s, 0.0)
+        assert abs(rep.width - (math.e - 1.0)) <= 3.0 * rep.width_stderr
 
     def test_saturation_is_counted_and_finite(self):
         s = PairedSamples(np.array([0.0, 0.0]), np.array([800.0, 0.0]))
-        est = gap_upper_first_order(s)
-        assert est.saturated == 1
-        assert math.isfinite(est.mean)
+        rep = sandwich(s, 0.0)
+        assert rep.saturated_pairs == 1
+        assert math.isfinite(rep.width) and math.isfinite(rep.width_stderr)
+
+    @pytest.mark.parametrize("c", [-2.0, 0.0, 0.3, 12.0])
+    def test_width_is_the_mean_of_the_pairs_gaps(self, c):
+        # Against each pair's gap C - 1 + exp(d - C) formed directly: the
+        # partial's width, and pairwise_at's.  At C = 12, C - 1 outweighs
+        # every exp(d - C), and at the others the largest exp(d - C) does.
+        s = pairs_for(LogNormal(0.0, 1.5), 1000, seed=27)
+        ratios = np.exp(s.d - c)
+        rep = sandwich(s, c)
+        assert rep.width == pytest.approx(c - 1.0 + ratios.mean(), rel=1e-13)
+        assert rep.width_stderr == pytest.approx(
+            ratios.std(ddof=1) / math.sqrt(s.n), rel=1e-12)
+        lx, d = s.lx.copy(), s.d.copy()
+        _, widths, saturated = pairwise_at(lx, d, c, out=(d, lx))
+        assert saturated == 0
+        assert widths.mean_stderr() == pytest.approx(
+            (rep.width, rep.width_stderr), rel=1e-13)
 
 
 class TestImprovedUpper:
@@ -91,7 +118,7 @@ class TestImprovedUpper:
         s = pairs_for(Gamma(2.0, 1.0), 10_000, seed=15)
         rep = sandwich(s, 0.0)
         a = rep.upper_mean
-        b = rep.lower_mean + gap_upper_first_order(s).mean
+        b = rep.lower_mean + (float(np.exp(s.d).mean()) - 1.0)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
     def test_constant_at_c_zero_is_log_c(self):
@@ -129,28 +156,36 @@ class TestImprovedUpper:
         s = pairs_for(Gamma(2.0, 1.0), 200, seed=seed)
         rep = sandwich(s, 0.0)
         a = rep.upper_mean
-        b = rep.lower_mean + gap_upper_first_order(s).mean
+        b = rep.lower_mean + (float(np.exp(s.d).mean()) - 1.0)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
 class TestOptimalC:
+    """C* = log mean(Y/X) is the report's log_ratio_mean, at any C; its
+    delta-method stderr is the width_stderr of the sandwich at C*."""
+
     def test_constant_samples_give_zero(self):
         s = paired_from_halves(np.full(8, 5.0), 1)
-        assert log_ratio_mean(s).mean == pytest.approx(0.0, abs=1e-12)
+        assert sandwich(s, 0.0).log_ratio_mean == 0.0
+
+    @pytest.mark.parametrize("c", [-3.0, 0.0, 0.4])
+    def test_is_the_log_mean_of_the_ratios_at_any_c(self, c):
+        s = pairs_for(LogNormal(0.0, 2.0), 1000, seed=28)
+        assert sandwich(s, c).log_ratio_mean == log_mean_exp(s.d)
 
     def test_lognormal_gives_sigma_squared(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=17)
-        est = log_ratio_mean(s)
-        assert abs(est.mean - 1.0) <= 3.0 * est.stderr
+        rep = at_c_star(s)
+        assert abs(rep.c_used - 1.0) <= 3.0 * rep.width_stderr
 
     def test_gamma_gives_log_two(self):
         s = pairs_for(Gamma(2.0, 1.0), N, seed=18)
-        est = log_ratio_mean(s)
-        assert abs(est.mean - math.log(2.0)) <= 3.0 * est.stderr
+        rep = at_c_star(s)
+        assert abs(rep.c_used - math.log(2.0)) <= 3.0 * rep.width_stderr
 
     def test_minimizes_improved_upper(self):
         s = pairs_for(Gamma(2.0, 1.0), 5_000, seed=19)
-        c_star = log_ratio_mean(s).mean
+        c_star = sandwich(s, 0.0).log_ratio_mean
         at_star = sandwich(s, c_star).upper_mean
         assert at_star <= sandwich(s, c_star + 0.1).upper_mean
         assert at_star <= sandwich(s, c_star - 0.1).upper_mean
@@ -167,49 +202,50 @@ def stderr_at_50_digits(d):
 
 
 class TestLogRatioMeanStderr:
-    """The delta-method stderr of log mean(Y/X) against a 50-digit oracle,
-    at small n, where the n / (n - 1) factor matters, and at relative
-    spreads down to 1e-6, which are not zero spread."""
+    """The delta-method stderr of C* = log mean(Y/X), the width_stderr of
+    the sandwich at C*, against a 50-digit oracle, at small n, where the
+    n / (n - 1) factor matters, and at relative spreads down to 1e-6, which
+    are not zero spread."""
 
     @pytest.mark.parametrize("n", [2, 3, 10, 1000])
     @pytest.mark.parametrize("spread", [1e-6, 1e-5, 1e-4, 1e-3, 1e-1])
     def test_matches_the_oracle(self, n, spread):
         d = np.log1p(spread * np.linspace(-1.0, 1.0, n))
-        got = log_ratio_mean(PairedSamples(np.zeros(n), d)).stderr
+        got = at_c_star(PairedSamples(np.zeros(n), d)).width_stderr
         want = stderr_at_50_digits(d)
         assert got != 0.0
-        assert abs(got - want) <= 5e-3 * want
+        assert abs(got - want) <= 1e-9 * want
 
 
 class TestOptimalUpperAndMidpoint:
-    """The tightest upper bound is lower_mean + C*, C* = log_ratio_mean;
-    the midpoint is the report's."""
+    """The tightest upper bound is lower_mean + C*, C* the report's
+    log_ratio_mean; the midpoint is the report's."""
 
     def test_constant_is_tight(self):
         s = paired_from_halves(np.full(8, 3.0), 1)
         rep = sandwich(s, 0.0)
-        assert rep.lower_mean + log_ratio_mean(s).mean == pytest.approx(
+        assert rep.lower_mean + rep.log_ratio_mean == pytest.approx(
             math.log(3.0), abs=1e-12)
         assert rep.midpoint == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_lognormal_optimal_upper_dominates_log_mean(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=20)
-        up = sandwich(s, 0.0).lower_mean + log_ratio_mean(s).mean
+        rep = sandwich(s, 0.0)
+        up = rep.lower_mean + rep.log_ratio_mean
         assert up == pytest.approx(1.0, abs=0.05)
         assert up >= 0.5  # log E X = m + sigma^2/2
 
     def test_lognormal_midpoint_is_exact(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=21)
-        rep = sandwich(s, 0.0)
-        se = math.sqrt(rep.lower_stderr ** 2
-                       + 0.25 * log_ratio_mean(s).stderr ** 2)
+        rep = at_c_star(s)
+        se = math.sqrt(rep.lower_stderr ** 2 + 0.25 * rep.width_stderr ** 2)
         assert abs(rep.midpoint - 0.5) <= 3.0 * se
 
     def test_gamma_midpoint_sits_inside_sandwich(self):
         s = pairs_for(Gamma(2.0, 1.0), N, seed=22)
         rep = sandwich(s, 0.0)
         mid, lower = rep.midpoint, rep.lower_mean
-        upper = lower + log_ratio_mean(s).mean
+        upper = lower + rep.log_ratio_mean
         exact = gamma_mean_log_by_quadrature(2.0, 1.0) + 0.5 * math.log(2.0)
         assert mid == pytest.approx(exact, abs=0.01)
         assert mid == pytest.approx(0.7694, abs=0.01)
@@ -246,7 +282,7 @@ class TestSandwich:
 
     def test_midpoint_centers_interval_at_optimal_c(self):
         s = pairs_for(LogNormal(0.0, 1.0), 5_000, seed=25)
-        rep = sandwich(s, log_ratio_mean(s).mean)
+        rep = at_c_star(s)
         assert rep.midpoint == pytest.approx(
             0.5 * (rep.lower_mean + rep.upper_mean), abs=1e-10
         )
@@ -258,7 +294,7 @@ class TestSandwich:
         scaled = paired_from_halves(raw * lam, 1)
         shift = math.log(lam)
         rep, rep_scaled = sandwich(s, 0.7), sandwich(scaled, 0.7)
-        c_star, c_star_scaled = log_ratio_mean(s).mean, log_ratio_mean(scaled).mean
+        c_star, c_star_scaled = rep.log_ratio_mean, rep_scaled.log_ratio_mean
         assert rep_scaled.lower_mean == pytest.approx(
             rep.lower_mean + shift, abs=1e-9)
         assert rep_scaled.upper_mean == pytest.approx(
@@ -268,8 +304,8 @@ class TestSandwich:
         assert rep_scaled.midpoint == pytest.approx(
             rep.midpoint + shift, abs=1e-9)
         assert c_star_scaled == pytest.approx(c_star, abs=1e-9)
-        assert gap_upper_first_order(scaled).mean == pytest.approx(
-            gap_upper_first_order(s).mean, abs=1e-9)
+        assert sandwich(scaled, 0.0).width == pytest.approx(
+            sandwich(s, 0.0).width, abs=1e-9)
 
 
 @st.composite
@@ -290,17 +326,21 @@ class TestHeavyTails:
         assert s.d.max() - s.d.min() > 1400.0
         rep = sandwich(s, c)
         for name in ("lower_mean", "lower_stderr", "upper_mean", "upper_stderr",
-                     "ratio_mean", "c_used", "midpoint"):
+                     "width", "width_stderr", "log_ratio_mean", "ratio_mean",
+                     "c_used", "midpoint"):
             assert math.isfinite(getattr(rep, name)), name
         assert rep.saturated_pairs == np.count_nonzero(s.d - c > 700.0)
 
     @given(heavy_tailed_pairs())
     def test_first_order_gap_and_ratio_mean_stay_finite(self, s):
-        gap = gap_upper_first_order(s)
-        assert math.isfinite(gap.mean) and math.isfinite(gap.stderr)
-        assert gap.saturated == np.count_nonzero(s.d > 700.0)
-        ratio = log_ratio_mean(s)
-        assert math.isfinite(ratio.mean) and math.isfinite(ratio.stderr)
+        # The first-order gap at C = 0, where some ratio saturates, and the
+        # width at C*, whose stderr is C*'s.
+        gap = sandwich(s, 0.0)
+        assert math.isfinite(gap.width) and math.isfinite(gap.width_stderr)
+        assert gap.saturated_pairs == np.count_nonzero(s.d > 700.0)
+        star = at_c_star(s)
+        assert math.isfinite(star.c_used) and math.isfinite(star.width_stderr)
+        assert star.saturated_pairs == 0
 
 
 @st.composite
@@ -317,31 +357,35 @@ def split_pairs(draw):
 class TestUpperPartial:
     @given(split_pairs(), st.floats(-1e4, 1e4))
     def test_chunks_at_any_c_merge_to_the_whole_upper_moments(self, pairs, c):
-        # Each chunk's partial at C, or upper_moments where it saturates,
-        # merged in chunk order.  The tolerance is in units of the terms'
-        # scale, not of the result, which can cancel; below the smallest
-        # normal float the terms round to nothing.
+        # Each chunk's partial at C, or pairwise_at where it saturates,
+        # merged in chunk order, for the upper terms and the widths.  The
+        # tolerance is in units of the terms' scale, not of the result,
+        # which can cancel; below the smallest normal float the terms round
+        # to nothing.
         lx, d, bounds = pairs
-        merged, saturated = Moments(0, 0.0, 0.0, 0.0), 0
+        empty = Moments(0, 0.0, 0.0, 0.0)
+        merged, saturated = (empty, empty), 0
         for a, b in zip(bounds, bounds[1:]):
             part = UpperPartial.of(lx[a:b], d[a:b])
             work = d[a:b].copy()
             assert UpperPartial.of(lx[a:b], work,
                                    out=(work, np.empty(b - a + 3))) == part
-            upper, count = upper_moments(lx[a:b], d[a:b], c)
+            upper, widths, count = pairwise_at(lx[a:b], d[a:b], c)
+            assert (upper, count) == upper_moments(lx[a:b], d[a:b], c)
             at_c = part.at(c)
             assert (at_c is None) == (count >= 1)
-            merged = merged.merge(upper if at_c is None else at_c)
+            at_c = at_c or (upper, widths, count)
+            merged = (merged[0].merge(at_c[0]), merged[1].merge(at_c[1]))
             saturated += count
-        whole, whole_saturated = upper_moments(lx, d, c)
+        *whole, whole_saturated = pairwise_at(lx, d, c)
         assert saturated == whole_saturated
-        scale = max(np.abs(lx).max(), abs(c - 1.0),
-                    math.exp(min(d.max() - c, EXP_SATURATION)),
-                    np.finfo(float).tiny)
-        (mean, std), (whole_mean, whole_std) = merged.mean_std(), whole.mean_std()
-        assert abs(mean - whole_mean) <= 1e-13 * scale
-        assert abs((std / scale) ** 2 - (whole_std / scale) ** 2) <= 1e-13
-
+        width_scale = max(abs(c - 1.0), math.exp(min(d.max() - c, EXP_SATURATION)),
+                          np.finfo(float).tiny)
+        for got, want, scale in zip(merged, whole, (
+                max(np.abs(lx).max(), width_scale), width_scale)):
+            (mean, std), (want_mean, want_std) = got.mean_std(), want.mean_std()
+            assert abs(mean - want_mean) <= 1e-13 * scale
+            assert abs((std / scale) ** 2 - (want_std / scale) ** 2) <= 1e-13
 
     def test_saturates_only_above_the_threshold(self):
         part = UpperPartial.of(np.zeros(2), np.array([EXP_SATURATION, 0.0]))
@@ -354,7 +398,7 @@ class TestUpperPartial:
         # lx near 50 with a spread of 0.01: the co-moment is taken over
         # centred lx, or the spread would move by about 1e-10 relative.
         s = pairs_for(LogNormal(50.0, 0.01), N, seed=5)
-        mean, std = UpperPartial.of(s.lx, s.d).at(1e-4).mean_std()
+        mean, std = UpperPartial.of(s.lx, s.d).at(1e-4)[0].mean_std()
         ref_mean, ref_std = upper_moments(s.lx, s.d, 1e-4)[0].mean_std()
         assert abs(mean - ref_mean) <= 1e-13 * abs(ref_mean)
         assert abs(std - ref_std) <= 1e-13 * ref_std

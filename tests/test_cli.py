@@ -580,6 +580,41 @@ class TestVaePipeline:
         assert err.count("\n") == 1 and err.startswith(f"error: key {key!r}")
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("command, first, second", [
+        ("train", "out", "loss_out"),
+        ("train-cnet", "out", "loss_out"),
+        ("train-cnet", "model", "out"),
+        ("train-cnet", "model", "loss_out"),
+        ("eval", "model", "out"),
+    ])
+    def test_two_keys_on_one_file_exit_2_before_compute(
+            self, tmp_path, monkeypatch, capsys, command, first, second):
+        # `train --out X --loss-out X` once wrote the loss CSV over the
+        # checkpoint and exited 0.  The second key spells the file another
+        # way, so the paths are compared as files, not as strings.
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran")
+
+        for name in ("train", "train_cnet", "evaluate"):
+            monkeypatch.setattr(cli.vae, name, no_compute)
+        (tmp_path / "sub").mkdir()
+        paths = {"model": tmp_path / "m.ckpt", "out": tmp_path / "o.ckpt",
+                 "loss_out": tmp_path / "l.csv"}
+        save_model(str(paths["model"]), ToyVae.init(1))
+        paths[second] = tmp_path / "sub" / ".." / paths[first].name
+        before = paths["model"].read_bytes()
+        keys = {"train": ("out", "loss_out"), "eval": ("model", "out")}.get(
+            command, ("model", "out", "loss_out"))
+        args = ["vae", command, "--n", "40"]
+        for key in keys:
+            args += ["--" + key.replace("_", "-"), str(paths[key])]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: key {second!r}") and repr(first) in err
+        assert paths["model"].read_bytes() == before
+        assert not (tmp_path / "o.ckpt").exists()
+
     def test_train_cnet_requires_model(self, tmp_path):
         assert run(["vae", "train-cnet", "--model", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path / "c.ckpt"),

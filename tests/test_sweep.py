@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gapsandwich import parallel, sweep, verify
 from gapsandwich.accumulate import LogSumExp, Moments
-from gapsandwich.bounds import UpperPartial, bound_report, log_ratio_mean, sandwich
+from gapsandwich.bounds import UpperPartial, bound_report, sandwich
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError
 from gapsandwich.parallel import THREADS_ENV, resolve_threads
@@ -78,7 +78,8 @@ class TestCPolicyCells:
         pilot_n = max(64, math.ceil(pairs.n / 10))
         assert CPolicy("pilot-optimal").pilot_pairs(pairs.n) == pilot_n
         assert rep.n == pairs.n - pilot_n
-        c = log_ratio_mean(PairedSamples(pairs.lx[:pilot_n], pairs.d[:pilot_n])).mean
+        c = sandwich(PairedSamples(pairs.lx[:pilot_n], pairs.d[:pilot_n]),
+                     0.0).log_ratio_mean
         assert rep.c_used == c
         assert rep == sandwich(PairedSamples(pairs.lx[pilot_n:], pairs.d[pilot_n:]),
                                c)
@@ -217,14 +218,16 @@ class TestChunkedCells:
         # so each chunk's upper terms come from its UpperPartial at C.
         partials = [UpperPartial.of(c.lx, c.d) for c in chunks]
         assert row.report == bound_report(
-            [(part, (part.at(0.0), 0)) for part in partials], 0.0, self.K)
+            [(part, part.at(0.0)) for part in partials], 0.0, self.K)
         lower = reduce(Moments.merge, (Moments.of(c.lx) for c in chunks))
         log_ratio = reduce(LogSumExp.merge, (LogSumExp.of(c.d) for c in chunks))
         assert (row.report.lower_mean, row.report.lower_stderr) == lower.mean_stderr()
+        widths = reduce(Moments.merge, (part.at(0.0)[1] for part in partials))
+        assert (row.report.width, row.report.width_stderr) == widths.mean_stderr()
         assert row.report.ratio_mean == math.exp(log_ratio.log_mean())
         whole = sandwich(expected, 0.0)
         for name in ("lower_mean", "lower_stderr", "upper_mean", "upper_stderr",
-                     "ratio_mean", "c_used", "midpoint"):
+                     "width", "width_stderr", "ratio_mean", "c_used", "midpoint"):
             x, y = getattr(row.report, name), getattr(whole, name)
             assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), name
         assert row.report.saturated_pairs == whole.saturated_pairs
@@ -400,13 +403,14 @@ class TestChunkedCells:
         # Against one whole-vector pass, the merged partials differ by
         # rounding alone.
         rep, pairs = one_cell(dist, n_pairs, k, 22, policy, threads=2)
-        c = log_ratio_mean(PairedSamples(pairs.lx[:pilot], pairs.d[:pilot])).mean
+        c = sandwich(PairedSamples(pairs.lx[:pilot], pairs.d[:pilot]),
+                     0.0).log_ratio_mean
         whole = sandwich(PairedSamples(pairs.lx[pilot:], pairs.d[pilot:], k=k), c)
         assert rep.n == whole.n == n_pairs - pilot
         assert rep.saturated_pairs == whole.saturated_pairs
         assert abs(rep.c_used - c) <= 1e-12 * max(1.0, abs(c))
         for name in ("lower_mean", "lower_stderr", "upper_mean", "upper_stderr",
-                     "ratio_mean", "midpoint"):
+                     "width", "width_stderr", "ratio_mean", "midpoint"):
             x, y = getattr(rep, name), getattr(whole, name)
             assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), name
         if per_chunk == 3281:
