@@ -16,16 +16,16 @@ holds the lower bound and the upper bound at C with their stderrs, the
 width, the mean of the pairs' gaps W_i = C - 1 + Y_i/X_i exp(-C), with its
 paired stderr, C* as log_ratio_mean, the mean ratio, the midpoint and the
 saturation count.  So sandwich(s, 0.0)'s width is the first-order gap, the
-tightest bound is lower_mean + C*, and sandwich(s, C*)'s width_stderr is
+tightest bound is lower_mean + C*, and sandwich_at_c_star(s)'s width_stderr is
 the delta-method stderr of C*, since Var(exp(d - C*)) = Var(Y/X) / E[Y/X]^2.
 
 The upper terms lx + W, with W = C - 1 + exp(M - C) w, M = max d and
 w = exp(d - M), are affine in exp(-C), so UpperPartial reduces a block of
 pairs without C and gives the Moments of its upper terms and widths at any
 C that saturates no exponent.  bound_report merges blocks' partials in
-order into a report.  upper_moments forms the upper terms pair by pair, at
-one C or one C per pair, and pairwise_at forms the upper terms and widths
-at one C, as a block that saturates at its C needs.
+order into a report.  pairwise_at forms the upper terms and widths pair
+by pair, at one C or one C per pair, as a block that saturates at its C
+and vae.evaluate need.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ class BoundReport:
 
     lower_* is E log X, upper_* the upper bound at C = c_used, width and
     width_stderr the mean of the pairs' gaps C - 1 + exp(d - C) and its
-    paired stderr, and log_ratio_mean C* = log mean(Y/X).  ratio_mean is
+    paired stderr, and log_ratio_mean C* = log mean(Y/X).  width is that
+    paired mean, equal to upper_mean - lower_mean only up to rounding;
+    KAggregate.width and EvalResult.width are that difference.  ratio_mean is
     the saturated mean of Y/X, and midpoint E log X + C*/2: exact for
     log-normal X, elsewhere a heuristic center of the optimal-C sandwich,
     second-order accurate for concentrated X.
@@ -75,11 +77,19 @@ class BoundReport:
         return self.lower_mean + 0.5 * self.log_ratio_mean
 
 
-def _upper_terms(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
-                 out: tuple[np.ndarray, np.ndarray] | None,
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The exponentials exp(d_i - C_i), saturated, the upper terms
-    lx_i - 1 + C_i + exp(d_i - C_i), and the count of saturated exponents."""
+def pairwise_at(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
+                out: tuple[np.ndarray, np.ndarray] | None = None,
+                ) -> tuple[Moments, Moments, int]:
+    """The Moments of the upper terms log X_i - 1 + C_i + exp(d_i - C_i) of
+    pairs (lx, d) and of their widths C_i - 1 + exp(d_i - C_i), and the
+    count of saturated exponents, formed pair by pair: what UpperPartial.at
+    gives, for a block that saturates at its C.
+
+    c is one finite C or one per pair; for each, the terms' mean is a valid
+    upper bound on log E X.  out, two float64 vectors of lx.size elements,
+    is the work space, so none is allocated, and its second vector is left
+    holding the terms; it may be (d, lx) itself, which is then overwritten.
+    """
     c = np.asarray(c, dtype=float)
     if not np.isfinite(c).all():
         raise ValueError(f"C must be finite, got {c!r}")
@@ -90,33 +100,8 @@ def _upper_terms(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
     np.subtract(lx, 1.0, out=terms)
     terms += c
     terms += exps
-    return exps, terms, saturated
-
-
-def upper_moments(lx: np.ndarray, d: np.ndarray, c: float | np.ndarray,
-                  out: tuple[np.ndarray, np.ndarray] | None = None,
-                  ) -> tuple[Moments, int]:
-    """The Moments of the upper terms log X_i - 1 + C_i + exp(d_i - C_i) of
-    pairs (lx, d), and the count of saturated exponents.
-
-    c is one finite C or one per pair; for each, the terms' mean is a valid
-    upper bound on log E X.  out, two float64 vectors of lx.size elements,
-    receives the terms' exponentials and the terms, so none is allocated;
-    it may be (d, lx) itself, which the terms then overwrite.
-    """
-    exps, terms, saturated = _upper_terms(lx, d, c, out)
-    return Moments.of(terms, scratch=exps), saturated
-
-
-def pairwise_at(lx: np.ndarray, d: np.ndarray, c: float,
-                out: tuple[np.ndarray, np.ndarray] | None = None,
-                ) -> tuple[Moments, Moments, int]:
-    """What UpperPartial.at gives, formed pair by pair at a finite C, for a
-    block that saturates there: the Moments of the upper terms and of the
-    widths C - 1 + exp(d_i - C), and the count of saturated exponents.
-    out is as upper_moments takes it."""
-    exps, terms, saturated = _upper_terms(lx, d, c, out)
-    widths = Moments.of(np.add(exps, c - 1.0, out=exps), scratch=exps)
+    exps += c - 1.0
+    widths = Moments.of(exps, scratch=exps)
     return Moments.of(terms, scratch=exps), widths, saturated
 
 
@@ -199,7 +184,17 @@ def sandwich(s: PairedSamples, c: float) -> BoundReport:
     """The report of one batch of pairs at a finite C: bound_report of its
     UpperPartial, with pairwise_at where an exponent saturates.  Every
     bound estimate of the batch is one of its fields."""
+    return _sandwich_of(s, UpperPartial.of(s.lx, s.d), c)
+
+
+def sandwich_at_c_star(s: PairedSamples) -> BoundReport:
+    """sandwich(s, C*) at the pairs' own C* = log mean(Y/X), from one
+    reduction of the pairs, since their partial does not depend on C."""
     partial = UpperPartial.of(s.lx, s.d)
+    return _sandwich_of(s, partial, float(partial.log_ratio.log_mean()))
+
+
+def _sandwich_of(s: PairedSamples, partial: UpperPartial, c: float) -> BoundReport:
     return bound_report([(partial, partial.at(c)
                           or pairwise_at(s.lx, s.d, c))], c, s.k)
 

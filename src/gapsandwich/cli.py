@@ -139,11 +139,12 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
-def _check_writable(opts: dict, *keys: str, reads: str | None = None) -> None:
+def _check_writable(opts: dict, *keys: str,
+                    reads: dict[str, str] | None = None) -> None:
     """Fail on the first output path of keys that cannot be written, or that
-    names the file of an earlier key or of the input key reads, before any
-    compute starts."""
-    owners = {os.path.realpath(opts[reads]): reads} if reads else {}
+    names the file of an earlier key or of an input, reads mapping each
+    input's key to its path, before any compute starts."""
+    owners = {os.path.realpath(path): key for key, path in (reads or {}).items()}
     for key in keys:
         path = opts[key]
         folder = os.path.dirname(path) or "."
@@ -342,7 +343,7 @@ CNET_DEFAULTS = {
 def cmd_vae_train_cnet(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, CNET_DEFAULTS)
-    _check_writable(opts, "out", "loss_out", reads="model")
+    _check_writable(opts, "out", "loss_out", reads={"model": opts["model"]})
     model = vae.load_model(opts["model"])
     data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 4))
     cnet = vae.CNet.init(derive_key(opts["seed"], 5))
@@ -374,9 +375,14 @@ EVAL_DEFAULTS = {
 }
 
 
-def _c_source(spec: str) -> vae.CNet | float:
+def _c_spec(spec: str) -> tuple[str, str]:
+    """The form of a --c value, lowercased, and the text after its colon."""
     head, _, tail = spec.strip().partition(":")
-    head = head.strip().lower()
+    return head.strip().lower(), tail
+
+
+def _c_source(spec: str) -> vae.CNet | float:
+    head, tail = _c_spec(spec)
     if head == "fixed":
         try:
             value = float(tail)
@@ -406,7 +412,11 @@ def _write_records_csv(path: str, result: vae.EvalResult) -> None:
 def cmd_vae_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, EVAL_DEFAULTS)
-    _check_writable(opts, "out", reads="model")
+    reads = {"model": opts["model"]}
+    head, cnet_path = _c_spec(opts["c"])
+    if head == "cnet" and cnet_path:
+        reads["c"] = cnet_path
+    _check_writable(opts, "out", reads=reads)
     sweep_ks = _parse_k_list(opts["k_sweep"], "k_sweep") if opts["k_sweep"] else ()
     model = vae.load_model(opts["model"])
     c_source = _c_source(opts["c"])

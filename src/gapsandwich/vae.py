@@ -709,7 +709,7 @@ def evaluate(
     _map_blocks).  The results therefore depend on neither the block size
     nor the thread count, and data[:m] gives the first m of them.
     Datapoint i's pair is lx = s = log mean R, the IWAE bound, and
-    d = log sum R~ - log sum R; bounds.upper_moments gives its
+    d = log sum R~ - log sum R; bounds.pairwise_at gives its
     S = s + C - 1 + exp(d - C) and the saturation count, and the Moments of
     s and S give the lower and upper means and their stderrs.  A
     float C must be finite, a C network that gives a non-finite C raises
@@ -748,8 +748,8 @@ def evaluate(
         pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)
     scratch, S_vals = np.empty(n), np.empty(n)
     lower, lower_stderr = Moments.of(pairs.lx, scratch=scratch).mean_stderr()
-    moments, saturated = bounds.upper_moments(pairs.lx, pairs.d, c_vals,
-                                              out=(scratch, S_vals))
+    moments, _, saturated = bounds.pairwise_at(pairs.lx, pairs.d, c_vals,
+                                               out=(scratch, S_vals))
     upper, upper_stderr = moments.mean_stderr()
     return EvalResult(
         x=data,

@@ -59,11 +59,6 @@ def _min_slack(margins: list[float]) -> float:
     return min(margins) if margins else math.inf
 
 
-def _at_c_star(s) -> bounds.BoundReport:
-    """The sandwich of pairs s at C* = log mean(Y/X) of the same pairs."""
-    return bounds.sandwich(s, bounds.sandwich(s, 0.0).log_ratio_mean)
-
-
 def check_sandwich_order(seed: int, n: int) -> PropertyResult:
     """Lower estimate must not exceed the upper one beyond 3 joint stderr."""
     margins = []
@@ -100,7 +95,7 @@ def check_optimal_c_stationarity(seed: int, n: int) -> PropertyResult:
     margins = []
     for i, dist in enumerate([Gamma(2.0, 1.0), LogNormal(0.0, 1.0)]):
         s = _pairs_for(dist, n, 1, derive_key(seed, 3, i))
-        rep = _at_c_star(s)
+        rep = bounds.sandwich_at_c_star(s)
         c_star, at_star = rep.c_used, rep.upper_mean
         for dc in (-0.1, 0.1):
             margins.append(bounds.sandwich(s, c_star + dc).upper_mean - at_star)
@@ -160,7 +155,7 @@ def check_lognormal_midpoint(seed: int, n: int) -> PropertyResult:
     for i, (m, sg) in enumerate([(0.0, 1.0), (-1.0, 0.5), (2.0, 2.0)]):
         s = _pairs_for(LogNormal(m, sg), n, 1, derive_key(seed, 7, i))
         # At C*, the width's stderr is the delta-method stderr of C*.
-        rep = _at_c_star(s)
+        rep = bounds.sandwich_at_c_star(s)
         se = math.sqrt(rep.lower_stderr ** 2 + 0.25 * rep.width_stderr ** 2)
         margins.append(3.0 * se - abs(rep.midpoint - (m + 0.5 * sg * sg)))
     slack = _min_slack(margins)
@@ -313,7 +308,7 @@ def check_midpoint_centering(seed: int, n: int) -> PropertyResult:
     """With C = optimal C from the same pairs, the report midpoint is the
     exact center of [lower, upper]."""
     s = _pairs_for(LogNormal(0.0, 1.0), max(n // 10, 100), 1, derive_key(seed, 15))
-    rep = _at_c_star(s)
+    rep = bounds.sandwich_at_c_star(s)
     err = abs(rep.midpoint - 0.5 * (rep.lower_mean + rep.upper_mean))
     slack = 1e-9 - err
     return PropertyResult("midpoint-centering", slack)

@@ -8,7 +8,12 @@ import time
 import numpy as np
 
 from gapsandwich import vae
-from gapsandwich.bounds import optimal_h_check, sandwich, tangent_family_g
+from gapsandwich.bounds import (
+    optimal_h_check,
+    sandwich,
+    sandwich_at_c_star,
+    tangent_family_g,
+)
 from gapsandwich.cli import CNET_DEFAULTS, TRAIN_DEFAULTS, main
 from gapsandwich.distributions import (
     Gamma,
@@ -59,7 +64,7 @@ def test_criterion_2_lognormal_exactness():
     for i, (m, sg) in enumerate([(0.0, 1.0), (-1.0, 0.5), (2.0, 2.0)]):
         s = pairs_for(LogNormal(m, sg), n, derive_key(SEED, 102, i))
         # At C*, the width's stderr is the delta-method stderr of C*.
-        rep = sandwich(s, sandwich(s, 0.0).log_ratio_mean)
+        rep = sandwich_at_c_star(s)
         c_star, se_c = rep.c_used, rep.width_stderr
         assert abs(c_star - sg * sg) <= 3.0 * se_c, (m, sg, rep)
         se_mid = math.sqrt(rep.lower_stderr ** 2 + 0.25 * se_c**2)

@@ -13,8 +13,8 @@ from gapsandwich.bounds import (
     optimal_h_check,
     pairwise_at,
     sandwich,
+    sandwich_at_c_star,
     tangent_family_g,
-    upper_moments,
 )
 from gapsandwich.distributions import Gamma, LogNormal, sample
 from gapsandwich.errors import EmptyGrid
@@ -25,11 +25,6 @@ N = 100_000
 
 def pairs_for(dist, n, seed, k=1):
     return paired_from_halves(sample(dist, 2 * n * k, seed), k)
-
-
-def at_c_star(s):
-    """The sandwich of pairs s at C* = log mean(Y/X), its log_ratio_mean."""
-    return sandwich(s, sandwich(s, 0.0).log_ratio_mean)
 
 
 def gamma_mean_log_by_quadrature(a, theta):
@@ -77,7 +72,7 @@ class TestGapUpperFirstOrder:
         assert rep.saturated_pairs == 0
         # C* is 0 too, so the tightest sandwich has no width either.
         assert rep.log_ratio_mean == 0.0
-        assert at_c_star(s).width == 0.0
+        assert sandwich_at_c_star(s).width == 0.0
 
     def test_gamma_2_1_gap_is_one(self):
         s = pairs_for(Gamma(2.0, 1.0), N, seed=13)
@@ -136,20 +131,20 @@ class TestImprovedUpper:
         with pytest.raises(ValueError):
             sandwich(s, math.inf)
         with pytest.raises(ValueError):
-            upper_moments(s.lx, s.d, np.array([0.0, math.nan]))
+            pairwise_at(s.lx, s.d, np.array([0.0, math.nan]))
 
     def test_one_c_per_pair(self):
         s = pairs_for(Gamma(2.0, 1.0), 40, seed=17)
         cs = np.linspace(-1.0, 1.0, s.n)
         terms = np.empty(s.n)
-        _, saturated = upper_moments(s.lx, s.d, cs, out=(np.empty(s.n), terms))
+        *_, saturated = pairwise_at(s.lx, s.d, cs, out=(np.empty(s.n), terms))
         assert saturated == 0
         for i in range(s.n):
             one = (np.empty(1), np.empty(1))
-            upper_moments(s.lx[i:i + 1], s.d[i:i + 1], cs[i], out=one)
+            pairwise_at(s.lx[i:i + 1], s.d[i:i + 1], cs[i], out=one)
             assert terms[i] == one[1][0]
-        assert (upper_moments(s.lx, s.d, np.full(s.n, 0.3))
-                == upper_moments(s.lx, s.d, 0.3))
+        assert (pairwise_at(s.lx, s.d, np.full(s.n, 0.3))
+                == pairwise_at(s.lx, s.d, 0.3))
 
     @given(st.integers(0, 2**32 - 1))
     def test_c_zero_identity_holds_for_any_sample(self, seed):
@@ -173,14 +168,22 @@ class TestOptimalC:
         s = pairs_for(LogNormal(0.0, 2.0), 1000, seed=28)
         assert sandwich(s, c).log_ratio_mean == log_mean_exp(s.d)
 
+    @pytest.mark.parametrize("dist", [Gamma(2.0, 1.0), LogNormal(0.0, 2.0)])
+    def test_sandwich_at_c_star_is_the_sandwich_at_its_log_ratio_mean(self, dist):
+        # One reduction of the pairs gives the report of two.
+        s = pairs_for(dist, 1000, seed=29)
+        rep = sandwich_at_c_star(s)
+        assert rep.c_used == rep.log_ratio_mean == sandwich(s, 0.0).log_ratio_mean
+        assert rep == sandwich(s, rep.c_used)
+
     def test_lognormal_gives_sigma_squared(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=17)
-        rep = at_c_star(s)
+        rep = sandwich_at_c_star(s)
         assert abs(rep.c_used - 1.0) <= 3.0 * rep.width_stderr
 
     def test_gamma_gives_log_two(self):
         s = pairs_for(Gamma(2.0, 1.0), N, seed=18)
-        rep = at_c_star(s)
+        rep = sandwich_at_c_star(s)
         assert abs(rep.c_used - math.log(2.0)) <= 3.0 * rep.width_stderr
 
     def test_minimizes_improved_upper(self):
@@ -211,7 +214,7 @@ class TestLogRatioMeanStderr:
     @pytest.mark.parametrize("spread", [1e-6, 1e-5, 1e-4, 1e-3, 1e-1])
     def test_matches_the_oracle(self, n, spread):
         d = np.log1p(spread * np.linspace(-1.0, 1.0, n))
-        got = at_c_star(PairedSamples(np.zeros(n), d)).width_stderr
+        got = sandwich_at_c_star(PairedSamples(np.zeros(n), d)).width_stderr
         want = stderr_at_50_digits(d)
         assert got != 0.0
         assert abs(got - want) <= 1e-9 * want
@@ -237,7 +240,7 @@ class TestOptimalUpperAndMidpoint:
 
     def test_lognormal_midpoint_is_exact(self):
         s = pairs_for(LogNormal(0.0, 1.0), N, seed=21)
-        rep = at_c_star(s)
+        rep = sandwich_at_c_star(s)
         se = math.sqrt(rep.lower_stderr ** 2 + 0.25 * rep.width_stderr ** 2)
         assert abs(rep.midpoint - 0.5) <= 3.0 * se
 
@@ -282,7 +285,7 @@ class TestSandwich:
 
     def test_midpoint_centers_interval_at_optimal_c(self):
         s = pairs_for(LogNormal(0.0, 1.0), 5_000, seed=25)
-        rep = at_c_star(s)
+        rep = sandwich_at_c_star(s)
         assert rep.midpoint == pytest.approx(
             0.5 * (rep.lower_mean + rep.upper_mean), abs=1e-10
         )
@@ -338,7 +341,7 @@ class TestHeavyTails:
         gap = sandwich(s, 0.0)
         assert math.isfinite(gap.width) and math.isfinite(gap.width_stderr)
         assert gap.saturated_pairs == np.count_nonzero(s.d > 700.0)
-        star = at_c_star(s)
+        star = sandwich_at_c_star(s)
         assert math.isfinite(star.c_used) and math.isfinite(star.width_stderr)
         assert star.saturated_pairs == 0
 
@@ -371,7 +374,6 @@ class TestUpperPartial:
             assert UpperPartial.of(lx[a:b], work,
                                    out=(work, np.empty(b - a + 3))) == part
             upper, widths, count = pairwise_at(lx[a:b], d[a:b], c)
-            assert (upper, count) == upper_moments(lx[a:b], d[a:b], c)
             at_c = part.at(c)
             assert (at_c is None) == (count >= 1)
             at_c = at_c or (upper, widths, count)
@@ -391,15 +393,15 @@ class TestUpperPartial:
         part = UpperPartial.of(np.zeros(2), np.array([EXP_SATURATION, 0.0]))
         assert part.at(0.0) is not None
         assert part.at(-1e-13) is None
-        assert upper_moments(np.zeros(2), np.array([EXP_SATURATION, 0.0]),
-                             -1e-13)[1] == 1
+        assert pairwise_at(np.zeros(2), np.array([EXP_SATURATION, 0.0]),
+                           -1e-13)[2] == 1
 
     def test_concentrated_pairs_far_from_zero_keep_their_spread(self):
         # lx near 50 with a spread of 0.01: the co-moment is taken over
         # centred lx, or the spread would move by about 1e-10 relative.
         s = pairs_for(LogNormal(50.0, 0.01), N, seed=5)
         mean, std = UpperPartial.of(s.lx, s.d).at(1e-4)[0].mean_std()
-        ref_mean, ref_std = upper_moments(s.lx, s.d, 1e-4)[0].mean_std()
+        ref_mean, ref_std = pairwise_at(s.lx, s.d, 1e-4)[0].mean_std()
         assert abs(mean - ref_mean) <= 1e-13 * abs(ref_mean)
         assert abs(std - ref_std) <= 1e-13 * ref_std
 

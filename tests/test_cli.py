@@ -586,12 +586,14 @@ class TestVaePipeline:
         ("train-cnet", "model", "out"),
         ("train-cnet", "model", "loss_out"),
         ("eval", "model", "out"),
+        ("eval", "c", "out"),
     ])
     def test_two_keys_on_one_file_exit_2_before_compute(
             self, tmp_path, monkeypatch, capsys, command, first, second):
         # `train --out X --loss-out X` once wrote the loss CSV over the
-        # checkpoint and exited 0.  The second key spells the file another
-        # way, so the paths are compared as files, not as strings.
+        # checkpoint and exited 0, and `eval --c cnet:X --out X` the records
+        # over the C network.  The second key spells the file another way,
+        # so the paths are compared as files, not as strings.
         def no_compute(*args, **kwargs):
             raise AssertionError("compute ran")
 
@@ -599,20 +601,22 @@ class TestVaePipeline:
             monkeypatch.setattr(cli.vae, name, no_compute)
         (tmp_path / "sub").mkdir()
         paths = {"model": tmp_path / "m.ckpt", "out": tmp_path / "o.ckpt",
-                 "loss_out": tmp_path / "l.csv"}
+                 "loss_out": tmp_path / "l.csv", "c": tmp_path / "c.ckpt"}
         save_model(str(paths["model"]), ToyVae.init(1))
+        save_cnet(str(paths["c"]), CNet.init(1))
         paths[second] = tmp_path / "sub" / ".." / paths[first].name
-        before = paths["model"].read_bytes()
-        keys = {"train": ("out", "loss_out"), "eval": ("model", "out")}.get(
+        before = {key: paths[key].read_bytes() for key in ("model", "c")}
+        keys = {"train": ("out", "loss_out"), "eval": ("model", "c", "out")}.get(
             command, ("model", "out", "loss_out"))
         args = ["vae", command, "--n", "40"]
         for key in keys:
-            args += ["--" + key.replace("_", "-"), str(paths[key])]
+            value = f"cnet:{paths[key]}" if key == "c" else str(paths[key])
+            args += ["--" + key.replace("_", "-"), value]
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: key {second!r}") and repr(first) in err
-        assert paths["model"].read_bytes() == before
+        assert {key: paths[key].read_bytes() for key in before} == before
         assert not (tmp_path / "o.ckpt").exists()
 
     def test_train_cnet_requires_model(self, tmp_path):

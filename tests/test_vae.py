@@ -614,7 +614,7 @@ class TestBoundChain:
     SEED, N = 1234, 100_000
 
     def test_catches_upper_terms_six_stderr_low(self, monkeypatch):
-        exact_evaluate, exact_upper = vae.evaluate, bounds.upper_moments
+        exact_evaluate, exact_upper = vae.evaluate, bounds.pairwise_at
         seen = []
 
         def spy(*args):
@@ -628,7 +628,7 @@ class TestBoundChain:
         def planted(lx, d, c, out=None):
             return exact_upper(lx - shift, d, c, out)
 
-        monkeypatch.setattr(bounds, "upper_moments", planted)
+        monkeypatch.setattr(bounds, "pairwise_at", planted)
         assert not verify.check_vae_bound_chain(self.SEED, self.N).passed
         assert seen[1].upper == pytest.approx(seen[0].upper - shift, abs=1e-12)
 

@@ -67,7 +67,8 @@ CASES = [
     (verify.check_k_monotonicity, bounds, "sandwich", last_lower_drops),
     (verify.check_gap_shrinkage, bounds, "sandwich", second_gap_grows),
     (verify.check_gamma_closed_form, bounds, "sandwich", gap_high),
-    (verify.check_lognormal_midpoint, bounds, "sandwich", midpoint_high),
+    (verify.check_lognormal_midpoint, bounds, "sandwich_at_c_star",
+     midpoint_high),
     (verify.check_sweep_shrinking, verify, "run_sweep", second_width_grows),
 ]
 
