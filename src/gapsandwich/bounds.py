@@ -23,7 +23,8 @@ The upper terms lx + W, with W = C - 1 + exp(M - C) w, M = max d and
 w = exp(d - M), are affine in exp(-C), so UpperPartial reduces a block of
 pairs without C and gives the Moments of its upper terms and widths at any
 C that saturates no exponent.  bound_report merges blocks' partials in
-order into a report.  pairwise_at forms the upper terms and widths pair
+order into a report, for sandwich, the sweep's cells and vae.evaluate
+alike.  pairwise_at forms the upper terms and widths pair
 by pair, at one C or one C per pair, as a block that saturates at its C
 and vae.evaluate need.
 """
@@ -48,9 +49,8 @@ class BoundReport:
 
     lower_* is E log X, upper_* the upper bound at C = c_used, width and
     width_stderr the mean of the pairs' gaps C - 1 + exp(d - C) and its
-    paired stderr, and log_ratio_mean C* = log mean(Y/X).  width is that
-    paired mean, equal to upper_mean - lower_mean only up to rounding;
-    KAggregate.width and EvalResult.width are that difference.  ratio_mean is
+    paired stderr, and log_ratio_mean C* = log mean(Y/X).  With one C per
+    pair, as vae.evaluate bounds them, c_used is their mean.  ratio_mean is
     the saturated mean of Y/X, and midpoint E log X + C*/2: exact for
     log-normal X, elsewhere a heuristic center of the optimal-C sandwich,
     second-order accurate for concentrated X.
@@ -168,7 +168,7 @@ def bound_report(blocks: Sequence[tuple[UpperPartial,
                  c: float, k: int) -> BoundReport:
     """The report at C of blocks of pairs, each its UpperPartial with its
     UpperPartial.at(C), or pairwise_at where it saturates, merged in block
-    order."""
+    order; c is the mean C where pairwise_at took one C per pair."""
     parts, at_c = zip(*blocks)
     uppers, widths, saturated = zip(*at_c)
     lower = reduce(Moments.merge, (part.lower for part in parts))

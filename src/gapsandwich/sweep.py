@@ -57,7 +57,8 @@ def chunk_bit_generator(key: int) -> np.random.BitGenerator:
 
 CSV_HEADER = (
     "dataset,model,k,replication,n_pairs,seed,lower_mean,lower_stderr,"
-    "upper_mean,upper_stderr,ratio_mean,c_used,midpoint,saturated_pairs"
+    "upper_mean,upper_stderr,ratio_mean,c_used,midpoint,saturated_pairs,"
+    "width,width_stderr"
 )
 
 
@@ -152,17 +153,15 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class KAggregate:
-    """Across-replication mean/stdev, matching a table's +/- columns."""
+    """Across-replication mean/stdev, matching a table's +/- columns, and
+    the mean of the rows' paired widths."""
 
     k: int
     lower_mean: float
     lower_std: float
     upper_mean: float
     upper_std: float
-
-    @property
-    def width(self) -> float:
-        return self.upper_mean - self.lower_mean
+    width: float
 
 
 @dataclass(frozen=True)
@@ -266,12 +265,11 @@ def run_sweep(
     aggregates = []
     for k in cfg.k_values:
         reports = [row.report for row in rows if row.k == k]
-        lower_mean, lower_std = Moments.of(
-            np.array([rep.lower_mean for rep in reports])).mean_std()
-        upper_mean, upper_std = Moments.of(
-            np.array([rep.upper_mean for rep in reports])).mean_std()
+        (lower_mean, lower_std), (upper_mean, upper_std), (width, _) = (
+            Moments.of(np.array([getattr(rep, name) for rep in reports])).mean_std()
+            for name in ("lower_mean", "upper_mean", "width"))
         aggregates.append(KAggregate(k, lower_mean, lower_std, upper_mean,
-                                     upper_std))
+                                     upper_std, width))
     return SweepResult(rows=tuple(rows), aggregates=tuple(aggregates))
 
 
@@ -302,6 +300,8 @@ def sweep_csv_lines(result: SweepResult, dataset: str, model: str) -> list[str]:
             repr(rep.c_used),
             repr(rep.midpoint),
             str(rep.saturated_pairs),
+            repr(rep.width),
+            repr(rep.width_stderr),
         ]))
     return lines
 

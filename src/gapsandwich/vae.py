@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .accumulate import EXP_SATURATION, LogSumExp, Moments, log_mean_exp
+from .accumulate import EXP_SATURATION, LogSumExp, log_mean_exp
 from .errors import (
     CheckpointError,
     DivergenceDetected,
@@ -670,28 +670,24 @@ class EvalRecord:
 @dataclass(frozen=True, eq=False)
 class EvalResult:
     """Per-datapoint vectors x, s (the lower terms), S (the upper terms) and
-    c, the k they were drawn at, and their summary."""
+    c, and their summary: elbo and report, the pairs' bounds.BoundReport,
+    whose k is the one they were drawn at."""
 
     x: np.ndarray
     s: np.ndarray
     S: np.ndarray
     c: np.ndarray
-    k: int
-    lower: float
-    upper: float
-    lower_stderr: float
-    upper_stderr: float
     elbo: float
-    saturated: int
+    report: bounds.BoundReport
 
     @property
-    def width(self) -> float:
-        return self.upper - self.lower
+    def saturated(self) -> int:
+        return self.report.saturated_pairs
 
     @property
     def records(self) -> tuple[EvalRecord, ...]:
         """The vectors as one EvalRecord per datapoint, built on access."""
-        return tuple(EvalRecord(*row, self.k) for row in zip(
+        return tuple(EvalRecord(*row, self.report.k) for row in zip(
             self.x.tolist(), self.s.tolist(), self.S.tolist(), self.c.tolist()))
 
 
@@ -709,11 +705,12 @@ def evaluate(
     _map_blocks).  The results therefore depend on neither the block size
     nor the thread count, and data[:m] gives the first m of them.
     Datapoint i's pair is lx = s = log mean R, the IWAE bound, and
-    d = log sum R~ - log sum R; bounds.pairwise_at gives its
-    S = s + C - 1 + exp(d - C) and the saturation count, and the Moments of
-    s and S give the lower and upper means and their stderrs.  A
-    float C must be finite, a C network that gives a non-finite C raises
-    NonFiniteParams, and non-finite log-ratios raise NonPositiveSample.
+    d = log sum R~ - log sum R, and bounds.pairwise_at gives its
+    S = s + C - 1 + exp(d - C).  The report is bounds.bound_report of the
+    pairs' UpperPartial and pairwise_at at their Cs, as sandwich reports a
+    batch, with the mean of the Cs as c_used.  A float C must be finite, a
+    C network that gives a non-finite C raises NonFiniteParams, and
+    non-finite log-ratios raise NonPositiveSample.
     elbo is the mean log R over the primal draws.
 
     The chunks run on _block_workspaces' workers, each in a workspace of
@@ -746,23 +743,17 @@ def evaluate(
     # Overflow leaves non-finite pairs, which PairedSamples rejects.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pairs = PairedSamples(lse[:, 0] - math.log(k), lse[:, 1] - lse[:, 0], k)
-    scratch, S_vals = np.empty(n), np.empty(n)
-    lower, lower_stderr = Moments.of(pairs.lx, scratch=scratch).mean_stderr()
-    moments, _, saturated = bounds.pairwise_at(pairs.lx, pairs.d, c_vals,
-                                               out=(scratch, S_vals))
-    upper, upper_stderr = moments.mean_stderr()
+    # lse is free once the pairs are formed: its halves take the temporaries.
+    free, S_vals = lse.reshape(-1), np.empty(n)
+    partial = bounds.UpperPartial.of(pairs.lx, pairs.d, out=(free[:n], free[n:]))
+    at_c = bounds.pairwise_at(pairs.lx, pairs.d, c_vals, out=(free[:n], S_vals))
     return EvalResult(
         x=data,
         s=pairs.lx,
         S=S_vals,
         c=c_vals,
-        k=k,
-        lower=lower,
-        upper=upper,
-        lower_stderr=lower_stderr,
-        upper_stderr=upper_stderr,
         elbo=float(primal_sums.sum() / (n * k)),
-        saturated=saturated,
+        report=bounds.bound_report([(partial, at_c)], float(np.mean(c_vals)), k),
     )
 
 

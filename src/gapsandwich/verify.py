@@ -422,9 +422,10 @@ def check_vae_bound_chain(seed: int, n: int) -> PropertyResult:
     model = vae.ToyVae.init(derive_key(seed, 19, 0), decoder_var=0.3)
     data = sample(Laplace(0.0, 0.2), max(n // 100, 200), derive_key(seed, 19, 1))
     res = vae.evaluate(model, 0.0, data, 8, derive_key(seed, 19, 2))
+    rep = res.report
     margins = [float((res.s - res.elbo).mean())]  # mean Jensen slack >= 0
     margins.append(
-        res.upper + 3.0 * (res.lower_stderr + res.upper_stderr) - res.lower
+        rep.upper_mean + 3.0 * (rep.lower_stderr + rep.upper_stderr) - rep.lower_mean
     )
     slack = _min_slack(margins)
     return PropertyResult("vae-bound-chain", slack)

@@ -38,11 +38,6 @@ def pairs_for(dist, n, seed, k=1):
     return paired_from_halves(sample(dist, 2 * n * k, seed), k)
 
 
-def width_stats(result):
-    widths = result.S - result.s
-    return float(widths.mean()), float(widths.std(ddof=1) / math.sqrt(widths.size))
-
-
 def test_criterion_1_gamma_closed_form_gap():
     """First-order gap matches 1/(ka-1) for Gamma(2,1), k in {1,4,8}."""
     start = time.monotonic()
@@ -176,28 +171,31 @@ def test_criterion_7_laplace_case_study():
     results = {k: vae.evaluate(trained, cnet, eval_data, k, derive_key(SEED, 8, k))
                for k in (1, 4, 16, 64)}
 
-    final = results[64]
-    assert final.lower <= final.upper, (final.lower, final.upper)
+    final = results[64].report
+    lower, upper = final.lower_mean, final.upper_mean
+    assert lower <= upper, (lower, upper)
     assert final.width <= 0.02, final.width
-    assert -0.25 <= final.lower and final.upper <= -0.05, (final.lower, final.upper)
+    assert -0.25 <= lower and upper <= -0.05, (lower, upper)
 
-    stats = {k: width_stats(res) for k, res in results.items()}
+    stats = {k: (res.report.width, res.report.width_stderr)
+             for k, res in results.items()}
     for ka, kb in ((1, 4), (4, 16), (16, 64)):
         (wa, sa), (wb, sb) = stats[ka], stats[kb]
         assert wb <= wa + 3.0 * (sa + sb), (ka, kb, stats)
 
-    assert final.elbo <= final.lower + 1e-12, (final.elbo, final.lower)
+    elbo = results[64].elbo
+    assert elbo <= lower + 1e-12, (elbo, lower)
 
     ll_vals = -np.abs(eval_data - dist.loc) / dist.b - math.log(2.0 * dist.b)
     ll_mc = float(ll_vals.mean())
     ll_se = float(ll_vals.std(ddof=1) / math.sqrt(ll_vals.size))
-    assert final.upper <= ll_mc + 3.0 * ll_se, (final.upper, ll_mc)
-    assert final.upper <= laplace_loglik(0.0, 0.2)  # analytic value -0.0837
+    assert upper <= ll_mc + 3.0 * ll_se, (upper, ll_mc)
+    assert upper <= laplace_loglik(0.0, 0.2)  # analytic value -0.0837
 
     elapsed = time.monotonic() - start
     assert elapsed < 300.0, f"runtime {elapsed:.1f}s"
     report(7, f"case study (trained C net, k=64 interval "
-              f"[{final.lower:.4f}, {final.upper:.4f}], {elapsed:.0f}s)")
+              f"[{lower:.4f}, {upper:.4f}], {elapsed:.0f}s)")
 
 
 def test_criterion_8_no_image_benchmarks():

@@ -197,6 +197,24 @@ class TestAnalyticCommand:
         assert err.count("\n") == 1 and err.startswith("error: key 'out'")
         assert why in err
 
+    @pytest.mark.parametrize("companion", [".manifest.json", ".gnuplot"])
+    def test_a_directory_at_a_companion_exits_2_before_sampling(
+            self, tmp_path, monkeypatch, capsys, companion):
+        # A directory at a.csv.manifest.json once ended `analytic --out a.csv`
+        # with a traceback and exit 1, verify's failure code, after the sweep.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        (tmp_path / ("a.csv" + companion)).mkdir()
+        code = run(["analytic", "--n", "100", "--emit-gnuplot",
+                    "--out", str(tmp_path / "a.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: key 'out'")
+        assert f"a.csv{companion}': it is a directory" in err
+        assert not (tmp_path / "a.csv").exists()
+
     def test_emit_gnuplot_writes_companion(self, tmp_path):
         out = str(tmp_path / "g.csv")
         code = run(["analytic", "--dist", "constant:c=1", "--k", "1", "--n", "100",
@@ -362,7 +380,8 @@ class TestVaePipeline:
             f"{float(x)!r},{float(s)!r},{float(S)!r},{float(c)!r},3"
             for x, s, S, c in zip(result.x, result.s, result.S, result.c)]
         mean_c = float(np.mean([float(c) for c in result.c]))
-        expected.append(f"mean,{result.lower!r},{result.upper!r},{mean_c!r},3")
+        rep = result.report
+        expected.append(f"mean,{rep.lower_mean!r},{rep.upper_mean!r},{mean_c!r},3")
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_zero_lr_checkpoint_matches_init(self, tmp_path):
@@ -447,10 +466,11 @@ class TestVaePipeline:
         rows = (tmp_path / "e.csv.ksweep.csv").read_text().splitlines()[1:]
         for k, row in zip((1, 2, 4, 8), rows, strict=True):
             res = vae.evaluate(model, cnet, data, k, derive_key(seed, 8, k))
+            rep = res.report
             assert row == ",".join([
-                str(k), str(n), repr(res.lower), repr(res.lower_stderr),
-                repr(res.upper), repr(res.upper_stderr), repr(res.elbo),
-                str(res.saturated)])
+                str(k), str(n), repr(rep.lower_mean), repr(rep.lower_stderr),
+                repr(rep.upper_mean), repr(rep.upper_stderr), repr(res.elbo),
+                str(rep.saturated_pairs), repr(rep.width), repr(rep.width_stderr)])
 
     @pytest.mark.parametrize("ks", ["1,0", "1,x", "2,2", "4,1", "1,4,2"])
     def test_bad_k_sweep_exits_2_before_writing(self, tmp_path, capsys, ks):
@@ -619,6 +639,45 @@ class TestVaePipeline:
         assert {key: paths[key].read_bytes() for key in before} == before
         assert not (tmp_path / "o.ckpt").exists()
 
+    def test_loss_manifest_on_the_checkpoint_exits_2_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        # `train --out v.csv.manifest.json --loss-out v.csv` once exited 0
+        # with the loss CSV's manifest written over the checkpoint.
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli.vae, "train", no_training)
+        ckpt = tmp_path / "v.csv.manifest.json"
+        code = run(["vae", "train", "--n", "40", "--out", str(ckpt),
+                    "--loss-out", str(tmp_path / "v.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: key 'loss_out'")
+        assert "key 'out' names the same file" in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("model", ["e.csv.ksweep.csv",
+                                       "e.csv.ksweep.csv.manifest.json"])
+    def test_k_sweep_output_on_the_model_exits_2_before_compute(
+            self, tmp_path, monkeypatch, capsys, model):
+        # `eval --k-sweep 1,4 --model e.csv.ksweep.csv --out e.csv` once
+        # exited 0 with the k-sweep CSV written over the model it read.
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran")
+
+        monkeypatch.setattr(cli.vae, "evaluate", no_compute)
+        path = tmp_path / model
+        save_model(str(path), ToyVae.init(1))
+        before = path.read_bytes()
+        code = run(["vae", "eval", "--n", "40", "--k-sweep", "1,4",
+                    "--model", str(path), "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: key 'out'")
+        assert "key 'model' names the same file" in err
+        assert path.read_bytes() == before
+        assert not (tmp_path / "e.csv").exists()
+
     def test_train_cnet_requires_model(self, tmp_path):
         assert run(["vae", "train-cnet", "--model", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path / "c.ckpt"),
@@ -677,3 +736,12 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     # command draws, raised the peak RSS of the case study, which never
     # runs a sweep, by about 0.4 MB.
     assert not loaded_by_importing_the_cli("numpy.random")
+
+
+def test_readme_file_formats_spell_every_csv_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    formats = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    for header in (CSV_HEADER, cli.EVAL_RECORD_HEADER, cli.EVAL_SWEEP_HEADER,
+                   verify.VERIFY_CSV_HEADER):
+        assert header in formats, header

@@ -47,8 +47,9 @@ def report() -> dict[str, list[float]]:
     return {
         "sweep": sweep,
         "train": [*fit.loss_history, *fit.model.params.tolist()],
-        "evaluate": [result.lower, result.upper, result.lower_stderr,
-                     result.upper_stderr, result.elbo,
+        "evaluate": [result.report.lower_mean, result.report.upper_mean,
+                     result.report.lower_stderr, result.report.upper_stderr,
+                     result.elbo,
                      *result.s.tolist(), *result.S.tolist()],
     }
 

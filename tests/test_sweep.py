@@ -161,6 +161,14 @@ class TestRunSweep:
         assert len(result.rows) == 15
         assert len(result.aggregates) == 3
 
+    def test_aggregate_width_is_the_mean_of_the_rows_paired_widths(self):
+        cfg = SweepConfig(k_values=(1, 4), n_pairs=500, replications=3,
+                          base_seed=6)
+        result = run_sweep(Gamma(2.0, 1.0), cfg)
+        for agg in result.aggregates:
+            widths = [row.report.width for row in result.rows if row.k == agg.k]
+            assert agg.width == pytest.approx(np.mean(widths), rel=1e-15)
+
     @pytest.mark.parametrize("n_pairs", [2, 3])
     def test_pilot_on_minimal_cells_bounds_one_pair(self, n_pairs):
         cfg = SweepConfig(k_values=(1, 4), n_pairs=n_pairs, replications=2,
@@ -826,3 +834,5 @@ class TestSweepCsv:
         fields = line.split(",")
         assert float(fields[6]) == result.rows[0].report.lower_mean
         assert float(fields[12]) == result.rows[0].report.midpoint
+        assert float(fields[14]) == result.rows[0].report.width
+        assert float(fields[15]) == result.rows[0].report.width_stderr

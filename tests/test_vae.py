@@ -15,7 +15,7 @@ from gapsandwich.errors import (
     ParseError,
 )
 from gapsandwich import bounds, vae, verify
-from gapsandwich.accumulate import logsumexp
+from gapsandwich.accumulate import EXP_SATURATION, logsumexp
 from gapsandwich.parallel import THREADS_ENV
 from gapsandwich.rng import generator
 from gapsandwich.vae import (
@@ -83,9 +83,7 @@ def assert_same_result(a, b):
     """Two EvalResults hold the same bits."""
     for name in ("x", "s", "S", "c"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    for name in ("k", "lower", "upper", "lower_stderr", "upper_stderr", "elbo",
-                 "saturated"):
-        assert getattr(a, name) == getattr(b, name), name
+    assert (a.elbo, a.report) == (b.elbo, b.report)
 
 
 def zero_model(decoder_var=0.3):
@@ -457,14 +455,14 @@ class TestElboAndIwElbo:
         for k in (1, 2, 8):
             res = evaluate(model, 0.0, np.zeros(4), k=k, seed=8)
             assert res.elbo == pytest.approx(expected, abs=1e-12)
-            assert res.lower == pytest.approx(expected, abs=1e-12)
+            assert res.report.lower_mean == pytest.approx(expected, abs=1e-12)
 
     def test_iw_bound_nondecreasing_in_k(self):
         # Statistical tightening with more importance samples: 4096 outer
         # draws at one x, each copy of the datapoint with its own draws.
         model = ToyVae.init(55)
         data = np.full(4096, 0.3)
-        vals = [evaluate(model, 0.0, data, k=k, seed=56).lower
+        vals = [evaluate(model, 0.0, data, k=k, seed=56).report.lower_mean
                 for k in (1, 4, 16)]
         assert vals[0] < vals[1] < vals[2]
 
@@ -623,14 +621,15 @@ class TestBoundChain:
 
         monkeypatch.setattr(vae, "evaluate", spy)
         assert verify.check_vae_bound_chain(self.SEED, self.N).passed
-        shift = 6.0 * (seen[0].lower_stderr + seen[0].upper_stderr)
+        shift = 6.0 * (seen[0].report.lower_stderr + seen[0].report.upper_stderr)
 
         def planted(lx, d, c, out=None):
             return exact_upper(lx - shift, d, c, out)
 
         monkeypatch.setattr(bounds, "pairwise_at", planted)
         assert not verify.check_vae_bound_chain(self.SEED, self.N).passed
-        assert seen[1].upper == pytest.approx(seen[0].upper - shift, abs=1e-12)
+        assert seen[1].report.upper_mean == pytest.approx(
+            seen[0].report.upper_mean - shift, abs=1e-12)
 
 
 class TestTrain:
@@ -763,7 +762,8 @@ class TestEvaluate:
             res = evaluate(model, 0.0, data, k=k, seed=21)
             np.testing.assert_allclose(res.s, expected, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(res.S, res.s, rtol=0.0, atol=1e-12)
-            assert res.lower == pytest.approx(res.upper, abs=1e-12)
+            assert res.report.lower_mean == pytest.approx(res.report.upper_mean,
+                                                          abs=1e-12)
 
     def test_repeat_call_is_deterministic(self):
         model = ToyVae.init(22)
@@ -776,8 +776,8 @@ class TestEvaluate:
         model = ToyVae.init(25)
         data = sample(Laplace(0.0, 0.2), 512, 26)
         res = evaluate(model, 0.0, data, k=4, seed=27)
-        assert res.lower <= res.upper
-        assert res.elbo <= res.lower + 1e-12  # mean Jensen slack
+        assert res.report.lower_mean <= res.report.upper_mean
+        assert res.elbo <= res.report.lower_mean + 1e-12  # mean Jensen slack
 
     def test_same_batch_optimal_c_keeps_upper_above_lower(self):
         model = ToyVae.init(28)
@@ -785,18 +785,19 @@ class TestEvaluate:
         first = evaluate(model, 0.0, data, k=4, seed=30)
         ratios = first.S - first.s + 1.0
         c_opt = math.log(float(ratios.mean()))
-        second = evaluate(model, c_opt, data, k=4, seed=30)
-        assert second.upper >= second.lower
-        assert second.upper - second.lower == pytest.approx(c_opt, abs=1e-9)
+        second = evaluate(model, c_opt, data, k=4, seed=30).report
+        assert second.upper_mean >= second.lower_mean
+        assert second.upper_mean - second.lower_mean == pytest.approx(c_opt,
+                                                                      abs=1e-9)
 
     def test_upper_tightens_with_k(self):
         model = ToyVae.init(31)
         data = sample(Laplace(0.0, 0.2), 512, 32)
         results = [evaluate(model, 0.0, data, k=k, seed=33) for k in (1, 4, 16)]
-        widths = [res.width for res in results]
+        widths = [res.report.width for res in results]
         assert widths[0] > widths[1] > widths[2]
         # The importance-weighted lower bound tightens with k as well.
-        lowers = [res.lower for res in results]
+        lowers = [res.report.lower_mean for res in results]
         assert lowers[0] < lowers[1] < lowers[2]
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
@@ -859,6 +860,49 @@ class TestEvaluate:
         for i, rec in enumerate(res.records):
             assert (rec.x, rec.s, rec.S, rec.c, rec.k) == (
                 res.x[i], res.s[i], res.S[i], res.c[i], 3)
+
+
+class TestEvaluateReport:
+    """evaluate reports its pairs as sandwich reports a batch."""
+
+    @staticmethod
+    def evaluate_with_pairs(monkeypatch, c_source):
+        """evaluate's result and the PairedSamples it formed."""
+        real, seen = vae.PairedSamples, []
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(vae, "PairedSamples", spy)
+        data = sample(Laplace(0.0, 0.2), 3000, 62)
+        res = evaluate(ToyVae.init(61), c_source, data, k=4, seed=63)
+        monkeypatch.undo()
+        return res, seen[0]
+
+    @pytest.mark.parametrize("c", [0.0, 0.4, "saturating"])
+    def test_float_c_reports_what_sandwich_reports(self, monkeypatch, c):
+        if c == "saturating":
+            # About half the pairs have d - C above the saturation exponent.
+            _, pairs = self.evaluate_with_pairs(monkeypatch, 0.0)
+            c = float(np.median(pairs.d)) - EXP_SATURATION
+        res, pairs = self.evaluate_with_pairs(monkeypatch, c)
+        got, want = res.report, bounds.sandwich(pairs, c)
+        assert (got.lower_mean, got.lower_stderr) == (want.lower_mean,
+                                                      want.lower_stderr)
+        for name in ("upper_mean", "upper_stderr", "width", "width_stderr"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                       rel=1e-13, abs=0.0), name
+        assert got.saturated_pairs == want.saturated_pairs
+        assert (got.log_ratio_mean, got.n, got.k) == (want.log_ratio_mean,
+                                                      want.n, want.k)
+        if c < 0.0:
+            assert 0 < got.saturated_pairs < got.n
+
+    def test_c_network_reports_the_mean_c(self, monkeypatch):
+        res, _ = self.evaluate_with_pairs(monkeypatch, CNet.init(64))
+        assert res.report.c_used == np.mean(res.c)
+        assert np.ptp(res.c) > 0.0
 
 
 class TestCheckpoints:

@@ -2,14 +2,17 @@
 
 Each property passes at a pinned seed and a reduced n, and fails when a
 defect is planted about 6 of its own stderr past its bound: a result of the
-estimator it reads is moved there on its way to the property.  A gate
+estimator or the sampler it reads is moved there on its way to the
+property.  A gate
 loosened tenfold, 30 stderr for 3, would pass the plant, so these tests pin
 each gate's strength without pinning its slack.  vae-bound-chain has its
 own, tests/test_vae.py::TestBoundChain.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gapsandwich import bounds, verify
@@ -58,8 +61,51 @@ def second_width_grows(result, seen):
     replication spreads above the first."""
     prev, cur, *rest = result.aggregates
     spread = prev.upper_std + prev.lower_std + cur.upper_std + cur.lower_std
-    cur = replace(cur, upper_mean=cur.lower_mean + prev.width + 6.0 * spread)
+    cur = replace(cur, width=prev.width + 6.0 * spread)
     return replace(result, aggregates=(prev, cur, *rest))
+
+
+def direct_law_high(draws, seen):
+    """The direct draws of the k-averaged law, 6 stderr of the difference
+    of two such samples' means high."""
+    if len(seen) != 2:
+        return draws
+    return draws + 6.0 * (2.0 * draws.var(ddof=1) / draws.size) ** 0.5
+
+
+def first_sample_high(draws, seen):
+    """The first law's X draws scaled up until their mean is 6 of its
+    stderr high."""
+    if len(seen) != 1:
+        return draws
+    se = draws.std(ddof=1) / draws.size ** 0.5
+    return draws * (1.0 + 6.0 * se / draws.mean())
+
+
+def first_ratio_high(draws, seen):
+    """The first law's Y draws scaled up until log mean(Y/X) is 6 of its
+    delta-method stderr high."""
+    if len(seen) != 2:
+        return draws
+    ratio = draws / seen[0]
+    se = ratio.std(ddof=1) / ratio.size ** 0.5 / ratio.mean()
+    return draws * np.exp(6.0 * se)
+
+
+def normals_high(rng, seen):
+    """Every standard normal that the reparameterised z is drawn from, 6
+    stderr of its mean high."""
+    return SimpleNamespace(
+        standard_normal=lambda n: rng.standard_normal(n) + 6.0 / n ** 0.5)
+
+
+def normals_wide(rng, seen):
+    """Every standard normal that the reparameterised z is drawn from
+    scaled until its variance is 6 stderr of its variance high."""
+    def standard_normal(n):
+        return rng.standard_normal(n) * (1.0 + 6.0 * (2.0 / (n - 1)) ** 0.5) ** 0.5
+
+    return SimpleNamespace(standard_normal=standard_normal)
 
 
 CASES = [
@@ -70,11 +116,24 @@ CASES = [
     (verify.check_lognormal_midpoint, bounds, "sandwich_at_c_star",
      midpoint_high),
     (verify.check_sweep_shrinking, verify, "run_sweep", second_width_grows),
+    (verify.check_k_averaged_law, verify, "sample", direct_law_high),
+    (verify.check_dist_oracles, verify, "sample", first_sample_high),
+    (verify.check_dist_oracles, verify, "sample", first_ratio_high),
+    (verify.check_reparam_moments, verify, "generator", normals_high),
+    (verify.check_reparam_moments, verify, "generator", normals_wide),
 ]
 
 
+def case_id(case):
+    """The check's name, with its plant's where the check has two."""
+    check, *_, edit = case
+    if sum(other[0] is check for other in CASES) > 1:
+        return f"{check.__name__}-{edit.__name__}"
+    return check.__name__
+
+
 @pytest.mark.parametrize("check, owner, name, edit", CASES,
-                         ids=[case[0].__name__ for case in CASES])
+                         ids=[case_id(case) for case in CASES])
 def test_a_defect_six_stderr_past_the_bound_fails(monkeypatch, check, owner,
                                                    name, edit):
     assert check(SEED, N).passed
