@@ -166,9 +166,11 @@ class UpperPartial(NamedTuple):
 def bound_report(blocks: Sequence[tuple[UpperPartial,
                                         tuple[Moments, Moments, int]]],
                  c: float, k: int) -> BoundReport:
-    """The report at C of blocks of pairs, each its UpperPartial with its
+    """The report of blocks of pairs, each its UpperPartial with its
     UpperPartial.at(C), or pairwise_at where it saturates, merged in block
-    order; c is the mean C where pairwise_at took one C per pair."""
+    order.  c is the report's c_used: the blocks' one C, or the mean C over
+    the pairs where the blocks or pairs have their own, as the sweep's
+    folds and vae.evaluate's pairs do."""
     parts, at_c = zip(*blocks)
     uppers, widths, saturated = zip(*at_c)
     lower = reduce(Moments.merge, (part.lower for part in parts))

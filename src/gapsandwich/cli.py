@@ -431,6 +431,8 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
     if head == "cnet" and cnet_path:
         reads["c"] = cnet_path
     sweep_ks = _parse_k_list(opts["k_sweep"], "k_sweep") if opts["k_sweep"] else ()
+    if opts["emit_gnuplot"] and not sweep_ks:
+        raise ParseError("key 'emit_gnuplot': eval plots only a k_sweep")
     sweep_path = opts["out"] + ".ksweep.csv"
     writes = _csv_writes(opts["out"])
     if sweep_ks:

@@ -2,31 +2,31 @@
 
 Each (k, replication) cell derives its own seed and samples 2*n_pairs*k
 draws of the sweep's distribution in chunks of m pairs,
-m = max(1, CHUNK_FLOATS // (2k + 1)), the last chunk fewer; chunk j draws
-from an SFC64 stream, chunk_bit_generator, under derive_key(cell_seed, j).
-SFC64 draws faster than the package's default Philox, and the sampler is
-most of a sweep's time.
+m = max(1, CHUNK_FLOATS // (2k + 1)), the last chunk fewer; a cell of at
+most m pairs is two chunks, of ceil(n_pairs / 2) and floor(n_pairs / 2)
+pairs, so every cell has two chunks or more.  Chunk j draws from an SFC64
+stream, chunk_bit_generator, under derive_key(cell_seed, j).  SFC64 draws
+faster than the package's default Philox, and the sampler is most of a
+sweep's time.
 
 run_sweep makes one buffer per worker, sized for the sweep's largest chunk,
 and runs every chunk of every cell in one parallel.map_chunks call.  A chunk
 draws into its worker's buffer, pairs its draws over themselves and reduces
-its pairs without C, with its temporaries in the pairs and in a scratch of
-m floats past its 2mk draws, so a sweep holds 4 MiB a worker whatever
-n_pairs is.  It takes the LogSumExp of its pilot pairs, the prefix that the
-CPolicy spends on C, and the bounds.UpperPartial of the rest.  Each cell
-merges its pilot partials into C and evaluates each chunk's UpperPartial at
-C.  A chunk whose largest exponent saturates at C is drawn again and bounded
-with bounds.pairwise_at, in a second map_chunks call over those chunks
-alone.  Each cell merges its chunks' partials in chunk order, so results are
-bit-identical at any thread count, and a cell of one chunk has the bits
-bounds.sandwich gives on its pairs.
+them to a bounds.UpperPartial without C, with its temporaries in the pairs
+and in a scratch of m floats past its 2mk draws, so a sweep holds 4 MiB a
+worker whatever n_pairs is.  Each chunk of a cell is one fold: the CPolicy
+maps the folds' LogSumExps of d to one C per fold, and each chunk's partial
+is evaluated at its C.  A chunk whose largest exponent saturates at its C
+is drawn again and bounded with bounds.pairwise_at, in a second map_chunks
+call over those chunks alone.  Each cell merges its chunks' partials in
+chunk order, so results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,12 +64,14 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class CPolicy:
-    """How the bound parameter C is chosen for each estimate.
+    """How the bound parameter C is chosen for each fold of a cell.
 
     zero          -> C = 0 (plain first-order bound)
     fixed:<v>     -> C = v
-    pilot-optimal -> C = log mean(Y/X) on a pilot prefix (10% of pairs,
-                     at least 64), then frozen for the remaining pairs.
+    pilot-optimal -> cross-fitted C: each chunk of a cell is bounded at
+                     C = log mean(Y/X) over the cell's other chunks, so no
+                     C depends on the pairs it bounds, and every pair is
+                     bounded.
     """
 
     kind: str
@@ -88,28 +90,30 @@ class CPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "CPolicy":
-        head, _, tail = text.strip().partition(":")
+        head, colon, tail = text.strip().partition(":")
         head = head.strip().lower()
-        if head in ("zero", "pilot-optimal"):
-            return cls(head)
         if head == "fixed":
             try:
                 return cls("fixed", float(tail))
             except ValueError:
                 raise ParseError(f"c-policy key 'fixed' needs a decimal: {tail!r}")
-        raise ParseError(f"unknown c-policy {text!r}")
+        if head in ("zero", "pilot-optimal") and not colon:
+            return cls(head)
+        raise ParseError(f"key 'c_policy': unknown c-policy {text!r}")
 
-    def pilot_pairs(self, n: int) -> int:
-        """How many of n >= 2 leading pairs estimate C and are left out of
-        the bounds: for pilot-optimal 10% of them, at least 64 and all but
-        one at most; none for the other kinds."""
+    def fold_cs(self, folds: list[LogSumExp]) -> list[float]:
+        """One C for each of a cell's folds, from the folds' LogSumExps of
+        d in chunk order: the policy's value, or for pilot-optimal
+        C_-f = log mean e^d over the other folds.  That is the merge of the
+        folds before f, merged left to right, with those after f, merged
+        right to left; the grouping follows the chunk order alone, so each
+        C has the same bits at any thread count."""
         if self.kind != "pilot-optimal":
-            return 0
-        return min(max(64, math.ceil(n / 10)), n - 1)
-
-    def fixed_c(self) -> float:
-        """C of the zero and fixed kinds."""
-        return self.value if self.kind == "fixed" else 0.0
+            return [self.value] * len(folds)
+        empty = LogSumExp(0, 0.0, 0.0)
+        before = accumulate(folds[:-1], LogSumExp.merge, initial=empty)
+        after = [*accumulate(folds[:0:-1], lambda a, f: f.merge(a), initial=empty)]
+        return [float(b.merge(a).log_mean()) for b, a in zip(before, after[::-1])]
 
 
 def _integer(name: str, value: object) -> int:
@@ -171,8 +175,11 @@ class SweepResult:
 
 
 def _chunking(n_pairs: int, k: int) -> tuple[int, int]:
-    """Pairs per chunk of a cell, and its number of chunks."""
+    """Pairs per chunk of a cell, and its number of chunks: two or more,
+    since a cell that one chunk would hold is drawn as two halves."""
     per_chunk = max(1, CHUNK_FLOATS // (2 * k + 1))
+    if n_pairs <= per_chunk:
+        per_chunk = -(-n_pairs // 2)
     return per_chunk, -(-n_pairs // per_chunk)
 
 
@@ -180,48 +187,43 @@ def _chunk_buffers(cfg: SweepConfig, workers: int) -> list[np.ndarray]:
     """One buffer for each of the workers, sized for the sweep's largest
     chunk: a chunk of m pairs takes its 2mk raw draws, over which its pairs
     lie, plus a scratch of m floats."""
-    floats = max((2 * k + 1) * min(_chunking(cfg.n_pairs, k)[0], cfg.n_pairs)
-                 for k in cfg.k_values)
+    floats = max((2 * k + 1) * _chunking(cfg.n_pairs, k)[0] for k in cfg.k_values)
     return [np.empty(floats) for _ in range(workers)]
 
 
 def _run_chunk(dist: AnalyticDist, cfg: SweepConfig, buf: np.ndarray, k: int,
                rep: int, j: int, c: float | None = None,
-               ) -> (tuple[LogSumExp, UpperPartial | None]
-                     | tuple[Moments, Moments, int]):
+               ) -> UpperPartial | tuple[Moments, Moments, int]:
     """Chunk j of cell (k, rep), drawn, paired and reduced in buf, its
     worker's buffer.
 
     The chunk is drawn from the chunk_bit_generator stream under
-    derive_key(seed, j) and holds pairs [j per_chunk, (j + 1) per_chunk):
-    those below the policy's pilot count go to C, the rest to the bounds.
-    Returns the LogSumExp of its pilot pairs and the UpperPartial of the
-    rest, None if there are none; given C, pairwise_at of the rest at C.
+    derive_key(seed, j) and holds pairs [j per_chunk, (j + 1) per_chunk).
+    Returns their UpperPartial; given C, pairwise_at of them at C.
     """
     seed = derive_key(cfg.base_seed, rep, k)
-    n = cfg.n_pairs
-    per_chunk = _chunking(n, k)[0]
-    start = j * per_chunk
-    m = min(per_chunk, n - start)
+    per_chunk = _chunking(cfg.n_pairs, k)[0]
+    m = min(per_chunk, cfg.n_pairs - j * per_chunk)
     raw = buf[:2 * m * k]
     lx, d, scratch = buf[:m], buf[m:2 * m], buf[raw.size:raw.size + m]
-    split = min(max(cfg.c_policy.pilot_pairs(n) - start, 0), m)
     sample(dist, raw.size, derive_key(seed, j), raw,
            bit_generator=chunk_bit_generator)
     paired_from_halves(raw, k, out=(lx, d), scratch=scratch)
-    pilot = LogSumExp.of(d[:split], scratch=scratch)
-    lx, d = lx[split:], d[split:]
     if c is not None:
         # The upper terms overwrite the pairs they are formed from.
         return pairwise_at(lx, d, c, out=(d, lx))
-    return pilot, UpperPartial.of(lx, d, out=(d, scratch)) if d.size else None
+    return UpperPartial.of(lx, d, out=(d, scratch))
 
 
-def _run_cell(cfg: SweepConfig, k: int, rep: int, c: float,
+def _run_cell(cfg: SweepConfig, k: int, rep: int, cs: list[float],
               chunks: list[tuple[UpperPartial, tuple[Moments, Moments, int]]]
               ) -> SweepRow:
-    """Cell (k, rep)'s row at C, from its chunks' blocks of working pairs;
-    perfbench's tracer wraps this function by name, as the cell's span."""
+    """Cell (k, rep)'s row from its chunks' blocks of pairs, chunk j's
+    bounded at cs[j]; c_used is the mean C over the cell's pairs, and the
+    one C where every chunk has it.  perfbench's tracer wraps this function
+    by name, as the cell's span."""
+    c = cs[0] if len(set(cs)) == 1 else math.fsum(
+        part.lower.n * fold_c for (part, _), fold_c in zip(chunks, cs)) / cfg.n_pairs
     return SweepRow(k=k, replication=rep, seed=derive_key(cfg.base_seed, rep, k),
                     report=bound_report(chunks, c, k))
 
@@ -230,7 +232,8 @@ def run_sweep(
     dist: AnalyticDist, cfg: SweepConfig, threads: int | None = None
 ) -> SweepResult:
     """Run every chunk of every (k, replication) cell of draws from dist on
-    the workers, bound each cell at its C, and aggregate per k.
+    the workers, bound each chunk at the C its policy gives it, and
+    aggregate per k.
 
     Deterministic in cfg: cells use derived seeds and chunks derived
     streams, so any thread count gives the same SweepResult.
@@ -244,22 +247,19 @@ def run_sweep(
         return map_chunks(lambda t, buf: _run_chunk(dist, cfg, buf, *chunks[t]),
                           len(chunks), buffers)
 
-    reduced = {cell: [] for cell in cells}
-    for (k, r, _), result in zip(tasks, run(tasks)):
-        reduced[k, r].append(result)
-    cs, blocks = {}, {}
-    for cell, results in reduced.items():
-        pilot = reduce(LogSumExp.merge, (part for part, _ in results))
-        c = cs[cell] = float(pilot.log_mean()) if pilot.n else cfg.c_policy.fixed_c()
-        # A chunk that holds pilot pairs alone has no block.
-        blocks[cell] = {j: (part, part.at(c)) for j, (_, part) in enumerate(results)
-                        if part is not None}
-    # Chunks that saturate at C are drawn again and bounded pair by pair.
-    again = [(k, r, j, cs[k, r]) for (k, r), cell in blocks.items()
-             for j, (_, at_c) in cell.items() if at_c is None]
-    for (k, r, j, _), at_c in zip(again, run(again) if again else []):
-        blocks[k, r][j] = (blocks[k, r][j][0], at_c)
-    rows = [_run_cell(cfg, k, r, cs[k, r], list(blocks[k, r].values()))
+    parts = {cell: [] for cell in cells}
+    for (k, r, _), part in zip(tasks, run(tasks)):
+        parts[k, r].append(part)
+    cs = {cell: cfg.c_policy.fold_cs([part.log_ratio for part in parts[cell]])
+          for cell in cells}
+    at_c = {cell: [part.at(c) for part, c in zip(parts[cell], cs[cell])]
+            for cell in cells}
+    # Chunks that saturate at their C are drawn again and bounded pair by pair.
+    again = [(k, r, j, cs[k, r][j]) for k, r in cells
+             for j, moments in enumerate(at_c[k, r]) if moments is None]
+    for (k, r, j, _), moments in zip(again, run(again) if again else []):
+        at_c[k, r][j] = moments
+    rows = [_run_cell(cfg, k, r, cs[k, r], list(zip(parts[k, r], at_c[k, r])))
             for k, r in cells]
 
     aggregates = []

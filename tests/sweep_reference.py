@@ -2,13 +2,18 @@
 that run_sweep's one-pass chunks are compared against.
 
 Chunk j of a cell holds max(1, CHUNK_FLOATS // (2k + 1)) pairs, the last
-chunk fewer, drawn from SFC64 under derive_key(cell_seed, j) and paired with
-paired_from_halves.  Pairs below the policy's pilot count estimate C; the
-rest are bounded.  Each chunk's working pairs reduce to a
-bounds.UpperPartial, evaluated at C, or bounded with bounds.pairwise_at
-where an exponent saturates; the partials merge in chunk order.
+chunk fewer, or half the cell's pairs where one chunk would hold them all,
+drawn from SFC64 under derive_key(cell_seed, j) and paired with
+paired_from_halves.  Each chunk is one fold.  Under pilot-optimal, fold f is
+bounded at C = log mean e^d over the other folds: the LogSumExps of the
+folds before it merged left to right, merged with those of the folds after
+it merged right to left.  Each chunk's pairs reduce to a
+bounds.UpperPartial, evaluated at its C, or are bounded with
+bounds.pairwise_at where an exponent saturates; the partials merge in chunk
+order.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -25,6 +30,8 @@ def chunk_pairs(dist, seed, k, n_pairs, draw=sample):
     """A cell's pairs, one PairedSamples per chunk.  draw has sample's
     signature and fills its out argument."""
     per_chunk = max(1, sweep.CHUNK_FLOATS // (2 * k + 1))
+    if n_pairs <= per_chunk:
+        per_chunk = math.ceil(n_pairs / 2)
     chunks = []
     for j, start in enumerate(range(0, n_pairs, per_chunk)):
         raw = np.empty(2 * min(per_chunk, n_pairs - start) * k)
@@ -41,27 +48,35 @@ def pairs_of(chunks, start=0, stop=None):
     return PairedSamples(lx, d, k=chunks[0].k)
 
 
+def cross_fitted_cs(chunks):
+    """Each chunk's C = log mean e^d over the other chunks, with the
+    sweep's grouping, one chunk at a time."""
+    parts = [LogSumExp.of(p.d) for p in chunks]
+    cs = []
+    for f in range(len(parts)):
+        before, after = parts[:f], parts[f + 1:]
+        others = ([reduce(LogSumExp.merge, before)] if before else []) + (
+            [reduce(lambda acc, part: part.merge(acc), after[::-1])]
+            if after else [])
+        cs.append(float(reduce(LogSumExp.merge, others).log_mean()))
+    return cs
+
+
 def reference_row(dist, cfg, k, rep, draw=sample):
     """The SweepRow of cell (k, rep) of cfg."""
     seed = derive_key(cfg.base_seed, rep, k)
-    pilot = cfg.c_policy.pilot_pairs(cfg.n_pairs)
     chunks = chunk_pairs(dist, seed, k, cfg.n_pairs, draw)
-    starts = np.cumsum([0] + [c.n for c in chunks])
-    splits = [min(max(pilot - start, 0), c.n) for start, c in zip(starts, chunks)]
-    if pilot:
-        c = float(reduce(LogSumExp.merge, (LogSumExp.of(p.d[:s])
-                                           for p, s in zip(chunks, splits))
-                         ).log_mean())
+    if cfg.c_policy.kind == "pilot-optimal":
+        cs = cross_fitted_cs(chunks)
+        c_used = math.fsum(p.n * c for p, c in zip(chunks, cs)) / cfg.n_pairs
     else:
-        c = cfg.c_policy.fixed_c()
+        cs, c_used = [cfg.c_policy.value] * len(chunks), cfg.c_policy.value
     blocks = []
-    for p, s in zip(chunks, splits):
-        if s < p.n:
-            lx, d = p.lx[s:], p.d[s:]
-            part = UpperPartial.of(lx, d)
-            blocks.append((part, part.at(c) or pairwise_at(lx, d, c)))
+    for p, c in zip(chunks, cs):
+        part = UpperPartial.of(p.lx, p.d)
+        blocks.append((part, part.at(c) or pairwise_at(p.lx, p.d, c)))
     return sweep.SweepRow(k=k, replication=rep, seed=seed,
-                          report=bound_report(blocks, c, k))
+                          report=bound_report(blocks, c_used, k))
 
 
 def reference_rows(dist, cfg, draw=sample):

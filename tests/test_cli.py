@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from gapsandwich.distributions import parse_dist, sample
 from gapsandwich.parallel import THREADS_ENV
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples
-from gapsandwich.sweep import CSV_HEADER
+from gapsandwich.sweep import CSV_HEADER, CPolicy
 from gapsandwich.vae import (
     CNET_PARAM_COUNT,
     VAE_PARAM_COUNT,
@@ -98,6 +99,31 @@ class TestAnalyticCommand:
     def test_bad_c_policy_exits_2(self, tmp_path):
         assert run(["analytic", "--dist", "constant:c=1", "--c-policy", "best",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("policy", ["zero:0.7", "pilot-optimal:garbage"])
+    def test_a_value_after_zero_or_pilot_optimal_exits_2_before_sampling(
+            self, tmp_path, monkeypatch, capsys, policy, form):
+        # `analytic --c-policy zero:0.7` once swept at C = 0, wrote c_used
+        # 0.0 and exited 0.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "x.csv"
+        args = ["analytic", "--dist", "constant:c=1", "--k", "1", "--n", "100",
+                "--replications", "1", "--out", str(out)]
+        if form == "flag":
+            args += ["--c-policy", policy]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"c-policy={policy}\n")
+            args += ["--config", str(cfg)]
+        assert run(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'c_policy'" in err[0] and repr(policy) in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
     def test_non_finite_fixed_c_exits_2(self, tmp_path, capsys, value):
@@ -678,6 +704,42 @@ class TestVaePipeline:
         assert path.read_bytes() == before
         assert not (tmp_path / "e.csv").exists()
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_emit_gnuplot_without_k_sweep_exits_2_before_compute(
+            self, tmp_path, monkeypatch, capsys, form):
+        # eval plots only its k-sweep: `--emit-gnuplot` without `--k-sweep`
+        # once exited 0 with no script written.
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran")
+
+        monkeypatch.setattr(cli.vae, "evaluate", no_compute)
+        model = tmp_path / "m.ckpt"
+        save_model(str(model), ToyVae.init(1))
+        args = ["vae", "eval", "--n", "40", "--k", "2", "--model", str(model),
+                "--out", str(tmp_path / "e.csv")]
+        if form == "flag":
+            args.append("--emit-gnuplot")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("emit-gnuplot=yes\n")
+            args += ["--config", str(cfg)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: key 'emit_gnuplot'")
+        assert set(tmp_path.iterdir()) == {model} | (
+            {tmp_path / "run.cfg"} if form == "config" else set())
+
+    def test_eval_emit_gnuplot_plots_the_k_sweep(self, tmp_path):
+        model = tmp_path / "m.ckpt"
+        save_model(str(model), ToyVae.init(1))
+        out = tmp_path / "e.csv"
+        assert run(["vae", "eval", "--n", "40", "--k", "2", "--k-sweep", "1,2",
+                    "--model", str(model), "--out", str(out),
+                    "--emit-gnuplot"]) == 0
+        script = (tmp_path / "e.csv.ksweep.csv.gnuplot").read_text()
+        assert f"'{out}.ksweep.csv' using 1:3" in script
+        assert not (tmp_path / "e.csv.gnuplot").exists()
+
     def test_train_cnet_requires_model(self, tmp_path):
         assert run(["vae", "train-cnet", "--model", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path / "c.ckpt"),
@@ -745,3 +807,28 @@ def test_readme_file_formats_spell_every_csv_header():
     for header in (CSV_HEADER, cli.EVAL_RECORD_HEADER, cli.EVAL_SWEEP_HEADER,
                    verify.VERIFY_CSV_HEADER):
         assert header in formats, header
+
+
+def test_readme_cli_examples_parse():
+    # Every command in README's CLI block parses, and so do its values of
+    # the flags whose grammar the commands check after parsing.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("gapsandwich ")]
+    assert len(commands) >= 6
+    checks = {"--c-policy": CPolicy.parse, "--dist": parse_dist,
+              "--data": parse_dist, "--k": lambda v: cli._parse_k_list(v, "k"),
+              "--k-sweep": lambda v: cli._parse_k_list(v, "k_sweep")}
+    parser = cli.build_parser()
+    seen = set()
+    for argv in commands:
+        assert callable(parser.parse_args(argv[1:]).func), argv
+        for flag, value in zip(argv, argv[1:]):
+            if flag in checks:
+                checks[flag](value)
+                seen.add(flag)
+    assert {"--c-policy", "--dist", "--k"} <= seen

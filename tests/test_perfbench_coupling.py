@@ -31,7 +31,8 @@ def load_bench(name):
 
 def test_tracer_counts_the_sweep_layers_and_repeats():
     spans = load_bench("spans")
-    # k = 1 cells fit one chunk, k = 64 cells take two, on two workers.
+    # A k = 1 cell fits one chunk and is drawn as two halves; a k = 64 cell
+    # takes two chunks.  They run on two workers.
     n_pairs = sweep.CHUNK_FLOATS // 128 + 5
     cfg = sweep.SweepConfig(k_values=(1, 64), n_pairs=n_pairs,
                             replications=2, base_seed=3)
@@ -53,7 +54,8 @@ def test_tracer_counts_the_sweep_layers_and_repeats():
         # its 2 k n_pairs draws.
         assert c["samples.pairs"] == 4 * n_pairs == c["sweep.pairs_drawn"]
         assert c["distributions.draws"] == 2 * (2 * 1 + 2 * 64) * n_pairs
-        assert c["rng.generators"] == 6
+        # One generator per chunk: two for each of the four cells.
+        assert c["rng.generators"] == 8
 
 
 @pytest.mark.parametrize("size", ["full", "tiny"])

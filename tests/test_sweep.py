@@ -15,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gapsandwich import parallel, sweep, verify
-from gapsandwich.accumulate import LogSumExp, Moments
-from gapsandwich.bounds import UpperPartial, bound_report, sandwich
+from gapsandwich.accumulate import LogSumExp, Moments, log_mean_exp
+from gapsandwich.bounds import UpperPartial, bound_report, pairwise_at, sandwich
 from gapsandwich.distributions import Constant, Gamma, LogNormal, parse_dist, sample
 from gapsandwich.errors import ParseError
 from gapsandwich.parallel import THREADS_ENV, resolve_threads
@@ -31,7 +31,7 @@ from gapsandwich.sweep import (
     sweep_csv_lines,
     write_sweep_csv,
 )
-from sweep_reference import chunk_pairs, pairs_of, reference_rows
+from sweep_reference import chunk_pairs, cross_fitted_cs, pairs_of, reference_rows
 
 
 class TestCPolicy:
@@ -49,10 +49,84 @@ class TestCPolicy:
     @pytest.mark.parametrize("kind", ["zero", "pilot-optimal"])
     def test_a_value_without_the_fixed_kind_is_an_error(self, kind):
         # The value would be ignored: zero sweeps at C = 0, pilot-optimal
-        # at its pilot's C.
+        # at its cross-fitted Cs.
         with pytest.raises(ParseError, match=kind):
             CPolicy(kind, 0.7)
         assert CPolicy(kind, 0.0) == CPolicy(kind)
+
+    @pytest.mark.parametrize("text", ["zero:0.7", "zero:", "pilot-optimal:garbage",
+                                      " Pilot-Optimal : 1"])
+    def test_a_suffix_after_zero_or_pilot_optimal_is_an_error(self, text):
+        # parse once dropped it: zero:0.7 swept at C = 0.
+        with pytest.raises(ParseError, match="c_policy"):
+            CPolicy.parse(text)
+
+    @pytest.mark.parametrize("policy", ["zero", "fixed:0.1", "fixed:-1e308"])
+    def test_zero_and_fixed_give_every_fold_their_value(self, policy):
+        folds = [LogSumExp.of(np.array([v, 2.0 * v])) for v in (1.0, -3.0, 40.0)]
+        cpolicy = CPolicy.parse(policy)
+        assert cpolicy.fold_cs(folds) == [cpolicy.value] * 3
+
+
+@st.composite
+def folds(draw):
+    """Finite pairs (lx, d), 2 to 48 of them, split into 2 to 9 contiguous
+    folds, and a second d for each fold, as long as its own."""
+    n = draw(st.integers(2, 48))
+    lx = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    d = np.array(draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=8)))
+    other = [np.array(draw(st.lists(st.floats(-300.0, 300.0), min_size=f.size,
+                                    max_size=f.size)))
+             for f in np.split(d, cuts)]
+    return np.split(lx, cuts), np.split(d, cuts), other
+
+
+class TestFolds:
+    """pilot-optimal bounds each fold of a cell, one chunk, at C = log mean
+    e^d over the cell's other folds."""
+
+    @given(folds())
+    def test_each_fold_is_bounded_at_the_log_mean_exp_of_the_others(self, folds):
+        # The tolerances are relative, in units of at least 1 for C, and of
+        # the terms' scale for the moments, as in test_bounds: C can be 0,
+        # and the moments can cancel.
+        lxs, ds, other = folds
+        policy = CPolicy("pilot-optimal")
+        parts = [LogSumExp.of(d) for d in ds]
+        cs = policy.fold_cs(parts)
+        assert len(cs) == len(ds)
+        for f, c in enumerate(cs):
+            want = log_mean_exp(np.concatenate(ds[:f] + ds[f + 1:]))
+            assert abs(c - want) <= 1e-13 * max(1.0, abs(want))
+            # The fold's own d does not reach its C, not even by rounding.
+            swapped = parts[:f] + [LogSumExp.of(other[f])] + parts[f + 1:]
+            assert policy.fold_cs(swapped)[f] == c
+            # The fold's partial at its C is its pairs bounded pair by pair.
+            got = UpperPartial.of(lxs[f], ds[f]).at(c)
+            *want_moments, saturated = pairwise_at(lxs[f], ds[f], c)
+            assert saturated == 0 and got[2] == 0
+            width_scale = max(abs(c - 1.0), math.exp(ds[f].max() - c),
+                              np.finfo(float).tiny)
+            for got_m, want_m, scale in zip(got[:2], want_moments, (
+                    max(np.abs(lxs[f]).max(), width_scale), width_scale)):
+                (mean, std), (want_mean, want_std) = (got_m.mean_std(),
+                                                      want_m.mean_std())
+                assert abs(mean - want_mean) <= 1e-13 * scale
+                assert abs((std / scale) ** 2 - (want_std / scale) ** 2) <= 1e-13
+
+    @pytest.mark.parametrize("dist, log_mean", [
+        (Gamma(2.0, 1.0), math.log(2.0)), (LogNormal(0.0, 1.5), 1.5**2 / 2)])
+    def test_the_mean_upper_bound_holds_over_replications(self, dist, log_mean):
+        # Each cell is two folds of 25 pairs at k = 64, where the bound is
+        # tight: the mean upper bound lies 8.5 se above log E X for the gamma
+        # law, and 17 se above for the lognormal one.
+        cfg = SweepConfig(k_values=(64,), n_pairs=50, replications=400,
+                          base_seed=33)
+        uppers = np.array([row.report.upper_mean
+                           for row in run_sweep(dist, cfg).rows])
+        se = uppers.std(ddof=1) / math.sqrt(uppers.size)
+        assert uppers.mean() >= log_mean - 3.0 * se
 
 
 def one_cell(dist, n_pairs, k, base_seed, policy, threads=1):
@@ -64,30 +138,49 @@ def one_cell(dist, n_pairs, k, base_seed, policy, threads=1):
 
 
 class TestCPolicyCells:
-    """The C policy as a cell applies it: zero and fixed bound every pair,
-    pilot-optimal estimates C on a prefix and bounds the rest."""
+    """The C policy as a cell applies it: every policy bounds every pair,
+    zero and fixed at their C, pilot-optimal each fold at the C of the
+    cell's other folds."""
 
     def test_zero_and_fixed_keep_all_pairs(self):
+        # 200 pairs fit one chunk, so the cell is two folds of 100.
         for policy, c in ((CPolicy("zero"), 0.0), (CPolicy("fixed", 0.7), 0.7)):
             rep, pairs = one_cell(Gamma(2.0, 1.0), 200, 1, 3, policy)
             assert rep.c_used == c and rep.n == pairs.n == 200
-            assert rep == sandwich(pairs, c)
+            parts = [UpperPartial.of(pairs.lx[a:b], pairs.d[a:b])
+                     for a, b in ((0, 100), (100, 200))]
+            assert rep == bound_report([(p, p.at(c)) for p in parts], c, 1)
+            whole = sandwich(pairs, c)
+            for name in ("lower_mean", "lower_stderr", "upper_mean",
+                         "upper_stderr", "width", "width_stderr", "midpoint"):
+                x, y = getattr(rep, name), getattr(whole, name)
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), name
 
-    def test_pilot_freezes_c_from_prefix(self):
-        rep, pairs = one_cell(Gamma(2.0, 1.0), 2000, 1, 4, CPolicy("pilot-optimal"))
-        pilot_n = max(64, math.ceil(pairs.n / 10))
-        assert CPolicy("pilot-optimal").pilot_pairs(pairs.n) == pilot_n
-        assert rep.n == pairs.n - pilot_n
-        c = sandwich(PairedSamples(pairs.lx[:pilot_n], pairs.d[:pilot_n]),
-                     0.0).log_ratio_mean
-        assert rep.c_used == c
-        assert rep == sandwich(PairedSamples(pairs.lx[pilot_n:], pairs.d[pilot_n:]),
-                               c)
+    def test_pilot_optimal_bounds_each_half_at_the_other_halfs_c(self):
+        # 2001 pairs fit one chunk, so the cell is two folds, of 1001 and
+        # 1000 pairs; c_used is the mean C over the pairs.
+        rep, pairs = one_cell(Gamma(2.0, 1.0), 2001, 1, 4, CPolicy("pilot-optimal"))
+        cs = [log_mean_exp(pairs.d[1001:]), log_mean_exp(pairs.d[:1001])]
+        assert rep.n == 2001
+        assert rep.c_used == math.fsum([1001 * cs[0], 1000 * cs[1]]) / 2001
+        upper, widths, saturated = pairwise_at(pairs.lx, pairs.d,
+                                               np.repeat(cs, [1001, 1000]))
+        whole = sandwich(pairs, 0.0)
+        assert rep.saturated_pairs == saturated == 0
+        for got, want in (
+                ((rep.lower_mean, rep.lower_stderr),
+                 (whole.lower_mean, whole.lower_stderr)),
+                ((rep.upper_mean, rep.upper_stderr), upper.mean_stderr()),
+                ((rep.width, rep.width_stderr), widths.mean_stderr()),
+                ((rep.ratio_mean, rep.midpoint), (whole.ratio_mean,
+                                                  whole.midpoint))):
+            for x, y in zip(got, want):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
 
     def test_pilot_on_tiny_batch_still_leaves_pairs(self):
         rep, _ = one_cell(Gamma(2.0, 1.0), 10, 1, 5, CPolicy("pilot-optimal"))
-        assert rep.n >= 1
-        assert math.isfinite(rep.c_used)
+        assert rep.n == 10
+        assert math.isfinite(rep.c_used) and math.isfinite(rep.upper_stderr)
 
 
 class TestSweepConfig:
@@ -170,18 +263,22 @@ class TestRunSweep:
             assert agg.width == pytest.approx(np.mean(widths), rel=1e-15)
 
     @pytest.mark.parametrize("n_pairs", [2, 3])
-    def test_pilot_on_minimal_cells_bounds_one_pair(self, n_pairs):
+    def test_pilot_on_minimal_cells_bounds_every_pair(self, n_pairs):
+        # Two folds, of one pair and of one or two, each bounded at the C of
+        # the other: every stderr is finite.
         cfg = SweepConfig(k_values=(1, 4), n_pairs=n_pairs, replications=2,
                           base_seed=9)
         result = run_sweep(Gamma(2.0, 1.0), cfg)
+        assert result.rows == reference_rows(Gamma(2.0, 1.0), cfg)
         for row in result.rows:
             rep = row.report
-            assert rep.n == 1
-            assert math.isfinite(rep.lower_mean) and math.isfinite(rep.upper_mean)
-            assert rep.lower_stderr == rep.upper_stderr == math.inf
-        assert "inf" in sweep_csv_lines(result, "d", "m")[1].split(",")
+            assert rep.n == n_pairs
+            for value in (rep.lower_mean, rep.lower_stderr, rep.upper_mean,
+                          rep.upper_stderr, rep.width_stderr):
+                assert math.isfinite(value)
+        assert "inf" not in sweep_csv_lines(result, "d", "m")[1].split(",")
 
-    @pytest.mark.parametrize("policy, bounded", [("zero", 16), ("pilot-optimal", 1)])
+    @pytest.mark.parametrize("policy, bounded", [("zero", 16), ("pilot-optimal", 16)])
     def test_k_equal_to_n_pairs(self, policy, bounded):
         cfg = SweepConfig(k_values=(1, 16), n_pairs=16, replications=1, base_seed=10,
                           c_policy=CPolicy.parse(policy))
@@ -203,7 +300,7 @@ class TestRunSweep:
 class TestChunkedCells:
     """Each cell draws chunks of CHUNK_FLOATS // (2k + 1) pairs, chunk j from
     the SFC64 stream under derive_key(cell_seed, j); the last chunk is
-    short."""
+    short, and a cell that one chunk would hold is drawn as two halves."""
 
     K = 64
     PER_CHUNK = CHUNK_FLOATS // (2 * K + 1)
@@ -391,47 +488,49 @@ class TestChunkedCells:
             assert np.shares_memory(scratch, raw.base[-per_chunk:])
 
     @pytest.mark.parametrize("per_chunk", [193, 1000, 3281, 32768])
-    def test_pilot_boundary_inside_on_and_across_chunks(self, per_chunk,
-                                                        monkeypatch):
-        # k = 16 at 32805 pairs: the pilot is 3281 = 17 * 193 pairs, so it
-        # ends on a chunk boundary after 17 chunks of 193, inside chunk 3 of
-        # chunks of 1000, on the end of chunk 0 of chunks of 3281, and
-        # inside the one chunk of 32768 then 37.
+    def test_folds_match_a_whole_vector_pass(self, per_chunk, monkeypatch):
+        # k = 16 at 32805 pairs: 170 chunks of 193 and a last one of 5, 33
+        # of 1000 (the last 805), 10 of 3281 (the last 3276), or one chunk
+        # of 32768 and one of 37.
         k, n_pairs = 16, 32805
         monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * k + 1) * per_chunk)
         policy = CPolicy("pilot-optimal")
-        pilot = policy.pilot_pairs(n_pairs)
-        assert pilot == 3281
         cfg = SweepConfig(k_values=(k,), n_pairs=n_pairs, replications=1,
                           base_seed=22, c_policy=policy)
         dist = Gamma(2.0, 1.0)
         ref = reference_rows(dist, cfg)
         for threads in (1, 2, 3):
             assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
-        # Against one whole-vector pass, the merged partials differ by
-        # rounding alone.
+        # Against whole-vector passes, each chunk at the log mean e^d of the
+        # pairs outside it, the merged partials differ by rounding alone.
         rep, pairs = one_cell(dist, n_pairs, k, 22, policy, threads=2)
-        c = sandwich(PairedSamples(pairs.lx[:pilot], pairs.d[:pilot]),
-                     0.0).log_ratio_mean
-        whole = sandwich(PairedSamples(pairs.lx[pilot:], pairs.d[pilot:], k=k), c)
-        assert rep.n == whole.n == n_pairs - pilot
-        assert rep.saturated_pairs == whole.saturated_pairs
-        assert abs(rep.c_used - c) <= 1e-12 * max(1.0, abs(c))
-        for name in ("lower_mean", "lower_stderr", "upper_mean", "upper_stderr",
-                     "width", "width_stderr", "ratio_mean", "midpoint"):
-            x, y = getattr(rep, name), getattr(whole, name)
+        sizes = [c.n for c in chunk_pairs(dist, derive_key(22, 0, k), k, n_pairs)]
+        ends = np.cumsum(sizes)
+        cs = [log_mean_exp(np.delete(pairs.d, np.s_[end - m:end]))
+              for m, end in zip(sizes, ends)]
+        upper, widths, saturated = pairwise_at(pairs.lx, pairs.d,
+                                               np.repeat(cs, sizes))
+        whole = sandwich(pairs, 0.0)
+        assert rep.n == whole.n == n_pairs
+        assert rep.saturated_pairs == saturated == 0
+        want = {"upper_mean": upper.mean_stderr()[0],
+                "upper_stderr": upper.mean_stderr()[1],
+                "width": widths.mean_stderr()[0],
+                "width_stderr": widths.mean_stderr()[1],
+                "c_used": float(np.dot(sizes, cs)) / n_pairs}
+        for name in ("lower_mean", "lower_stderr", "ratio_mean", "midpoint"):
+            want[name] = getattr(whole, name)
+        for name, y in want.items():
+            x = getattr(rep, name)
             assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), name
-        if per_chunk == 3281:
-            # One pilot chunk: C has the bits of the whole-prefix estimate.
-            assert rep.c_used == c
 
     def test_many_pilot_chunks_on_more_workers_than_cores(self, monkeypatch):
         # Six cells on four workers while the interpreter switches threads
-        # often.  Each cell's 330-pair pilot spans 33 chunks of 10 pairs at
-        # k = 4 and 11 of 30 at k = 1, which run out of order, and each cell
-        # merges their partials in chunk order.  A chunk that drew into
-        # another's buffer, or partials merged out of order, would change a
-        # row.
+        # often.  Each cell spans 330 chunks of 10 pairs at k = 4 and 110 of
+        # 30 at k = 1, which run out of order, and each cell merges their
+        # LogSumExps into each chunk's C, and their partials, in chunk order.
+        # A chunk that drew into another's buffer, or partials merged out of
+        # order, would change a row.
         monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * 4 + 1) * 10)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3300, replications=3,
                           base_seed=26)
@@ -448,25 +547,25 @@ class TestChunkedCells:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_pilot_chunk_is_raised_and_the_pool_is_joined(
             self, threads, monkeypatch):
-        # Chunks of 100 pairs at k = 1 and 33 at k = 4; the pilot is 300
-        # pairs, chunks 0-2 of each k = 1 cell and 0-9 of each k = 4 cell.
-        # Cell (1, 0)'s pilot chunk 1 fails late, while at two threads the
-        # other worker runs on through the other cells' chunks.  A worker left hanging trips the session's faulthandler
-        # timeout, which ends the run with every thread's stack.
+        # Chunks of 100 pairs at k = 1 and 33 at k = 4.  Cell (1, 0)'s chunk
+        # 1 fails late, while at two threads the other worker runs on
+        # through the other cells' chunks.  A worker left hanging trips the
+        # session's faulthandler timeout, which ends the run with every
+        # thread's stack.
         monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * 1 + 1) * 100)
         cfg = SweepConfig(k_values=(1, 4), n_pairs=3000, replications=2,
                           base_seed=27)
         lost = derive_key(derive_key(27, 0, 1), 1)
 
-        def pilot_fails(d, n, key, out, *, bit_generator):
+        def fails(d, n, key, out, *, bit_generator):
             if key == lost:
                 time.sleep(0.2)
-                raise RuntimeError("pilot chunk 1 lost")
+                raise RuntimeError("chunk 1 lost")
             out[:] = 1.0
 
-        monkeypatch.setattr(sweep, "sample", pilot_fails)
+        monkeypatch.setattr(sweep, "sample", fails)
         before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="pilot chunk 1 lost"):
+        with pytest.raises(RuntimeError, match="chunk 1 lost"):
             run_sweep(Gamma(2.0, 1.0), cfg, threads=threads)
         assert set(threading.enumerate()) <= before
 
@@ -515,10 +614,11 @@ class TestChunkedCells:
 
     def test_saturation_in_a_later_chunk_is_drawn_again(self, monkeypatch,
                                                         map_calls):
-        # Each cell's pilot lies in chunk 0 and gives C near 0.  Chunk 2 of
-        # each cell holds two Y blocks of exp(705), so d - C is near 704: its
-        # partial saturates at C, and the chunk alone is drawn again and
-        # bounded pair by pair.
+        # Chunk 2 of each cell holds two Y blocks of exp(705), and its C,
+        # from chunks 0 and 1, is near 0, so d - C is near 704: its partial
+        # saturates at its C, and the chunk alone is drawn again and bounded
+        # pair by pair.  Chunks 0 and 1 are bounded at a C near 696, from
+        # chunk 2's two pairs, and saturate nothing.
         n_pairs = 3 * self.PER_CHUNK
         cfg = SweepConfig(k_values=(self.K,), n_pairs=n_pairs, replications=2,
                           base_seed=28, c_policy=CPolicy("pilot-optimal"))
@@ -538,17 +638,17 @@ class TestChunkedCells:
             del map_calls[:]
             assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
             assert map_calls == [6, 2]
-        pilot = cfg.c_policy.pilot_pairs(n_pairs)
         for row in ref:
-            pairs = pairs_of(chunk_pairs(dist, row.seed, self.K, n_pairs,
-                                         draw=planting), pilot)
-            assert 0.0 < abs(row.report.c_used) < 0.1
+            chunks = chunk_pairs(dist, row.seed, self.K, n_pairs, draw=planting)
+            cs = cross_fitted_cs(chunks)
+            assert 0.0 < abs(cs[2]) < 0.1 and all(690.0 < c < 700.0 for c in cs[:2])
             assert row.report.saturated_pairs == 2 == np.count_nonzero(
-                pairs.d - row.report.c_used > 700.0)
+                chunks[2].d - cs[2] > 700.0)
 
     def test_every_chunk_saturates_at_a_far_negative_c(self, map_calls):
         # At C = -1e308 every d - C saturates, so every chunk is drawn again
-        # and every pair is counted.
+        # and every pair is counted: two halves for each k = 4 cell, three
+        # chunks for each k = 64 cell.
         cfg = SweepConfig(k_values=(4, self.K), n_pairs=2 * self.PER_CHUNK + 37,
                           replications=2, base_seed=29,
                           c_policy=CPolicy.parse("fixed:-1e308"))
@@ -557,27 +657,33 @@ class TestChunkedCells:
         for threads in (1, 2, 3):
             del map_calls[:]
             assert run_sweep(dist, cfg, threads=threads).rows == ref, threads
-            assert map_calls == [8, 8]
+            assert map_calls == [10, 10]
         for row in ref:
             assert row.report.saturated_pairs == row.report.n == cfg.n_pairs
             assert math.isfinite(row.report.upper_mean)
             assert math.isfinite(row.report.upper_stderr)
 
     def test_pilot_partials_merge_in_chunk_order(self, monkeypatch):
-        # The 330-pair pilot of a LogNormal(0, 2) cell at k = 4 spans 33
-        # chunks of 10 pairs, whose LogSumExps merged in reverse order give
-        # C other bits.  The sweep's C has the bits of the chunk-order merge.
+        # A LogNormal(0, 2) cell of 330 pairs at k = 4 spans 33 chunks of 10
+        # pairs.  Each chunk's C merges the LogSumExps of the chunks before
+        # it left to right, then those after it right to left; the others
+        # merged left to right give some C other bits.  The sweep has the
+        # bits of the chunk-order merges.
         monkeypatch.setattr(sweep, "CHUNK_FLOATS", (2 * 4 + 1) * 10)
-        cfg = SweepConfig(k_values=(4,), n_pairs=3300, replications=1,
+        cfg = SweepConfig(k_values=(4,), n_pairs=330, replications=1,
                           base_seed=2)
         dist = LogNormal(0.0, 2.0)
-        parts = [LogSumExp.of(chunk.d)
-                 for chunk in chunk_pairs(dist, derive_key(2, 0, 4), 4, 330)]
+        chunks = chunk_pairs(dist, derive_key(2, 0, 4), 4, 330)
+        parts = [LogSumExp.of(chunk.d) for chunk in chunks]
         assert len(parts) == 33
-        c = float(reduce(LogSumExp.merge, parts).log_mean())
-        assert float(reduce(LogSumExp.merge, parts[::-1]).log_mean()) != c
+        cs = cross_fitted_cs(chunks)
+        assert CPolicy("pilot-optimal").fold_cs(parts) == cs
+        assert cs != [float(reduce(LogSumExp.merge, parts[:f] + parts[f + 1:])
+                            .log_mean()) for f in range(33)]
+        ref = reference_rows(dist, cfg)
+        assert ref[0].report.c_used == math.fsum(10 * c for c in cs) / 330
         for threads in (1, 2):
-            assert run_sweep(dist, cfg, threads=threads).rows[0].report.c_used == c
+            assert run_sweep(dist, cfg, threads=threads).rows == ref
 
     def test_reports_are_equal_at_one_two_and_three_threads(self):
         cfg = SweepConfig(k_values=(4, 16, self.K), n_pairs=5 * self.PER_CHUNK + 37,
@@ -665,37 +771,38 @@ class TestChunkedCells:
 
 
 # A Gamma(2, 1) sweep at base seed 31, k = 1 and 64, 4200 pairs, two
-# replications: each k = 1 cell is one chunk and each k = 64 cell two, at
-# the real CHUNK_FLOATS.  Per row: (k, replication, n, seed, saturated_pairs)
-# and (lower_mean, lower_stderr, upper_mean, upper_stderr, ratio_mean,
-# c_used, midpoint).  A new stream or chunk size must be recorded here, with
-# its old and new values in CHANGES.md.
+# replications: each k = 1 cell is drawn as two halves of 2100 pairs and
+# each k = 64 cell as two chunks, at the real CHUNK_FLOATS.  Per row: (k,
+# replication, n, seed, saturated_pairs) and (lower_mean, lower_stderr,
+# upper_mean, upper_stderr, ratio_mean, c_used, midpoint).  A new stream or
+# chunk size must be recorded here, with its old and new values in
+# CHANGES.md.
 PINNED_SWEEP = {
     "pilot-optimal": [
-        ((1, 0, 3780, 13253156795846853237, 0),
-         (0.39555769646073086, 0.01331984212171124, 1.1432434405716096,
-          0.02777683675922456, 2.0905485483887474, 0.8841722552307836,
-          0.7642709439023008)),
-        ((1, 1, 3780, 13795746169784502323, 0),
-         (0.41604135052295405, 0.013121224184526157, 1.1947992983610134,
-          0.05540817675405221, 2.175729261000389, 0.7250221156308703,
-          0.8047233009012937)),
-        ((64, 0, 3780, 2705577056092244467, 0),
-         (0.6918777235155273, 0.0014493174400033674, 0.6984348445144625,
-          0.0014532739979524827, 1.0065756159025776, 0.004093332903830849,
-          0.6951547689400899)),
-        ((64, 1, 3780, 18142339541595575362, 0),
-         (0.6874252629978145, 0.0014376630453863868, 0.6952468707986695,
-          0.0014647665448187675, 1.0077458081305855, 0.022287042046330363,
-          0.6912832446849256)),
+        ((1, 0, 4200, 13253156795846853237, 0),
+         (0.4028349985949352, 0.0125045331555065, 1.0957107586139228,
+          0.026945194401298146, 1.9994380376138579, 0.6928629598530085,
+          0.7492680785370666)),
+        ((1, 1, 4200, 13795746169784502323, 0),
+         (0.4198428516042379, 0.012516529133141512, 1.1084460887608916,
+          0.02595198111965033, 1.986042410887163, 0.6853250426144077,
+          0.7629148117657607)),
+        ((64, 0, 4200, 2705577056092244467, 0),
+         (0.6920924691483351, 0.001365832694687935, 0.6984690781490627,
+          0.0013876209772324653, 1.0063282265156739, -0.004779876131959294,
+          0.6952466128311771)),
+        ((64, 1, 4200, 18142339541595575362, 0),
+         (0.6869469177991685, 0.001366058386533379, 0.6961885706537684,
+          0.0014169172593572477, 1.009224952671041, -0.0011217866187930425,
+          0.6915382491383242)),
     ],
     "fixed:0.5": [
         ((1, 0, 4200, 13253156795846853237, 0),
-         (0.38566650110012524, 0.012762316902612104, 1.1736899482137306,
-          0.03957295423544698, 2.1235916544167024, 0.5, 0.7622209169987328)),
+         (0.4028349985949352, 0.0125045331555065, 1.1155554706034017,
+          0.033377716320490844, 1.9994380376138579, 0.5, 0.7492680785370666)),
         ((1, 1, 4200, 13795746169784502323, 0),
-         (0.42080601707642135, 0.012452952606252524, 1.2337229119445072,
-          0.06377433195814831, 2.1646340112305777, 0.5, 0.8069316666933175)),
+         (0.4198428516042379, 0.012516529133141512, 1.1244384652968984,
+          0.031142235748352644, 1.986042410887163, 0.5, 0.7629148117657607)),
         ((64, 0, 4200, 2705577056092244467, 0),
          (0.6920924691483351, 0.001365832694687935, 0.8024613922643314,
           0.000996887881345182, 1.0063282265156739, 0.5, 0.6952466128311771)),
@@ -721,8 +828,8 @@ def test_sweep_stream_is_pinned(policy):
                rep.ratio_mean, rep.c_used, rep.midpoint)
         for x, y in zip(got, floats):
             assert abs(x - y) <= 1e-12 * abs(y), (row.k, row.replication, got)
-    # The k = 64 cells cross a chunk boundary.
-    assert [sweep._chunking(4200, k)[1] for k in cfg.k_values] == [1, 2]
+    # Every cell has two chunks: the k = 1 cells as halves.
+    assert [sweep._chunking(4200, k) for k in cfg.k_values] == [(2100, 2), (4064, 2)]
 
 
 class TestWorkers:
@@ -750,21 +857,23 @@ class TestWorkers:
             run_sweep(dist, cfg, threads=8)
             return sizes
 
-        # One chunk runs inline.
-        assert sweep_of((64,), 1, per_chunk) == []
+        # A cell that one chunk would hold is two halves, on two workers.
+        assert sweep_of((64,), 1, per_chunk) == [2]
         # Three chunks on three workers, whatever the policy.
         assert sweep_of((64,), 1, 2 * per_chunk + 1) == [3]
         assert sweep_of((64,), 1, 2 * per_chunk + 1, "zero") == [3]
-        # Three one-chunk cells on three workers.
-        assert sweep_of((64,), 3, per_chunk) == [3]
-        # The k = 16 cell's one chunk and the k = 64 cell's three on four.
-        assert sweep_of((16, 64), 1, 2 * per_chunk + 1) == [4]
+        # Three cells of two halves on six workers.
+        assert sweep_of((64,), 3, per_chunk) == [6]
+        # The k = 16 cell's two halves and the k = 64 cell's three on five.
+        assert sweep_of((16, 64), 1, 2 * per_chunk + 1) == [5]
         # Every chunk saturates at this C: all three again, on three.
         assert sweep_of((64,), 1, 2 * per_chunk + 1, "fixed:-1e308") == [3, 3]
 
     def test_one_chunk_cell_allocates_one_buffer(self):
-        # One buffer is 129 m <= CHUNK_FLOATS floats, 4 MiB; eight would take
-        # 32 MiB.
+        # A cell that one chunk of m pairs would hold runs as two halves on
+        # two workers, whose buffers hold 129 m <= CHUNK_FLOATS floats
+        # together, 4 MiB, as one chunk's buffer would; eight buffers of a
+        # chunk would take 32 MiB.
         per_chunk = CHUNK_FLOATS // (2 * 64 + 1)
         cfg = SweepConfig(k_values=(64,), n_pairs=per_chunk,
                           replications=1, base_seed=20)
