@@ -5,8 +5,14 @@ Subcommands: `analytic` (bound sweeps on analytic distributions), `verify`
 toy VAE pipeline).  Option precedence is flags > config file > defaults;
 stdout carries one final summary line, diagnostics go to stderr.
 
+Every CSV is written by manifest.write_csv, then _write_companions writes
+the paths that _csv_writes lists after it: its manifest and, with
+--emit-gnuplot, its gnuplot script.  The pre-compute check of the outputs
+reads the same list.
+
 Exit codes: 0 ok, 1 verify failure, 2 parse/argument error, 3 numeric
-failure, 4 missing/corrupt checkpoint, 5 training divergence.
+failure or an allocation the machine refuses, 4 missing/corrupt
+checkpoint, 5 training divergence.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ import os
 import re
 import sys
 import time
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__, vae
-from .distributions import parse_dist, sample
+from .distributions import Laplace, parse_dist, sample
 from .errors import (
     CheckpointError,
     DivergenceDetected,
@@ -31,15 +39,16 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .manifest import RunManifest, manifest_path_for
+from .manifest import RunManifest, manifest_path_for, write_csv
 from .rng import derive_key
 from .sweep import (
+    CSV_HEADER,
     CPolicy,
     SweepConfig,
     run_sweep,
     write_sweep_csv,
 )
-from .verify import run_verify, verify_csv_lines
+from .verify import VERIFY_CSV_HEADER, run_verify
 
 # Defaults for the synthetic 1-D case study.  The decoder variance and
 # learning rate differ from the large-image training recipe: with variance
@@ -166,11 +175,11 @@ def _check_writable(writes: dict[str, list[str]],
             raise ParseError(f"key {key!r}: cannot write {path!r}: {why}")
 
 
-def _csv_writes(csv_path: str, gnuplot: bool = False) -> list[str]:
+def _csv_writes(csv_path: str, plot: bool = False) -> list[str]:
     """The paths that writing a CSV writes: its own, its manifest's and,
-    with gnuplot, its gnuplot script's."""
+    with plot, its gnuplot script's."""
     paths = [csv_path, manifest_path_for(csv_path)]
-    return paths + [_gnuplot_path(csv_path)] if gnuplot else paths
+    return paths + [csv_path + ".gnuplot"] if plot else paths
 
 
 def _parse_k_list(text: str, key: str) -> tuple[int, ...]:
@@ -185,7 +194,14 @@ def _parse_k_list(text: str, key: str) -> tuple[int, ...]:
     return ks
 
 
-def _pair_manifest(csv_path: str, argv: list[str], opts: dict, started: float) -> None:
+def _write_companions(csv_path: str, argv: list[str], opts: dict, started: float,
+                      plot: tuple[str, str, str, str] | None = None) -> None:
+    """Write a finished CSV's companions, the paths after it in
+    _csv_writes(csv_path, plot is not None): its manifest and, given plot,
+    a gnuplot script of its lower and upper bounds against k.  plot is the
+    CSV's header and the names of its k, lower and upper columns, which the
+    script finds in the header."""
+    paths = _csv_writes(csv_path, plot is not None)
     manifest = RunManifest(
         command_line=argv,
         config={k: (v if isinstance(v, (int, float, str, bool)) else str(v))
@@ -195,27 +211,24 @@ def _pair_manifest(csv_path: str, argv: list[str], opts: dict, started: float) -
         wall_time_s=round(time.perf_counter() - started, 6),
     )
     manifest.add_output(csv_path)
-    manifest.write(manifest_path_for(csv_path))
+    manifest.write(paths[1])
+    if plot is None:
+        return
+    header, x, lower, upper = plot
+    names = header.split(",")
 
+    def quoted(text: str) -> str:
+        # gnuplot reads '' inside a single-quoted string as one quote.
+        return "'" + text.replace("'", "''") + "'"
 
-def _gnuplot_path(csv_path: str) -> str:
-    return csv_path + ".gnuplot"
-
-
-def _write_gnuplot(csv_path: str, xcol: int, ycols: list[tuple[int, str]],
-                   xlabel: str) -> str:
-    path = _gnuplot_path(csv_path)
     plots = ", ".join(
-        f"'{csv_path}' using {xcol}:{col} with linespoints title '{label}'"
-        for col, label in ycols
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("set datafile separator ','\n")
-        fh.write("set key autotitle columnhead\n")
-        fh.write("set logscale x 2\n")
-        fh.write(f"set xlabel '{xlabel}'\n")
-        fh.write(f"plot {plots}\n")
-    return path
+        f"{quoted(csv_path)} using {names.index(x) + 1}:{names.index(y) + 1} "
+        f"with linespoints title {quoted(title)}"
+        for y, title in ((lower, "lower"), (upper, "upper")))
+    with open(paths[2], "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("set datafile separator ','\nset key autotitle columnhead\n"
+                 f"set logscale x 2\nset xlabel {quoted(x)}\nplot {plots}\n")
+    _diag(f"gnuplot script: {paths[2]}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +252,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     opts = _resolve(args, ANALYTIC_DEFAULTS)
     _check_writable({"out": _csv_writes(opts["out"], opts["emit_gnuplot"])})
     dist = parse_dist(opts["dist"])
+    if isinstance(dist, Laplace):
+        raise ParseError("key 'dist': laplace draws negative values; the "
+                         "bounds need a law of positive draws")
     cfg = SweepConfig(
         k_values=_parse_k_list(opts["k"], "k"),
         n_pairs=opts["n"],
@@ -254,9 +270,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                 f"non-finite bound at k={row.k} replication={row.replication}"
             )
     write_sweep_csv(opts["out"], result, dataset=dist.spec_string(), model="analytic")
-    _pair_manifest(opts["out"], args.argv, opts, started)
-    if opts["emit_gnuplot"]:
-        _diag(f"gnuplot script: {_write_gnuplot(opts['out'], 3, [(7, 'lower'), (9, 'upper')], 'k')}")
+    _write_companions(opts["out"], args.argv, opts, started,
+                      (CSV_HEADER, "k", "lower_mean", "upper_mean")
+                      if opts["emit_gnuplot"] else None)
     def summary(mean: float, std: float) -> str:
         # One replication has no spread across replications to report.
         return f"{mean:.6f}" + (f"+-{std:.6f}" if cfg.replications > 1 else "")
@@ -289,9 +305,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for res in results:
         status = "pass" if res.passed else "FAIL"
         _diag(f"{status} {res.name} slack={res.slack:.6g}")
-    with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(verify_csv_lines(results)) + "\n")
-    _pair_manifest(opts["out"], args.argv, opts, started)
+    write_csv(opts["out"], VERIFY_CSV_HEADER,
+              [(res.name, int(res.passed), res.slack) for res in results])
+    _write_companions(opts["out"], args.argv, opts, started)
     passed = sum(res.passed for res in results)
     _echo(f"verify passed={passed}/{len(results)} out={opts['out']}")
     return 0 if passed == len(results) else 1
@@ -310,13 +326,6 @@ def _load_data(spec: str, n: int, seed: int) -> np.ndarray:
     return data
 
 
-def _write_loss_csv(path: str, history: list[float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(history):
-            fh.write(f"{epoch},{loss!r}\n")
-
-
 def cmd_vae_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     opts = _resolve(args, TRAIN_DEFAULTS)
@@ -329,8 +338,8 @@ def cmd_vae_train(args: argparse.Namespace) -> int:
         seed=derive_key(opts["seed"], 3),
     )
     vae.save_model(opts["out"], result.model)
-    _write_loss_csv(opts["loss_out"], result.loss_history)
-    _pair_manifest(opts["loss_out"], args.argv, opts, started)
+    write_csv(opts["loss_out"], "epoch,loss", enumerate(result.loss_history))
+    _write_companions(opts["loss_out"], args.argv, opts, started)
     final = result.loss_history[-1] if result.loss_history else math.nan
     _echo(
         f"vae-train objective={opts['objective']} epochs={opts['epochs']} "
@@ -366,8 +375,8 @@ def cmd_vae_train_cnet(args: argparse.Namespace) -> int:
         epochs=opts["epochs"], lr=opts["lr"], seed=derive_key(opts["seed"], 6),
     )
     vae.save_cnet(opts["out"], result.cnet)
-    _write_loss_csv(opts["loss_out"], result.loss_history)
-    _pair_manifest(opts["loss_out"], args.argv, opts, started)
+    write_csv(opts["loss_out"], "epoch,loss", enumerate(result.loss_history))
+    _write_companions(opts["loss_out"], args.argv, opts, started)
     final = result.loss_history[-1] if result.loss_history else math.nan
     _echo(
         f"vae-train-cnet k={opts['k']} epochs={opts['epochs']} "
@@ -412,15 +421,13 @@ def _c_source(spec: str) -> vae.CNet | float:
     raise ParseError(f"key 'c' must be fixed:<v> or cnet:<path>, got {spec!r}")
 
 
-def _write_records_csv(path: str, result: vae.EvalResult) -> None:
-    # tolist gives Python floats, whose repr is the round-trip decimal.
+def _record_rows(result: vae.EvalResult) -> Iterator[tuple]:
+    """The records CSV's rows: one per datapoint, then the summary row."""
+    # tolist gives Python floats, which write_csv reprs on its fast path.
     rep = result.report
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EVAL_RECORD_HEADER + "\n")
-        for x, s, S, c in zip(result.x.tolist(), result.s.tolist(),
-                              result.S.tolist(), result.c.tolist()):
-            fh.write(f"{x!r},{s!r},{S!r},{c!r},{rep.k}\n")
-        fh.write(f"mean,{rep.lower_mean!r},{rep.upper_mean!r},{rep.c_used!r},{rep.k}\n")
+    yield from zip(result.x.tolist(), result.s.tolist(), result.S.tolist(),
+                   result.c.tolist(), repeat(rep.k))
+    yield "mean", rep.lower_mean, rep.upper_mean, rep.c_used, rep.k
 
 
 def cmd_vae_eval(args: argparse.Namespace) -> int:
@@ -444,26 +451,23 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
 
     result = vae.evaluate(model, c_source, data, opts["k"],
                           derive_key(opts["seed"], 8, opts["k"]))
-    _write_records_csv(opts["out"], result)
-    _pair_manifest(opts["out"], args.argv, opts, started)
+    write_csv(opts["out"], EVAL_RECORD_HEADER, _record_rows(result))
+    _write_companions(opts["out"], args.argv, opts, started)
 
     if sweep_ks:
-        lines = [EVAL_SWEEP_HEADER]
+        rows = []
         for k in sweep_ks:
             res_k = result if k == opts["k"] else vae.evaluate(
                 model, c_source, data, k, derive_key(opts["seed"], 8, k))
             rep = res_k.report
-            lines.append(",".join([
-                str(k), str(opts["n"]), repr(rep.lower_mean), repr(rep.lower_stderr),
-                repr(rep.upper_mean), repr(rep.upper_stderr), repr(res_k.elbo),
-                str(rep.saturated_pairs), repr(rep.width), repr(rep.width_stderr),
-            ]))
+            rows.append((k, opts["n"], rep.lower_mean, rep.lower_stderr,
+                         rep.upper_mean, rep.upper_stderr, res_k.elbo,
+                         rep.saturated_pairs, rep.width, rep.width_stderr))
             _diag(f"k={k} lower={rep.lower_mean:.6f} upper={rep.upper_mean:.6f}")
-        with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _pair_manifest(sweep_path, args.argv, opts, started)
-        if opts["emit_gnuplot"]:
-            _diag(f"gnuplot script: {_write_gnuplot(sweep_path, 1, [(3, 'lower'), (5, 'upper')], 'k')}")
+        write_csv(sweep_path, EVAL_SWEEP_HEADER, rows)
+        _write_companions(sweep_path, args.argv, opts, started,
+                          (EVAL_SWEEP_HEADER, "k", "lower", "upper")
+                          if opts["emit_gnuplot"] else None)
 
     mode = "cnet" if isinstance(c_source, vae.CNet) else f"fixed C={c_source:g}"
     rep = result.report
@@ -542,8 +546,10 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceDetected as exc:
         _diag(f"error: {exc}")
         return 5
-    except GapSandwichError as exc:
-        _diag(f"error: {exc}")
+    except (GapSandwichError, MemoryError) as exc:
+        # numpy names the size it could not allocate; a bare MemoryError
+        # names nothing.
+        _diag(f"error: {str(exc) or 'out of memory'}")
         return 3
 
 

@@ -1,12 +1,18 @@
-"""Run manifests: every CSV output is paired with one JSON manifest
-recording the command, config, seed, version, numpy's version and SIMD
-dispatch, wall time and output digests."""
+"""CSV outputs and their run manifests.
+
+write_csv writes every CSV the package emits, under one field rule: a
+float by repr, so it reads back bit for bit; an int by str; text RFC
+4180-quoted when it holds a comma, a quote or a line break.  Every CSV
+output is paired with one JSON manifest recording the command, config,
+seed, version, numpy's version and SIMD dispatch, wall time and output
+digests."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +33,26 @@ def numpy_runtime() -> dict:
         "simd_dispatched": [name for name in _umath.__cpu_dispatch__
                             if _umath.__cpu_features__.get(name)],
     }
+
+
+def _field(value: object) -> str:
+    if isinstance(value, float):
+        return repr(float(value))  # numpy's float64 reprs as np.float64(...)
+    if isinstance(value, str):
+        if any(ch in value for ch in ',"\n\r'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return str(value)
+
+
+def write_csv(path: str, header: str, rows: Iterable[tuple]) -> None:
+    """Write header, a line of column names, then one line per row tuple,
+    each value by the module's field rule; UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        # Most values are Python floats; repr them without a call to _field.
+        fh.writelines(",".join([repr(v) if type(v) is float else _field(v)
+                                for v in row]) + "\n" for row in rows)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Orchestration: paired sampling, k-sweeps, replications, CSV output.
+"""Orchestration: paired sampling, k-sweeps, replications, CSV rows.
 
 Each (k, replication) cell derives its own seed and samples 2*n_pairs*k
 draws of the sweep's distribution in chunks of m pairs,
@@ -14,12 +14,16 @@ and runs every chunk of every cell in one parallel.map_chunks call.  A chunk
 draws into its worker's buffer, pairs its draws over themselves and reduces
 them to a bounds.UpperPartial without C, with its temporaries in the pairs
 and in a scratch of m floats past its 2mk draws, so a sweep holds 4 MiB a
-worker whatever n_pairs is.  Each chunk of a cell is one fold: the CPolicy
-maps the folds' LogSumExps of d to one C per fold, and each chunk's partial
-is evaluated at its C.  A chunk whose largest exponent saturates at its C
+worker whatever n_pairs is, while one pair's 2k + 1 floats fit in
+CHUNK_FLOATS; past that a chunk is one pair of 2k + 1 floats.  Each chunk
+of a cell is one fold: the CPolicy maps the folds' LogSumExps of d to one
+C per fold, and each chunk's partial is evaluated at its C.  A chunk whose largest exponent saturates at its C
 is drawn again and bounded with bounds.pairwise_at, in a second map_chunks
 call over those chunks alone.  Each cell merges its chunks' partials in
 chunk order, so results are bit-identical at any thread count.
+
+sweep_csv_rows gives a result's CSV rows, and write_sweep_csv writes them
+with manifest.write_csv.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .accumulate import LogSumExp, Moments
 from .bounds import BoundReport, UpperPartial, bound_report, pairwise_at
 from .distributions import AnalyticDist, sample
 from .errors import ParseError
+from .manifest import write_csv
 from .parallel import map_chunks, resolve_threads
 from .rng import derive_key
 from .samples import paired_from_halves
@@ -273,39 +279,16 @@ def run_sweep(
     return SweepResult(rows=tuple(rows), aggregates=tuple(aggregates))
 
 
-def _csv_field(text: str) -> str:
-    """RFC 4180 quoting for label fields (dist specs contain commas)."""
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def sweep_csv_lines(result: SweepResult, dataset: str, model: str) -> list[str]:
-    """CSV body: one row per (k, replication), floats via repr round-trip."""
-    lines = [CSV_HEADER]
+def sweep_csv_rows(result: SweepResult, dataset: str, model: str
+                   ) -> Iterator[tuple]:
+    """One CSV row per (k, replication), in CSV_HEADER's order."""
     for row in result.rows:
         rep = row.report
-        lines.append(",".join([
-            _csv_field(dataset),
-            _csv_field(model),
-            str(row.k),
-            str(row.replication),
-            str(rep.n),
-            str(row.seed),
-            repr(rep.lower_mean),
-            repr(rep.lower_stderr),
-            repr(rep.upper_mean),
-            repr(rep.upper_stderr),
-            repr(rep.ratio_mean),
-            repr(rep.c_used),
-            repr(rep.midpoint),
-            str(rep.saturated_pairs),
-            repr(rep.width),
-            repr(rep.width_stderr),
-        ]))
-    return lines
+        yield (dataset, model, row.k, row.replication, rep.n, row.seed,
+               rep.lower_mean, rep.lower_stderr, rep.upper_mean,
+               rep.upper_stderr, rep.ratio_mean, rep.c_used, rep.midpoint,
+               rep.saturated_pairs, rep.width, rep.width_stderr)
 
 
 def write_sweep_csv(path: str, result: SweepResult, dataset: str, model: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(sweep_csv_lines(result, dataset, model)) + "\n")
+    write_csv(path, CSV_HEADER, sweep_csv_rows(result, dataset, model))

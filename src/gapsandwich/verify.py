@@ -41,10 +41,6 @@ class PropertyResult:
     name: str
     slack: float
 
-    def __post_init__(self) -> None:
-        # A numpy scalar would reach the CSV as its repr, np.float64(...).
-        object.__setattr__(self, "slack", float(self.slack))
-
     @property
     def passed(self) -> bool:
         return self.slack >= 0.0
@@ -458,10 +454,3 @@ def run_verify(seed: int, quick: bool = False) -> list[PropertyResult]:
     """Run the full property suite; quick mode subsamples n by 10x."""
     n = 10_000 if quick else 100_000
     return [check(seed, n) for check in ALL_CHECKS]
-
-
-def verify_csv_lines(results: list[PropertyResult]) -> list[str]:
-    lines = [VERIFY_CSV_HEADER]
-    for res in results:
-        lines.append(f"{res.name},{int(res.passed)},{res.slack!r}")
-    return lines

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -14,6 +15,7 @@ import gapsandwich
 from gapsandwich import cli, verify
 from gapsandwich.cli import EVAL_DEFAULTS, main
 from gapsandwich.distributions import parse_dist, sample
+from gapsandwich.manifest import write_csv
 from gapsandwich.parallel import THREADS_ENV
 from gapsandwich.rng import derive_key
 from gapsandwich.samples import PairedSamples
@@ -172,7 +174,7 @@ class TestAnalyticCommand:
 
     @pytest.mark.parametrize("spec", ["lognormal:m=709,sigma=1",
                                       "gamma:a=2,theta=1e308",
-                                      "laplace:loc=1e308,b=1e308"])
+                                      "gamma:a=2.5,theta=1e308"])
     def test_overflowing_draws_exit_3_with_one_line(self, tmp_path, capsys, spec):
         # Finite parameters whose draws overflow to inf put no raw numpy
         # RuntimeWarning on stderr before the error line.
@@ -248,6 +250,24 @@ class TestAnalyticCommand:
                     "--emit-gnuplot"])
         assert code == 0
         assert (tmp_path / "g.csv.gnuplot").exists()
+
+    @pytest.mark.parametrize("loc", ["0", "5"])
+    def test_a_law_with_negative_draws_exits_2_before_sampling(
+            self, tmp_path, monkeypatch, capsys, loc):
+        # At loc 0 the negative draws once ended the run with exit 3; at
+        # loc 5 none were drawn, and the bounds of a law the sandwich does
+        # not cover were written.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "x.csv"
+        code = run(["analytic", "--dist", f"laplace:loc={loc},b=0.2", "--n", "100",
+                    "--k", "1", "--replications", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: key 'dist'")
+        assert not out.exists()
 
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -401,7 +421,7 @@ class TestVaePipeline:
         result = vae.evaluate(ToyVae.init(5), vae.CNet.init(6),
                               np.linspace(-0.5, 0.5, 7), k=3, seed=8)
         path = tmp_path / "r.csv"
-        cli._write_records_csv(str(path), result)
+        write_csv(str(path), cli.EVAL_RECORD_HEADER, cli._record_rows(result))
         expected = ["x,s,S,c,k"] + [
             f"{float(x)!r},{float(s)!r},{float(S)!r},{float(c)!r},3"
             for x, s, S, c in zip(result.x, result.s, result.S, result.c)]
@@ -768,6 +788,112 @@ def test_seed_outside_64_bits_in_a_config_file_exits_2(tmp_path, capsys):
                 "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: key 'seed'")
+
+
+def gnuplot_strings(line: str) -> list[str]:
+    """The single-quoted strings of a gnuplot line, each '' read as '."""
+    return [text.replace("''", "'") for text in re.findall(r"'((?:[^']|'')*)'", line)]
+
+
+@pytest.mark.parametrize("command", ["analytic", "eval"])
+def test_the_plot_quotes_its_path_and_finds_its_columns_by_name(tmp_path, command):
+    # A ' in the path once ended the plot's string early, so gnuplot could
+    # not parse the script.
+    out = tmp_path / "it's.csv"
+    if command == "analytic":
+        argv = ["analytic", "--n", "20", "--k", "1,2", "--replications", "1"]
+        data, columns = out, ("k", "lower_mean", "upper_mean")
+    else:
+        model = tmp_path / "m.ckpt"
+        save_model(str(model), ToyVae.init(1))
+        argv = ["vae", "eval", "--n", "20", "--k", "2", "--k-sweep", "1,2",
+                "--model", str(model)]
+        data, columns = Path(f"{out}.ksweep.csv"), ("k", "lower", "upper")
+    assert run([*argv, "--emit-gnuplot", "--out", str(out)]) == 0
+    plot = Path(f"{data}.gnuplot").read_text().splitlines()[-1]
+    assert gnuplot_strings(plot) == [str(data), "lower", str(data), "upper"]
+    header = data.read_text().splitlines()[0].split(",")
+    named = [(header[int(x) - 1], header[int(y) - 1])
+             for x, y in re.findall(r"using (\d+):(\d+)", plot)]
+    assert named == [columns[:2], columns[::2]]
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 14.6 TiB for an array with shape (1000000000001,) "
+     "and data type float64", "error: Unable to allocate 14.6 TiB"),
+    ("", "error: out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["analytic", "train-cnet", "eval"])
+def test_a_refused_allocation_exits_3_with_one_line(tmp_path, monkeypatch, capsys,
+                                                    command, message, line):
+    # A --k too large for the machine once ended in numpy's traceback and
+    # exit 1, verify's failure code.  The allocation is refused by a stub:
+    # under overcommit a real one of that size can succeed.
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(gapsandwich.sweep, "_chunk_buffers", refuse)
+    monkeypatch.setattr(gapsandwich.vae, "_Workspace", refuse)
+    model = tmp_path / "m.ckpt"
+    save_model(str(model), ToyVae.init(1))
+    out = tmp_path / "o.csv"
+    argv = {
+        "analytic": ["analytic", "--replications", "1"],
+        "train-cnet": ["vae", "train-cnet", "--model", str(model), "--epochs", "1",
+                       "--loss-out", str(tmp_path / "loss.csv")],
+        "eval": ["vae", "eval", "--model", str(model)],
+    }[command]
+    code = run([*argv, "--n", "20", "--k", "2", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line)
+    assert not out.exists()
+
+
+def recorded_writes(monkeypatch) -> list[str]:
+    """The paths every _check_writable call lists, as the calls run."""
+    listed = []
+    check = cli._check_writable
+
+    def recording(writes, reads=None):
+        listed.extend(path for paths in writes.values() for path in paths)
+        check(writes, reads)
+
+    monkeypatch.setattr(cli, "_check_writable", recording)
+    return listed
+
+
+EVAL_TINY = ["vae", "eval", "--n", "20", "--k", "2", "--out", "o.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--n", "20", "--k", "1,2", "--replications", "1", "--out", "o.csv"],
+    ["analytic", "--n", "20", "--k", "1,2", "--replications", "1", "--out", "o.csv",
+     "--emit-gnuplot"],
+    ["verify", "--out", "o.csv"],
+    ["vae", "train", "--epochs", "1", "--n", "50", "--batch", "50",
+     "--out", "o.ckpt", "--loss-out", "loss.csv"],
+    ["vae", "train-cnet", "--epochs", "1", "--n", "20", "--k", "2",
+     "--n-pairs", "1", "--out", "o.ckpt", "--loss-out", "loss.csv"],
+    EVAL_TINY,
+    [*EVAL_TINY, "--k-sweep", "1,2"],
+    [*EVAL_TINY, "--k-sweep", "1,2", "--emit-gnuplot"],
+], ids=" ".join)
+def test_a_command_writes_exactly_the_files_it_checked(tmp_path, monkeypatch, argv):
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    model, cnet = str(inputs / "m.ckpt"), str(inputs / "c.ckpt")
+    save_model(model, ToyVae.init(1))
+    save_cnet(cnet, CNet.init(2))
+    monkeypatch.setattr(cli, "run_verify", lambda seed, quick=False: [
+        verify.PropertyResult("stub", 0.5)])
+    listed = recorded_writes(monkeypatch)
+    monkeypatch.chdir(outputs)
+    reads = {"train-cnet": ["--model", model],
+             "eval": ["--model", model, "--c", f"cnet:{cnet}"]}.get(argv[1], [])
+    assert run([*argv, *reads]) == 0
+    assert sorted(os.listdir(outputs)) == sorted(listed)
 
 
 def test_every_exported_name_is_an_attribute_of_the_package():

@@ -93,3 +93,26 @@ def test_tracer_counts_the_vae_passes_and_repeats():
     assert first["vae.evaluate.log_ratios"] == data.size * 2 * 4
     assert first["rng.generators"] > 0
     assert {"vae.cnet", "vae.evaluate.k4", "rng.generator"} <= names[0] == names[1]
+
+
+def test_tracer_counts_the_bytes_a_traced_analytic_run_writes(tmp_path):
+    # sweep.csv_bytes and manifest.bytes_hashed are read at the boundaries
+    # of write_sweep_csv and RunManifest.add_output; a writer that bypassed
+    # either would report them as 0.
+    spans = load_bench("spans")
+    out = tmp_path / "sweep.csv"
+    tracer = spans.Tracer()
+    tracer.install(GS)
+    try:
+        tracer.start_run("run-0")
+        code = cli.main(["analytic", "--n", "20", "--k", "1,2",
+                         "--replications", "1", "--out", str(out)])
+        names = {span[3] for span in tracer.end_run()}
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert {"cli.main", "sweep.csv_write", "manifest.write"} <= names
+    size = out.stat().st_size
+    assert size > 0
+    assert tracer.counts["sweep.csv_bytes"] == size
+    assert tracer.counts["manifest.bytes_hashed"] == size

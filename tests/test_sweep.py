@@ -28,7 +28,7 @@ from gapsandwich.sweep import (
     CPolicy,
     SweepConfig,
     run_sweep,
-    sweep_csv_lines,
+    sweep_csv_rows,
     write_sweep_csv,
 )
 from sweep_reference import chunk_pairs, cross_fitted_cs, pairs_of, reference_rows
@@ -276,7 +276,7 @@ class TestRunSweep:
             for value in (rep.lower_mean, rep.lower_stderr, rep.upper_mean,
                           rep.upper_stderr, rep.width_stderr):
                 assert math.isfinite(value)
-        assert "inf" not in sweep_csv_lines(result, "d", "m")[1].split(",")
+        assert math.inf not in next(sweep_csv_rows(result, "d", "m"))
 
     @pytest.mark.parametrize("policy, bounded", [("zero", 16), ("pilot-optimal", 16)])
     def test_k_equal_to_n_pairs(self, policy, bounded):
@@ -936,11 +936,12 @@ class TestSweepCsv:
             assert fields[:2] == [dataset, model]
             assert len(fields) == len(rows[0])
 
-    def test_float_fields_round_trip(self):
+    def test_float_fields_round_trip(self, tmp_path):
         cfg = SweepConfig(k_values=(1,), n_pairs=100, replications=1, base_seed=8)
         result = run_sweep(LogNormal(0.0, 1.0), cfg)
-        line = sweep_csv_lines(result, "d", "m")[1]
-        fields = line.split(",")
+        path = tmp_path / "out.csv"
+        write_sweep_csv(str(path), result, dataset="d", model="m")
+        fields = path.read_text().splitlines()[1].split(",")
         assert float(fields[6]) == result.rows[0].report.lower_mean
         assert float(fields[12]) == result.rows[0].report.midpoint
         assert float(fields[14]) == result.rows[0].report.width
