@@ -5,10 +5,21 @@ Subcommands: `analytic` (bound sweeps on analytic distributions), `verify`
 toy VAE pipeline).  Option precedence is flags > config file > defaults;
 stdout carries one final summary line, diagnostics go to stderr.
 
+main turns argv into checked values along one path.  argparse matches
+flags by their full names only and stores each one's text (a boolean
+flag's is "true"); GAPSANDWICH_THREADS is checked; _resolve merges the
+flags' text with the config file's and the defaults, and _convert turns
+either text into its default's type.  Each command then parses its spec
+options (laws, k lists, C policies, objectives, --c) with _parse before it
+checks its outputs, reads a checkpoint or draws data.  Every failure of
+these steps, argparse's own included, is one `error:` line on stderr and
+exit 2; a bad value's line names its option's key.
+
 Every CSV is written by manifest.write_csv, then _write_companions writes
-the paths that _csv_writes lists after it: its manifest and, with
---emit-gnuplot, its gnuplot script.  The pre-compute check of the outputs
-reads the same list.
+the paths that _csv_writes lists after it: with --emit-gnuplot its gnuplot
+script, then its manifest, which digests the CSV, the script, the
+checkpoint the command wrote and the checkpoints it read.  The pre-compute
+check of the outputs reads the same list.
 
 Exit codes: 0 ok, 1 verify failure, 2 parse/argument error, 3 numeric
 failure or an allocation the machine refuses, 4 missing/corrupt
@@ -24,12 +35,12 @@ import re
 import sys
 import time
 from itertools import repeat
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
 from . import __version__, vae
-from .distributions import Laplace, parse_dist, sample
+from .distributions import AnalyticDist, Laplace, parse_dist, sample
 from .errors import (
     CheckpointError,
     DivergenceDetected,
@@ -40,6 +51,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .manifest import RunManifest, manifest_path_for, write_csv
+from .parallel import resolve_threads
 from .rng import derive_key
 from .sweep import (
     CSV_HEADER,
@@ -81,7 +93,16 @@ def _diag(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _read_config(path: str) -> dict[str, str]:
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failures raise ParseError, for main to report
+    as one line; --help and --version still print and exit 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
+def _read_config(path: str, keys: dict) -> dict[str, str]:
+    """The key=value lines of a config file, each key one of keys."""
     out: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -91,16 +112,19 @@ def _read_config(path: str) -> dict[str, str]:
                 if not line:
                     continue
                 key, eq, val = line.partition("=")
-                if not eq:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
-                    )
                 key = key.strip().replace("-", "_")
-                if key in out:
-                    raise ParseError(f"{path}:{lineno}: duplicate config key {key!r}")
-                out[key] = val.strip()
+                if not eq:
+                    why = f"expected key=value, got {raw.strip()!r}"
+                elif key in out:
+                    why = f"duplicate key {key!r}"
+                elif key not in keys:
+                    why = f"unknown key {key!r}"
+                else:
+                    out[key] = val.strip()
+                    continue
+                raise ParseError(f"key 'config': {path}:{lineno}: {why}")
     except OSError as exc:
-        raise ParseError(f"cannot read config {path!r}: {exc}") from exc
+        raise ParseError(f"key 'config': cannot read {path!r}: {exc}") from exc
     return out
 
 
@@ -108,45 +132,46 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
+def _convert(key: str, text: str, default: object) -> object:
+    """Flag or config text as the type of the option's default."""
+    if isinstance(default, bool):
+        word = text.lower()
+        if word in _TRUE_WORDS + _FALSE_WORDS:
+            return word in _TRUE_WORDS
+        expected = f"one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)}"
+    elif isinstance(default, (int, float)):
+        try:
+            return type(default)(text)
+        except ValueError:
+            expected = "an integer" if isinstance(default, int) else "a decimal"
+    else:
+        return text
+    raise ParseError(f"key {key!r}: expected {expected}, got {text!r}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge parsed flags (None = not given) with config file and defaults;
-    the seed must lie in [0, 2^64)."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
+    """Merge the flags' text (None = not given) with the config file's and
+    the defaults, each text converted; the seed must lie in [0, 2^64)."""
+    config = _read_config(args.config, defaults) if args.config else {}
+    opts = {}
     for key, default in defaults.items():
-        text = config.pop(key, None)
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif text is not None:
-            if isinstance(default, bool):
-                word = text.lower()
-                if word not in _TRUE_WORDS + _FALSE_WORDS:
-                    raise ParseError(
-                        f"config key {key!r} is not a boolean: {text!r}; expected "
-                        f"one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)}"
-                    )
-                resolved[key] = word in _TRUE_WORDS
-            elif isinstance(default, int):
-                try:
-                    resolved[key] = int(text)
-                except ValueError:
-                    raise ParseError(f"config key {key!r} is not an integer: {text!r}")
-            elif isinstance(default, float):
-                try:
-                    resolved[key] = float(text)
-                except ValueError:
-                    raise ParseError(f"config key {key!r} is not a decimal: {text!r}")
-            else:
-                resolved[key] = text
-        else:
-            resolved[key] = default
-    if config:
-        raise ParseError(f"unknown config key {sorted(config)[0]!r}")
+        text = getattr(args, key)
+        if text is None:
+            text = config.get(key)
+        opts[key] = default if text is None else _convert(key, text, default)
     # derive_key reads a seed modulo 2^64, so -1 would alias 2^64 - 1.
-    if not 0 <= resolved["seed"] < 1 << 64:
-        raise ParseError(f"key 'seed' must be in [0, 2^64), got {resolved['seed']}")
-    return resolved
+    if not 0 <= opts["seed"] < 1 << 64:
+        raise ParseError(f"key 'seed': must be in [0, 2^64), got {opts['seed']}")
+    return opts
+
+
+def _parse(key: str, parse: Callable[[str], object], text: str) -> object:
+    """parse(text), with a ParseError or InvalidParams it raises named
+    under the option's key."""
+    try:
+        return parse(text)
+    except (ParseError, InvalidParams) as exc:
+        raise ParseError(f"key {key!r}: {exc}") from exc
 
 
 def _check_writable(writes: dict[str, list[str]],
@@ -176,59 +201,64 @@ def _check_writable(writes: dict[str, list[str]],
 
 
 def _csv_writes(csv_path: str, plot: bool = False) -> list[str]:
-    """The paths that writing a CSV writes: its own, its manifest's and,
-    with plot, its gnuplot script's."""
-    paths = [csv_path, manifest_path_for(csv_path)]
-    return paths + [csv_path + ".gnuplot"] if plot else paths
+    """The paths that writing a CSV writes: its own, with plot its gnuplot
+    script's, and its manifest's."""
+    script = [csv_path + ".gnuplot"] if plot else []
+    return [csv_path, *script, manifest_path_for(csv_path)]
 
 
-def _parse_k_list(text: str, key: str) -> tuple[int, ...]:
+def _parse_k_list(text: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ParseError(f"key {key!r} must be a comma list of integers: {text!r}")
+        raise ParseError(f"must be a comma list of integers: {text!r}")
     if any(k < 1 for k in ks):
-        raise ParseError(f"key {key!r} values must be >= 1: {text!r}")
+        raise ParseError(f"values must be >= 1: {text!r}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ParseError(f"key {key!r} must be strictly increasing: {text!r}")
+        raise ParseError(f"must be strictly increasing: {text!r}")
     return ks
 
 
-def _write_companions(csv_path: str, argv: list[str], opts: dict, started: float,
-                      plot: tuple[str, str, str, str] | None = None) -> None:
+def _write_companions(csv_path: str, args: argparse.Namespace, opts: dict,
+                      plot: tuple[str, str, str, str] | None = None,
+                      outputs: Iterable[str] = (),
+                      inputs: Iterable[str] = ()) -> None:
     """Write a finished CSV's companions, the paths after it in
-    _csv_writes(csv_path, plot is not None): its manifest and, given plot,
-    a gnuplot script of its lower and upper bounds against k.  plot is the
-    CSV's header and the names of its k, lower and upper columns, which the
-    script finds in the header."""
+    _csv_writes(csv_path, plot is not None): given plot, a gnuplot script
+    of its lower and upper bounds against k, then its manifest.  plot is
+    the CSV's header and the names of its k, lower and upper columns, which
+    the script finds in the header.  The manifest digests the CSV, the
+    script and the other outputs, and under inputs the files read."""
     paths = _csv_writes(csv_path, plot is not None)
+    if plot is not None:
+        header, x, lower, upper = plot
+        names = header.split(",")
+
+        def quoted(text: str) -> str:
+            # gnuplot reads '' inside a single-quoted string as one quote.
+            return "'" + text.replace("'", "''") + "'"
+
+        plots = ", ".join(
+            f"{quoted(csv_path)} using {names.index(x) + 1}:{names.index(y) + 1} "
+            f"with linespoints title {quoted(title)}"
+            for y, title in ((lower, "lower"), (upper, "upper")))
+        with open(paths[1], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("set datafile separator ','\nset key autotitle columnhead\n"
+                     f"set logscale x 2\nset xlabel {quoted(x)}\nplot {plots}\n")
+        _diag(f"gnuplot script: {paths[1]}")
     manifest = RunManifest(
-        command_line=argv,
+        command_line=args.argv,
         config={k: (v if isinstance(v, (int, float, str, bool)) else str(v))
                 for k, v in opts.items()},
         base_seed=opts["seed"],
         version=__version__,
-        wall_time_s=round(time.perf_counter() - started, 6),
+        wall_time_s=round(time.perf_counter() - args.started, 6),
     )
-    manifest.add_output(csv_path)
-    manifest.write(paths[1])
-    if plot is None:
-        return
-    header, x, lower, upper = plot
-    names = header.split(",")
-
-    def quoted(text: str) -> str:
-        # gnuplot reads '' inside a single-quoted string as one quote.
-        return "'" + text.replace("'", "''") + "'"
-
-    plots = ", ".join(
-        f"{quoted(csv_path)} using {names.index(x) + 1}:{names.index(y) + 1} "
-        f"with linespoints title {quoted(title)}"
-        for y, title in ((lower, "lower"), (upper, "upper")))
-    with open(paths[2], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("set datafile separator ','\nset key autotitle columnhead\n"
-                 f"set logscale x 2\nset xlabel {quoted(x)}\nplot {plots}\n")
-    _diag(f"gnuplot script: {paths[2]}")
+    for path in [*paths[:-1], *outputs]:
+        manifest.add_output(path)
+    for path in inputs:
+        manifest.add_input(path)
+    manifest.write(paths[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +277,19 @@ ANALYTIC_DEFAULTS = {
 }
 
 
-def cmd_analytic(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, ANALYTIC_DEFAULTS)
-    _check_writable({"out": _csv_writes(opts["out"], opts["emit_gnuplot"])})
-    dist = parse_dist(opts["dist"])
+def cmd_analytic(args: argparse.Namespace, opts: dict) -> int:
+    dist = _parse("dist", parse_dist, opts["dist"])
     if isinstance(dist, Laplace):
         raise ParseError("key 'dist': laplace draws negative values; the "
                          "bounds need a law of positive draws")
     cfg = SweepConfig(
-        k_values=_parse_k_list(opts["k"], "k"),
+        k_values=_parse("k", _parse_k_list, opts["k"]),
         n_pairs=opts["n"],
         replications=opts["replications"],
         base_seed=opts["seed"],
-        c_policy=CPolicy.parse(opts["c_policy"]),
+        c_policy=_parse("c_policy", CPolicy.parse, opts["c_policy"]),
     )
+    _check_writable({"out": _csv_writes(opts["out"], opts["emit_gnuplot"])})
     result = run_sweep(dist, cfg)
     for row in result.rows:
         if not (math.isfinite(row.report.lower_mean)
@@ -270,7 +298,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                 f"non-finite bound at k={row.k} replication={row.replication}"
             )
     write_sweep_csv(opts["out"], result, dataset=dist.spec_string(), model="analytic")
-    _write_companions(opts["out"], args.argv, opts, started,
+    _write_companions(opts["out"], args, opts,
                       (CSV_HEADER, "k", "lower_mean", "upper_mean")
                       if opts["emit_gnuplot"] else None)
     def summary(mean: float, std: float) -> str:
@@ -297,9 +325,7 @@ VERIFY_DEFAULTS = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, VERIFY_DEFAULTS)
+def cmd_verify(args: argparse.Namespace, opts: dict) -> int:
     _check_writable({"out": _csv_writes(opts["out"])})
     results = run_verify(opts["seed"], quick=opts["quick"])
     for res in results:
@@ -307,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _diag(f"{status} {res.name} slack={res.slack:.6g}")
     write_csv(opts["out"], VERIFY_CSV_HEADER,
               [(res.name, int(res.passed), res.slack) for res in results])
-    _write_companions(opts["out"], args.argv, opts, started)
+    _write_companions(opts["out"], args, opts)
     passed = sum(res.passed for res in results)
     _echo(f"verify passed={passed}/{len(results)} out={opts['out']}")
     return 0 if passed == len(results) else 1
@@ -317,29 +343,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # vae train / train-cnet / eval
 # ---------------------------------------------------------------------------
 
-def _load_data(spec: str, n: int, seed: int) -> np.ndarray:
-    """n draws of the data spec; finite parameters whose draws overflow are
+def _load_data(law: AnalyticDist, n: int, seed: int) -> np.ndarray:
+    """n draws of the data law; finite parameters whose draws overflow are
     a numeric failure, raised before any compute."""
-    data = sample(parse_dist(spec), n, seed)
+    data = sample(law, n, seed)
     if not (math.isfinite(data.min()) and math.isfinite(data.max())):
-        raise NonPositiveSample(f"data {spec!r} gives non-finite draws")
+        raise NonPositiveSample(f"data {law.spec_string()!r} gives non-finite draws")
     return data
 
 
-def cmd_vae_train(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, TRAIN_DEFAULTS)
+def cmd_vae_train(args: argparse.Namespace, opts: dict) -> int:
+    law = _parse("data", parse_dist, opts["data"])
+    objective = _parse("objective", vae.Objective.parse, opts["objective"])
     _check_writable({"out": [opts["out"]], "loss_out": _csv_writes(opts["loss_out"])})
-    data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 1))
+    data = _load_data(law, opts["n"], derive_key(opts["seed"], 1))
     model = vae.ToyVae.init(derive_key(opts["seed"], 2), opts["decoder_var"])
     result = vae.train(
-        model, data, vae.Objective.parse(opts["objective"]),
+        model, data, objective,
         epochs=opts["epochs"], batch=opts["batch"], lr=opts["lr"],
         seed=derive_key(opts["seed"], 3),
     )
     vae.save_model(opts["out"], result.model)
     write_csv(opts["loss_out"], "epoch,loss", enumerate(result.loss_history))
-    _write_companions(opts["loss_out"], args.argv, opts, started)
+    _write_companions(opts["loss_out"], args, opts, outputs=[opts["out"]])
     final = result.loss_history[-1] if result.loss_history else math.nan
     _echo(
         f"vae-train objective={opts['objective']} epochs={opts['epochs']} "
@@ -362,13 +388,12 @@ CNET_DEFAULTS = {
 }
 
 
-def cmd_vae_train_cnet(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, CNET_DEFAULTS)
+def cmd_vae_train_cnet(args: argparse.Namespace, opts: dict) -> int:
+    law = _parse("data", parse_dist, opts["data"])
     _check_writable({"out": [opts["out"]], "loss_out": _csv_writes(opts["loss_out"])},
                     reads={"model": opts["model"]})
     model = vae.load_model(opts["model"])
-    data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 4))
+    data = _load_data(law, opts["n"], derive_key(opts["seed"], 4))
     cnet = vae.CNet.init(derive_key(opts["seed"], 5))
     result = vae.train_cnet(
         cnet, model, data, k=opts["k"], n_pairs=opts["n_pairs"],
@@ -376,7 +401,8 @@ def cmd_vae_train_cnet(args: argparse.Namespace) -> int:
     )
     vae.save_cnet(opts["out"], result.cnet)
     write_csv(opts["loss_out"], "epoch,loss", enumerate(result.loss_history))
-    _write_companions(opts["loss_out"], args.argv, opts, started)
+    _write_companions(opts["loss_out"], args, opts, outputs=[opts["out"]],
+                      inputs=[opts["model"]])
     final = result.loss_history[-1] if result.loss_history else math.nan
     _echo(
         f"vae-train-cnet k={opts['k']} epochs={opts['epochs']} "
@@ -398,27 +424,24 @@ EVAL_DEFAULTS = {
 }
 
 
-def _c_spec(spec: str) -> tuple[str, str]:
-    """The form of a --c value, lowercased, and the text after its colon."""
-    head, _, tail = spec.strip().partition(":")
-    return head.strip().lower(), tail
-
-
-def _c_source(spec: str) -> vae.CNet | float:
-    head, tail = _c_spec(spec)
+def _parse_c(text: str) -> float | str:
+    """A --c value: fixed:<v> gives the finite float v, cnet:<path> the
+    path of a C-network checkpoint."""
+    head, _, tail = text.strip().partition(":")
+    head = head.strip().lower()
     if head == "fixed":
         try:
             value = float(tail)
         except ValueError:
-            raise ParseError(f"key 'c' fixed value is not a decimal: {tail!r}")
+            raise ParseError(f"fixed value is not a decimal: {tail!r}")
         if not math.isfinite(value):
-            raise ParseError(f"key 'c' fixed value must be finite: {tail!r}")
+            raise ParseError(f"fixed value must be finite: {tail!r}")
         return value
     if head == "cnet":
         if not tail:
-            raise ParseError("key 'c' cnet form needs a path, e.g. cnet:cnet.ckpt")
-        return vae.load_cnet(tail)
-    raise ParseError(f"key 'c' must be fixed:<v> or cnet:<path>, got {spec!r}")
+            raise ParseError("cnet form needs a path, e.g. cnet:cnet.ckpt")
+        return tail
+    raise ParseError(f"must be fixed:<v> or cnet:<path>, got {text!r}")
 
 
 def _record_rows(result: vae.EvalResult) -> Iterator[tuple]:
@@ -430,29 +453,29 @@ def _record_rows(result: vae.EvalResult) -> Iterator[tuple]:
     yield "mean", rep.lower_mean, rep.upper_mean, rep.c_used, rep.k
 
 
-def cmd_vae_eval(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    opts = _resolve(args, EVAL_DEFAULTS)
-    reads = {"model": opts["model"]}
-    head, cnet_path = _c_spec(opts["c"])
-    if head == "cnet" and cnet_path:
-        reads["c"] = cnet_path
-    sweep_ks = _parse_k_list(opts["k_sweep"], "k_sweep") if opts["k_sweep"] else ()
+def cmd_vae_eval(args: argparse.Namespace, opts: dict) -> int:
+    law = _parse("data", parse_dist, opts["data"])
+    c = _parse("c", _parse_c, opts["c"])
+    sweep_ks = (_parse("k_sweep", _parse_k_list, opts["k_sweep"])
+                if opts["k_sweep"] else ())
     if opts["emit_gnuplot"] and not sweep_ks:
         raise ParseError("key 'emit_gnuplot': eval plots only a k_sweep")
+    reads = {"model": opts["model"]}
+    if isinstance(c, str):
+        reads["c"] = c
     sweep_path = opts["out"] + ".ksweep.csv"
     writes = _csv_writes(opts["out"])
     if sweep_ks:
         writes += _csv_writes(sweep_path, opts["emit_gnuplot"])
     _check_writable({"out": writes}, reads=reads)
     model = vae.load_model(opts["model"])
-    c_source = _c_source(opts["c"])
-    data = _load_data(opts["data"], opts["n"], derive_key(opts["seed"], 7))
+    c_source = vae.load_cnet(c) if isinstance(c, str) else c
+    data = _load_data(law, opts["n"], derive_key(opts["seed"], 7))
 
     result = vae.evaluate(model, c_source, data, opts["k"],
                           derive_key(opts["seed"], 8, opts["k"]))
     write_csv(opts["out"], EVAL_RECORD_HEADER, _record_rows(result))
-    _write_companions(opts["out"], args.argv, opts, started)
+    _write_companions(opts["out"], args, opts, inputs=reads.values())
 
     if sweep_ks:
         rows = []
@@ -465,9 +488,9 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
                          rep.saturated_pairs, rep.width, rep.width_stderr))
             _diag(f"k={k} lower={rep.lower_mean:.6f} upper={rep.upper_mean:.6f}")
         write_csv(sweep_path, EVAL_SWEEP_HEADER, rows)
-        _write_companions(sweep_path, args.argv, opts, started,
+        _write_companions(sweep_path, args, opts,
                           (EVAL_SWEEP_HEADER, "k", "lower", "upper")
-                          if opts["emit_gnuplot"] else None)
+                          if opts["emit_gnuplot"] else None, inputs=reads.values())
 
     mode = "cnet" if isinstance(c_source, vae.CNet) else f"fixed C={c_source:g}"
     rep = result.report
@@ -482,61 +505,51 @@ def cmd_vae_eval(args: argparse.Namespace) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    sub.add_argument("--config", help="key=value config file ('#' comments)")
-    for key, default in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            sub.add_argument(flag, action="store_const", const=True, default=None)
-        elif isinstance(default, int):
-            sub.add_argument(flag, type=int, default=None)
-        elif isinstance(default, float):
-            sub.add_argument(flag, type=float, default=None)
-        else:
-            sub.add_argument(flag, type=str, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gapsandwich",
+    """The parser of every command.  A subcommand's parse gives func, its
+    command, and defaults, the defaults of its options, and each option's
+    text under its key (None when the flag is not given)."""
+    commands = (
+        ("analytic", "bound sweep on an analytic distribution", ANALYTIC_DEFAULTS,
+         cmd_analytic),
+        ("verify", "run the invariant suite", VERIFY_DEFAULTS, cmd_verify),
+        ("vae train", "train the VAE", TRAIN_DEFAULTS, cmd_vae_train),
+        ("vae train-cnet", "train the C network", CNET_DEFAULTS, cmd_vae_train_cnet),
+        ("vae eval", "paired lower/upper evaluation", EVAL_DEFAULTS, cmd_vae_eval),
+    )
+    parser = _Parser(
+        prog="gapsandwich", allow_abbrev=False,
         description="Sandwich bounds for log-evidence from paired Monte Carlo samples",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    analytic = subs.add_parser("analytic", help="bound sweep on an analytic distribution")
-    _add_common(analytic, ANALYTIC_DEFAULTS)
-    analytic.set_defaults(func=cmd_analytic)
-
-    verify = subs.add_parser("verify", help="run the invariant suite")
-    _add_common(verify, VERIFY_DEFAULTS)
-    verify.set_defaults(func=cmd_verify)
-
-    vae_parser = subs.add_parser("vae", help="toy VAE pipeline")
-    vae_subs = vae_parser.add_subparsers(dest="vae_command", required=True)
-
-    train = vae_subs.add_parser("train", help="train the VAE")
-    _add_common(train, TRAIN_DEFAULTS)
-    train.set_defaults(func=cmd_vae_train)
-
-    train_cnet = vae_subs.add_parser("train-cnet", help="train the C network")
-    _add_common(train_cnet, CNET_DEFAULTS)
-    train_cnet.set_defaults(func=cmd_vae_train_cnet)
-
-    evaluate = vae_subs.add_parser("eval", help="paired lower/upper evaluation")
-    _add_common(evaluate, EVAL_DEFAULTS)
-    evaluate.set_defaults(func=cmd_vae_eval)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, defaults, func in commands:
+        group, _, name = words.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(
+                group, help="toy VAE pipeline", allow_abbrev=False,
+            ).add_subparsers(dest="vae_command", required=True)
+        sub = groups[group].add_parser(name, help=help_text, allow_abbrev=False)
+        sub.add_argument("--config", help="key=value config file ('#' comments)")
+        for key, default in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                sub.add_argument(flag, action="store_const", const="true")
+            else:
+                sub.add_argument(flag)
+        sub.set_defaults(func=func, defaults=defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # The manifests record the arguments main was given, not its host's.
-    args.argv = list(sys.argv[1:] if argv is None else argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # The manifests record the arguments main was given, not its host's.
+        args.argv = list(sys.argv[1:] if argv is None else argv)
+        args.started = started
+        resolve_threads()
+        return args.func(args, _resolve(args, args.defaults))
     except (ParseError, InvalidParams, ShapeMismatch) as exc:
         _diag(f"error: {exc}")
         return 2

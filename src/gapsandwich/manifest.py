@@ -4,8 +4,8 @@ write_csv writes every CSV the package emits, under one field rule: a
 float by repr, so it reads back bit for bit; an int by str; text RFC
 4180-quoted when it holds a comma, a quote or a line break.  Every CSV
 output is paired with one JSON manifest recording the command, config,
-seed, version, numpy's version and SIMD dispatch, wall time and output
-digests."""
+seed, version, numpy's version and SIMD dispatch, wall time, and the
+SHA-256 of the files the command wrote (outputs) and read (inputs)."""
 
 from __future__ import annotations
 
@@ -55,6 +55,14 @@ def write_csv(path: str, header: str, rows: Iterable[tuple]) -> None:
                                 for v in row]) + "\n" for row in rows)
 
 
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 @dataclass
 class RunManifest:
     command_line: list[str]
@@ -63,13 +71,13 @@ class RunManifest:
     version: str
     wall_time_s: float = 0.0
     outputs: dict[str, str] = field(default_factory=dict)
+    inputs: dict[str, str] = field(default_factory=dict)
 
     def add_output(self, path: str) -> None:
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                digest.update(chunk)
-        self.outputs[path] = digest.hexdigest()
+        self.outputs[path] = _sha256(path)
+
+    def add_input(self, path: str) -> None:
+        self.inputs[path] = _sha256(path)
 
     def write(self, path: str) -> None:
         body = {
@@ -80,6 +88,7 @@ class RunManifest:
             "numpy": numpy_runtime(),
             "wall_time_s": self.wall_time_s,
             "outputs": self.outputs,
+            "inputs": self.inputs,
         }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(body, fh, indent=2, sort_keys=True)

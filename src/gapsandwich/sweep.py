@@ -102,10 +102,10 @@ class CPolicy:
             try:
                 return cls("fixed", float(tail))
             except ValueError:
-                raise ParseError(f"c-policy key 'fixed' needs a decimal: {tail!r}")
+                raise ParseError(f"c-policy 'fixed' needs a decimal: {tail!r}")
         if head in ("zero", "pilot-optimal") and not colon:
             return cls(head)
-        raise ParseError(f"key 'c_policy': unknown c-policy {text!r}")
+        raise ParseError(f"unknown c-policy {text!r}")
 
     def fold_cs(self, folds: list[LogSumExp]) -> list[float]:
         """One C for each of a cell's folds, from the folds' LogSumExps of

@@ -141,14 +141,14 @@ class Objective:
             try:
                 return cls("elbo", int(tail))
             except ValueError:
-                raise ParseError(f"objective key 'elbo' needs an integer: {tail!r}")
+                raise ParseError(f"objective 'elbo' needs an integer: {tail!r}")
         if head == "iwae":
             if not tail:
                 raise ParseError("objective 'iwae' needs a sample count, e.g. iwae:5")
             try:
                 return cls("iwae", int(tail))
             except ValueError:
-                raise ParseError(f"objective key 'iwae' needs an integer: {tail!r}")
+                raise ParseError(f"objective 'iwae' needs an integer: {tail!r}")
         raise ParseError(f"unknown objective {text!r}")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -340,7 +341,8 @@ class TestAnalyticCommand:
                     "--out", str(tmp_path / "o.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "emit_gnuplot" in err and "ture" in err
+        assert err.count("\n") == 1 and err.startswith("error: key 'emit_gnuplot': ")
+        assert "ture" in err
         assert not (tmp_path / "o.csv").exists()
 
     def test_shape_mismatch_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -564,7 +566,8 @@ class TestVaePipeline:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: data ")
-        assert spec in err[0] and "Traceback" not in err[0]
+        # The law is named as parsed: b=1e308 reads back as b=1e+308.
+        assert parse_dist(spec).spec_string() in err[0] and "Traceback" not in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.ckpt"]
 
     def test_overflowing_c_network_exits_3_without_csv(self, tmp_path, capsys):
@@ -790,6 +793,148 @@ def test_seed_outside_64_bits_in_a_config_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: key 'seed'")
 
 
+COMMANDS = {
+    "analytic": (["analytic"], cli.ANALYTIC_DEFAULTS),
+    "verify": (["verify"], cli.VERIFY_DEFAULTS),
+    "train": (["vae", "train"], cli.TRAIN_DEFAULTS),
+    "train-cnet": (["vae", "train-cnet"], cli.CNET_DEFAULTS),
+    "eval": (["vae", "eval"], cli.EVAL_DEFAULTS),
+}
+# A malformed value of each spec option, which only its own parser rejects.
+BAD_SPECS = {"dist": "gamma:a=x,theta=1", "data": "bogus", "k": "1,x",
+             "k_sweep": "2,1", "c_policy": "best", "objective": "iwae",
+             "c": "bogus"}
+
+
+def one_error_line(capsys, start: str) -> str:
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start), captured.err
+    assert "usage:" not in captured.err and captured.out == ""
+    return err[0]
+
+
+@pytest.fixture
+def no_inputs(monkeypatch):
+    """Fail the test if a command reads a checkpoint, draws data or starts
+    its compute."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command read an input or drew data")
+
+    for owner, name in ((cli.vae, "load_model"), (cli.vae, "load_cnet"),
+                        (cli, "sample"), (cli, "run_sweep"), (cli, "run_verify")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    ("analytic", "n", "x"),
+    ("train", "lr", "fast"),
+    *[(command, key, BAD_SPECS[key])
+      for command, key in (("analytic", "dist"), ("analytic", "k"),
+                           ("analytic", "c_policy"), ("train", "data"),
+                           ("train", "objective"), ("eval", "k_sweep"),
+                           ("eval", "c"))],
+])
+def test_a_flag_and_a_config_key_give_one_line_naming_the_key(
+        tmp_path, monkeypatch, capsys, no_inputs, command, key, bad):
+    # `analytic --n x` once printed argparse's usage block and its own
+    # message; `n=x` in a config file printed `config key 'n' ...`.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"{key}={bad}\n")
+    words = COMMANDS[command][0]
+    assert run([*words, "--" + key.replace("_", "-"), bad]) == 2
+    flag = one_error_line(capsys, f"error: key {key!r}: ")
+    assert run([*words, "--config", "run.cfg"]) == 2
+    assert one_error_line(capsys, "error: ") == flag
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--rep", "2"],            # flags match their full names only
+    ["analytic", "--bogus"],
+    ["analytic", "--n"],
+    [],
+    ["vae"],
+    ["analytic", "--emit-gnuplot=yes"],
+    ["analytic", "--emit-gnuplot", "yes"],
+], ids=" ".join)
+def test_an_argparse_failure_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys,
+                                                     no_inputs, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    one_error_line(capsys, "error: ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["vae", "eval", "--help"]])
+def test_help_and_version_print_and_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def malformed_options():
+    """(command, key, argv tail) for every option of every command that has
+    a malformed form: a number that does not convert, a boolean word that
+    is neither (tail None: a boolean flag takes no text, so a config file
+    gives it), a spec its parser rejects."""
+    for command, (_, defaults) in COMMANDS.items():
+        for key, default in defaults.items():
+            if isinstance(default, bool):
+                yield command, key, None
+            elif isinstance(default, (int, float)):
+                yield command, key, ["--" + key.replace("_", "-"), "x"]
+            elif key in BAD_SPECS:
+                yield command, key, ["--" + key.replace("_", "-"), BAD_SPECS[key]]
+
+
+@pytest.mark.parametrize("command, key, tail", list(malformed_options()),
+                         ids=[f"{c} {k}" for c, k, _ in malformed_options()])
+def test_every_malformed_option_exits_2_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, no_inputs, command, key, tail):
+    # `eval --model m.ckpt --c bogus` once read the model first, and
+    # `train --objective bogus` drew its data before it rejected the value.
+    monkeypatch.chdir(tmp_path)
+    save_model("m.ckpt", ToyVae.init(1))
+    save_cnet("c.ckpt", CNet.init(2))
+    argv = COMMANDS[command][0] + {"train-cnet": ["--model", "m.ckpt"],
+                                   "eval": ["--model", "m.ckpt"]}.get(command, [])
+    if command == "eval" and key != "c":
+        argv += ["--c", "cnet:c.ckpt"]
+    if tail is None:
+        Path("run.cfg").write_text(f"{key}=ture\n")
+        tail = ["--config", "run.cfg"]
+    assert run([*argv, *tail]) == 2
+    one_error_line(capsys, f"error: key {key!r}: ")
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["m.ckpt", "c.ckpt"] + (["run.cfg"] if "--config" in tail else []))
+
+
+@pytest.mark.parametrize("value", ["x", "-1"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_bad_thread_count_exits_2_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, no_inputs, command, value):
+    # GAPSANDWICH_THREADS=x once failed `verify` after 12 properties and
+    # `eval --model missing.ckpt` with exit 4, and `train` never read it.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(THREADS_ENV, value)
+    assert run([*COMMANDS[command][0], "--model", "missing.ckpt"]
+               if command in ("train-cnet", "eval") else COMMANDS[command][0]) == 2
+    assert THREADS_ENV in one_error_line(capsys, "error: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_the_module_exits_2_with_one_line_on_a_bad_flag(tmp_path):
+    src = str(Path(gapsandwich.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "gapsandwich.cli", "analytic",
+                           "--n", "x"], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stderr == "error: key 'n': expected an integer, got 'x'\n"
+    assert proc.stdout == "" and os.listdir(tmp_path) == []
+
+
 def gnuplot_strings(line: str) -> list[str]:
     """The single-quoted strings of a gnuplot line, each '' read as '."""
     return [text.replace("''", "'") for text in re.findall(r"'((?:[^']|'')*)'", line)]
@@ -894,6 +1039,19 @@ def test_a_command_writes_exactly_the_files_it_checked(tmp_path, monkeypatch, ar
              "eval": ["--model", model, "--c", f"cnet:{cnet}"]}.get(argv[1], [])
     assert run([*argv, *reads]) == 0
     assert sorted(os.listdir(outputs)) == sorted(listed)
+    # Each manifest digests the checkpoints the command read, and together
+    # they digest every other file it wrote: checkpoints and plots included.
+    def sha256(path: str) -> str:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    read = {"train-cnet": [model], "eval": [model, cnet]}.get(argv[1], [])
+    manifests = [json.loads(Path(path).read_text()) for path in listed
+                 if path.endswith(".manifest.json")]
+    assert manifests and all(m["inputs"] == {path: sha256(path) for path in read}
+                             for m in manifests)
+    assert {path: digest for m in manifests for path, digest in m["outputs"].items()
+            } == {path: sha256(path) for path in listed
+                  if not path.endswith(".manifest.json")}
 
 
 def test_every_exported_name_is_an_attribute_of_the_package():
@@ -947,8 +1105,8 @@ def test_readme_cli_examples_parse():
                 if line.startswith("gapsandwich ")]
     assert len(commands) >= 6
     checks = {"--c-policy": CPolicy.parse, "--dist": parse_dist,
-              "--data": parse_dist, "--k": lambda v: cli._parse_k_list(v, "k"),
-              "--k-sweep": lambda v: cli._parse_k_list(v, "k_sweep")}
+              "--data": parse_dist, "--k": cli._parse_k_list,
+              "--k-sweep": cli._parse_k_list}
     parser = cli.build_parser()
     seen = set()
     for argv in commands:

@@ -57,8 +57,9 @@ class TestCPolicy:
     @pytest.mark.parametrize("text", ["zero:0.7", "zero:", "pilot-optimal:garbage",
                                       " Pilot-Optimal : 1"])
     def test_a_suffix_after_zero_or_pilot_optimal_is_an_error(self, text):
-        # parse once dropped it: zero:0.7 swept at C = 0.
-        with pytest.raises(ParseError, match="c_policy"):
+        # parse once dropped it: zero:0.7 swept at C = 0.  The CLI names the
+        # option's key; the library names the policy.
+        with pytest.raises(ParseError, match="unknown c-policy"):
             CPolicy.parse(text)
 
     @pytest.mark.parametrize("policy", ["zero", "fixed:0.1", "fixed:-1e308"])
